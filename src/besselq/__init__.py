@@ -2,9 +2,10 @@
 viscoelastic media.
 
 The package evaluates the specific attenuation factor Q^-1(omega; nu) of
-the Bessel class of linear viscoelastic models through three independent
-analytical routes (oscillatory-pair series, Kelvin functions, contiguous
-modified-Bessel ratios), together with the special functions those routes
+the Bessel class of linear viscoelastic models along one production route
+(``q_inverse``: the contiguous modified-Bessel ratio with its 1/s pole split
+off), checked against two independent verification routes (oscillatory-pair
+series, Kelvin functions), together with the special functions those routes
 require and the time/Laplace-domain material functions of the class.
 
 All public functions are pure and deterministic for fixed inputs and
@@ -31,17 +32,11 @@ from .model import (
     creep_rate_time,
     frac_maxwell_q_inverse,
 )
-from .policy import (
-    DEFAULT_CROSSOVER_OMEGA,
-    DEFAULT_POLICY,
-    OVERLAP_TOLERANCE,
-    SeriesPolicy,
-)
+from .policy import DEFAULT_CROSSOVER_OMEGA, DEFAULT_POLICY, SeriesPolicy
 from .qfactor import (
     QEvaluation,
     q_inverse,
     q_inverse_asymptotic,
-    q_inverse_direct,
     q_inverse_fg,
     q_inverse_kelvin,
 )
@@ -75,7 +70,6 @@ __all__ = [
     "KelvinPair",
     "ModelOrder",
     "NonConvergenceError",
-    "OVERLAP_TOLERANCE",
     "OverflowRangeError",
     "PoleError",
     "QEvaluation",
@@ -99,7 +93,6 @@ __all__ = [
     "modified_bessel_i",
     "q_inverse",
     "q_inverse_asymptotic",
-    "q_inverse_direct",
     "q_inverse_fg",
     "q_inverse_kelvin",
     "tricomi_it",

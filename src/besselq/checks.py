@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BesselQError, DomainError
 from .model import ModelOrder, creep_rate_laplace
 from .policy import DEFAULT_CROSSOVER_OMEGA, DEFAULT_POLICY, SeriesPolicy
-from .qfactor import q_inverse, q_inverse_direct, q_inverse_fg, q_inverse_kelvin
+from .qfactor import q_inverse, q_inverse_fg, q_inverse_kelvin
 from .specfun.zeros import bessel_j_zeros
 
 #: Frozen bounds, measured during development with generous margin.
@@ -53,14 +53,13 @@ def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
 def check_route_agreement(
     nus: Sequence[float] = DEFAULT_CHECK_NUS,
     policy: SeriesPolicy = DEFAULT_POLICY,
-    crossover_omega: float = DEFAULT_CROSSOVER_OMEGA,
     points_per_regime: int = 40,
 ) -> CheckResult:
-    """Pairwise agreement of the three Q^-1 routes.
+    """Pairwise agreement of ``q_inverse`` with the two verification routes.
 
     Below the crossover all three routes must agree to 1e-9 relative;
     above it (up to omega = 1e6, where ber/bei remain representable) the
-    Kelvin and direct routes must agree to 1e-8.
+    Kelvin route and ``q_inverse`` must agree to 1e-8.
     """
     worst_below = 0.0
     worst_above = 0.0
@@ -68,17 +67,17 @@ def check_route_agreement(
     try:
         for nu in nus:
             model = ModelOrder(nu)
-            for omega in _log_grid(1e-3, crossover_omega, points_per_regime):
-                a = q_inverse_fg(model, omega, policy, crossover_omega).q_inverse
-                b = q_inverse_kelvin(model, omega, policy, crossover_omega).q_inverse
-                c = q_inverse_direct(model, omega, policy).q_inverse
+            for omega in _log_grid(1e-3, DEFAULT_CROSSOVER_OMEGA, points_per_regime):
+                a = q_inverse_fg(model, omega, policy).q_inverse
+                b = q_inverse_kelvin(model, omega, policy).q_inverse
+                c = q_inverse(model, omega, policy).q_inverse
                 disc = max(abs(a - b), abs(a - c), abs(b - c)) / abs(c)
                 if disc > worst_below:
                     worst_below = disc
                     detail = f"worst three-route point: nu={nu}, omega={omega:.4g}"
-            for omega in _log_grid(crossover_omega, 1e6, points_per_regime):
-                b = q_inverse_kelvin(model, omega, policy, crossover_omega).q_inverse
-                c = q_inverse_direct(model, omega, policy).q_inverse
+            for omega in _log_grid(DEFAULT_CROSSOVER_OMEGA, 1e6, points_per_regime):
+                b = q_inverse_kelvin(model, omega, policy).q_inverse
+                c = q_inverse(model, omega, policy).q_inverse
                 worst_above = max(worst_above, abs(b - c) / abs(c))
     except BesselQError as exc:
         return CheckResult(
@@ -89,7 +88,7 @@ def check_route_agreement(
         and worst_above <= ROUTE_AGREEMENT_BOUND_ABOVE
     )
     detail += (
-        f"; above crossover kelvin-vs-direct {worst_above:.3e} "
+        f"; above crossover kelvin-vs-q_inverse {worst_above:.3e} "
         f"(bound {ROUTE_AGREEMENT_BOUND_ABOVE:.1e})"
     )
     return CheckResult(
@@ -104,7 +103,6 @@ def check_route_agreement(
 def check_monotonicity(
     nus: Sequence[float] = DEFAULT_CHECK_NUS,
     policy: SeriesPolicy = DEFAULT_POLICY,
-    crossover_omega: float = DEFAULT_CROSSOVER_OMEGA,
     grid: Iterable[float] | None = None,
 ) -> CheckResult:
     """Q^-1 must decrease strictly along a log grid for every order."""
@@ -114,9 +112,7 @@ def check_monotonicity(
     try:
         for nu in nus:
             model = ModelOrder(nu)
-            values = [
-                q_inverse(model, w, policy, crossover_omega).q_inverse for w in omegas
-            ]
+            values = [q_inverse(model, w, policy).q_inverse for w in omegas]
             steps = np.diff(values) / np.abs(values[:-1])
             i = int(np.argmax(steps))
             if steps[i] > worst:
@@ -275,11 +271,10 @@ def check_laplace_consistency(
 def run_all_checks(
     nus: Sequence[float] = DEFAULT_CHECK_NUS,
     policy: SeriesPolicy = DEFAULT_POLICY,
-    crossover_omega: float = DEFAULT_CROSSOVER_OMEGA,
 ) -> list[CheckResult]:
     return [
-        check_route_agreement(nus, policy, crossover_omega),
-        check_monotonicity(nus, policy, crossover_omega),
+        check_route_agreement(nus, policy),
+        check_monotonicity(nus, policy),
         check_rayleigh_sneddon(),
         check_laplace_consistency(policy=policy),
     ]

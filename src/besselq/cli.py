@@ -11,6 +11,9 @@ Subcommands
 ``check``    Run the cross-method verification suites and exit nonzero on
              the first violated bound.
 
+``sweep`` and ``figures`` evaluate ``q_inverse``, the single production
+route; ``check`` compares it with the f/g and Kelvin verification routes.
+
 All numeric CSV fields use 17-significant-digit scientific notation with a
 decimal point (locale independent), and commands are deterministic for
 fixed flags: rerunning produces byte-identical files.
@@ -30,7 +33,7 @@ import numpy as np
 from .errors import BesselQError, DomainError
 from .checks import run_all_checks
 from .model import ModelOrder
-from .policy import DEFAULT_CROSSOVER_OMEGA, SeriesPolicy
+from .policy import SeriesPolicy
 from .qfactor import QEvaluation, q_inverse, q_inverse_asymptotic
 
 SWEEP_HEADER = "omega,nu,q_inverse,route,est_rel_error,q_asymp_low,q_asymp_high"
@@ -102,13 +105,12 @@ def evaluate_sweep(
     nus: Sequence[float],
     grid: FrequencyGrid,
     policy: SeriesPolicy,
-    crossover_omega: float,
 ) -> list[SweepRecord]:
     records: list[SweepRecord] = []
     for nu in nus:
         model = ModelOrder(nu)
         for omega in grid.points():
-            ev: QEvaluation = q_inverse(model, float(omega), policy, crossover_omega)
+            ev: QEvaluation = q_inverse(model, float(omega), policy)
             records.append(
                 SweepRecord(
                     omega=ev.omega,
@@ -166,7 +168,6 @@ def emit_figures(
     outdir: Path,
     nus: Sequence[float],
     policy: SeriesPolicy,
-    crossover_omega: float,
 ) -> list[Path]:
     """Write the four figure datasets and their gnuplot scripts."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -174,9 +175,7 @@ def emit_figures(
 
     def q_column(nu: float, omegas: np.ndarray) -> np.ndarray:
         model = ModelOrder(nu)
-        return np.array(
-            [q_inverse(model, float(w), policy, crossover_omega).q_inverse for w in omegas]
-        )
+        return np.array([q_inverse(model, float(w), policy).q_inverse for w in omegas])
 
     # figure 1: linear-scale overview; the steep low-frequency rise needs a
     # window starting well below omega ~ 1
@@ -242,13 +241,6 @@ def emit_figures(
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--crossover",
-        type=float,
-        default=DEFAULT_CROSSOVER_OMEGA,
-        metavar="OMEGA",
-        help="route crossover frequency (default %(default)s)",
-    )
-    parser.add_argument(
         "--rel-tol",
         type=float,
         default=1e-15,
@@ -295,21 +287,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = FrequencyGrid("linear", args.linear[0], args.linear[1], args.count)
     else:
         grid = FrequencyGrid("log", args.log[0], args.log[1], args.count)
-    records = evaluate_sweep(args.nu, grid, _policy_from(args), args.crossover)
+    records = evaluate_sweep(args.nu, grid, _policy_from(args))
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    written = emit_figures(args.out, args.nu, _policy_from(args), args.crossover)
+    written = emit_figures(args.out, args.nu, _policy_from(args))
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    results = run_all_checks(args.nu, _policy_from(args), args.crossover)
+    results = run_all_checks(args.nu, _policy_from(args))
     for result in results:
         print(result.summary())
     failed = [r for r in results if not r.passed]

@@ -31,7 +31,7 @@ from typing import Literal, NamedTuple
 
 from .errors import DomainError, OverflowRangeError, TruncationError
 from .policy import DEFAULT_POLICY, SeriesPolicy
-from .specfun.modified import _ratio_next_order, bessel_ratio_contiguous
+from .specfun.modified import _ratio_next_order
 from .specfun.zeros import bessel_j_zeros
 
 
@@ -79,18 +79,42 @@ def creep_rate_laplace(
     return (2.0 * (nu + 1.0) / z) / r
 
 
+def _compliance_split(
+    nu: float, s: complex, rel_tol: float
+) -> tuple[complex, complex, float, int]:
+    """``s J~(s; nu)`` with its ``1/s`` pole split off.
+
+    The recurrence ``I_{nu+1}/I_{nu+2} = 2(nu+2)/z + I_{nu+3}/I_{nu+2}``
+    (DLMF 10.29.1) turns ``s J~ = 1 + (2(nu+1)/z) I_{nu+1}/I_{nu+2}`` into
+
+        s J~ = 1 + 4(nu+1)(nu+2)/s + T,   T = (2(nu+1)/z) I_{nu+3}/I_{nu+2},
+
+    with ``z = sqrt(s)`` and ``T`` bounded as ``s -> 0``.  The pole term is
+    formed from ``s`` itself, never from ``z*z``, so on the imaginary axis it
+    is exactly imaginary and ``Re(s J~) = 1 + Re T`` carries no cancellation.
+
+    Returns ``(s J~, T, CF residual, CF iterations)``.
+    """
+    z = cmath.sqrt(s)
+    r, residual, iterations = _ratio_next_order(nu + 2.0, z, rel_tol)
+    tail = (2.0 * (nu + 1.0) / z) * r
+    return 1.0 + 4.0 * (nu + 1.0) * (nu + 2.0) / s + tail, tail, residual, iterations
+
+
 def creep_compliance_laplace(
     model: ModelOrder, s: complex, policy: SeriesPolicy = DEFAULT_POLICY
 ) -> complex:
     """Laplace-domain creep compliance combination ``s J~(s; nu)``.
 
-    Computed as the contiguous ratio ``I_nu(sqrt(s)) / I_{nu+2}(sqrt(s))``;
-    equals ``1 + creep_rate_laplace(model, s)`` up to the accuracy of the
-    two independent continued-fraction evaluations.  For real s > 0 the
-    value is real and exceeds 1.
+    Equals the contiguous ratio ``I_nu(sqrt(s)) / I_{nu+2}(sqrt(s))``,
+    evaluated with its ``1/s`` pole split off (see ``_compliance_split``) so
+    the real part keeps full accuracy as ``s -> 0``.  Equals
+    ``1 + creep_rate_laplace(model, s)`` up to the accuracy of the two
+    independent continued-fraction evaluations.  For real s > 0 the value
+    is real and exceeds 1.
     """
     s = _check_s(s)
-    return bessel_ratio_contiguous(model.nu, cmath.sqrt(s), policy)
+    return _compliance_split(model.nu, s, policy.rel_tol)[0]
 
 
 def creep_rate_time(

@@ -1,4 +1,5 @@
-"""Evaluation policy shared by all series-based routines."""
+"""Evaluation policy shared by all series-based routines, and the
+frequency at which the alternating series give way."""
 
 from __future__ import annotations
 
@@ -6,15 +7,12 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-#: Frequency above which alternating small-argument series (the f/g pair and
-#: the ber/bei power series) are abandoned for cancellation-free routes.
-#: sqrt(324) = 18 keeps the largest-term/result ratio of those series well
-#: below 1e12 in 64-bit arithmetic.
+#: Frequency above which the alternating small-argument series of the
+#: verification routes (the f/g pair and the ber/bei power series) are
+#: abandoned: the f/g route refuses it and ber/bei switch to their
+#: large-argument form at sqrt(324) = 18, which keeps the largest-term/result
+#: ratio of those series well below 1e12 in 64-bit arithmetic.
 DEFAULT_CROSSOVER_OMEGA = 324.0
-
-#: Tolerance for the cross-check performed inside the one-decade overlap band
-#: around the crossover; a larger discrepancy raises InconsistencyError.
-OVERLAP_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
-"""Quality factor of Bessel viscoelastic media by three independent routes.
+"""Quality factor of Bessel viscoelastic media.
 
 The specific attenuation factor of a medium with Laplace-domain creep
 response ``s J~(s)`` under harmonic excitation at frequency ``omega`` is
 
     Q^-1(omega) = -Im{ s J~(s) | s = i omega } / Re{ s J~(s) | s = i omega }.
 
-For the Bessel class this admits three equivalent evaluations:
+``q_inverse`` is the production route: the contiguous modified-Bessel ratio
+with its ``1/s`` pole split off (``model._compliance_split``), valid for
+every ``omega > 0`` and every order.  Two independent closed forms stay as
+verification routes, used by the checks and tests:
 
 * ``q_inverse_fg``     -- the oscillatory-pair form
   ``(f_n f_{n+2} + g_n g_{n+2}) / (g_n f_{n+2} - f_n g_{n+2})`` built from
@@ -13,14 +16,13 @@ For the Bessel class this admits three equivalent evaluations:
 * ``q_inverse_kelvin`` -- the Kelvin-function form
   ``(bei_{n+2} ber_n - bei_n ber_{n+2}) / (bei_n bei_{n+2} + ber_n ber_{n+2})``
   at argument ``sqrt(omega)`` (scaled internally, valid until ber/bei leave
-  the double range near omega ~ 1e6);
-* ``q_inverse_direct`` -- ``-Im/Re`` of the contiguous Bessel ratio at
-  ``z = sqrt(i omega)``, uniformly valid in omega.
+  the double range near omega ~ 1e6; its roundoff floor grows like
+  ``eps/omega`` at low frequency).
 
-``q_inverse`` dispatches between them and cross-checks inside a one-decade
-overlap band around the configured crossover.  Both asymptotic regimes are
-available in closed form: ``2(nu+1)(nu+3)/omega`` as ``omega -> 0`` (an
-ordinary Maxwell element) and
+Every route returns a ``QEvaluation`` whose error estimate stays at or
+below ``EST_REL_ERROR_CEILING``; a route whose own estimate is worse raises.
+Both asymptotic regimes are available in closed form:
+``2(nu+1)(nu+3)/omega`` as ``omega -> 0`` (an ordinary Maxwell element) and
 ``sqrt(2)(nu+1)/(sqrt(omega) + sqrt(2)(nu+1))`` as ``omega -> inf`` (a
 fractional Maxwell element of order 1/2 with time scale
 ``tau = 1/(4 (nu+1)^2)``).
@@ -30,24 +32,25 @@ All functions are pure and deterministic for fixed inputs and policy.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import CancellationError, DomainError, InconsistencyError
-from .model import ModelOrder
-from .policy import (
-    DEFAULT_CROSSOVER_OMEGA,
-    DEFAULT_POLICY,
-    OVERLAP_TOLERANCE,
-    SeriesPolicy,
+from .errors import (
+    CancellationError,
+    DomainError,
+    InconsistencyError,
+    OverflowRangeError,
 )
-from .errors import OverflowRangeError
+from .model import ModelOrder, _compliance_split
+from .policy import DEFAULT_CROSSOVER_OMEGA, DEFAULT_POLICY, SeriesPolicy
 from .specfun.kelvinfg import _KELVIN_OVERFLOW_X, fg_series, kelvin_scaled
-from .specfun.modified import _ratio_next_order
 
-Route = Literal["fg_series", "kelvin", "direct_ratio", "hybrid"]
+Route = Literal["fg_series", "kelvin", "direct_ratio"]
+
+#: Largest relative error estimate a QEvaluation may carry; a route whose
+#: own estimate is worse raises InconsistencyError instead of returning.
+EST_REL_ERROR_CEILING = 1e-6
 
 _EPS = 2.3e-16
 _DENOMINATOR_FLOOR = 1e-300
@@ -65,6 +68,11 @@ class QEvaluation:
     def __post_init__(self) -> None:
         if not self.omega > 0.0:
             raise DomainError(f"omega must be positive, got {self.omega}")
+        if self.q_inverse == math.inf:
+            raise OverflowRangeError(
+                f"Q^-1 exceeds the double range at omega = {self.omega} "
+                f"(route {self.route})"
+            )
         if not (math.isfinite(self.q_inverse) and self.q_inverse > 0.0):
             raise InconsistencyError(
                 f"dissipativity violated: Q^-1 = {self.q_inverse} at "
@@ -73,6 +81,12 @@ class QEvaluation:
         if not (math.isfinite(self.est_rel_error) and self.est_rel_error >= 0.0):
             raise InconsistencyError(
                 f"error estimate must be finite and >= 0, got {self.est_rel_error}"
+            )
+        if self.est_rel_error > EST_REL_ERROR_CEILING:
+            raise InconsistencyError(
+                f"error estimate {self.est_rel_error:.3g} exceeds "
+                f"{EST_REL_ERROR_CEILING:.0e} at omega = {self.omega} "
+                f"(route {self.route})"
             )
 
 
@@ -84,21 +98,18 @@ def _check_omega(omega: float) -> float:
 
 
 def q_inverse_fg(
-    model: ModelOrder,
-    omega: float,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-    crossover_omega: float = DEFAULT_CROSSOVER_OMEGA,
+    model: ModelOrder, omega: float, policy: SeriesPolicy = DEFAULT_POLICY
 ) -> QEvaluation:
     """Q^-1 from the oscillatory pair (f, g) at orders nu and nu+2.
 
-    Restricted to ``omega <= crossover_omega``; above that the alternating
-    series cancel too strongly and CancellationError is raised.
+    Restricted to ``omega <= DEFAULT_CROSSOVER_OMEGA``; above that the
+    alternating series cancel too strongly and CancellationError is raised.
     """
     omega = _check_omega(omega)
-    if omega > crossover_omega:
+    if omega > DEFAULT_CROSSOVER_OMEGA:
         raise CancellationError(
             f"f/g route requested above the crossover "
-            f"({omega:.3g} > {crossover_omega:.3g})"
+            f"({omega:.3g} > {DEFAULT_CROSSOVER_OMEGA:.3g})"
         )
     nu = model.nu
     f1, g1, _, _ = fg_series(nu, omega, policy)
@@ -121,10 +132,7 @@ def q_inverse_fg(
 
 
 def q_inverse_kelvin(
-    model: ModelOrder,
-    omega: float,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-    crossover_omega: float = DEFAULT_CROSSOVER_OMEGA,
+    model: ModelOrder, omega: float, policy: SeriesPolicy = DEFAULT_POLICY
 ) -> QEvaluation:
     """Q^-1 from Kelvin functions of orders nu and nu+2 at ``sqrt(omega)``.
 
@@ -139,11 +147,10 @@ def q_inverse_kelvin(
     if x > _KELVIN_OVERFLOW_X:
         raise OverflowRangeError(
             f"ber/bei are not representable at sqrt(omega) = {x:.4g}; "
-            "use the direct-ratio route"
+            "use q_inverse"
         )
-    xover = math.sqrt(crossover_omega)
-    ber1, bei1, scale1, e1 = kelvin_scaled(nu, x, policy, xover)
-    ber2, bei2, scale2, e2 = kelvin_scaled(nu + 2.0, x, policy, xover)
+    ber1, bei1, scale1, e1 = kelvin_scaled(nu, x, policy)
+    ber2, bei2, scale2, e2 = kelvin_scaled(nu + 2.0, x, policy)
     if scale1 != scale2:  # both routes share the same x, so scales agree
         raise InconsistencyError("internal scale mismatch in Kelvin route")
     numer = bei2 * ber1 - bei1 * ber2
@@ -159,70 +166,40 @@ def q_inverse_kelvin(
     return QEvaluation(omega, numer / denom, "kelvin", est)
 
 
-def q_inverse_direct(
+def q_inverse(
     model: ModelOrder, omega: float, policy: SeriesPolicy = DEFAULT_POLICY
 ) -> QEvaluation:
-    """Q^-1 as ``-Im/Re`` of the contiguous ratio at ``z = sqrt(i omega)``.
+    """Q^-1 from the contiguous ratio with its ``1/s`` pole split off.
 
-    The principal square root is extracted once and shared by numerator and
-    denominator of the ratio, so the evaluation is branch-consistent; valid
-    across the whole frequency range (tested to omega = 1e7 and beyond).
+    At ``s = i omega`` the pole term of ``s J~ = 1 + 4(nu+1)(nu+2)/s + T``
+    is purely imaginary, so with ``P = 4(nu+1)(nu+2)/omega``
+
+        Q^-1 = (P - Im T) / (1 + Re T),
+
+    where ``T = (2(nu+1)/z) I_{nu+3}/I_{nu+2}`` at ``z = sqrt(i omega)``
+    comes from one continued fraction.  ``Re T > 0`` and ``-Im T >= 0``,
+    so neither part cancels and the route holds for every
+    ``omega > 0`` and every order ``nu > -1``.  The error estimate is the
+    CF residual plus roundoff growing with the iteration count, carried
+    through both parts.
     """
     omega = _check_omega(omega)
     nu = model.nu
-    z = cmath.sqrt(complex(0.0, omega))
-    r1, res1, _ = _ratio_next_order(nu + 1.0, z, policy.rel_tol)  # I_{nu+2}/I_{nu+1}
-    s_j = 1.0 + (2.0 * (nu + 1.0) / z) / r1
-    if not (math.isfinite(s_j.real) and math.isfinite(s_j.imag)):
-        raise InconsistencyError(f"non-finite creep response at omega = {omega}")
+    s_j, tail, residual, iterations = _compliance_split(
+        nu, complex(0.0, omega), policy.rel_tol
+    )
     if s_j.real <= 0.0:
         # Numerically asserted storage-modulus positivity; a violation is
         # surfaced, never clamped.
         raise InconsistencyError(
             f"Re(s J~) = {s_j.real:.3g} <= 0 at omega = {omega}"
         )
-    q = -s_j.imag / s_j.real
-    mag = abs(s_j)
-    est = (res1 + 8.0 * _EPS) * mag * (1.0 / abs(s_j.imag) + 1.0 / s_j.real)
-    return QEvaluation(omega, q, "direct_ratio", est)
-
-
-def q_inverse(
-    model: ModelOrder,
-    omega: float,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-    crossover_omega: float = DEFAULT_CROSSOVER_OMEGA,
-) -> QEvaluation:
-    """Hybrid dispatcher over the Kelvin and direct-ratio routes.
-
-    Uses the Kelvin form below ``crossover_omega`` and the direct ratio at
-    or above it.  Inside the one-decade overlap band
-    ``[crossover/sqrt(10), crossover*sqrt(10)]`` both routes are evaluated
-    and the reported ``est_rel_error`` is their relative discrepancy; a
-    discrepancy above ``OVERLAP_TOLERANCE`` raises InconsistencyError.  The
-    route label always names the evaluation that produced the returned
-    value, so a frequency sweep changes label exactly once.
-    """
-    omega = _check_omega(omega)
-    band_lo = crossover_omega / math.sqrt(10.0)
-    band_hi = crossover_omega * math.sqrt(10.0)
-    if omega < band_lo:
-        return q_inverse_kelvin(model, omega, policy, crossover_omega)
-    if omega > band_hi:
-        return q_inverse_direct(model, omega, policy)
-    kelvin_eval = q_inverse_kelvin(model, omega, policy, crossover_omega)
-    direct_eval = q_inverse_direct(model, omega, policy)
-    discrepancy = abs(kelvin_eval.q_inverse - direct_eval.q_inverse) / abs(
-        direct_eval.q_inverse
+    pole = 4.0 * (nu + 1.0) * (nu + 2.0) / omega
+    u = residual + _EPS * (8.0 + iterations)
+    est = u * (
+        (pole + abs(tail)) / abs(s_j.imag) + (1.0 + abs(tail)) / s_j.real
     )
-    if discrepancy > OVERLAP_TOLERANCE:
-        raise InconsistencyError(
-            f"overlap-band routes disagree at omega = {omega}: "
-            f"kelvin {kelvin_eval.q_inverse!r} vs direct "
-            f"{direct_eval.q_inverse!r} (rel {discrepancy:.3e})"
-        )
-    chosen = kelvin_eval if omega < crossover_omega else direct_eval
-    return QEvaluation(omega, chosen.q_inverse, chosen.route, discrepancy)
+    return QEvaluation(omega, -s_j.imag / s_j.real, "direct_ratio", est)
 
 
 def q_inverse_asymptotic(

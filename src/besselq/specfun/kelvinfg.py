@@ -27,7 +27,7 @@ from typing import NamedTuple
 from ..errors import CancellationError, DomainError, OverflowRangeError, TruncationError
 from ..policy import DEFAULT_POLICY, SeriesPolicy
 from .gammafn import gamma_real
-from .modified import SeriesDiagnostics, modified_i_asymptotic_scaled
+from .modified import SeriesDiagnostics, _require_order, modified_i_asymptotic_scaled
 
 #: Default argument (x = sqrt(omega)) where the alternating series hand over
 #: to the large-argument evaluation.
@@ -54,13 +54,6 @@ class KelvinPair(NamedTuple):
     bei: float
     order: float
     argument: float
-
-
-def _require_order(order: float) -> float:
-    order = float(order)
-    if not order > -1.0:
-        raise DomainError(f"order must exceed -1, got {order}")
-    return order
 
 
 def _fg_sums(

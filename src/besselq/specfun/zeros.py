@@ -21,17 +21,11 @@ import numpy as np
 
 from ..errors import DomainError, RootIsolationError, TruncationError
 from .gammafn import gamma_real
+from .modified import _require_order
 
 #: Series/asymptotic handover for J evaluation; chosen so both sides deliver
 #: better than ~5e-11 of the local amplitude in double precision.
 _J_SERIES_MAX_X = 12.0
-
-
-def _require_order(order: float) -> float:
-    order = float(order)
-    if not order > -1.0:
-        raise DomainError(f"order must exceed -1, got {order}")
-    return order
 
 
 def _bessel_j_series(order: float, x: float, max_terms: int = 400) -> float:
@@ -88,12 +82,13 @@ def _bessel_j_prime(order: float, x: float) -> float:
     return (order / x) * bessel_j(order, x) - bessel_j(order + 1.0, x)
 
 
-def mcmahon_zero_estimate(order: float, k: int) -> float:
+def mcmahon_zero_estimate(order: float, k: int | np.ndarray) -> float | np.ndarray:
     """McMahon expansion for the k-th positive zero of ``J_order``.
 
     Four correction terms in ``1/(8 beta)`` with ``beta =
     (k + order/2 - 1/4) pi``; excellent for ``k >= 2`` (and asymptotically
-    in k), unreliable for ``k = 1`` near order -1.
+    in k), unreliable for ``k = 1`` near order -1.  ``k`` may also be a
+    float array of indices, giving the estimates elementwise.
     """
     mu = 4.0 * order * order
     beta = (k + 0.5 * order - 0.25) * math.pi
@@ -218,20 +213,7 @@ def bessel_j_zeros(order: float, count: int) -> np.ndarray:
     count = int(count)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    ks = np.arange(1, count + 1, dtype=float)
-    mu = 4.0 * order * order
-    beta = (ks + 0.5 * order - 0.25) * math.pi
-    e = 8.0 * beta
-    x = (
-        beta
-        - (mu - 1.0) / e
-        - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e**3)
-        - 32.0 * (mu - 1.0) * (83.0 * mu**2 - 982.0 * mu + 3779.0) / (15.0 * e**5)
-        - 64.0
-        * (mu - 1.0)
-        * (6949.0 * mu**3 - 153855.0 * mu**2 + 1585743.0 * mu - 6277237.0)
-        / (105.0 * e**7)
-    )
+    x = mcmahon_zero_estimate(order, np.arange(1, count + 1, dtype=float))
     small = x <= (_J_SERIES_MAX_X + 8.0)
     for i in np.where(small)[0]:
         x[i] = bessel_j_zero(order, i + 1)

@@ -29,7 +29,6 @@ from besselq import (
     modified_bessel_i,
     q_inverse,
     q_inverse_asymptotic,
-    q_inverse_direct,
     q_inverse_fg,
     q_inverse_kelvin,
     tricomi_it,
@@ -44,7 +43,7 @@ from besselq.checks import (
     check_route_agreement,
 )
 from besselq.cli import emit_figures
-from besselq.policy import DEFAULT_CROSSOVER_OMEGA, DEFAULT_POLICY
+from besselq.policy import DEFAULT_POLICY
 
 NUS_ROUTE = (-0.5, 0.0, 1.0, 3.5, 10.0)
 NUS_ASYMPTOTE = (0.0, 1.0, 5.0)
@@ -73,8 +72,8 @@ def test_criterion_1_three_route_agreement():
 def test_criterion_2_low_frequency_asymptote():
     # measured through the f/g route: it is the small-omega specialist, and
     # its roundoff floor (~1e-15) sits far below the omega^2 gap decay that
-    # this criterion asserts; the other routes' own noise floors (~eps/omega
-    # for the Kelvin form) would mask the decrease below omega ~ 1e-4
+    # this criterion asserts; the Kelvin form's noise floor (~eps/omega)
+    # would mask the decrease below omega ~ 1e-4
     worst = 0.0
     ok = True
     for nu in NUS_ASYMPTOTE:
@@ -225,7 +224,7 @@ def test_criterion_7_oracle_equivalence():
     q_ref = float(oracle.q_inverse(0.0, 1.0))
     checks.append(("Q^-1(1;0) fg route", q_inverse_fg(model0, 1.0).q_inverse, q_ref))
     checks.append(("Q^-1(1;0) kelvin route", q_inverse_kelvin(model0, 1.0).q_inverse, q_ref))
-    checks.append(("Q^-1(1;0) direct route", q_inverse_direct(model0, 1.0).q_inverse, q_ref))
+    checks.append(("Q^-1(1;0) q_inverse", q_inverse(model0, 1.0).q_inverse, q_ref))
 
     worst = 0.0
     worst_name = ""
@@ -246,8 +245,8 @@ def test_criterion_8_figure_reproduction(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     nus = [-0.5, 0.0, 1.0, 2.0, 5.0]
-    emit_figures(out_a, nus, DEFAULT_POLICY, DEFAULT_CROSSOVER_OMEGA)
-    emit_figures(out_b, nus, DEFAULT_POLICY, DEFAULT_CROSSOVER_OMEGA)
+    emit_figures(out_a, nus, DEFAULT_POLICY)
+    emit_figures(out_b, nus, DEFAULT_POLICY)
 
     def load(path):
         lines = path.read_text().strip().split("\n")

@@ -1,5 +1,6 @@
 """Quality-factor routes: golden values, route equivalence, asymptotics,
-dispatcher behavior, and the product identity linking the two closed forms."""
+the single production route against the oracle over the whole domain, and
+the product identity linking the two closed forms."""
 
 import math
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 import oracle
 from besselq import (
+    BesselQError,
     CancellationError,
     DomainError,
-    InconsistencyError,
     ModelOrder,
     OverflowRangeError,
     fg_series,
@@ -19,7 +20,6 @@ from besselq import (
     kelvin_scaled,
     q_inverse,
     q_inverse_asymptotic,
-    q_inverse_direct,
     q_inverse_fg,
     q_inverse_kelvin,
 )
@@ -46,7 +46,7 @@ def log_grid(lo, hi, count):
 
 def test_three_routes_reproduce_golden_value():
     model = ModelOrder(0.0)
-    for fn in (q_inverse_fg, q_inverse_kelvin, q_inverse_direct):
+    for fn in (q_inverse_fg, q_inverse_kelvin, q_inverse):
         assert rel(fn(model, 1.0).q_inverse, Q_1_0) < 1e-10
 
 
@@ -83,7 +83,7 @@ def test_kelvin_route_low_frequency_negative_order():
 
 def test_kelvin_direct_consistency_nu1_omega100():
     a = q_inverse_kelvin(ModelOrder(1.0), 100.0).q_inverse
-    b = q_inverse_direct(ModelOrder(1.0), 100.0).q_inverse
+    b = q_inverse(ModelOrder(1.0), 100.0).q_inverse
     assert rel(a, b) < 1e-9
 
 
@@ -101,7 +101,7 @@ def test_direct_route_high_frequency_asymptote_gap():
     gaps = []
     for omega in (1e5, 1e6):
         gap = abs(
-            q_inverse_direct(model, omega).q_inverse / q_inverse_asymptotic(model, omega, "high") - 1.0
+            q_inverse(model, omega).q_inverse / q_inverse_asymptotic(model, omega, "high") - 1.0
         )
         assert abs(gap / ((2.0 * nu + 3.0) / math.sqrt(2.0 * omega)) - 1.0) <= 2e-2
         gaps.append(gap)
@@ -112,36 +112,52 @@ def test_direct_route_storage_modulus_positive_across_sweep():
     for nu in NUS:
         model = ModelOrder(nu)
         for omega in log_grid(1e-4, 1e7, 45):
-            ev = q_inverse_direct(model, omega)  # raises if Re(sJ~) <= 0
+            ev = q_inverse(model, omega)  # raises if Re(sJ~) <= 0
             assert ev.q_inverse > 0.0
 
 
-# ---------------------------------------------------------- dispatcher
+# ------------------------------------------------- production route
+
+ORACLE_NUS = (-0.99, -0.9, 0.0, 5.0, 50.0, 169.0, 300.0)
 
 
-def test_dispatcher_routes_and_overlap():
-    model = ModelOrder(0.0)
-    low = q_inverse(model, 1.0)
-    assert low.route in ("fg_series", "kelvin")
-    high = q_inverse(model, 1e5)
-    assert high.route == "direct_ratio"
-    in_band = q_inverse(model, DEFAULT_CROSSOVER_OMEGA)
-    assert in_band.est_rel_error <= 1e-9  # measured ~3e-14, frozen bound
+def test_production_route_matches_oracle_across_domain():
+    # one route for every order and frequency: each point lies within 1e-12
+    # of the oracle and within its own error estimate (measured worst
+    # error 2.1e-15, worst error/estimate 0.06).  The grid holds nu = 50,
+    # omega = 1e-3 (Q^-1 = 5.406e6), where the Kelvin form's estimate was NaN.
+    for nu in ORACLE_NUS:
+        model = ModelOrder(nu)
+        for k in range(-6, 5):
+            omega = 10.0**k
+            ev = q_inverse(model, omega)
+            assert ev.route == "direct_ratio"
+            err = rel(ev.q_inverse, float(oracle.q_inverse(nu, omega)))
+            assert err <= 1e-12, (nu, omega, err)
+            assert err <= ev.est_rel_error, (nu, omega, err, ev.est_rel_error)
 
 
-def test_dispatcher_overlap_discrepancy_bound_nu1():
-    model = ModelOrder(1.0)
-    band = log_grid(DEFAULT_CROSSOVER_OMEGA / math.sqrt(10.0), DEFAULT_CROSSOVER_OMEGA * math.sqrt(10.0), 9)
-    for omega in band:
-        ev = q_inverse(model, omega)
-        assert ev.est_rel_error <= 1e-9
+def test_production_route_reaches_low_asymptote():
+    # far below omega ~ 1 the next term is O(omega^2) relative, so the
+    # value must equal 2(nu+1)(nu+3)/omega to roundoff (measured 2.2e-16).
+    # At nu = 0, omega = 1e-30 (truth 6e30) the Kelvin form gave 5.44e15.
+    for nu in ORACLE_NUS:
+        model = ModelOrder(nu)
+        for omega in (1e-200, 1e-100, 1e-30):
+            q = q_inverse(model, omega).q_inverse
+            assert rel(q, q_inverse_asymptotic(model, omega, "low")) <= 1e-14
 
 
-def test_dispatcher_inconsistency_on_forced_bad_crossover():
-    # pushing the crossover far above its design point forces the Kelvin
-    # series into heavy cancellation; the in-band cross-check must catch it
-    with pytest.raises((InconsistencyError, CancellationError)):
-        q_inverse(ModelOrder(0.0), 9.0e4, crossover_omega=1.0e5)
+def test_estimate_ceiling_rejects_kelvin_noise_floor():
+    # the Kelvin form's own estimate is ~10 at omega = 1e-30: it must raise
+    # rather than return a value its estimate disowns
+    with pytest.raises(BesselQError):
+        q_inverse_kelvin(ModelOrder(0.0), 1e-30)
+
+
+def test_result_beyond_double_range_is_overflow():
+    with pytest.raises(OverflowRangeError):
+        q_inverse(ModelOrder(1e4), 1e-300)
 
 
 # ------------------------------------------------- invariant structure
@@ -153,11 +169,11 @@ def test_three_route_agreement_grids():
         for omega in log_grid(1e-3, DEFAULT_CROSSOVER_OMEGA, 40):
             a = q_inverse_fg(model, omega).q_inverse
             b = q_inverse_kelvin(model, omega).q_inverse
-            c = q_inverse_direct(model, omega).q_inverse
+            c = q_inverse(model, omega).q_inverse
             assert max(abs(a - b), abs(a - c), abs(b - c)) / abs(c) <= 1e-9
         for omega in log_grid(DEFAULT_CROSSOVER_OMEGA, 1e6, 40):
             b = q_inverse_kelvin(model, omega).q_inverse
-            c = q_inverse_direct(model, omega).q_inverse
+            c = q_inverse(model, omega).q_inverse
             assert abs(b - c) / abs(c) <= 1e-8
 
 
@@ -190,7 +206,7 @@ def test_asymptote_convergence_direction():
         ]
         high_gaps = [
             abs(
-                q_inverse_direct(model, 10.0**k).q_inverse
+                q_inverse(model, 10.0**k).q_inverse
                 / q_inverse_asymptotic(model, 10.0**k, "high")
                 - 1.0
             )
@@ -228,7 +244,7 @@ def test_three_route_agreement_property(nu, omega):
     model = ModelOrder(nu)
     a = q_inverse_fg(model, omega).q_inverse
     b = q_inverse_kelvin(model, omega).q_inverse
-    c = q_inverse_direct(model, omega).q_inverse
+    c = q_inverse(model, omega).q_inverse
     assert a > 0.0
     assert max(abs(a - b), abs(a - c), abs(b - c)) / abs(c) <= 1e-9
 
@@ -267,4 +283,4 @@ def test_high_asymptote_is_half_order_fractional_maxwell():
 def test_oracle_agreement_spot_check():
     model = ModelOrder(3.5)
     ref = float(oracle.q_inverse(3.5, 7.0))
-    assert rel(q_inverse_direct(model, 7.0).q_inverse, ref) < 1e-11
+    assert rel(q_inverse(model, 7.0).q_inverse, ref) < 1e-11
