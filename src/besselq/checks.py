@@ -195,6 +195,20 @@ def adaptive_gauss_legendre(
     return recurse(a, b, panel(a, b), 0)
 
 
+#: ``exp(-x)`` is exactly 0.0 in double precision for ``x >= 746``.
+_EXP_UNDERFLOW_ARG = 746.0
+
+
+def _dirichlet_sums(t: np.ndarray, jj2: np.ndarray) -> np.ndarray:
+    """``sum_k exp(-jj2[k] t_i)`` for each node ``t_i > 0``; ``jj2`` ascending.
+
+    The terms that do not underflow, ``jj2 t < 746``, are a prefix of
+    ``jj2``, found by bisection; the rest add exactly 0.0 and are skipped.
+    """
+    ends = np.searchsorted(jj2, _EXP_UNDERFLOW_ARG / t)
+    return np.array([np.exp(-ti * jj2[:end]).sum() for ti, end in zip(t, ends)])
+
+
 def creep_rate_laplace_by_quadrature(
     model: ModelOrder,
     s: float,
@@ -207,7 +221,10 @@ def creep_rate_laplace_by_quadrature(
     truncated tails are below 1e-15 relative): the constant part of Psi is
     integrated analytically, the Dirichlet part numerically after the
     substitution ``t = u**2``, which removes the ``t^{-1/2}`` endpoint
-    singularity.  Independent of the continued-fraction route, so the two
+    singularity.  At each node the Dirichlet sum keeps only the zeros with
+    ``j^2 t < 746`` (see ``_dirichlet_sums``); every dropped term is below
+    the smallest subnormal double, so memory stays linear in the number of
+    zeros.  Independent of the continued-fraction route, so the two
     transforms cross-validate each other.
     """
     s = float(s)
@@ -225,7 +242,7 @@ def creep_rate_laplace_by_quadrature(
 
     def integrand(u: np.ndarray) -> np.ndarray:
         t = u * u
-        dirichlet = np.exp(-np.outer(t, jj2)).sum(axis=1)
+        dirichlet = _dirichlet_sums(t, jj2)
         return np.exp(-s * t) * dirichlet * 2.0 * u
 
     quad = adaptive_gauss_legendre(integrand, 0.0, u_max, rel_tol)

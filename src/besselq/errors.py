@@ -42,7 +42,8 @@ class NonConvergenceError(BesselQError):
 
 
 class RootIsolationError(BesselQError):
-    """A Bessel-function zero could not be bracketed; indicates a bug."""
+    """A Bessel-function zero could not be bracketed, or lies beyond the
+    documented reach of the zero finder."""
 
 
 class InconsistencyError(BesselQError):

@@ -11,21 +11,36 @@ classical bounds ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)``.
 Validated to ~1e-12 absolute for orders up to ~8 and zero index up to 1e4;
 beyond that range accuracy degrades gradually (document-of-record: the
 Hankel expansion and McMahon guess both lose ground once order ~ argument).
+The vectorized refinement keeps 13 Hankel terms; ``bessel_j_zeros`` raises
+``RootIsolationError`` when the first omitted term, at the smallest zero it
+refines, exceeds 1e-10.  That happens from order ~10.8 on (the term is about
+9e-13 at order 7, 5e-11 at 10, 8e-9 at 12), except at the half-integer
+orders 11.5, 12.5 and 13.5, where the expansion terminates.
+
+Only ``bessel_j_zeros`` needs numpy, and imports it when called, so the
+scalar routes of the package load without it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import DomainError, RootIsolationError, TruncationError
 from .gammafn import gamma_real
 from .modified import _require_order
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Series/asymptotic handover for J evaluation; chosen so both sides deliver
 #: better than ~5e-11 of the local amplitude in double precision.
 _J_SERIES_MAX_X = 12.0
+
+#: Terms of the Hankel expansion in ``_vectorized_j``, and the largest first
+#: omitted term ``|a_14| / x^14`` that ``bessel_j_zeros`` accepts.
+_HANKEL_TERMS = 13
+_HANKEL_OMITTED_MAX = 1e-10
 
 
 def _bessel_j_series(order: float, x: float, max_terms: int = 400) -> float:
@@ -166,6 +181,8 @@ def bessel_j_zero(order: float, k: int) -> float:
     x = 0.5 * (lo + hi)
     for _ in range(100):
         f = bessel_j(order, x)
+        if f == 0.0:
+            return x
         if f * flo < 0.0:
             hi = x
         else:
@@ -184,14 +201,24 @@ def bessel_j_zero(order: float, k: int) -> float:
     return x
 
 
+def _hankel_coefficients(order: float, count: int) -> list[float]:
+    """``a_1 .. a_count`` of the large-argument expansion of ``J_order``."""
+    mu = 4.0 * order * order
+    coefficients = []
+    a = 1.0
+    for k in range(1, count + 1):
+        a *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
+        coefficients.append(a)
+    return coefficients
+
+
 def _vectorized_j(order: float, x: np.ndarray) -> np.ndarray:
     """Hankel-expansion J for arrays with all entries above the handover."""
-    mu = 4.0 * order * order
+    import numpy as np
+
     p = np.ones_like(x)
     q = np.zeros_like(x)
-    a = 1.0
-    for k in range(1, 14):
-        a *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
+    for k, a in enumerate(_hankel_coefficients(order, _HANKEL_TERMS), start=1):
         t = a / x**k
         if k % 2 == 1:
             q += (-1) ** (k // 2) * t
@@ -208,7 +235,14 @@ def bessel_j_zeros(order: float, count: int) -> np.ndarray:
     Newton sweep from the McMahon guesses; the handful of small ones fall
     back to the scalar bracket-verified routine.  The returned sequence is
     checked to be strictly increasing.
+
+    Raises ``RootIsolationError`` when the first Hankel term the sweep
+    omits, ``|a_14| / x^14`` at the McMahon guess of the smallest zero it
+    refines, exceeds 1e-10: the order is then too close to the argument
+    for the expansion.
     """
+    import numpy as np
+
     order = _require_order(order)
     count = int(count)
     if count < 1:
@@ -220,6 +254,13 @@ def bessel_j_zeros(order: float, count: int) -> np.ndarray:
     large = ~small
     if large.any():
         xs = x[large]
+        omitted = abs(_hankel_coefficients(order, _HANKEL_TERMS + 1)[-1])
+        estimate = omitted / float(xs.min()) ** (_HANKEL_TERMS + 1)
+        if not estimate <= _HANKEL_OMITTED_MAX:
+            raise RootIsolationError(
+                f"zeros of J_{order} need more than {_HANKEL_TERMS} Hankel terms: "
+                f"first omitted term {estimate:.2e} exceeds {_HANKEL_OMITTED_MAX:.0e}"
+            )
         for _ in range(4):
             f = _vectorized_j(order, xs)
             d = (order / xs) * f - _vectorized_j(order + 1.0, xs)

@@ -1,0 +1,43 @@
+"""The scalar routes load and run without numpy; the array routes still
+return numpy arrays."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import sys
+import besselq as b
+
+m = b.ModelOrder(1.0)
+b.q_inverse(m, 10.0)
+b.q_inverse_kelvin(m, 10.0)
+b.q_inverse_fg(m, 10.0)
+b.creep_compliance_laplace(m, 2j)
+b.creep_rate_laplace(m, 2.0)
+b.kelvin(0.5, 3.0)
+b.gamma_real(2.5)
+assert "numpy" not in sys.modules, "a scalar route loaded numpy"
+
+import numpy as np
+
+assert isinstance(b.bessel_j_zeros(2.0, 5), np.ndarray)
+"""
+
+
+def test_scalar_routes_do_not_load_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -3,11 +3,14 @@ asymptotic regimes, and the fractional Maxwell comparison model."""
 
 import cmath
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracle
 from besselq import (
+    BesselQError,
     DomainError,
     ModelOrder,
     creep_compliance_asymptotic,
@@ -16,7 +19,8 @@ from besselq import (
     creep_rate_time,
     frac_maxwell_q_inverse,
 )
-from besselq.checks import creep_rate_laplace_by_quadrature
+from besselq.checks import _dirichlet_sums, creep_rate_laplace_by_quadrature
+from besselq.specfun.zeros import bessel_j_zeros
 
 # oracle: naive series quotients at >= 40 digits
 PSI_LAPLACE_0_1 = 8.326612235221068270685
@@ -152,11 +156,38 @@ def test_dirichlet_domain_error():
         creep_rate_time(ModelOrder(0.0), 0.0)
 
 
+def test_dirichlet_beyond_hankel_limit_raises():
+    # J_22 zeros need more Hankel terms than the refinement keeps; this
+    # value was once returned silently wrong (1848.0300 vs 1848.0289)
+    with pytest.raises(BesselQError):
+        creep_rate_time(ModelOrder(20.0), 0.01057)
+
+
 def test_laplace_consistency_single_point():
     model = ModelOrder(0.0)
     direct = creep_rate_laplace(model, 2.0 + 0j).real
     quad = creep_rate_laplace_by_quadrature(model, 2.0)
     assert rel(quad, direct) < 1e-6
+
+
+def test_quadrature_memory_is_linear_in_zeros():
+    # finding the 46,662 zeros of J_3 peaks near 4.6 MB; a dense
+    # nodes x zeros exp matrix took 37 MB
+    tracemalloc.start()
+    try:
+        creep_rate_laplace_by_quadrature(ModelOrder(1.0), 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def test_dirichlet_sums_match_dense_sum():
+    jj2 = bessel_j_zeros(3.0, 10_000) ** 2
+    t = np.logspace(-10.0, math.log10(40.0), 41)
+    dense = np.exp(-np.outer(t, jj2)).sum(axis=1)
+    sums = _dirichlet_sums(t, jj2)
+    assert np.all(np.abs(sums - dense) <= 1e-15 * dense)
 
 
 # -------------------------------------------------------- asymptotics

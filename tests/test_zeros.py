@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracle
-from besselq import DomainError, bessel_j, bessel_j_zero, bessel_j_zeros
+from besselq import BesselQError, DomainError, bessel_j, bessel_j_zero, bessel_j_zeros
 from besselq.checks import rayleigh_sneddon_sum
 
 # first zero of J_0, from bisection on the naive series oracle
@@ -59,6 +59,25 @@ def test_vectorized_zeros_match_scalar():
     assert np.all(np.diff(zeros) > 0.0)
     for k in (1, 5, 17, 200, 2000):
         assert abs(zeros[k - 1] - bessel_j_zero(2.0, k)) < 5e-10
+
+
+def test_zero_hit_exactly_by_newton_is_kept():
+    # Newton lands on J_8(x) == 0.0 exactly; the bracket used to walk off it
+    ref = float(mp.besseljzero(8, 1))
+    assert abs(bessel_j_zero(8.0, 1) - ref) < 1e-10
+    assert abs(bessel_j_zeros(8.0, 8)[0] - ref) < 1e-10
+
+
+def test_vectorized_zeros_raise_beyond_hankel_limit():
+    # the first omitted Hankel term is 5e-11 at order 10 and 8e-9 at 12;
+    # bessel_j_zeros(22, 8) was once off by 0.80 without a word
+    for order in (10.0, 12.5):
+        zeros = bessel_j_zeros(order, 8)
+        for k in (1, 8):
+            assert abs(zeros[k - 1] - float(mp.besseljzero(order, k))) < 1e-10
+    for order in (12.0, 22.0):
+        with pytest.raises(BesselQError, match=f"J_{order}"):
+            bessel_j_zeros(order, 8)
 
 
 def test_bessel_j_matches_mpmath_across_handover():
