@@ -16,7 +16,8 @@ route; ``check`` compares it with the f/g and Kelvin verification routes.
 
 All numeric CSV fields use 17-significant-digit scientific notation with a
 decimal point (locale independent), and commands are deterministic for
-fixed flags: rerunning produces byte-identical files.
+fixed flags: rerunning produces byte-identical files.  Only ``check`` loads
+numpy (through ``besselq.checks``).
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BesselQError, DomainError
-from .checks import run_all_checks
 from .model import ModelOrder
 from .policy import SeriesPolicy
 from .qfactor import QEvaluation, q_inverse, q_inverse_asymptotic
+
+if TYPE_CHECKING:
+    from .checks import CheckResult
 
 SWEEP_HEADER = "omega,nu,q_inverse,route,est_rel_error,q_asymp_low,q_asymp_high"
 
@@ -63,10 +64,17 @@ class FrequencyGrid:
         if self.count < 2:
             raise DomainError(f"count must be >= 2, got {self.count}")
 
-    def points(self) -> np.ndarray:
+    def points(self) -> list[float]:
+        """The grid, by the arithmetic of ``np.linspace`` / ``np.logspace``."""
         if self.scale == "linear":
-            return np.linspace(self.min, self.max, self.count)
-        return np.logspace(math.log10(self.min), math.log10(self.max), self.count)
+            return _linspace(self.min, self.max, self.count)
+        exponents = _linspace(math.log10(self.min), math.log10(self.max), self.count)
+        return [10.0**y for y in exponents]
+
+
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count - 1)] + [stop]
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,7 @@ def evaluate_sweep(
     for nu in nus:
         model = ModelOrder(nu)
         for omega in grid.points():
-            ev: QEvaluation = q_inverse(model, float(omega), policy)
+            ev: QEvaluation = q_inverse(model, omega, policy)
             records.append(
                 SweepRecord(
                     omega=ev.omega,
@@ -130,10 +138,12 @@ def write_sweep_csv(records: Iterable[SweepRecord], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
-def _write_table(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+def _write_table(
+    path: Path, header: Sequence[str], columns: Sequence[Sequence[float]]
+) -> None:
     rows = [",".join(header)]
-    for i in range(len(columns[0])):
-        rows.append(",".join(_fmt(float(col[i])) for col in columns))
+    for row in zip(*columns):
+        rows.append(",".join(_fmt(value) for value in row))
     path.write_text("\n".join(rows) + "\n", encoding="ascii", newline="\n")
 
 
@@ -173,9 +183,9 @@ def emit_figures(
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def q_column(nu: float, omegas: np.ndarray) -> np.ndarray:
+    def q_column(nu: float, omegas: list[float]) -> list[float]:
         model = ModelOrder(nu)
-        return np.array([q_inverse(model, float(w), policy).q_inverse for w in omegas])
+        return [q_inverse(model, w, policy).q_inverse for w in omegas]
 
     # figure 1: linear-scale overview; the steep low-frequency rise needs a
     # window starting well below omega ~ 1
@@ -213,16 +223,14 @@ def emit_figures(
     ):
         omegas = grid.points()
         header34 = ["omega"]
-        cols34: list[np.ndarray] = [omegas]
+        cols34: list[list[float]] = [omegas]
         series34 = []
         col = 2
         for nu in ASYMPTOTE_PANEL_NUS:
             model = ModelOrder(nu)
             header34 += [f"q_nu_{nu:g}", f"asymp_nu_{nu:g}"]
             cols34.append(q_column(nu, omegas))
-            cols34.append(
-                np.array([q_inverse_asymptotic(model, float(w), regime) for w in omegas])
-            )
+            cols34.append([q_inverse_asymptotic(model, w, regime) for w in omegas])
             series34.append((col, f"nu={nu:g}", "lw 2"))
             series34.append((col + 1, f"nu={nu:g} asymptote", "dashtype 2"))
             col += 2
@@ -298,6 +306,14 @@ def cmd_figures(args: argparse.Namespace) -> int:
     for path in written:
         print(f"wrote {path}")
     return 0
+
+
+def run_all_checks(nus: Sequence[float], policy: SeriesPolicy) -> list[CheckResult]:
+    """``besselq.checks.run_all_checks``, imported on first use: the
+    verification suites need numpy, which ``sweep`` and ``figures`` do not."""
+    from .checks import run_all_checks
+
+    return run_all_checks(nus, policy)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

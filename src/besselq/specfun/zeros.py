@@ -11,19 +11,26 @@ classical bounds ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)``.
 Validated to ~1e-12 absolute for orders up to ~8 and zero index up to 1e4;
 beyond that range accuracy degrades gradually (document-of-record: the
 Hankel expansion and McMahon guess both lose ground once order ~ argument).
-The vectorized refinement keeps 13 Hankel terms; ``bessel_j_zeros`` raises
-``RootIsolationError`` when the first omitted term, at the smallest zero it
-refines, exceeds 1e-10.  That happens from order ~10.8 on (the term is about
-9e-13 at order 7, 5e-11 at 10, 8e-9 at 12), except at the half-integer
-orders 11.5, 12.5 and 13.5, where the expansion terminates.
+Zeros past the series region are refined with 13 Hankel terms, and
+``RootIsolationError`` is raised when the first omitted term, at the
+smallest zero refined, exceeds 1e-10.  That happens from order ~10.8 on (the
+term is about 9e-13 at order 7, 5e-11 at 10, 8e-9 at 12), except at the
+half-integer orders 11.5, 12.5 and 13.5, where the expansion terminates.
 
-Only ``bessel_j_zeros`` needs numpy, and imports it when called, so the
-scalar routes of the package load without it.
+The same refinement serves two callers.  ``bessel_j_zeros`` runs it on
+numpy arrays, importing numpy when called, for the verification suites
+that use many zeros once.  ``_zero_table`` runs it on floats and keeps the
+zeros per order, for ``creep_rate_time``, so the scalar routes of the
+package load and run without numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import OrderedDict
+from types import ModuleType
 from typing import TYPE_CHECKING
 
 from ..errors import DomainError, RootIsolationError, TruncationError
@@ -37,10 +44,17 @@ if TYPE_CHECKING:
 #: better than ~5e-11 of the local amplitude in double precision.
 _J_SERIES_MAX_X = 12.0
 
-#: Terms of the Hankel expansion in ``_vectorized_j``, and the largest first
-#: omitted term ``|a_14| / x^14`` that ``bessel_j_zeros`` accepts.
+#: Terms of the Hankel expansion in ``_hankel_j``, and the largest first
+#: omitted term ``|a_14| / x^14`` that the zero refinement accepts.
 _HANKEL_TERMS = 13
 _HANKEL_OMITTED_MAX = 1e-10
+
+#: Zeros whose McMahon guess lies at or below this come from the scalar
+#: bracket-verified ``bessel_j_zero``; larger ones from the Hankel refinement.
+_SMALL_ZERO_MAX = _J_SERIES_MAX_X + 8.0
+
+#: Orders whose zeros ``_zero_table`` keeps; the least recently used goes.
+_ZERO_TABLE_ORDERS = 8
 
 
 def _bessel_j_series(order: float, x: float, max_terms: int = 400) -> float:
@@ -201,7 +215,8 @@ def bessel_j_zero(order: float, k: int) -> float:
     return x
 
 
-def _hankel_coefficients(order: float, count: int) -> list[float]:
+@functools.lru_cache(maxsize=64)
+def _hankel_coefficients(order: float, count: int) -> tuple[float, ...]:
     """``a_1 .. a_count`` of the large-argument expansion of ``J_order``."""
     mu = 4.0 * order * order
     coefficients = []
@@ -209,15 +224,18 @@ def _hankel_coefficients(order: float, count: int) -> list[float]:
     for k in range(1, count + 1):
         a *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
         coefficients.append(a)
-    return coefficients
+    return tuple(coefficients)
 
 
-def _vectorized_j(order: float, x: np.ndarray) -> np.ndarray:
-    """Hankel-expansion J for arrays with all entries above the handover."""
-    import numpy as np
+def _hankel_j(
+    order: float, x: float | np.ndarray, lib: ModuleType = math
+) -> float | np.ndarray:
+    """13-term Hankel-expansion ``J_order(x)`` above the series handover.
 
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
+    ``x`` is a float with ``lib=math`` or an array with ``lib=numpy``; both
+    take the same operations, so the scalar and the array zeros agree.
+    """
+    p, q = 1.0, 0.0
     for k, a in enumerate(_hankel_coefficients(order, _HANKEL_TERMS), start=1):
         t = a / x**k
         if k % 2 == 1:
@@ -225,7 +243,46 @@ def _vectorized_j(order: float, x: np.ndarray) -> np.ndarray:
         else:
             p += (-1) ** (k // 2) * t
     chi = x - (0.5 * order + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+    return lib.sqrt(2.0 / (math.pi * x)) * (p * lib.cos(chi) - q * lib.sin(chi))
+
+
+def _hankel_refine(
+    order: float, x: float | np.ndarray, lib: ModuleType = math
+) -> float | np.ndarray:
+    """Newton steps on ``_hankel_j`` from McMahon guesses ``x``.
+
+    Arrays take four steps.  A float stops early once a step falls below
+    ``4e-15 x``: Newton's next step would then move it by rounding only.
+    """
+    for _ in range(4):
+        f = _hankel_j(order, x, lib)
+        step = f / ((order / x) * f - _hankel_j(order + 1.0, x, lib))
+        x = x - step
+        if lib is math and abs(step) < 4e-15 * x:
+            break
+    return x
+
+
+def _require_hankel_terms(order: float, smallest: float) -> None:
+    """Raise unless 13 Hankel terms suffice for zeros from ``smallest`` up.
+
+    The first omitted term ``|a_14| / x^14`` at ``x = smallest`` must not
+    exceed 1e-10: beyond that the order is too close to the argument for
+    the expansion.
+    """
+    omitted = abs(_hankel_coefficients(order, _HANKEL_TERMS + 1)[-1])
+    estimate = omitted / smallest ** (_HANKEL_TERMS + 1)
+    if not estimate <= _HANKEL_OMITTED_MAX:
+        raise RootIsolationError(
+            f"zeros of J_{order} need more than {_HANKEL_TERMS} Hankel terms: "
+            f"first omitted term {estimate:.2e} exceeds {_HANKEL_OMITTED_MAX:.0e}"
+        )
+
+
+def _unordered(order: float) -> RootIsolationError:
+    return RootIsolationError(
+        f"zero sequence of J_{order} not strictly increasing; refinement failed"
+    )
 
 
 def bessel_j_zeros(order: float, count: int) -> np.ndarray:
@@ -248,27 +305,64 @@ def bessel_j_zeros(order: float, count: int) -> np.ndarray:
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     x = mcmahon_zero_estimate(order, np.arange(1, count + 1, dtype=float))
-    small = x <= (_J_SERIES_MAX_X + 8.0)
+    small = x <= _SMALL_ZERO_MAX
     for i in np.where(small)[0]:
         x[i] = bessel_j_zero(order, i + 1)
     large = ~small
     if large.any():
-        xs = x[large]
-        omitted = abs(_hankel_coefficients(order, _HANKEL_TERMS + 1)[-1])
-        estimate = omitted / float(xs.min()) ** (_HANKEL_TERMS + 1)
-        if not estimate <= _HANKEL_OMITTED_MAX:
-            raise RootIsolationError(
-                f"zeros of J_{order} need more than {_HANKEL_TERMS} Hankel terms: "
-                f"first omitted term {estimate:.2e} exceeds {_HANKEL_OMITTED_MAX:.0e}"
-            )
-        for _ in range(4):
-            f = _vectorized_j(order, xs)
-            d = (order / xs) * f - _vectorized_j(order + 1.0, xs)
-            xs = xs - f / d
-        x[large] = xs
+        _require_hankel_terms(order, float(x[large].min()))
+        x[large] = _hankel_refine(order, x[large], np)
     if np.any(np.diff(x) <= 0.0):
-        raise RootIsolationError(
-            f"zero sequence of J_{order} not strictly increasing; "
-            "refinement failed"
-        )
+        raise _unordered(order)
     return x
+
+
+_zero_tables: OrderedDict[float, tuple[float, ...]] = OrderedDict()
+_zero_tables_lock = threading.Lock()
+
+
+def _zero_block(order: float, start: int, stop: int) -> tuple[float, ...]:
+    """Zeros ``start + 1 .. stop`` of ``J_order`` as ``bessel_j_zeros`` finds
+    them, on floats; raises before any work where the Hankel terms fall short."""
+    guesses = [mcmahon_zero_estimate(order, float(k)) for k in range(start + 1, stop + 1)]
+    large = [x for x in guesses if x > _SMALL_ZERO_MAX]
+    if large:
+        _require_hankel_terms(order, min(large))
+    return tuple(
+        bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _hankel_refine(order, x)
+        for k, x in enumerate(guesses, start=start + 1)
+    )
+
+
+def _zero_table(order: float, count: int) -> tuple[float, ...]:
+    """At least the first ``count`` positive zeros of ``J_order``, memoised.
+
+    The zeros of ``bessel_j_zeros`` to within 1e-13 (its Newton steps stop
+    once converged; mostly bitwise equal), with the same ``RootIsolationError``
+    where 13 Hankel terms do not suffice, computed without numpy and kept
+    per order, for at most ``_ZERO_TABLE_ORDERS`` orders, the least recently
+    used evicted first.  An order's table only grows: a growth computes its
+    whole block and checks it before one assignment publishes it, so an
+    order that raises leaves nothing behind, and the table holds zero ``k``
+    of ``J_order`` at index ``k - 1`` whatever the calls before.  The tuple
+    returned may hold more than ``count`` zeros.
+    """
+    order = _require_order(order)
+    with _zero_tables_lock:
+        table = _zero_tables.get(order, ())
+        if table:
+            _zero_tables.move_to_end(order)
+    if len(table) >= count:
+        return table
+    block = _zero_block(order, len(table), count)
+    edge = table[-1:] + block
+    if any(b <= a for a, b in zip(edge, edge[1:])):
+        raise _unordered(order)
+    grown = table + block
+    with _zero_tables_lock:
+        if len(grown) > len(_zero_tables.get(order, ())):
+            _zero_tables[order] = grown
+        _zero_tables.move_to_end(order)
+        while len(_zero_tables) > _ZERO_TABLE_ORDERS:
+            _zero_tables.popitem(last=False)
+    return grown

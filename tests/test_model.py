@@ -3,7 +3,9 @@ asymptotic regimes, and the fractional Maxwell comparison model."""
 
 import cmath
 import math
+import time
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from besselq import (
     BesselQError,
     DomainError,
     ModelOrder,
+    TruncationError,
     creep_compliance_asymptotic,
     creep_compliance_laplace,
     creep_rate_laplace,
@@ -20,6 +23,7 @@ from besselq import (
     frac_maxwell_q_inverse,
 )
 from besselq.checks import _dirichlet_sums, creep_rate_laplace_by_quadrature
+from besselq.specfun import zeros
 from besselq.specfun.zeros import bessel_j_zeros
 
 # oracle: naive series quotients at >= 40 digits
@@ -161,6 +165,39 @@ def test_dirichlet_beyond_hankel_limit_raises():
     # value was once returned silently wrong (1848.0300 vs 1848.0289)
     with pytest.raises(BesselQError):
         creep_rate_time(ModelOrder(20.0), 0.01057)
+
+
+def test_dirichlet_result_does_not_depend_on_call_history(monkeypatch):
+    model = ModelOrder(1.0)
+    times = (1e-4, 3e-3, 0.1, 2.0)
+    monkeypatch.setattr(zeros, "_zero_tables", OrderedDict())
+    cold = [creep_rate_time(model, t) for t in times]
+    monkeypatch.setattr(zeros, "_zero_tables", OrderedDict())
+    creep_rate_time(model, 1e-6)  # warms the table of J_3 to 2048 zeros
+    assert len(zeros._zero_tables[3.0]) > max(c[1].n_zeros for c in cold)
+    warm = [creep_rate_time(model, t) for t in times]
+    assert warm == cold
+
+
+def test_dirichlet_truncation_raises_before_computing_zeros(monkeypatch):
+    # some 570,000 zeros of J_3 would be needed; the McMahon bound on j_K
+    # says so before any is computed
+    monkeypatch.setattr(zeros, "_zero_tables", OrderedDict())
+    start = time.perf_counter()
+    with pytest.raises(TruncationError):
+        creep_rate_time(ModelOrder(1.0), 1e-11)
+    assert time.perf_counter() - start < 0.05
+    assert 3.0 not in zeros._zero_tables
+    for t in (1e-20, 5e-324):  # 1 - exp(-2 pi j t) rounds to 0 here
+        with pytest.raises(TruncationError):
+            creep_rate_time(ModelOrder(1.0), t)
+
+
+def test_dirichlet_honours_max_zeros():
+    # 56 zeros are needed here; a limit below the first block of 64 holds
+    assert creep_rate_time(ModelOrder(0.0), 1e-3, max_zeros=56)[1].n_zeros == 56
+    with pytest.raises(TruncationError):
+        creep_rate_time(ModelOrder(0.0), 1e-3, max_zeros=55)
 
 
 def test_laplace_consistency_single_point():

@@ -1,14 +1,25 @@
 """Bessel-J evaluation and zero finding."""
 
 import math
+import sys
+import threading
+from collections import OrderedDict
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import oracle
-from besselq import BesselQError, DomainError, bessel_j, bessel_j_zero, bessel_j_zeros
+from besselq import (
+    BesselQError,
+    DomainError,
+    RootIsolationError,
+    bessel_j,
+    bessel_j_zero,
+    bessel_j_zeros,
+)
 from besselq.checks import rayleigh_sneddon_sum
+from besselq.specfun import zeros
 
 # first zero of J_0, from bisection on the naive series oracle
 J0_ZERO1 = 2.404825557695772768622
@@ -78,6 +89,93 @@ def test_vectorized_zeros_raise_beyond_hankel_limit():
     for order in (12.0, 22.0):
         with pytest.raises(BesselQError, match=f"J_{order}"):
             bessel_j_zeros(order, 8)
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    table = OrderedDict()
+    monkeypatch.setattr(zeros, "_zero_tables", table)
+    return table
+
+
+def test_zero_table_matches_vectorized_zeros(fresh_table):
+    for order in (-0.5, 0.0, 2.0, 4.5, 7.0, 10.0):
+        for count in (8, 64, 1000):
+            fresh_table.clear()
+            table = zeros._zero_table(order, count)
+            assert len(table) == count
+            assert np.max(np.abs(np.array(table) - bessel_j_zeros(order, count))) <= 1e-13
+
+
+def test_zero_table_grows_only_once(fresh_table, monkeypatch):
+    calls = []
+    for name in ("bessel_j_zero", "_hankel_refine"):
+        def counted(*args, _fn=getattr(zeros, name)):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(zeros, name, counted)
+    first = zeros._zero_table(2.0, 64)
+    assert len(calls) == 64
+    calls.clear()
+    assert zeros._zero_table(2.0, 64) is first
+    assert zeros._zero_table(2.0, 10) is first
+    assert calls == []
+    grown = zeros._zero_table(2.0, 100)
+    assert len(calls) == 36 and grown[:64] == first
+
+
+def test_zero_table_leaves_nothing_for_an_order_that_raises(fresh_table):
+    for _ in range(2):
+        with pytest.raises(RootIsolationError, match="J_22.0"):
+            zeros._zero_table(22.0, 8)
+        assert not fresh_table
+
+
+def test_zero_table_is_immutable_and_bounded(fresh_table):
+    table = zeros._zero_table(0.0, 8)
+    with pytest.raises(TypeError):
+        table[0] = 1.0
+    for order in range(1, zeros._ZERO_TABLE_ORDERS):
+        zeros._zero_table(float(order), 8)
+    zeros._zero_table(0.0, 8)  # order 0 is now the most recently used
+    zeros._zero_table(float(zeros._ZERO_TABLE_ORDERS), 8)
+    assert len(fresh_table) == zeros._ZERO_TABLE_ORDERS
+    assert 1.0 not in fresh_table and 0.0 in fresh_table
+
+
+def test_zero_table_concurrent_growth(fresh_table):
+    orders = (0.0, 2.0, 4.5)
+    reference = {order: zeros._zero_table(order, 700) for order in orders}
+    fresh_table.clear()
+    results, errors = [], []
+
+    def grow(worker):
+        try:
+            for i in range(12):
+                order = orders[(worker + i) % len(orders)]
+                count = 1 + (97 * (worker + 1) * (i + 1)) % 700
+                results.append((order, zeros._zero_table(order, count)))
+        except Exception as exc:  # reported through the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=grow, args=(w,)) for w in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers) and not errors
+    assert len(results) == 6 * 12
+    for order, table in results:
+        assert table == reference[order][: len(table)]
+    for order in orders:
+        longest = max(len(t) for o, t in results if o == order)
+        assert fresh_table[order] == reference[order][:longest]
 
 
 def test_bessel_j_matches_mpmath_across_handover():
