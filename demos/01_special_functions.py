@@ -55,6 +55,8 @@ print("\nI_0/I_2 at |z| = 1000:", bessel_ratio_contiguous(0.0, z))
 # --- zeros of J_nu ------------------------------------------------------------
 print("\nfirst zero of J_0      =", bessel_j_zero(0.0, 1))
 print("zeros of J_0.5 are k*pi:", [round(bessel_j_zero(0.5, k), 12) for k in (1, 2, 3)])
+# bessel_j_zeros returns a tuple, kept in a per-order memo: a later call
+# at the same order reuses these zeros
 zeros = bessel_j_zeros(2.0, 10_000)
-partial = float((1.0 / zeros**2).sum())
+partial = math.fsum(1.0 / (j * j) for j in zeros)
 print("sum 1/j_{2,k}^2 over 1e4 zeros =", partial, " -> 1/(4*3) =", 1.0 / 12.0)

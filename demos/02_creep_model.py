@@ -13,7 +13,7 @@ from besselq import (
     creep_rate_time,
     frac_maxwell_q_inverse,
 )
-from besselq.checks import creep_rate_laplace_by_quadrature
+from besselq.checks import creep_rate_laplace_by_zeros
 
 model = ModelOrder(0.0)
 
@@ -26,11 +26,12 @@ print("long-time limit 4(nu+1)(nu+2) =", 4.0 * 1.0 * 2.0)
 print("short-time growth ~ 2(nu+1)/sqrt(pi t)")
 
 # --- the same object in the Laplace domain -----------------------------------
+# each term exp(-j^2 t) of the time series transforms to 1/(s + j^2)
 s = 2.0
 direct = creep_rate_laplace(model, complex(s, 0.0)).real
-quad = creep_rate_laplace_by_quadrature(model, s)
-print(f"\nPsi~(s={s}) closed form: {direct:.12g}")
-print(f"Psi~(s={s}) by quadrature of the time series: {quad:.12g}")
+by_zeros = creep_rate_laplace_by_zeros(model, s)
+print(f"\nPsi~(s={s}) closed form: {direct:.15g}")
+print(f"Psi~(s={s}) from 10,000 zeros of J_2, term by term: {by_zeros:.15g}")
 
 # --- creep compliance combination s J~(s) ------------------------------------
 print("\ns J~(s; nu=0) = 1 + Psi~(s; nu=0):")

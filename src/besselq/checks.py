@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
-
+from .cli import FrequencyGrid
 from .errors import BesselQError, DomainError
 from .model import ModelOrder, creep_rate_laplace
 from .policy import DEFAULT_CROSSOVER_OMEGA, DEFAULT_POLICY, SeriesPolicy
@@ -24,7 +23,7 @@ from .specfun.zeros import bessel_j_zeros
 ROUTE_AGREEMENT_BOUND_BELOW = 1e-9
 ROUTE_AGREEMENT_BOUND_ABOVE = 1e-8
 RAYLEIGH_SNEDDON_BOUND = 1e-6
-LAPLACE_CONSISTENCY_BOUND = 1e-6
+LAPLACE_CONSISTENCY_BOUND = 1e-12
 
 DEFAULT_CHECK_NUS = (-0.5, 0.0, 1.0, 3.5, 10.0)
 
@@ -46,8 +45,8 @@ class CheckResult:
         return line + (f" -- {self.detail}" if self.detail else "")
 
 
-def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.logspace(math.log10(lo), math.log10(hi), count)
+def _log_grid(lo: float, hi: float, count: int) -> list[float]:
+    return FrequencyGrid("log", lo, hi, count).points()
 
 
 def check_route_agreement(
@@ -105,18 +104,23 @@ def check_monotonicity(
     policy: SeriesPolicy = DEFAULT_POLICY,
     grid: Iterable[float] | None = None,
 ) -> CheckResult:
-    """Q^-1 must decrease strictly along a log grid for every order."""
-    omegas = np.asarray(list(grid)) if grid is not None else _log_grid(1e-4, 1e5, 181)
+    """Q^-1 must decrease strictly along a log grid for every order.
+
+    Raises ``DomainError`` for a grid of fewer than 2 points.
+    """
+    omegas = list(grid) if grid is not None else _log_grid(1e-4, 1e5, 181)
+    if len(omegas) < 2:
+        raise DomainError(f"monotonicity needs >= 2 grid points, got {len(omegas)}")
     worst = -math.inf
     detail = ""
     try:
         for nu in nus:
             model = ModelOrder(nu)
             values = [q_inverse(model, w, policy).q_inverse for w in omegas]
-            steps = np.diff(values) / np.abs(values[:-1])
-            i = int(np.argmax(steps))
+            steps = [(b - a) / abs(a) for a, b in zip(values, values[1:])]
+            i = max(range(len(steps)), key=steps.__getitem__)
             if steps[i] > worst:
-                worst = float(steps[i])
+                worst = steps[i]
                 detail = f"largest upward step at nu={nu}, omega={omegas[i]:.4g}"
     except BesselQError as exc:
         return CheckResult("monotonicity", math.inf, 0.0, False, str(exc))
@@ -129,18 +133,22 @@ def trigamma_tail(x: float) -> float:
     return ix + 0.5 * ix * ix + ix**3 / 6.0 - ix**5 / 30.0 + ix**7 / 42.0
 
 
-def rayleigh_sneddon_sum(nu: float, n_zeros: int = 10_000) -> float:
-    """Tail-corrected evaluation of ``sum_k j_{nu,k}^{-2}``.
+def rayleigh_sneddon_sum(nu: float, n_zeros: int = 10_000, s: float = 0.0) -> float:
+    """Tail-corrected evaluation of ``sum_k 1/(s + j_{nu,k}^2)``, ``s >= 0``.
 
-    The computed zeros cover k <= n_zeros; the remainder is summed through
-    the McMahon leading term ``j_{nu,k} ~ (k + nu/2 - 1/4) pi``, whose
-    inverse squares telescope into a trigamma value.  The closed form of
-    the full sum is ``1/(4(nu+1))``.
+    The computed zeros cover k <= n_zeros.  Past them McMahon's expansion
+    ``j = beta - (4nu^2 - 1)/(8 beta)``, ``beta = (k + nu/2 - 1/4) pi``, gives
+    ``1/(s + j^2) = 1/beta^2 + (nu^2 - 1/4 - s)/beta^4 + O(beta^-6)``; the
+    two sums over ``k > n_zeros`` are the trigamma value ``psi'(x)/pi^2`` and
+    ``1/(3 pi^4 x^3)`` to leading order, with ``x = n_zeros + 1 + nu/2 -
+    1/4``.  The closed form of the full sum is ``I_{nu+1}(sqrt s) /
+    (2 sqrt(s) I_nu(sqrt s))``, which at ``s = 0`` is the Rayleigh-Sneddon
+    value ``1/(4(nu+1))``.
     """
     zeros = bessel_j_zeros(nu, n_zeros)
-    head = float(np.sum(1.0 / zeros**2))
-    a = 0.5 * nu - 0.25
-    tail = trigamma_tail(n_zeros + 1.0 + a) / math.pi**2
+    head = math.fsum(1.0 / (s + j * j) for j in zeros)
+    x = n_zeros + 1.0 + 0.5 * nu - 0.25
+    tail = trigamma_tail(x) / math.pi**2 + (nu * nu - 0.25 - s) / (3.0 * math.pi**4 * x**3)
     return head + tail
 
 
@@ -170,84 +178,26 @@ def check_rayleigh_sneddon(
     )
 
 
-def adaptive_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-12,
-    max_depth: int = 16,
-) -> float:
-    """Adaptive panel-splitting Gauss-Legendre quadrature (vectorized f)."""
-    nodes, weights = np.polynomial.legendre.leggauss(48)
+def creep_rate_laplace_by_zeros(model: ModelOrder, s: float) -> float:
+    """Laplace transform of the rate of creep, from the zeros of ``J_{nu+2}``.
 
-    def panel(lo: float, hi: float) -> float:
-        x = 0.5 * (hi - lo) * nodes + 0.5 * (lo + hi)
-        return 0.5 * (hi - lo) * float(np.dot(weights, f(x)))
+    Transforms the Dirichlet series ``Psi(t) = 4(nu+1)(nu+2) + 4(nu+1)
+    sum_k exp(-j_k^2 t)`` term by term: each exponential integrates exactly
+    to ``1/(s + j_k^2)``, so
 
-    def recurse(lo: float, hi: float, whole: float, depth: int) -> float:
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        if depth >= max_depth or abs(left + right - whole) <= rel_tol * abs(whole) + 1e-300:
-            return left + right
-        return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
+        Psi~(s) = 4(nu+1)(nu+2)/s + 4(nu+1) sum_k 1/(s + j_{nu+2,k}^2),
 
-    return recurse(a, b, panel(a, b), 0)
-
-
-#: ``exp(-x)`` is exactly 0.0 in double precision for ``x >= 746``.
-_EXP_UNDERFLOW_ARG = 746.0
-
-
-def _dirichlet_sums(t: np.ndarray, jj2: np.ndarray) -> np.ndarray:
-    """``sum_k exp(-jj2[k] t_i)`` for each node ``t_i > 0``; ``jj2`` ascending.
-
-    The terms that do not underflow, ``jj2 t < 746``, are a prefix of
-    ``jj2``, found by bisection; the rest add exactly 0.0 and are skipped.
-    """
-    ends = np.searchsorted(jj2, _EXP_UNDERFLOW_ARG / t)
-    return np.array([np.exp(-ti * jj2[:end]).sum() for ti, end in zip(t, ends)])
-
-
-def creep_rate_laplace_by_quadrature(
-    model: ModelOrder,
-    s: float,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-    rel_tol: float = 1e-10,
-) -> float:
-    """Numerical Laplace transform of the time-domain rate of creep.
-
-    Integrates ``e^{-s t} Psi(t)`` over ``(0, T]`` with ``T = 40/s`` (the
-    truncated tails are below 1e-15 relative): the constant part of Psi is
-    integrated analytically, the Dirichlet part numerically after the
-    substitution ``t = u**2``, which removes the ``t^{-1/2}`` endpoint
-    singularity.  At each node the Dirichlet sum keeps only the zeros with
-    ``j^2 t < 746`` (see ``_dirichlet_sums``); every dropped term is below
-    the smallest subnormal double, so memory stays linear in the number of
-    zeros.  Independent of the continued-fraction route, so the two
-    transforms cross-validate each other.
+    with the sum from ``rayleigh_sneddon_sum`` over 10,000 zeros.  It
+    shares no step with the continued fraction of ``creep_rate_laplace``,
+    so the two transforms cross-validate each other.  Real ``s`` only;
+    raises ``DomainError`` unless ``s`` is finite and positive.
     """
     s = float(s)
-    if not s > 0.0:
-        raise DomainError(f"quadrature route needs real s > 0, got {s}")
+    if not (math.isfinite(s) and s > 0.0):
+        raise DomainError(f"zeros route needs finite real s > 0, got {s}")
     nu = model.nu
-    horizon = 40.0 / s
-    u_max = math.sqrt(horizon)
-    # enough zeros that the series tail at the smallest sampled t is negligible
-    t_floor = (u_max * 2.0 ** -float(16)) ** 2
-    j_needed = math.sqrt(40.0 / t_floor)
-    count = max(64, int(j_needed / math.pi) + 16)
-    zeros = bessel_j_zeros(nu + 2.0, count)
-    jj2 = zeros * zeros
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        t = u * u
-        dirichlet = _dirichlet_sums(t, jj2)
-        return np.exp(-s * t) * dirichlet * 2.0 * u
-
-    quad = adaptive_gauss_legendre(integrand, 0.0, u_max, rel_tol)
-    const = 4.0 * (nu + 1.0) * (nu + 2.0) * (1.0 - math.exp(-s * horizon)) / s
-    return const + 4.0 * (nu + 1.0) * quad
+    total = rayleigh_sneddon_sum(nu + 2.0, s=s)
+    return 4.0 * (nu + 1.0) * (nu + 2.0) / s + 4.0 * (nu + 1.0) * total
 
 
 def check_laplace_consistency(
@@ -255,7 +205,8 @@ def check_laplace_consistency(
     s_values: Sequence[float] = (1.0, 2.0, 5.0),
     policy: SeriesPolicy = DEFAULT_POLICY,
 ) -> CheckResult:
-    """Quadrature of the Dirichlet series vs the closed Laplace form."""
+    """Term-by-term transform of the Dirichlet series vs the closed
+    Laplace form."""
     worst = 0.0
     detail = ""
     try:
@@ -263,8 +214,8 @@ def check_laplace_consistency(
             model = ModelOrder(nu)
             for s in s_values:
                 direct = creep_rate_laplace(model, complex(s, 0.0), policy).real
-                quad = creep_rate_laplace_by_quadrature(model, s, policy)
-                rel = abs(quad - direct) / abs(direct)
+                by_zeros = creep_rate_laplace_by_zeros(model, s)
+                rel = abs(by_zeros - direct) / abs(direct)
                 if rel > worst:
                     worst = rel
                     detail = f"worst at nu={nu}, s={s}"

@@ -16,8 +16,8 @@ route; ``check`` compares it with the f/g and Kelvin verification routes.
 
 All numeric CSV fields use 17-significant-digit scientific notation with a
 decimal point (locale independent), and commands are deterministic for
-fixed flags: rerunning produces byte-identical files.  Only ``check`` loads
-numpy (through ``besselq.checks``).
+fixed flags: rerunning produces byte-identical files.  No command needs
+numpy.
 """
 
 from __future__ import annotations
@@ -309,8 +309,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def run_all_checks(nus: Sequence[float], policy: SeriesPolicy) -> list[CheckResult]:
-    """``besselq.checks.run_all_checks``, imported on first use: the
-    verification suites need numpy, which ``sweep`` and ``figures`` do not."""
+    """``besselq.checks.run_all_checks``, imported on first use, so that
+    ``sweep`` and ``figures`` do not load the verification suites."""
     from .checks import run_all_checks
 
     return run_all_checks(nus, policy)

@@ -67,16 +67,16 @@ def creep_rate_laplace(
 ) -> complex:
     """Laplace transform of the rate of creep, ``Psi~(s; nu)``.
 
-    Evaluates ``2(nu+1)/z * I_{nu+1}(z)/I_{nu+2}(z)`` at ``z = sqrt(s)``
-    (principal branch, extracted once).  Behaves like ``2(nu+1)/sqrt(s)``
-    as ``s -> inf`` and like ``4(nu+1)(nu+2)/s`` as ``s -> 0``.
+    Equals ``2(nu+1)/z * I_{nu+1}(z)/I_{nu+2}(z)`` at ``z = sqrt(s)``
+    (principal branch), evaluated as ``4(nu+1)(nu+2)/s + T`` from
+    ``_compliance_split``, the continued fraction that also serves
+    ``creep_compliance_laplace`` and ``q_inverse``.  Behaves like
+    ``2(nu+1)/sqrt(s)`` as ``s -> inf`` and like ``4(nu+1)(nu+2)/s`` as
+    ``s -> 0``.
     """
     s = _check_s(s)
     nu = model.nu
-    z = cmath.sqrt(s)
-    # I_{nu+1}/I_{nu+2} is the reciprocal of the next-order CF ratio
-    r, _, _ = _ratio_next_order(nu + 1.0, z, policy.rel_tol)
-    return (2.0 * (nu + 1.0) / z) / r
+    return 4.0 * (nu + 1.0) * (nu + 2.0) / s + _compliance_split(nu, s, policy.rel_tol)[1]
 
 
 def _compliance_split(
@@ -109,9 +109,8 @@ def creep_compliance_laplace(
     Equals the contiguous ratio ``I_nu(sqrt(s)) / I_{nu+2}(sqrt(s))``,
     evaluated with its ``1/s`` pole split off (see ``_compliance_split``) so
     the real part keeps full accuracy as ``s -> 0``.  Equals
-    ``1 + creep_rate_laplace(model, s)`` up to the accuracy of the two
-    independent continued-fraction evaluations.  For real s > 0 the value
-    is real and exceeds 1.
+    ``1 + creep_rate_laplace(model, s)``, from the same continued fraction,
+    up to rounding.  For real s > 0 the value is real and exceeds 1.
     """
     s = _check_s(s)
     return _compliance_split(model.nu, s, policy.rel_tol)[0]
@@ -153,14 +152,15 @@ def creep_rate_time(
     bound at that term above ``rel_tol`` times that result means the
     summation could not stop by ``K``.
 
-    The zeros come from a pure-Python table kept per order (no numpy; at
-    most 8 orders, the least recently used evicted), grown in doubling
-    blocks from 64 and never shrunk, so a call only computes the zeros no
-    earlier call at that order needed, and its result does not depend on
-    the calls before it.  A first call at small ``t`` pays for the zeros it
-    adds, a few microseconds each: on a 2-core x86-64 host, 0.2 to 0.3 s
-    for the 32,768 zeros that ``t = 1e-8`` brings in at ``nu = 1``, after
-    which a call there takes about 5 ms.
+    The zeros come from the pure-Python table that ``bessel_j_zeros`` also
+    reads, kept per order (at most 8 orders, the least recently used
+    evicted), grown in doubling blocks from 64 and never shrunk, so a call
+    only computes the zeros no earlier call at that order needed, and its
+    result does not depend on the calls before it.  A first call at small
+    ``t`` pays for the zeros it adds, about 1.5 us each: on a 2-core AMD
+    EPYC host with Python 3.11, about 0.05 s for the 32,768 zeros that
+    ``t = 1e-8`` brings in at ``nu = 1``, after which a call there takes
+    about 4 ms.
     """
     t = float(t)
     if not t > 0.0:

@@ -17,11 +17,9 @@ smallest zero refined, exceeds 1e-10.  That happens from order ~10.8 on (the
 term is about 9e-13 at order 7, 5e-11 at 10, 8e-9 at 12), except at the
 half-integer orders 11.5, 12.5 and 13.5, where the expansion terminates.
 
-The same refinement serves two callers.  ``bessel_j_zeros`` runs it on
-numpy arrays, importing numpy when called, for the verification suites
-that use many zeros once.  ``_zero_table`` runs it on floats and keeps the
-zeros per order, for ``creep_rate_time``, so the scalar routes of the
-package load and run without numpy.
+Zeros have one path, in pure Python: ``_zero_table`` refines them and keeps
+them per order, and both ``creep_rate_time`` and ``bessel_j_zeros`` (the
+verification suites, many zeros once) read that memo.
 """
 
 from __future__ import annotations
@@ -30,21 +28,16 @@ import functools
 import math
 import threading
 from collections import OrderedDict
-from types import ModuleType
-from typing import TYPE_CHECKING
 
 from ..errors import DomainError, RootIsolationError, TruncationError
 from .gammafn import gamma_real
 from .modified import _require_order
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: Series/asymptotic handover for J evaluation; chosen so both sides deliver
 #: better than ~5e-11 of the local amplitude in double precision.
 _J_SERIES_MAX_X = 12.0
 
-#: Terms of the Hankel expansion in ``_hankel_j``, and the largest first
+#: Terms of the Hankel expansion in ``_hankel_refine``, and the largest first
 #: omitted term ``|a_14| / x^14`` that the zero refinement accepts.
 _HANKEL_TERMS = 13
 _HANKEL_OMITTED_MAX = 1e-10
@@ -111,13 +104,12 @@ def _bessel_j_prime(order: float, x: float) -> float:
     return (order / x) * bessel_j(order, x) - bessel_j(order + 1.0, x)
 
 
-def mcmahon_zero_estimate(order: float, k: int | np.ndarray) -> float | np.ndarray:
+def mcmahon_zero_estimate(order: float, k: float) -> float:
     """McMahon expansion for the k-th positive zero of ``J_order``.
 
     Four correction terms in ``1/(8 beta)`` with ``beta =
     (k + order/2 - 1/4) pi``; excellent for ``k >= 2`` (and asymptotically
-    in k), unreliable for ``k = 1`` near order -1.  ``k`` may also be a
-    float array of indices, giving the estimates elementwise.
+    in k), unreliable for ``k = 1`` near order -1.
     """
     mu = 4.0 * order * order
     beta = (k + 0.5 * order - 0.25) * math.pi
@@ -227,38 +219,50 @@ def _hankel_coefficients(order: float, count: int) -> tuple[float, ...]:
     return tuple(coefficients)
 
 
-def _hankel_j(
-    order: float, x: float | np.ndarray, lib: ModuleType = math
-) -> float | np.ndarray:
-    """13-term Hankel-expansion ``J_order(x)`` above the series handover.
+@functools.lru_cache(maxsize=64)
+def _hankel_horner(order: float) -> tuple[tuple[float, float, float, float], ...]:
+    """Signed 13-term Hankel coefficients of ``J_order`` and ``J_order+1``,
+    rows highest power first for Horner's rule in ``w = 1/x^2``.
 
-    ``x`` is a float with ``lib=math`` or an array with ``lib=numpy``; both
-    take the same operations, so the scalar and the array zeros agree.
+    Row ``m`` holds the coefficients of ``w^(6-m)`` in ``P_order``,
+    ``x Q_order``, ``P_order+1`` and ``x Q_order+1``, where ``J_a(x) =
+    sqrt(2/(pi x)) (P_a cos chi_a - Q_a sin chi_a)``, ``P_a = 1 - a_2/x^2 +
+    a_4/x^4 - ...``, ``Q_a = a_1/x - a_3/x^3 + ...``.
     """
-    p, q = 1.0, 0.0
-    for k, a in enumerate(_hankel_coefficients(order, _HANKEL_TERMS), start=1):
-        t = a / x**k
-        if k % 2 == 1:
-            q += (-1) ** (k // 2) * t
-        else:
-            p += (-1) ** (k // 2) * t
-    chi = x - (0.5 * order + 0.25) * math.pi
-    return lib.sqrt(2.0 / (math.pi * x)) * (p * lib.cos(chi) - q * lib.sin(chi))
+    columns = []
+    for a in (order, order + 1.0):
+        c = (1.0,) + _hankel_coefficients(a, _HANKEL_TERMS)
+        signed = [(-1) ** (k // 2) * c[k] for k in range(_HANKEL_TERMS + 1)]
+        columns += [signed[0::2][::-1], signed[1::2][::-1]]
+    return tuple(zip(*columns))
 
 
-def _hankel_refine(
-    order: float, x: float | np.ndarray, lib: ModuleType = math
-) -> float | np.ndarray:
-    """Newton steps on ``_hankel_j`` from McMahon guesses ``x``.
+def _hankel_refine(order: float, x: float) -> float:
+    """At most four Newton steps on the 13-term Hankel ``J_order`` from a
+    McMahon guess ``x``, stopping once a step falls below ``4e-15 x``:
+    Newton's next step would then move it by rounding only.
 
-    Arrays take four steps.  A float stops early once a step falls below
-    ``4e-15 x``: Newton's next step would then move it by rounding only.
+    One Horner pass gives ``P``, ``Q`` of both ``J_order`` and
+    ``J_order+1``; one ``cos``/``sin`` pair serves both, as ``chi_{a+1} =
+    chi_a - pi/2``; the common amplitude ``sqrt(2/(pi x))`` cancels in the
+    step ``J_a / J_a' = J_a / ((a/x) J_a - J_{a+1})`` and is left out.
     """
+    rows = _hankel_horner(order)
+    shift = (0.5 * order + 0.25) * math.pi
     for _ in range(4):
-        f = _hankel_j(order, x, lib)
-        step = f / ((order / x) * f - _hankel_j(order + 1.0, x, lib))
-        x = x - step
-        if lib is math and abs(step) < 4e-15 * x:
+        w = 1.0 / (x * x)
+        p0 = q0 = p1 = q1 = 0.0
+        for a, b, c, d in rows:
+            p0 = p0 * w + a
+            q0 = q0 * w + b
+            p1 = p1 * w + c
+            q1 = q1 * w + d
+        chi = x - shift
+        cos, sin = math.cos(chi), math.sin(chi)
+        f = p0 * cos - q0 / x * sin
+        step = f / ((order / x) * f - (p1 * sin + q1 / x * cos))
+        x -= step
+        if abs(step) < 4e-15 * x:
             break
     return x
 
@@ -285,45 +289,17 @@ def _unordered(order: float) -> RootIsolationError:
     )
 
 
-def bessel_j_zeros(order: float, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of ``J_order`` as an array.
-
-    Zeros beyond the J-series region are refined in a single vectorized
-    Newton sweep from the McMahon guesses; the handful of small ones fall
-    back to the scalar bracket-verified routine.  The returned sequence is
-    checked to be strictly increasing.
-
-    Raises ``RootIsolationError`` when the first Hankel term the sweep
-    omits, ``|a_14| / x^14`` at the McMahon guess of the smallest zero it
-    refines, exceeds 1e-10: the order is then too close to the argument
-    for the expansion.
-    """
-    import numpy as np
-
-    order = _require_order(order)
-    count = int(count)
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    x = mcmahon_zero_estimate(order, np.arange(1, count + 1, dtype=float))
-    small = x <= _SMALL_ZERO_MAX
-    for i in np.where(small)[0]:
-        x[i] = bessel_j_zero(order, i + 1)
-    large = ~small
-    if large.any():
-        _require_hankel_terms(order, float(x[large].min()))
-        x[large] = _hankel_refine(order, x[large], np)
-    if np.any(np.diff(x) <= 0.0):
-        raise _unordered(order)
-    return x
-
-
 _zero_tables: OrderedDict[float, tuple[float, ...]] = OrderedDict()
 _zero_tables_lock = threading.Lock()
 
 
 def _zero_block(order: float, start: int, stop: int) -> tuple[float, ...]:
-    """Zeros ``start + 1 .. stop`` of ``J_order`` as ``bessel_j_zeros`` finds
-    them, on floats; raises before any work where the Hankel terms fall short."""
+    """Zeros ``start + 1 .. stop`` of ``J_order``; raises before any work
+    where the Hankel terms fall short.
+
+    Small zeros (McMahon guess at most ``_SMALL_ZERO_MAX``) come from the
+    bracket-verified ``bessel_j_zero``, the rest from ``_hankel_refine``.
+    """
     guesses = [mcmahon_zero_estimate(order, float(k)) for k in range(start + 1, stop + 1)]
     large = [x for x in guesses if x > _SMALL_ZERO_MAX]
     if large:
@@ -337,11 +313,10 @@ def _zero_block(order: float, start: int, stop: int) -> tuple[float, ...]:
 def _zero_table(order: float, count: int) -> tuple[float, ...]:
     """At least the first ``count`` positive zeros of ``J_order``, memoised.
 
-    The zeros of ``bessel_j_zeros`` to within 1e-13 (its Newton steps stop
-    once converged; mostly bitwise equal), with the same ``RootIsolationError``
-    where 13 Hankel terms do not suffice, computed without numpy and kept
-    per order, for at most ``_ZERO_TABLE_ORDERS`` orders, the least recently
-    used evicted first.  An order's table only grows: a growth computes its
+    Raises ``RootIsolationError`` where 13 Hankel terms do not suffice
+    (see ``_require_hankel_terms``).  The zeros are kept per order, for at
+    most ``_ZERO_TABLE_ORDERS`` orders, the least recently used evicted
+    first.  An order's table only grows: a growth computes its
     whole block and checks it before one assignment publishes it, so an
     order that raises leaves nothing behind, and the table holds zero ``k``
     of ``J_order`` at index ``k - 1`` whatever the calls before.  The tuple
@@ -366,3 +341,21 @@ def _zero_table(order: float, count: int) -> tuple[float, ...]:
         while len(_zero_tables) > _ZERO_TABLE_ORDERS:
             _zero_tables.popitem(last=False)
     return grown
+
+
+def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
+    """First ``count`` positive zeros of ``J_order``, as a tuple.
+
+    Read from the memo ``creep_rate_time`` shares (``_zero_table``): a
+    later call at the same order returns, or extends, the zeros already
+    found.  The sequence is checked to be strictly increasing.
+
+    Raises ``RootIsolationError`` when the first Hankel term the refinement
+    omits, ``|a_14| / x^14`` at the McMahon guess of the smallest zero it
+    refines, exceeds 1e-10: the order is then too close to the argument
+    for the expansion.
+    """
+    count = int(count)
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+    return _zero_table(order, count)[:count]

@@ -1,0 +1,60 @@
+"""The verification suites themselves: the tail-corrected zero sum they
+share, their domain guards, and that a wrong ingredient makes them fail."""
+
+import math
+
+import pytest
+
+import oracle
+from besselq import DomainError, ModelOrder, checks
+from besselq.checks import (
+    check_laplace_consistency,
+    check_monotonicity,
+    creep_rate_laplace_by_zeros,
+    rayleigh_sneddon_sum,
+)
+
+
+def test_zero_sum_matches_closed_forms():
+    # s = 0: the Rayleigh-Sneddon value 1/(4(nu+1))
+    for nu in (-0.5, 0.0, 1.0, 2.5):
+        target = 1.0 / (4.0 * (nu + 1.0))
+        assert abs(rayleigh_sneddon_sum(nu) - target) <= 1e-13 * target
+    # s > 0: Psi~(s; nu) = 4(nu+1)(nu+2)/s + 4(nu+1) sum_k 1/(s + j_{nu+2,k}^2)
+    for nu in (-0.5, 0.0, 1.0, 3.5):
+        for s in (0.5, 1.0, 5.0, 20.0, 100.0):
+            psi = complex(oracle.creep_rate_laplace(nu, s)).real
+            target = (psi - 4.0 * (nu + 1.0) * (nu + 2.0) / s) / (4.0 * (nu + 1.0))
+            value = rayleigh_sneddon_sum(nu + 2.0, 10_000, s)
+            assert abs(value - target) <= 1e-13 * target, (nu, s)
+
+
+def test_laplace_by_zeros_needs_finite_positive_s():
+    for s in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            creep_rate_laplace_by_zeros(ModelOrder(0.0), s)
+
+
+def test_monotonicity_needs_two_grid_points():
+    for grid in ([], [1.0]):
+        with pytest.raises(DomainError):
+            check_monotonicity(nus=(0.0,), grid=grid)
+    assert check_monotonicity(nus=(0.0,), grid=[1.0, 2.0]).passed
+
+
+def test_laplace_check_fails_on_a_wrong_closed_form(monkeypatch):
+    assert check_laplace_consistency().passed
+    closed_form = checks.creep_rate_laplace
+    monkeypatch.setattr(
+        checks, "creep_rate_laplace", lambda *args: closed_form(*args) * (1.0 + 1e-5)
+    )
+    assert not check_laplace_consistency().passed
+
+
+def test_laplace_check_fails_on_shifted_zeros(monkeypatch):
+    zeros = checks.bessel_j_zeros
+    monkeypatch.setattr(
+        checks, "bessel_j_zeros", lambda *args: tuple(j + 1e-6 for j in zeros(*args))
+    )
+    result = check_laplace_consistency()
+    assert not result.passed and result.max_discrepancy > 1e-9

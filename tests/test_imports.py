@@ -1,5 +1,6 @@
-"""The scalar routes and the ``sweep`` and ``figures`` commands load and run
-without numpy; the array routes still return numpy arrays."""
+"""The whole package runs without numpy: every scalar route, the zeros and
+the ``sweep``, ``figures`` and ``check`` commands, in a process where any
+import of numpy raises."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import sys
+sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
 from pathlib import Path
 import besselq as b
 from besselq import cli
@@ -24,16 +26,13 @@ b.kelvin(0.5, 3.0)
 b.gamma_real(2.5)
 b.creep_rate_time(m, 0.5)
 b.creep_rate_time(m, 1e-4)
-assert "numpy" not in sys.modules, "a scalar route loaded numpy"
+zeros = b.bessel_j_zeros(2.0, 5)
+assert isinstance(zeros, tuple) and len(zeros) == 5
 out = Path(sys.argv[1])
 assert cli.main(["sweep", "--nu", "0", "--log", "1e-2", "1e2", "--count", "5",
                  "--out", str(out / "sweep.csv")]) == 0
 assert cli.main(["figures", "--nu", "1", "--out", str(out / "figures")]) == 0
-assert "numpy" not in sys.modules, "sweep or figures loaded numpy"
-
-import numpy as np
-
-assert isinstance(b.bessel_j_zeros(2.0, 5), np.ndarray)
+assert cli.main(["check"]) == 0
 """
 
 
@@ -50,3 +49,4 @@ def test_scalar_routes_do_not_load_numpy(tmp_path):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+    assert "all checks passed" in result.stdout

@@ -4,10 +4,8 @@ asymptotic regimes, and the fractional Maxwell comparison model."""
 import cmath
 import math
 import time
-import tracemalloc
 from collections import OrderedDict
 
-import numpy as np
 import pytest
 
 import oracle
@@ -22,9 +20,8 @@ from besselq import (
     creep_rate_time,
     frac_maxwell_q_inverse,
 )
-from besselq.checks import _dirichlet_sums, creep_rate_laplace_by_quadrature
+from besselq.checks import creep_rate_laplace_by_zeros
 from besselq.specfun import zeros
-from besselq.specfun.zeros import bessel_j_zeros
 
 # oracle: naive series quotients at >= 40 digits
 PSI_LAPLACE_0_1 = 8.326612235221068270685
@@ -55,6 +52,17 @@ def test_creep_rate_high_frequency_trend():
         value = creep_rate_laplace(model, complex(s, 0.0))
         leading = 2.0 * (nu + 1.0) / math.sqrt(s)
         assert abs(value.real / leading - 1.0) < 1e-3
+
+
+def test_creep_rate_laplace_matches_oracle():
+    # one continued fraction, at order nu+2, serves creep_rate_laplace too
+    for nu in (-0.99, -0.5, 0.0, 1.0, 5.0, 20.0, 50.0):
+        model = ModelOrder(nu)
+        for r in (1e-8, 1e-5, 1e-2, 1.0, 30.0, 1e3, 1e4):
+            for turn in (0.0, 0.25, 0.5, 0.75, 0.9):
+                s = r * cmath.exp(1j * math.pi * turn)
+                ref = complex(oracle.creep_rate_laplace(nu, s))
+                assert abs(creep_rate_laplace(model, s) - ref) <= 2e-14 * abs(ref), (nu, s)
 
 
 def test_creep_rate_low_frequency_trend():
@@ -203,28 +211,8 @@ def test_dirichlet_honours_max_zeros():
 def test_laplace_consistency_single_point():
     model = ModelOrder(0.0)
     direct = creep_rate_laplace(model, 2.0 + 0j).real
-    quad = creep_rate_laplace_by_quadrature(model, 2.0)
-    assert rel(quad, direct) < 1e-6
-
-
-def test_quadrature_memory_is_linear_in_zeros():
-    # finding the 46,662 zeros of J_3 peaks near 4.6 MB; a dense
-    # nodes x zeros exp matrix took 37 MB
-    tracemalloc.start()
-    try:
-        creep_rate_laplace_by_quadrature(ModelOrder(1.0), 5.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
-
-
-def test_dirichlet_sums_match_dense_sum():
-    jj2 = bessel_j_zeros(3.0, 10_000) ** 2
-    t = np.logspace(-10.0, math.log10(40.0), 41)
-    dense = np.exp(-np.outer(t, jj2)).sum(axis=1)
-    sums = _dirichlet_sums(t, jj2)
-    assert np.all(np.abs(sums - dense) <= 1e-15 * dense)
+    by_zeros = creep_rate_laplace_by_zeros(model, 2.0)
+    assert rel(by_zeros, direct) < 1e-12
 
 
 # -------------------------------------------------------- asymptotics
