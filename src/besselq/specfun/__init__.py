@@ -2,7 +2,6 @@
 
 from .gammafn import gamma_real
 from .kelvinfg import (
-    DEFAULT_SERIES_CROSSOVER_X,
     FGPair,
     KelvinPair,
     fg_from_kelvin,
@@ -19,7 +18,6 @@ from .modified import (
 from .zeros import bessel_j, bessel_j_zero, bessel_j_zeros, mcmahon_zero_estimate
 
 __all__ = [
-    "DEFAULT_SERIES_CROSSOVER_X",
     "FGPair",
     "KelvinPair",
     "bessel_j",

@@ -1,10 +1,11 @@
-"""Real Euler gamma function via a Lanczos rational approximation."""
+"""Real Euler gamma function via a Lanczos rational approximation, and the
+argument checks every special function shares."""
 
 from __future__ import annotations
 
 import math
 
-from ..errors import OverflowRangeError, PoleError
+from ..errors import DomainError, OverflowRangeError, PoleError
 
 # Lanczos approximation, g = 607/128, 15 coefficients.  Verified against a
 # 50-digit reference to relative error < 4e-15 on [-0.99, 50].
@@ -31,6 +32,21 @@ _LANCZOS_C = (
 _OVERFLOW_X = 171.62
 
 
+def _require_finite(value, name: str = "argument"):
+    """``value`` (a float or complex) unchanged, or DomainError if it has
+    an infinite or NaN part."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_order(order: float) -> float:
+    order = _require_finite(float(order), "order")
+    if not order > -1.0:
+        raise DomainError(f"order must exceed -1, got {order}")
+    return order
+
+
 def gamma_real(x: float) -> float:
     """Gamma function for real ``x`` away from the poles.
 
@@ -46,13 +62,15 @@ def gamma_real(x: float) -> float:
 
     Raises
     ------
+    DomainError
+        If ``x`` is infinite or NaN.
     PoleError
         If ``x`` is zero or a negative integer.
     OverflowRangeError
         If the result exceeds the double-precision range (x > ~171.6, or
         reflection underflow for large negative x).
     """
-    x = float(x)
+    x = _require_finite(float(x))
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at nonpositive integer x = {x}")
     if x > _OVERFLOW_X:

@@ -1,21 +1,31 @@
-"""Modified Bessel functions of the first kind: series, uniform (Tricomi)
-form, and cancellation-free contiguous ratios.
+"""Modified Bessel functions of the first kind: the one power series, the
+one large-argument expansion, and cancellation-free contiguous ratios.
 
-Three evaluation tools live here:
+Every power series of the package is the uniform series
 
-* ``modified_bessel_i`` -- the defining power series of ``I_a(x)`` for real
-  nonnegative argument,
-* ``tricomi_it`` -- the uniform function ``(z/2)^(-a) I_a(z)`` evaluated as a
-  single-valued entire function of ``s = z**2`` (no square root is ever
-  extracted, so evaluation on the imaginary axis needs no branch choice),
+    T_a(s) = sum_m (s/4)^m / (m! Gamma(m+a+1)) = (z/2)^(-a) I_a(z),  z = sqrt(s),
+
+summed by ``_tricomi_series`` at a point ``s`` times a prefactor:
+``I_a(x)`` is ``(x/2)^a T_a(x^2)``, ``J_a(x)`` is ``(x/2)^a T_a(-x^2)``, the
+f/g pair is ``T_a(i omega)`` and ``ber_a + i bei_a`` is
+``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``.  The loop owns the overflow test and
+the cancellation guard.  Likewise ``_hankel_terms`` is the one optimally
+truncated large-argument (Hankel) expansion, shared by the Kelvin pair and
+``bessel_j``.
+
+Public tools:
+
+* ``modified_bessel_i`` -- ``I_a(x)`` for real nonnegative argument,
+* ``tricomi_it`` -- ``T_a(s)`` itself, a single-valued entire function of
+  ``s = z**2`` (no square root is ever extracted, so evaluation on the
+  imaginary axis needs no branch choice),
 * ``bessel_ratio_contiguous`` -- ``I_a(z)/I_{a+2}(z)`` through a modified
   Lentz continued fraction for ``I_{a+1}/I_a`` composed with the three-term
   recurrence ``I_{a}(z) = I_{a+2}(z) + (2(a+1)/z) I_{a+1}(z)``.  The common
   exponential growth cancels exactly, so the ratio stays accurate at
-  arguments where the functions themselves overflow.
-
-A scaled large-argument (Hankel-type) evaluation of ``I_a(z)`` is provided
-for internal use by the Kelvin-function module.
+  arguments where the functions themselves overflow,
+* ``modified_i_asymptotic_scaled`` -- ``I_a(z) e^(-Re z)`` from the
+  large-argument expansion, used by the Kelvin-function module.
 """
 
 from __future__ import annotations
@@ -32,32 +42,87 @@ from ..errors import (
     TruncationError,
 )
 from ..policy import DEFAULT_POLICY, SeriesPolicy
-from .gammafn import gamma_real
+from .gammafn import _require_finite, _require_order, gamma_real
 
 
 class SeriesDiagnostics(NamedTuple):
-    """Bookkeeping returned by the internal series evaluators."""
+    """Bookkeeping returned by the shared series loop."""
 
     terms_used: int
     max_term: float
-    cancel_ratio: float  # max |term| / |result|
+    cancel_ratio: float  # max |term| / |T(s)|
 
 
-def _require_order(order: float) -> float:
-    order = float(order)
-    if not order > -1.0:
-        raise DomainError(f"order must exceed -1, got {order}")
-    return order
+def _tricomi_series(
+    order: float, s: float | complex, policy: SeriesPolicy, scale: float | complex = 1.0
+) -> tuple[float | complex, SeriesDiagnostics]:
+    """``scale * T_order(s)`` with diagnostics: the package's one power
+    series.
+
+    A real ``s`` and ``scale`` keep the arithmetic real.  The sum stops once
+    two successive terms fall below ``policy.rel_tol`` of the partial sum.
+
+    Raises
+    ------
+    OverflowRangeError
+        If a term or the scaled result leaves the double range.
+    CancellationError
+        If the largest term exceeds ``policy.cancellation_guard`` times
+        ``|T(s)|`` (oscillatory ``s`` of large modulus).
+    TruncationError
+        If ``policy.max_terms`` was reached first.
+    """
+    term = 1.0 / gamma_real(order + 1.0)
+    total = term
+    max_term = abs(term)
+    quarter = s / 4.0
+    rel_tol = policy.rel_tol
+    small_streak = 0
+    for m in range(1, policy.max_terms + 1):
+        term *= quarter / (m * (m + order))
+        total += term
+        mag = abs(term)
+        if mag > max_term:
+            max_term = mag
+        if mag <= rel_tol * abs(total):
+            small_streak += 1
+            if small_streak >= 2:
+                break
+        elif mag < math.inf:
+            small_streak = 0
+        else:
+            break  # a term overflowed: the range test below raises
+    else:
+        raise TruncationError(
+            f"uniform-I series did not converge within {policy.max_terms} "
+            f"terms (|s| = {abs(s):.3g})"
+        )
+    size = abs(total)
+    ratio = max_term / size if size else math.inf
+    value = scale * total
+    if not abs(value) < math.inf:
+        raise OverflowRangeError(
+            f"series of order {order} at |s| = {abs(s):.3g} exceeds "
+            "double-precision range"
+        )
+    if ratio > policy.cancellation_guard:
+        raise CancellationError(
+            f"series lost too many digits at |s| = {abs(s):.3g} "
+            f"(term/result ratio {ratio:.3g})",
+            ratio=ratio,
+        )
+    return value, SeriesDiagnostics(m + 1, max_term, ratio)
 
 
 def modified_bessel_i(
     order: float, x: float, policy: SeriesPolicy = DEFAULT_POLICY
 ) -> float:
-    """Modified Bessel function ``I_order(x)`` by its power series.
+    """Modified Bessel function ``I_order(x) = (x/2)^order T_order(x^2)``.
 
     All terms are positive, so the series is cancellation-free; it is
-    accurate to ~1e-14 relative for ``x`` up to several hundred and
-    overflows (raising OverflowRangeError) near ``x ~ 713`` where
+    accurate to ~1e-14 relative for ``x`` up to several hundred.  With the
+    default 400 terms it raises TruncationError from ``x ~ 596``; given more
+    terms it raises OverflowRangeError near ``x ~ 713``, where
     ``I_0(x) ~ e^x / sqrt(2 pi x)`` leaves the double range.
 
     Parameters
@@ -68,72 +133,16 @@ def modified_bessel_i(
         Argument ``x >= 0``.
     """
     order = _require_order(order)
-    x = float(x)
+    x = _require_finite(float(x))
     if x < 0.0:
         raise DomainError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        if order == 0.0:
-            return 1.0
-        if order > 0.0:
-            return 0.0
+    if x == 0.0 and order < 0.0:
         raise OverflowRangeError("I_a(0) diverges for a < 0")
-    half = 0.5 * x
     try:
-        term = half**order / gamma_real(order + 1.0)
+        scale = (0.5 * x) ** order
     except OverflowError as exc:  # (x/2)**order for extreme inputs
         raise OverflowRangeError(str(exc)) from exc
-    total = term
-    q = half * half
-    small_streak = 0
-    for m in range(policy.max_terms):
-        term *= q / ((m + 1.0) * (m + order + 1.0))
-        total += term
-        if math.isinf(total):
-            raise OverflowRangeError(
-                f"I_{order}({x}) exceeds double-precision range"
-            )
-        if term <= policy.rel_tol * total:
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise TruncationError(
-        f"I series did not converge within {policy.max_terms} terms (x={x})"
-    )
-
-
-def _tricomi_series(
-    order: float, s: complex, policy: SeriesPolicy
-) -> tuple[complex, SeriesDiagnostics]:
-    """Sum ``sum_m (s/4)^m / (m! Gamma(m+order+1))`` with diagnostics."""
-    term = complex(1.0 / gamma_real(order + 1.0))
-    total = term
-    max_term = abs(term)
-    quarter = s / 4.0
-    small_streak = 0
-    m = 0
-    while m < policy.max_terms:
-        term *= quarter / ((m + 1.0) * (m + order + 1.0))
-        total += term
-        mag = abs(term)
-        if mag > max_term:
-            max_term = mag
-        m += 1
-        if mag <= policy.rel_tol * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-    else:
-        raise TruncationError(
-            f"uniform-I series did not converge within {policy.max_terms} "
-            f"terms (|s| = {abs(s):.3g})"
-        )
-    denom = abs(total)
-    ratio = math.inf if denom == 0.0 else max_term / denom
-    return total, SeriesDiagnostics(m + 1, max_term, ratio)
+    return _tricomi_series(order, x * x, policy, scale)[0]
 
 
 def tricomi_it(
@@ -148,6 +157,8 @@ def tricomi_it(
 
     Raises
     ------
+    OverflowRangeError
+        If the result leaves the double range (real ``s`` beyond ~5e5).
     CancellationError
         If the largest term exceeded ``policy.cancellation_guard`` times the
         result magnitude (oscillatory ``s`` with large modulus).
@@ -155,17 +166,8 @@ def tricomi_it(
         If ``policy.max_terms`` was reached first.
     """
     order = _require_order(order)
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError("s must be finite")
-    total, diag = _tricomi_series(order, s, policy)
-    if diag.cancel_ratio > policy.cancellation_guard:
-        raise CancellationError(
-            f"uniform-I series lost too many digits at |s| = {abs(s):.3g} "
-            f"(term/result ratio {diag.cancel_ratio:.3g})",
-            ratio=diag.cancel_ratio,
-        )
-    return total
+    s = _require_finite(complex(s), "s")
+    return _tricomi_series(order, s, policy)[0]
 
 
 def _ratio_next_order(
@@ -220,46 +222,42 @@ def bessel_ratio_contiguous(
     error ~1e-13) for ``|z|`` from 1e-3 up to several thousand.
     """
     order = _require_order(order)
-    z = complex(z)
+    z = _require_finite(complex(z), "z")
     if z == 0:
         raise DomainError("ratio undefined at z = 0")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("z must be finite")
     r, _, _ = _ratio_next_order(order + 1.0, z, policy.rel_tol)
     return 1.0 + (2.0 * (order + 1.0) / z) / r
 
 
-def _asymptotic_sums(
-    order: float, z: complex, rel_tol: float
-) -> tuple[complex, complex, float]:
-    """Hankel-type expansion sums for ``I_order`` at large ``|z|``.
+def _hankel_terms(order: float, z: complex, rel_tol: float) -> tuple[list, float]:
+    """Optimally truncated terms ``t_k = a_k(order) / z^k`` of the
+    large-argument expansion, ``a_k = prod_{j<=k} (4 order^2 - (2j-1)^2) /
+    (k! 8^k)``, and an estimate of the relative truncation error.
 
-    Generates ``t_k = a_k(order) / z^k`` with
-    ``a_k = prod_{j<=k} (4 order^2 - (2j-1)^2) / (k! 8^k)`` and truncates at
-    the globally smallest term (the series is asymptotic, not convergent).
-    Returns ``(sum (-1)^k t_k, sum t_k, est)`` where ``est`` bounds the
-    relative truncation error.
+    The series is asymptotic, not convergent: it stops at the first term
+    below ``rel_tol`` or, failing that, at the globally smallest term, whose
+    magnitude is the returned estimate.  Once ``(2k-1)^2 > 4 order^2`` the
+    term ratio ``((2k-1)^2 - 4 order^2) / (8k|z|)`` grows with ``k``, so the
+    first term larger than its predecessor there ends the search; so does
+    a term above 1e9, past which roundoff in the sum would exceed the
+    truncation estimate.  ``I_order(z)`` uses ``sum (-1)^k
+    t_k`` and ``sum t_k``; ``J_order(x)`` uses ``sum t_k = P + iQ`` at
+    ``z = -ix``.
     """
     mu = 4.0 * order * order
-    terms = [complex(1.0)]
-    t = complex(1.0)
+    terms = [1.0]
+    t = 1.0
     for k in range(1, 80):
-        t = t * ((mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)) / z
+        c = (2.0 * k - 1.0) ** 2
+        t = t * ((mu - c) / (8.0 * k)) / z
         terms.append(t)
         mag = abs(t)
-        if mag < rel_tol or mag > 1e9:
+        if mag < rel_tol:
+            return terms, mag
+        if mag > 1e9 or (c > mu and mag > abs(terms[-2])):
             break
-    mags = [abs(u) for u in terms]
-    m_star = min(range(1, len(terms)), key=lambda i: mags[i])
-    if mags[-1] < rel_tol:
-        use = len(terms)
-        est = mags[-1]
-    else:
-        use = m_star + 1
-        est = mags[m_star]
-    s_alt = sum((-1) ** k * terms[k] for k in range(use))
-    s_plus = sum(terms[k] for k in range(use))
-    return s_alt, s_plus, est
+    m_star = min(range(1, len(terms)), key=lambda i: abs(terms[i]))
+    return terms[: m_star + 1], abs(terms[m_star])
 
 
 def modified_i_asymptotic_scaled(
@@ -275,15 +273,18 @@ def modified_i_asymptotic_scaled(
     reach ~3e-8 relative accuracy, which happens when ``|z|`` is too small
     for an asymptotic evaluation.
     """
-    s_alt, s_plus, est = _asymptotic_sums(order, z, rel_tol)
+    order = _require_order(order)
+    z = _require_finite(complex(z), "z")
+    terms, est = _hankel_terms(order, z, rel_tol)
     if est > 3.0e-8:
         raise TruncationError(
             f"asymptotic expansion unreliable at |z| = {abs(z):.3g} "
             f"(estimated relative error {est:.2e})"
         )
     prefactor = 1.0 / cmath.sqrt(2.0 * math.pi * z)
+    s_alt = sum((-1) ** k * t for k, t in enumerate(terms))
     main = cmath.exp(complex(0.0, z.imag)) * s_alt  # e^z scaled by e^{-Re z}
     reflected = (
-        cmath.exp(1j * math.pi * order) * 1j * cmath.exp(-z - z.real) * s_plus
+        cmath.exp(1j * math.pi * order) * 1j * cmath.exp(-z - z.real) * sum(terms)
     )
     return prefactor * (main + reflected), est

@@ -1,12 +1,13 @@
 """Bessel function of the first kind (real order > -1) and its positive
 zeros.
 
-``bessel_j`` combines the defining power series (x <= 12, where roundoff in
-the alternating sum stays near machine level) with the large-argument
-Hankel modulus/phase expansion.  Zeros come from a McMahon asymptotic
-initial guess refined by Newton steps safeguarded with bisection inside a
-verified sign-change bracket.  The first zero is always isolated with the
-classical bounds ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)``.
+``bessel_j`` is ``(x/2)^a T_a(-x^2)``, the shared power series of
+``modified``, for x <= 12, where roundoff in the alternating sum stays near
+machine level; beyond that it is the shared optimally truncated Hankel
+expansion, ``sum t_k = P + iQ`` at ``z = -ix``.  Zeros come from a McMahon
+asymptotic initial guess refined by Newton steps safeguarded with bisection
+inside a verified sign-change bracket.  The first zero is always isolated
+with the classical bounds ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)``.
 
 Validated to ~1e-12 absolute for orders up to ~8 and zero index up to 1e4;
 beyond that range accuracy degrades gradually (document-of-record: the
@@ -29,13 +30,18 @@ import math
 import threading
 from collections import OrderedDict
 
-from ..errors import DomainError, RootIsolationError, TruncationError
-from .gammafn import gamma_real
-from .modified import _require_order
+from ..errors import DomainError, RootIsolationError
+from ..policy import SeriesPolicy
+from .gammafn import _require_finite, _require_order
+from .modified import _hankel_terms, _tricomi_series
 
 #: Series/asymptotic handover for J evaluation; chosen so both sides deliver
 #: better than ~5e-11 of the local amplitude in double precision.
 _J_SERIES_MAX_X = 12.0
+
+#: Truncation of both J expansions.  No cancellation guard: ``bessel_j`` is
+#: evaluated at its own zeros, where the sum cancels by design.
+_J_POLICY = SeriesPolicy(rel_tol=1e-17, cancellation_guard=math.inf)
 
 #: Terms of the Hankel expansion in ``_hankel_refine``, and the largest first
 #: omitted term ``|a_14| / x^14`` that the zero refinement accepts.
@@ -50,54 +56,21 @@ _SMALL_ZERO_MAX = _J_SERIES_MAX_X + 8.0
 _ZERO_TABLE_ORDERS = 8
 
 
-def _bessel_j_series(order: float, x: float, max_terms: int = 400) -> float:
-    half = 0.5 * x
-    term = half**order / gamma_real(order + 1.0)
-    total = term
-    q = half * half
-    for m in range(max_terms):
-        term *= -q / ((m + 1.0) * (m + order + 1.0))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 1e-300:
-            return total
-    raise TruncationError(f"J series failed to converge at x = {x}")
-
-
-def _hankel_pq(order: float, x: float) -> tuple[float, float]:
-    """Modulus-phase sums P, Q of the large-argument expansion of J."""
-    mu = 4.0 * order * order
-    terms = [1.0]
-    a = 1.0
-    for k in range(1, 40):
-        a *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
-        terms.append(a / x**k)
-        if abs(terms[-1]) < 1e-18 or abs(terms[-1]) > 1e6:
-            break
-    mags = [abs(t) for t in terms]
-    m_star = min(range(1, len(terms)), key=lambda i: mags[i])
-    use = len(terms) if mags[-1] < 1e-17 else m_star + 1
-    p = sum((-1) ** (k // 2) * terms[k] for k in range(0, use, 2))
-    q = sum((-1) ** (k // 2) * terms[k] for k in range(1, use, 2))
-    return p, q
-
-
 def bessel_j(order: float, x: float) -> float:
     """Bessel function ``J_order(x)`` for ``order > -1``, ``x >= 0``."""
     order = _require_order(order)
-    x = float(x)
+    x = _require_finite(float(x))
     if x < 0.0:
         raise DomainError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        if order == 0.0:
-            return 1.0
-        if order > 0.0:
-            return 0.0
+    if x == 0.0 and order < 0.0:
         raise DomainError("J_a(0) diverges for a < 0")
     if x <= _J_SERIES_MAX_X:
-        return _bessel_j_series(order, x)
-    p, q = _hankel_pq(order, x)
+        return _tricomi_series(order, -x * x, _J_POLICY, (0.5 * x) ** order)[0]
+    pq = sum(_hankel_terms(order, complex(0.0, -x), _J_POLICY.rel_tol)[0])
     chi = x - (0.5 * order + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
+    return math.sqrt(2.0 / (math.pi * x)) * (
+        pq.real * math.cos(chi) - pq.imag * math.sin(chi)
+    )
 
 
 def _bessel_j_prime(order: float, x: float) -> float:

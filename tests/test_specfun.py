@@ -22,6 +22,7 @@ from besselq import (
     PoleError,
     SeriesPolicy,
     TruncationError,
+    bessel_j,
     bessel_ratio_contiguous,
     fg_from_kelvin,
     fg_series,
@@ -31,6 +32,7 @@ from besselq import (
     modified_bessel_i,
     tricomi_it,
 )
+from besselq.specfun.kelvinfg import _kelvin_series
 
 # oracle: naive series at >= 40 digits
 I0_2 = 2.279585302336067267437
@@ -149,6 +151,13 @@ def test_tricomi_cancellation_flag():
     assert info.value.ratio > 1e12
 
 
+@pytest.mark.parametrize("s", [5.2e5, 1e6])
+def test_tricomi_overflow_is_loud(s):
+    # T_0(s) = I_0(sqrt(s)) leaves the double range near s = 5.1e5
+    with pytest.raises(OverflowRangeError):
+        tricomi_it(0.0, s)
+
+
 def test_tricomi_truncation_error():
     with pytest.raises(TruncationError):
         tricomi_it(0.0, complex(0.0, 400.0), SeriesPolicy(max_terms=8))
@@ -254,8 +263,9 @@ def test_kelvin_rotation_reproduces_fg():
 
 
 def test_kelvin_large_argument_route():
+    # both sides of the series/asymptotic handover at x = 18
     for order in (-0.5, 0.0, 2.0, 5.5):
-        for x in (18.5, 30.0, 60.0):
+        for x in (0.5, 3.0, 9.0, 17.9, 18.5, 30.0, 60.0):
             pair = kelvin(order, x)
             ber_ref, bei_ref = (float(v) for v in oracle.kelvin_pair(order, x))
             norm = math.hypot(ber_ref, bei_ref)
@@ -264,14 +274,14 @@ def test_kelvin_large_argument_route():
 
 
 def test_kelvin_series_asymptotic_handover_consistency():
-    # same point evaluated by the series (crossover pushed up) and by the
-    # large-argument expansion (default crossover)
+    # same point past the handover evaluated by the power series directly
+    # and by the large-argument expansion that kelvin() uses there
     for order in (0.0, 1.0, 3.5):
-        series_pair = kelvin(order, 20.0, series_crossover=25.0)
+        series_pair, _ = _kelvin_series(order, 20.0, SeriesPolicy())
         asym_pair = kelvin(order, 20.0)
-        norm = math.hypot(series_pair.ber, series_pair.bei)
-        assert abs(series_pair.ber - asym_pair.ber) < 2e-11 * norm
-        assert abs(series_pair.bei - asym_pair.bei) < 2e-11 * norm
+        norm = abs(series_pair)
+        assert abs(series_pair.real - asym_pair.ber) < 2e-11 * norm
+        assert abs(series_pair.imag - asym_pair.bei) < 2e-11 * norm
 
 
 def test_kelvin_overflow():
@@ -301,6 +311,35 @@ def test_fg_from_kelvin_matches_fg_series():
     pair_b = fg_series(1.0, 1.0)
     assert rel(pair_a.f, pair_b.f) < 1e-10
     assert rel(pair_a.g, pair_b.g) < 1e-10
+
+
+# ------------------------------------------------- non-finite arguments
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (bessel_j, (0.0, NAN)),
+        (bessel_j, (0.0, INF)),
+        (bessel_j, (INF, 1.0)),
+        (kelvin, (0.0, NAN)),
+        (kelvin, (0.0, INF)),
+        (kelvin_scaled, (0.0, INF)),
+        (fg_from_kelvin, (0.0, INF)),
+        (fg_series, (0.0, INF)),
+        (gamma_real, (NAN,)),
+        (gamma_real, (-INF,)),
+        (modified_bessel_i, (0.0, NAN)),
+        (tricomi_it, (0.0, complex(NAN, 0.0))),
+        (bessel_ratio_contiguous, (0.0, complex(0.0, INF))),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_non_finite_arguments_raise_domain_error(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
 
 
 # ------------------------------------------------------ property checks
