@@ -16,14 +16,17 @@ route; ``check`` compares it with the f/g and Kelvin verification routes.
 
 All numeric CSV fields use 17-significant-digit scientific notation with a
 decimal point (locale independent), and commands are deterministic for
-fixed flags: rerunning produces byte-identical files.  No command needs
-numpy.
+fixed flags: rerunning produces byte-identical files.  Outputs are
+overwritten in place and then cut to length (``_write_ascii``), so an
+interrupted write can leave old and new bytes mixed; a rerun repairs it.
+No command needs numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,9 +136,21 @@ def evaluate_sweep(
     return records
 
 
+def _write_ascii(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII, overwriting in place: no
+    ``O_TRUNC`` on open, a truncate to the new length after the write.
+    Truncating a recently written file to zero makes the opener wait on
+    writeback (ext4); an overwrite in place does not."""
+    data = text.encode("ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
 def write_sweep_csv(records: Iterable[SweepRecord], path: Path) -> None:
     lines = [SWEEP_HEADER] + [r.as_csv() for r in records]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    _write_ascii(path, "\n".join(lines) + "\n")
 
 
 def _write_table(
@@ -144,7 +159,7 @@ def _write_table(
     rows = [",".join(header)]
     for row in zip(*columns):
         rows.append(",".join(_fmt(value) for value in row))
-    path.write_text("\n".join(rows) + "\n", encoding="ascii", newline="\n")
+    _write_ascii(path, "\n".join(rows) + "\n")
 
 
 def _gnuplot_script(
@@ -187,34 +202,25 @@ def emit_figures(
         model = ModelOrder(nu)
         return [q_inverse(model, w, policy).q_inverse for w in omegas]
 
+    def emit(tag: str, header: Sequence[str], cols: Sequence[Sequence[float]],
+             title: str, logscale: bool, series: Sequence[tuple[int, str, str]]) -> None:
+        csv, gp = outdir / f"{tag}.csv", outdir / f"{tag}.gp"
+        _write_table(csv, header, cols)
+        _write_ascii(gp, _gnuplot_script(csv.name, f"{tag}.png", title, logscale, series))
+        written.extend((csv, gp))
+
     # figure 1: linear-scale overview; the steep low-frequency rise needs a
     # window starting well below omega ~ 1
     omegas = FrequencyGrid("linear", 0.05, 20.0, 400).points()
     header = ["omega"] + [f"q_nu_{nu:g}" for nu in nus]
-    cols = [omegas] + [q_column(nu, omegas) for nu in nus]
-    csv = outdir / "fig1_linear.csv"
-    _write_table(csv, header, cols)
     series = [(i + 2, f"nu={nu:g}", "lw 2") for i, nu in enumerate(nus)]
-    gp = outdir / "fig1_linear.gp"
-    gp.write_text(
-        _gnuplot_script(csv.name, "fig1_linear.png", "Q^{-1}(omega), linear scale", False, series),
-        encoding="ascii",
-        newline="\n",
-    )
-    written += [csv, gp]
+    cols = [omegas] + [q_column(nu, omegas) for nu in nus]
+    emit("fig1_linear", header, cols, "Q^{-1}(omega), linear scale", False, series)
 
     # figure 2: log-log overview across nine decades
     omegas = FrequencyGrid("log", 1e-4, 1e5, 181).points()
     cols = [omegas] + [q_column(nu, omegas) for nu in nus]
-    csv = outdir / "fig2_loglog.csv"
-    _write_table(csv, header, cols)
-    gp = outdir / "fig2_loglog.gp"
-    gp.write_text(
-        _gnuplot_script(csv.name, "fig2_loglog.png", "Q^{-1}(omega), log-log", True, series),
-        encoding="ascii",
-        newline="\n",
-    )
-    written += [csv, gp]
+    emit("fig2_loglog", header, cols, "Q^{-1}(omega), log-log", True, series)
 
     # figures 3 and 4: full curve against each asymptote, two orders per panel
     for tag, regime, grid in (
@@ -234,16 +240,8 @@ def emit_figures(
             series34.append((col, f"nu={nu:g}", "lw 2"))
             series34.append((col + 1, f"nu={nu:g} asymptote", "dashtype 2"))
             col += 2
-        csv = outdir / f"{tag}.csv"
-        _write_table(csv, header34, cols34)
-        gp = outdir / f"{tag}.gp"
         direction = "omega -> inf" if regime == "high" else "omega -> 0"
-        gp.write_text(
-            _gnuplot_script(csv.name, f"{tag}.png", f"Q^{{-1}} vs asymptote ({direction})", True, series34),
-            encoding="ascii",
-            newline="\n",
-        )
-        written += [csv, gp]
+        emit(tag, header34, cols34, f"Q^{{-1}} vs asymptote ({direction})", True, series34)
     return written
 
 

@@ -47,6 +47,17 @@ def _require_order(order: float) -> float:
     return order
 
 
+def _require_index(value, name: str) -> int:
+    """``value`` as an int, or DomainError unless it is a whole number >= 1."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # infinite or NaN
+        whole = 0
+    if not (whole >= 1 and whole == value):
+        raise DomainError(f"{name} must be a whole number >= 1, got {value}")
+    return whole
+
+
 def gamma_real(x: float) -> float:
     """Gamma function for real ``x`` away from the poles.
 

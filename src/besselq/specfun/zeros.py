@@ -3,8 +3,10 @@ zeros.
 
 ``bessel_j`` is ``(x/2)^a T_a(-x^2)``, the shared power series of
 ``modified``, for x <= 12, where roundoff in the alternating sum stays near
-machine level; beyond that it is the shared optimally truncated Hankel
-expansion, ``sum t_k = P + iQ`` at ``z = -ix``.  Zeros come from a McMahon
+machine level.  Beyond that it is whichever of the series and the shared
+optimally truncated Hankel expansion, ``sum t_k = P + iQ`` at ``z = -ix``,
+has the smaller error estimate, or ``TruncationError`` when neither
+reaches 5e-11 of the amplitude.  Zeros come from a McMahon
 asymptotic initial guess refined by Newton steps safeguarded with bisection
 inside a verified sign-change bracket.  The first zero is always isolated
 with the classical bounds ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)``.
@@ -27,17 +29,24 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from collections import OrderedDict
 
-from ..errors import DomainError, RootIsolationError
+from ..errors import DomainError, RootIsolationError, TruncationError
 from ..policy import SeriesPolicy
-from .gammafn import _require_finite, _require_order
+from .gammafn import _require_finite, _require_index, _require_order
 from .modified import _hankel_terms, _tricomi_series
 
-#: Series/asymptotic handover for J evaluation; chosen so both sides deliver
-#: better than ~5e-11 of the local amplitude in double precision.
+#: ``bessel_j`` sums the series up to this argument.  Beyond it, it takes
+#: whichever of the series and the Hankel expansion has the smaller error
+#: estimate, and raises when neither is within ``_J_MAX_ERROR`` of the local
+#: amplitude ``sqrt(2/(pi x))``.
 _J_SERIES_MAX_X = 12.0
+_J_MAX_ERROR = 5e-11
+
+#: Roundoff of a sum, taken as this many ulps of its largest term.
+_ROUNDOFF = 4.0 * sys.float_info.epsilon
 
 #: Truncation of both J expansions.  No cancellation guard: ``bessel_j`` is
 #: evaluated at its own zeros, where the sum cancels by design.
@@ -66,11 +75,27 @@ def bessel_j(order: float, x: float) -> float:
         raise DomainError("J_a(0) diverges for a < 0")
     if x <= _J_SERIES_MAX_X:
         return _tricomi_series(order, -x * x, _J_POLICY, (0.5 * x) ** order)[0]
-    pq = sum(_hankel_terms(order, complex(0.0, -x), _J_POLICY.rel_tol)[0])
+    amplitude = math.sqrt(2.0 / (math.pi * x))
+    terms, smallest = _hankel_terms(order, complex(0.0, -x), _J_POLICY.rel_tol)
+    pq = sum(terms)
     chi = x - (0.5 * order + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (
-        pq.real * math.cos(chi) - pq.imag * math.sin(chi)
-    )
+    value = amplitude * (pq.real * math.cos(chi) - pq.imag * math.sin(chi))
+    error = smallest + _ROUNDOFF * max(map(abs, terms))
+    # The series' estimate is at least that of its first term,
+    # 1/Gamma(order+1): sum it only where it can win and return.
+    floor = order * math.log(0.5 * x) - math.lgamma(order + 1.0)
+    if floor + math.log(_ROUNDOFF / amplitude) < math.log(min(error, _J_MAX_ERROR)):
+        scale = (0.5 * x) ** order
+        series, diagnostics = _tricomi_series(order, -x * x, _J_POLICY, scale)
+        series_error = _ROUNDOFF * diagnostics.max_term * scale / amplitude
+        if series_error < error:
+            value, error = series, series_error
+    if not error <= _J_MAX_ERROR:
+        raise TruncationError(
+            f"J_{order}({x}): neither the series nor the Hankel expansion "
+            f"reaches {_J_MAX_ERROR:.0e} of the amplitude (estimate {error:.2e})"
+        )
+    return value
 
 
 def _bessel_j_prime(order: float, x: float) -> float:
@@ -134,12 +159,11 @@ def bessel_j_zero(order: float, k: int) -> float:
     error below 1e-10; typically ~1e-13).
 
     Raises RootIsolationError if no sign-change bracket can be found, which
-    signals a bug rather than an expected failure mode.
+    signals a bug rather than an expected failure mode, and TruncationError
+    where ``bessel_j`` does on the way (from order ~30).
     """
     order = _require_order(order)
-    k = int(k)
-    if k < 1:
-        raise DomainError(f"zero index must be >= 1, got {k}")
+    k = _require_index(k, "zero index")
     if k == 1:
         lo, hi = _first_zero_bracket(order)
         flo, fhi = bessel_j(order, lo), bessel_j(order, hi)
@@ -328,7 +352,5 @@ def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
     refines, exceeds 1e-10: the order is then too close to the argument
     for the expansion.
     """
-    count = int(count)
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _require_index(count, "count")
     return _zero_table(order, count)[:count]

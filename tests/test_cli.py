@@ -1,6 +1,8 @@
 """CLI contract tests: CSV schema, determinism, exit codes, plot scripts."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -66,6 +68,8 @@ def test_sweep_deterministic_bytes(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     args = ["sweep", "--nu", "0.5", "--linear", "0.1", "10", "--count", "40"]
+    # out_a is overwritten in place: the longer file's tail must not survive
+    main(["sweep", "--nu", "0", "--log", "1e-4", "1e5", "--count", "181", "--out", str(out_a)])
     main(args + ["--out", str(out_a)])
     main(args + ["--out", str(out_b)])
     assert out_a.read_bytes() == out_b.read_bytes()
@@ -89,8 +93,8 @@ def test_sweep_17_significant_digits(tmp_path):
 def test_figures_outputs_and_determinism(tmp_path):
     out_a = tmp_path / "figs_a"
     out_b = tmp_path / "figs_b"
-    assert main(["figures", "--out", str(out_a), "--nu", "0", "1"]) == 0
-    assert main(["figures", "--out", str(out_b), "--nu", "0", "1"]) == 0
+    for out in (out_a, out_a, out_b):  # a rerun into out_a, a fresh run into out_b
+        assert main(["figures", "--out", str(out), "--nu", "0", "1"]) == 0
     names = sorted(p.name for p in out_a.iterdir())
     assert names == [
         "fig1_linear.csv",
@@ -146,3 +150,15 @@ def test_check_exits_nonzero_on_failed_check(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL route agreement" in captured.out
     assert "FAILED: route agreement" in captured.err
+
+
+def test_new_output_has_write_text_permissions(tmp_path):
+    old = os.umask(0o027)
+    try:
+        reference = tmp_path / "reference.csv"
+        reference.write_text("x\n")
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--nu", "0", "--linear", "1", "2", "--count", "2", "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)

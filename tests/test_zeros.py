@@ -14,6 +14,7 @@ from besselq import (
     BesselQError,
     DomainError,
     RootIsolationError,
+    TruncationError,
     bessel_j,
     bessel_j_zero,
     bessel_j_zeros,
@@ -195,6 +196,33 @@ def test_bessel_j_matches_mpmath_across_handover():
             assert abs(bessel_j(order, x) - ref) < 5e-11 * amplitude + 1e-14
 
 
+J_GRID_ORDERS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 7.0, 10.0, 12.5, 15.0, 20.0,
+                 30.0, 45.0, 70.0, 100.0)
+J_GRID_XS = (12.01, 12.13, 12.5, 13.0, 14.0, 15.0, 17.0, 20.0, 25.0, 30.0, 40.0, 50.0,
+             60.0, 75.0, 90.0, 120.0, 150.0)
+
+
+def test_bessel_j_beyond_series_region_is_right_or_raises():
+    # the Hankel expansion alone once returned J_30(13) = -2.846 and
+    # J_20(13) off by 1.3e-7 of the amplitude; either route must now meet
+    # 5e-11 of the amplitude, or the call raises, and never at order <= 20
+    raised = []
+    for order in J_GRID_ORDERS:
+        for x in J_GRID_XS:
+            amplitude = math.sqrt(2.0 / (math.pi * x))
+            try:
+                value = bessel_j(order, x)
+            except TruncationError:
+                raised.append((order, x))
+                continue
+            assert abs(value - float(mp.besselj(order, x))) < 5e-11 * amplitude, (order, x)
+    assert all(order >= 30.0 for order, _ in raised)
+    assert (30.0, 13.0) not in raised and (30.0, 25.0) not in raised
+    # the zero search steps on such points: it once returned 11.57 for j_{30,1}
+    with pytest.raises(TruncationError):
+        bessel_j_zero(30.0, 1)
+
+
 def test_rayleigh_sneddon_partial_sums_converge():
     # sum_k j_{nu,k}^(-2) = 1/(4(nu+1)); bare 1e4-term partial sum is close,
     # the trigamma-corrected version is used by the check suite
@@ -204,6 +232,13 @@ def test_rayleigh_sneddon_partial_sums_converge():
     assert abs(bare - 0.25) / 0.25 < 5e-5
     corrected = rayleigh_sneddon_sum(0.0, 10_000)
     assert abs(corrected - 0.25) / 0.25 < 1e-9
+
+
+@pytest.mark.parametrize("fn", [bessel_j_zero, bessel_j_zeros], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("index", [math.nan, math.inf, -math.inf, 2.5, 0, -3])
+def test_zero_index_and_count_must_be_whole_and_positive(fn, index):
+    with pytest.raises(DomainError):
+        fn(0.0, index)
 
 
 def test_domain_errors():
