@@ -8,18 +8,17 @@ Then: gnuplot demo_output/fig2_loglog.gp   (if gnuplot is installed)
 from pathlib import Path
 
 from besselq.cli import FrequencyGrid, emit_figures, evaluate_sweep, write_sweep_csv
-from besselq.policy import DEFAULT_POLICY
 
 outdir = Path("demo_output")
 
 # --- the four figure datasets + gnuplot scripts -------------------------------
-written = emit_figures(outdir, [-0.5, 0.0, 1.0, 2.0, 5.0], DEFAULT_POLICY)
+written = emit_figures(outdir, [-0.5, 0.0, 1.0, 2.0, 5.0])
 for path in written:
     print("wrote", path)
 
 # --- a custom sweep -------------------------------------------------------------
 grid = FrequencyGrid("log", 1e-4, 1e5, 181)
-records = evaluate_sweep([0.0, 2.0], grid, DEFAULT_POLICY)
+records = evaluate_sweep([0.0, 2.0], grid)
 write_sweep_csv(records, outdir / "sweep.csv")
 print(f"wrote {outdir / 'sweep.csv'} ({len(records)} rows)")
 

@@ -8,8 +8,11 @@ off), checked against two independent verification routes (oscillatory-pair
 series, Kelvin functions), together with the special functions those routes
 require and the time/Laplace-domain material functions of the class.
 
-All public functions are pure and deterministic for fixed inputs and
-policy; they are safe to call concurrently.
+All public functions are pure and deterministic for fixed inputs; they
+are safe to call concurrently.  None takes a tolerance or a term cap: the
+series, continued fractions and Dirichlet sums run at fixed precision
+targets, and a call either meets its stated accuracy or raises a typed
+``BesselQError``.
 """
 
 from .errors import (
@@ -32,7 +35,6 @@ from .model import (
     creep_rate_time,
     frac_maxwell_q_inverse,
 )
-from .policy import DEFAULT_CROSSOVER_OMEGA, DEFAULT_POLICY, SeriesPolicy
 from .qfactor import (
     QEvaluation,
     q_inverse,
@@ -41,6 +43,7 @@ from .qfactor import (
     q_inverse_kelvin,
 )
 from .specfun import (
+    DEFAULT_CROSSOVER_OMEGA,
     FGPair,
     KelvinPair,
     bessel_j,
@@ -62,7 +65,6 @@ __all__ = [
     "BesselQError",
     "CancellationError",
     "DEFAULT_CROSSOVER_OMEGA",
-    "DEFAULT_POLICY",
     "DirichletTruncation",
     "DomainError",
     "FGPair",
@@ -74,7 +76,6 @@ __all__ = [
     "PoleError",
     "QEvaluation",
     "RootIsolationError",
-    "SeriesPolicy",
     "TruncationError",
     "bessel_j",
     "bessel_j_zero",

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cli import FrequencyGrid
 from .errors import BesselQError, DomainError
 from .model import ModelOrder, creep_rate_laplace
-from .policy import DEFAULT_CROSSOVER_OMEGA, DEFAULT_POLICY, SeriesPolicy
 from .qfactor import q_inverse, q_inverse_fg, q_inverse_kelvin
+from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
 from .specfun.zeros import bessel_j_zeros
 
 #: Frozen bounds, measured during development with generous margin.
@@ -26,6 +26,10 @@ RAYLEIGH_SNEDDON_BOUND = 1e-6
 LAPLACE_CONSISTENCY_BOUND = 1e-12
 
 DEFAULT_CHECK_NUS = (-0.5, 0.0, 1.0, 3.5, 10.0)
+
+#: Zeros that ``rayleigh_sneddon_sum`` sums; McMahon's expansion covers the
+#: rest.
+_ZERO_SUM_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,9 @@ def _log_grid(lo: float, hi: float, count: int) -> list[float]:
     return FrequencyGrid("log", lo, hi, count).points()
 
 
-def check_route_agreement(
-    nus: Sequence[float] = DEFAULT_CHECK_NUS,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-    points_per_regime: int = 40,
-) -> CheckResult:
-    """Pairwise agreement of ``q_inverse`` with the two verification routes.
+def check_route_agreement(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> CheckResult:
+    """Pairwise agreement of ``q_inverse`` with the two verification routes,
+    on 40 log-spaced frequencies each side of the crossover.
 
     Below the crossover all three routes must agree to 1e-9 relative;
     above it (up to omega = 1e6, where ber/bei remain representable) the
@@ -66,17 +67,17 @@ def check_route_agreement(
     try:
         for nu in nus:
             model = ModelOrder(nu)
-            for omega in _log_grid(1e-3, DEFAULT_CROSSOVER_OMEGA, points_per_regime):
-                a = q_inverse_fg(model, omega, policy).q_inverse
-                b = q_inverse_kelvin(model, omega, policy).q_inverse
-                c = q_inverse(model, omega, policy).q_inverse
+            for omega in _log_grid(1e-3, DEFAULT_CROSSOVER_OMEGA, 40):
+                a = q_inverse_fg(model, omega).q_inverse
+                b = q_inverse_kelvin(model, omega).q_inverse
+                c = q_inverse(model, omega).q_inverse
                 disc = max(abs(a - b), abs(a - c), abs(b - c)) / abs(c)
                 if disc > worst_below:
                     worst_below = disc
                     detail = f"worst three-route point: nu={nu}, omega={omega:.4g}"
-            for omega in _log_grid(DEFAULT_CROSSOVER_OMEGA, 1e6, points_per_regime):
-                b = q_inverse_kelvin(model, omega, policy).q_inverse
-                c = q_inverse(model, omega, policy).q_inverse
+            for omega in _log_grid(DEFAULT_CROSSOVER_OMEGA, 1e6, 40):
+                b = q_inverse_kelvin(model, omega).q_inverse
+                c = q_inverse(model, omega).q_inverse
                 worst_above = max(worst_above, abs(b - c) / abs(c))
     except BesselQError as exc:
         return CheckResult(
@@ -99,24 +100,16 @@ def check_route_agreement(
     )
 
 
-def check_monotonicity(
-    nus: Sequence[float] = DEFAULT_CHECK_NUS,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-    grid: Iterable[float] | None = None,
-) -> CheckResult:
-    """Q^-1 must decrease strictly along a log grid for every order.
-
-    Raises ``DomainError`` for a grid of fewer than 2 points.
-    """
-    omegas = list(grid) if grid is not None else _log_grid(1e-4, 1e5, 181)
-    if len(omegas) < 2:
-        raise DomainError(f"monotonicity needs >= 2 grid points, got {len(omegas)}")
+def check_monotonicity(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> CheckResult:
+    """Q^-1 must decrease strictly along 181 log-spaced frequencies in
+    ``[1e-4, 1e5]`` for every order."""
+    omegas = _log_grid(1e-4, 1e5, 181)
     worst = -math.inf
     detail = ""
     try:
         for nu in nus:
             model = ModelOrder(nu)
-            values = [q_inverse(model, w, policy).q_inverse for w in omegas]
+            values = [q_inverse(model, w).q_inverse for w in omegas]
             steps = [(b - a) / abs(a) for a, b in zip(values, values[1:])]
             i = max(range(len(steps)), key=steps.__getitem__)
             if steps[i] > worst:
@@ -133,33 +126,31 @@ def trigamma_tail(x: float) -> float:
     return ix + 0.5 * ix * ix + ix**3 / 6.0 - ix**5 / 30.0 + ix**7 / 42.0
 
 
-def rayleigh_sneddon_sum(nu: float, n_zeros: int = 10_000, s: float = 0.0) -> float:
+def rayleigh_sneddon_sum(nu: float, *, s: float = 0.0) -> float:
     """Tail-corrected evaluation of ``sum_k 1/(s + j_{nu,k}^2)``, ``s >= 0``.
 
-    The computed zeros cover k <= n_zeros.  Past them McMahon's expansion
+    The computed zeros cover k <= K = 10,000.  Past them McMahon's expansion
     ``j = beta - (4nu^2 - 1)/(8 beta)``, ``beta = (k + nu/2 - 1/4) pi``, gives
     ``1/(s + j^2) = 1/beta^2 + (nu^2 - 1/4 - s)/beta^4 + O(beta^-6)``; the
-    two sums over ``k > n_zeros`` are the trigamma value ``psi'(x)/pi^2`` and
-    ``1/(3 pi^4 x^3)`` to leading order, with ``x = n_zeros + 1 + nu/2 -
-    1/4``.  The closed form of the full sum is ``I_{nu+1}(sqrt s) /
-    (2 sqrt(s) I_nu(sqrt s))``, which at ``s = 0`` is the Rayleigh-Sneddon
-    value ``1/(4(nu+1))``.
+    two sums over ``k > K`` are the trigamma value ``psi'(x)/pi^2`` and
+    ``1/(3 pi^4 x^3)`` to leading order, with ``x = K + 1 + nu/2 - 1/4``.
+    The closed form of the full sum is ``I_{nu+1}(sqrt s) / (2 sqrt(s)
+    I_nu(sqrt s))``, which at ``s = 0`` is the Rayleigh-Sneddon value
+    ``1/(4(nu+1))``.
     """
-    zeros = bessel_j_zeros(nu, n_zeros)
+    zeros = bessel_j_zeros(nu, _ZERO_SUM_TERMS)
     head = math.fsum(1.0 / (s + j * j) for j in zeros)
-    x = n_zeros + 1.0 + 0.5 * nu - 0.25
+    x = _ZERO_SUM_TERMS + 1.0 + 0.5 * nu - 0.25
     tail = trigamma_tail(x) / math.pi**2 + (nu * nu - 0.25 - s) / (3.0 * math.pi**4 * x**3)
     return head + tail
 
 
-def check_rayleigh_sneddon(
-    nus: Sequence[float] = (0.0, 1.0, 2.5), n_zeros: int = 10_000
-) -> CheckResult:
+def check_rayleigh_sneddon(nus: Sequence[float] = (0.0, 1.0, 2.5)) -> CheckResult:
     worst = 0.0
     detail = ""
     try:
         for nu in nus:
-            total = rayleigh_sneddon_sum(nu, n_zeros)
+            total = rayleigh_sneddon_sum(nu)
             target = 1.0 / (4.0 * (nu + 1.0))
             rel = abs(total - target) / target
             if rel > worst:
@@ -200,20 +191,16 @@ def creep_rate_laplace_by_zeros(model: ModelOrder, s: float) -> float:
     return 4.0 * (nu + 1.0) * (nu + 2.0) / s + 4.0 * (nu + 1.0) * total
 
 
-def check_laplace_consistency(
-    nus: Sequence[float] = (0.0, 1.0),
-    s_values: Sequence[float] = (1.0, 2.0, 5.0),
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> CheckResult:
+def check_laplace_consistency(nus: Sequence[float] = (0.0, 1.0)) -> CheckResult:
     """Term-by-term transform of the Dirichlet series vs the closed
-    Laplace form."""
+    Laplace form, at ``s`` = 1, 2 and 5."""
     worst = 0.0
     detail = ""
     try:
         for nu in nus:
             model = ModelOrder(nu)
-            for s in s_values:
-                direct = creep_rate_laplace(model, complex(s, 0.0), policy).real
+            for s in (1.0, 2.0, 5.0):
+                direct = creep_rate_laplace(model, complex(s, 0.0)).real
                 by_zeros = creep_rate_laplace_by_zeros(model, s)
                 rel = abs(by_zeros - direct) / abs(direct)
                 if rel > worst:
@@ -236,13 +223,10 @@ def check_laplace_consistency(
     )
 
 
-def run_all_checks(
-    nus: Sequence[float] = DEFAULT_CHECK_NUS,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-) -> list[CheckResult]:
+def run_all_checks(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> list[CheckResult]:
     return [
-        check_route_agreement(nus, policy),
-        check_monotonicity(nus, policy),
+        check_route_agreement(nus),
+        check_monotonicity(nus),
         check_rayleigh_sneddon(),
-        check_laplace_consistency(policy=policy),
+        check_laplace_consistency(),
     ]

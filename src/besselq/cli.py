@@ -16,10 +16,11 @@ route; ``check`` compares it with the f/g and Kelvin verification routes.
 
 All numeric CSV fields use 17-significant-digit scientific notation with a
 decimal point (locale independent), and commands are deterministic for
-fixed flags: rerunning produces byte-identical files.  Outputs are
-overwritten in place and then cut to length (``_write_ascii``), so an
-interrupted write can leave old and new bytes mixed; a rerun repairs it.
-No command needs numpy.
+fixed flags: rerunning produces byte-identical files.  No command takes a
+numerical tolerance: every evaluation runs at the package's fixed targets.
+Outputs are overwritten in place and then cut to length (``_write_ascii``),
+so an interrupted write can leave old and new bytes mixed; a rerun repairs
+it.  No command needs numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BesselQError, DomainError
 from .model import ModelOrder
-from .policy import SeriesPolicy
 from .qfactor import QEvaluation, q_inverse, q_inverse_asymptotic
 
 if TYPE_CHECKING:
@@ -112,16 +112,12 @@ def _fmt(value: float) -> str:
     return format(value, ".16e")
 
 
-def evaluate_sweep(
-    nus: Sequence[float],
-    grid: FrequencyGrid,
-    policy: SeriesPolicy,
-) -> list[SweepRecord]:
+def evaluate_sweep(nus: Sequence[float], grid: FrequencyGrid) -> list[SweepRecord]:
     records: list[SweepRecord] = []
     for nu in nus:
         model = ModelOrder(nu)
         for omega in grid.points():
-            ev: QEvaluation = q_inverse(model, omega, policy)
+            ev: QEvaluation = q_inverse(model, omega)
             records.append(
                 SweepRecord(
                     omega=ev.omega,
@@ -189,18 +185,14 @@ def _gnuplot_script(
     return "\n".join(lines) + "\n"
 
 
-def emit_figures(
-    outdir: Path,
-    nus: Sequence[float],
-    policy: SeriesPolicy,
-) -> list[Path]:
+def emit_figures(outdir: Path, nus: Sequence[float]) -> list[Path]:
     """Write the four figure datasets and their gnuplot scripts."""
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     def q_column(nu: float, omegas: list[float]) -> list[float]:
         model = ModelOrder(nu)
-        return [q_inverse(model, w, policy).q_inverse for w in omegas]
+        return [q_inverse(model, w).q_inverse for w in omegas]
 
     def emit(tag: str, header: Sequence[str], cols: Sequence[Sequence[float]],
              title: str, logscale: bool, series: Sequence[tuple[int, str, str]]) -> None:
@@ -245,20 +237,6 @@ def emit_figures(
     return written
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--rel-tol",
-        type=float,
-        default=1e-15,
-        metavar="X",
-        help="series truncation tolerance (default %(default)s)",
-    )
-
-
-def _policy_from(args: argparse.Namespace) -> SeriesPolicy:
-    return SeriesPolicy(rel_tol=args.rel_tol)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="besselq",
@@ -273,18 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--log", type=float, nargs=2, metavar=("A", "B"))
     p_sweep.add_argument("--count", type=int, default=181)
     p_sweep.add_argument("--out", type=Path, default=Path("sweep.csv"))
-    _add_common_flags(p_sweep)
 
     p_fig = sub.add_parser("figures", help="emit figure datasets and plot scripts")
     p_fig.add_argument("--nu", type=float, nargs="+", default=list(FIGURE_NUS))
     p_fig.add_argument("--out", type=Path, default=Path("figures"))
-    _add_common_flags(p_fig)
 
     p_check = sub.add_parser("check", help="run cross-method verification suites")
     p_check.add_argument(
         "--nu", type=float, nargs="+", default=[-0.5, 0.0, 1.0, 3.5, 10.0]
     )
-    _add_common_flags(p_check)
     return parser
 
 
@@ -293,29 +268,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = FrequencyGrid("linear", args.linear[0], args.linear[1], args.count)
     else:
         grid = FrequencyGrid("log", args.log[0], args.log[1], args.count)
-    records = evaluate_sweep(args.nu, grid, _policy_from(args))
+    records = evaluate_sweep(args.nu, grid)
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    written = emit_figures(args.out, args.nu, _policy_from(args))
+    written = emit_figures(args.out, args.nu)
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
-def run_all_checks(nus: Sequence[float], policy: SeriesPolicy) -> list[CheckResult]:
+def run_all_checks(nus: Sequence[float]) -> list[CheckResult]:
     """``besselq.checks.run_all_checks``, imported on first use, so that
     ``sweep`` and ``figures`` do not load the verification suites."""
     from .checks import run_all_checks
 
-    return run_all_checks(nus, policy)
+    return run_all_checks(nus)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    results = run_all_checks(args.nu, _policy_from(args))
+    results = run_all_checks(args.nu)
     for result in results:
         print(result.summary())
     failed = [r for r in results if not r.passed]

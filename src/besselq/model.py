@@ -30,9 +30,13 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 from .errors import DomainError, OverflowRangeError, TruncationError
-from .policy import DEFAULT_POLICY, SeriesPolicy
 from .specfun.modified import _ratio_next_order
 from .specfun.zeros import _zero_table
+
+#: ``creep_rate_time`` stops once its tail bound is below this fraction of
+#: the partial result, and raises where that needs more than ``_MAX_ZEROS``.
+_CREEP_TOL = 1e-15
+_MAX_ZEROS = 100_000
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,7 @@ def _check_s(s: complex) -> complex:
     return s
 
 
-def creep_rate_laplace(
-    model: ModelOrder, s: complex, policy: SeriesPolicy = DEFAULT_POLICY
-) -> complex:
+def creep_rate_laplace(model: ModelOrder, s: complex) -> complex:
     """Laplace transform of the rate of creep, ``Psi~(s; nu)``.
 
     Equals ``2(nu+1)/z * I_{nu+1}(z)/I_{nu+2}(z)`` at ``z = sqrt(s)``
@@ -76,12 +78,10 @@ def creep_rate_laplace(
     """
     s = _check_s(s)
     nu = model.nu
-    return 4.0 * (nu + 1.0) * (nu + 2.0) / s + _compliance_split(nu, s, policy.rel_tol)[1]
+    return 4.0 * (nu + 1.0) * (nu + 2.0) / s + _compliance_split(nu, s)[1]
 
 
-def _compliance_split(
-    nu: float, s: complex, rel_tol: float
-) -> tuple[complex, complex, float, int]:
+def _compliance_split(nu: float, s: complex) -> tuple[complex, complex, float, int]:
     """``s J~(s; nu)`` with its ``1/s`` pole split off.
 
     The recurrence ``I_{nu+1}/I_{nu+2} = 2(nu+2)/z + I_{nu+3}/I_{nu+2}``
@@ -96,14 +96,12 @@ def _compliance_split(
     Returns ``(s J~, T, CF residual, CF iterations)``.
     """
     z = cmath.sqrt(s)
-    r, residual, iterations = _ratio_next_order(nu + 2.0, z, rel_tol)
+    r, residual, iterations = _ratio_next_order(nu + 2.0, z)
     tail = (2.0 * (nu + 1.0) / z) * r
     return 1.0 + 4.0 * (nu + 1.0) * (nu + 2.0) / s + tail, tail, residual, iterations
 
 
-def creep_compliance_laplace(
-    model: ModelOrder, s: complex, policy: SeriesPolicy = DEFAULT_POLICY
-) -> complex:
+def creep_compliance_laplace(model: ModelOrder, s: complex) -> complex:
     """Laplace-domain creep compliance combination ``s J~(s; nu)``.
 
     Equals the contiguous ratio ``I_nu(sqrt(s)) / I_{nu+2}(sqrt(s))``,
@@ -113,7 +111,7 @@ def creep_compliance_laplace(
     up to rounding.  For real s > 0 the value is real and exceeds 1.
     """
     s = _check_s(s)
-    return _compliance_split(model.nu, s, policy.rel_tol)[0]
+    return _compliance_split(model.nu, s)[0]
 
 
 def _tail_bound(coeff: float, j: float, t: float) -> float:
@@ -124,16 +122,11 @@ def _tail_bound(coeff: float, j: float, t: float) -> float:
     return coeff * math.exp(-j * j * t) * math.exp(-x) / -math.expm1(-x)
 
 
-def creep_rate_time(
-    model: ModelOrder,
-    t: float,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-    max_zeros: int = 100_000,
-) -> tuple[float, DirichletTruncation]:
+def creep_rate_time(model: ModelOrder, t: float) -> tuple[float, DirichletTruncation]:
     """Rate of creep ``Psi(t; nu)`` by summing the Dirichlet series.
 
-    Terms are added until the analytic tail bound drops below
-    ``policy.rel_tol`` times the partial result.  Consecutive zeros of
+    Terms are added until the analytic tail bound drops below 1e-15 times
+    the partial result.  Consecutive zeros of
     ``J_{nu+2}`` (order > 1) are separated by at least pi, so the dropped
     tail beyond the K-th zero j_K is bounded by the geometric sum
 
@@ -144,13 +137,14 @@ def creep_rate_time(
     diverges at ``t = 0+`` (like ``2(nu+1)/sqrt(pi t)``), hence ``t > 0``
     is required; the long-time limit is the constant ``4(nu+1)(nu+2)``.
 
-    Raises ``TruncationError`` when more than ``max_zeros`` zeros would be
-    needed.  Where that is certain it raises before computing any zero:
-    for ``K = max_zeros`` the zero ``j_K`` of ``J_{nu+2}`` lies below the
-    McMahon leading term ``(K + (nu+2)/2 - 1/4) pi`` and ``j_k > k pi``
-    bounds the result by ``4(nu+1)(nu+2) + 2(nu+1)/sqrt(pi t)``, so a tail
-    bound at that term above ``rel_tol`` times that result means the
-    summation could not stop by ``K``.
+    Raises ``TruncationError`` when more than 100,000 zeros would be
+    needed (at ``nu = 1`` below about ``t = 3.3e-10``).  Where that is certain
+    it raises before computing any zero: for ``K = 100,000`` the zero
+    ``j_K`` of ``J_{nu+2}`` lies below the McMahon leading term
+    ``(K + (nu+2)/2 - 1/4) pi`` and ``j_k > k pi`` bounds the result by
+    ``4(nu+1)(nu+2) + 2(nu+1)/sqrt(pi t)``, so a tail bound at that term
+    above 1e-15 times that result means the summation could not stop by
+    ``K``.
 
     The zeros come from the pure-Python table that ``bessel_j_zeros`` also
     reads, kept per order (at most 8 orders, the least recently used
@@ -165,30 +159,29 @@ def creep_rate_time(
     t = float(t)
     if not t > 0.0:
         raise DomainError(f"time must be positive, got {t}")
-    max_zeros = int(max_zeros)
     nu = model.nu
     order = nu + 2.0
     const = 4.0 * (nu + 1.0) * (nu + 2.0)
     coeff = 4.0 * (nu + 1.0)
-    if _tail_bound(coeff, (max_zeros + 0.5 * order - 0.25) * math.pi, t) > (
-        policy.rel_tol * (const + coeff / (2.0 * math.sqrt(math.pi * t)))
+    if _tail_bound(coeff, (_MAX_ZEROS + 0.5 * order - 0.25) * math.pi, t) > (
+        _CREEP_TOL * (const + coeff / (2.0 * math.sqrt(math.pi * t)))
     ):
         raise TruncationError(
-            f"Dirichlet series needs more than {max_zeros} zeros at t = {t}"
+            f"Dirichlet series needs more than {_MAX_ZEROS} zeros at t = {t}"
         )
     zeros: tuple[float, ...] = ()
     partial = 0.0
-    for k in range(max_zeros):
+    for k in range(_MAX_ZEROS):
         if k == len(zeros):
-            zeros = _zero_table(order, min(max(2 * k, 64), max_zeros))
+            zeros = _zero_table(order, min(max(2 * k, 64), _MAX_ZEROS))
         j = zeros[k]
         partial += math.exp(-j * j * t)
         tail = _tail_bound(coeff, j, t)
         result = const + coeff * partial
-        if tail <= policy.rel_tol * result:
+        if tail <= _CREEP_TOL * result:
             return result, DirichletTruncation(k + 1, tail)
     raise TruncationError(
-        f"Dirichlet series needs more than {max_zeros} zeros at t = {t}"
+        f"Dirichlet series needs more than {_MAX_ZEROS} zeros at t = {t}"
     )
 
 

@@ -27,7 +27,7 @@ Both asymptotic regimes are available in closed form:
 fractional Maxwell element of order 1/2 with time scale
 ``tau = 1/(4 (nu+1)^2)``).
 
-All functions are pure and deterministic for fixed inputs and policy.
+All functions are pure and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -43,8 +43,13 @@ from .errors import (
     OverflowRangeError,
 )
 from .model import ModelOrder, _compliance_split
-from .policy import DEFAULT_CROSSOVER_OMEGA, DEFAULT_POLICY, SeriesPolicy
-from .specfun.kelvinfg import _KELVIN_OVERFLOW_X, fg_series, kelvin_scaled
+from .specfun.kelvinfg import (
+    _KELVIN_OVERFLOW_X,
+    DEFAULT_CROSSOVER_OMEGA,
+    fg_series,
+    kelvin_scaled,
+)
+from .specfun.modified import _SERIES_TOL
 
 Route = Literal["fg_series", "kelvin", "direct_ratio"]
 
@@ -97,9 +102,7 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
-def q_inverse_fg(
-    model: ModelOrder, omega: float, policy: SeriesPolicy = DEFAULT_POLICY
-) -> QEvaluation:
+def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     """Q^-1 from the oscillatory pair (f, g) at orders nu and nu+2.
 
     Restricted to ``omega <= DEFAULT_CROSSOVER_OMEGA``; above that the
@@ -112,8 +115,8 @@ def q_inverse_fg(
             f"({omega:.3g} > {DEFAULT_CROSSOVER_OMEGA:.3g})"
         )
     nu = model.nu
-    f1, g1, _, _ = fg_series(nu, omega, policy)
-    f2, g2, _, _ = fg_series(nu + 2.0, omega, policy)
+    f1, g1, _, _ = fg_series(nu, omega)
+    f2, g2, _, _ = fg_series(nu + 2.0, omega)
     numer = f1 * f2 + g1 * g2
     denom = g1 * f2 - f1 * g2
     norm1 = math.hypot(f1, g1)
@@ -127,13 +130,11 @@ def q_inverse_fg(
             f"storage response lost positivity at omega = {omega} "
             f"(f/g denominator = {denom:.3g})"
         )
-    est = _EPS * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom)) + 4.0 * policy.rel_tol
+    est = _EPS * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom)) + 4.0 * _SERIES_TOL
     return QEvaluation(omega, numer / denom, "fg_series", est)
 
 
-def q_inverse_kelvin(
-    model: ModelOrder, omega: float, policy: SeriesPolicy = DEFAULT_POLICY
-) -> QEvaluation:
+def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
     """Q^-1 from Kelvin functions of orders nu and nu+2 at ``sqrt(omega)``.
 
     Works with exponentially scaled ber/bei internally: the order-dependent
@@ -149,8 +150,8 @@ def q_inverse_kelvin(
             f"ber/bei are not representable at sqrt(omega) = {x:.4g}; "
             "use q_inverse"
         )
-    ber1, bei1, scale1, e1 = kelvin_scaled(nu, x, policy)
-    ber2, bei2, scale2, e2 = kelvin_scaled(nu + 2.0, x, policy)
+    ber1, bei1, scale1, e1 = kelvin_scaled(nu, x)
+    ber2, bei2, scale2, e2 = kelvin_scaled(nu + 2.0, x)
     if scale1 != scale2:  # both routes share the same x, so scales agree
         raise InconsistencyError("internal scale mismatch in Kelvin route")
     numer = bei2 * ber1 - bei1 * ber2
@@ -166,9 +167,7 @@ def q_inverse_kelvin(
     return QEvaluation(omega, numer / denom, "kelvin", est)
 
 
-def q_inverse(
-    model: ModelOrder, omega: float, policy: SeriesPolicy = DEFAULT_POLICY
-) -> QEvaluation:
+def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:
     """Q^-1 from the contiguous ratio with its ``1/s`` pole split off.
 
     At ``s = i omega`` the pole term of ``s J~ = 1 + 4(nu+1)(nu+2)/s + T``
@@ -185,9 +184,7 @@ def q_inverse(
     """
     omega = _check_omega(omega)
     nu = model.nu
-    s_j, tail, residual, iterations = _compliance_split(
-        nu, complex(0.0, omega), policy.rel_tol
-    )
+    s_j, tail, residual, iterations = _compliance_split(nu, complex(0.0, omega))
     if s_j.real <= 0.0:
         # Numerically asserted storage-modulus positivity; a violation is
         # surfaced, never clamped.

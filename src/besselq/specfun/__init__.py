@@ -2,6 +2,7 @@
 
 from .gammafn import gamma_real
 from .kelvinfg import (
+    DEFAULT_CROSSOVER_OMEGA,
     FGPair,
     KelvinPair,
     fg_from_kelvin,
@@ -18,6 +19,7 @@ from .modified import (
 from .zeros import bessel_j, bessel_j_zero, bessel_j_zeros, mcmahon_zero_estimate
 
 __all__ = [
+    "DEFAULT_CROSSOVER_OMEGA",
     "FGPair",
     "KelvinPair",
     "bessel_j",

@@ -16,7 +16,7 @@ Both are the one uniform series ``T_a(s)`` of ``modified`` on the imaginary
 axis: ``f + i g = T_a(i w)`` and ``ber + i bei = (x/2)^a e^(3 pi i a/4)
 T_a(i x^2)``.  It alternates there, so it is reliable only while the largest
 term stays within the cancellation guard.  Above ``x = sqrt(omega*) = 18``
-(``policy.DEFAULT_CROSSOVER_OMEGA``) the Kelvin pair switches to a scaled
+(``DEFAULT_CROSSOVER_OMEGA``) the Kelvin pair switches to a scaled
 large-argument evaluation through ``ber_a(x) + i bei_a(x) = e^(i a pi / 2)
 I_a(x e^(i pi / 4))``; the f/g series has no such switch.
 """
@@ -28,9 +28,21 @@ import math
 from typing import NamedTuple
 
 from ..errors import DomainError, OverflowRangeError
-from ..policy import DEFAULT_CROSSOVER_OMEGA, DEFAULT_POLICY, SeriesPolicy
 from .gammafn import _require_finite, _require_order
-from .modified import SeriesDiagnostics, _tricomi_series, modified_i_asymptotic_scaled
+from .modified import (
+    _SERIES_TOL,
+    SeriesDiagnostics,
+    _half_power,
+    _tricomi_series,
+    modified_i_asymptotic_scaled,
+)
+
+#: Frequency above which the alternating small-argument series of the
+#: verification routes (the f/g pair and the ber/bei power series) are
+#: abandoned: the f/g route refuses it and ber/bei switch to their
+#: large-argument form at sqrt(324) = 18, which keeps the largest-term/result
+#: ratio of those series well below 1e12 in 64-bit arithmetic.
+DEFAULT_CROSSOVER_OMEGA = 324.0
 
 #: Argument x = sqrt(omega) where the Kelvin series hands over to the
 #: large-argument evaluation.
@@ -59,39 +71,32 @@ class KelvinPair(NamedTuple):
     argument: float
 
 
-def fg_series(
-    order: float, omega: float, policy: SeriesPolicy = DEFAULT_POLICY
-) -> FGPair:
+def fg_series(order: float, omega: float) -> FGPair:
     """The pair ``(f_order(omega), g_order(omega))``: the real and imaginary
     parts of ``tricomi_it(order, i*omega)``.  The limits at
     ``omega -> 0+`` are ``(1/Gamma(order+1), 0)``.
 
-    Raises CancellationError when the largest term exceeded
-    ``policy.cancellation_guard`` times the pair norm; with the default
-    guard this happens far above the recommended crossover, so results
-    returned without error are trustworthy to roughly
-    ``rel_tol * cancellation_guard``.
+    Raises CancellationError when the largest term exceeded 1e12 times the
+    pair norm; this happens far above the recommended crossover, so results
+    returned without error are trustworthy to roughly 1e-15 * 1e12 = 1e-3
+    of the pair norm (series tolerance times cancellation guard).
     """
     order = _require_order(order)
     omega = _require_finite(float(omega), "omega")
     if not omega > 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
-    pair, _ = _tricomi_series(order, complex(0.0, omega), policy)
+    pair, _ = _tricomi_series(order, complex(0.0, omega))
     return FGPair(pair.real, pair.imag, order, omega)
 
 
-def _kelvin_series(
-    order: float, x: float, policy: SeriesPolicy
-) -> tuple[complex, SeriesDiagnostics]:
+def _kelvin_series(order: float, x: float) -> tuple[complex, SeriesDiagnostics]:
     """``ber + i bei = (x/2)^order e^{3 pi i order/4} T_order(i x^2)`` by
     the shared power series, with its diagnostics."""
-    scale = (0.5 * x) ** order * cmath.exp(0.75j * math.pi * order)
-    return _tricomi_series(order, complex(0.0, x * x), policy, scale)
+    scale = _half_power(x, order) * cmath.exp(0.75j * math.pi * order)
+    return _tricomi_series(order, complex(0.0, x * x), scale)
 
 
-def kelvin_scaled(
-    order: float, x: float, policy: SeriesPolicy = DEFAULT_POLICY
-) -> tuple[float, float, float, float]:
+def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     """Kelvin pair with the exponential growth factored out.
 
     Returns ``(ber_s, bei_s, log_scale, est_rel)`` such that
@@ -111,23 +116,23 @@ def kelvin_scaled(
     if x == 0.0 and order < 0.0:
         raise OverflowRangeError("ber/bei diverge at x = 0 for order < 0")
     if x <= _SERIES_MAX_X:
-        pair, diag = _kelvin_series(order, x, policy)
-        est = max(policy.rel_tol, 2.3e-16 * diag.cancel_ratio)
+        pair, diag = _kelvin_series(order, x)
+        est = max(_SERIES_TOL, 2.3e-16 * diag.cancel_ratio)
         return pair.real, pair.imag, 0.0, est
     z = x * cmath.exp(0.25j * math.pi)
-    scaled_i, est = modified_i_asymptotic_scaled(order, z, policy.rel_tol)
+    scaled_i, est = modified_i_asymptotic_scaled(order, z)
     pair = cmath.exp(0.5j * math.pi * order) * scaled_i
-    return pair.real, pair.imag, z.real, max(est, policy.rel_tol)
+    return pair.real, pair.imag, z.real, max(est, _SERIES_TOL)
 
 
-def kelvin(order: float, x: float, policy: SeriesPolicy = DEFAULT_POLICY) -> KelvinPair:
+def kelvin(order: float, x: float) -> KelvinPair:
     """Kelvin functions ``(ber_order(x), bei_order(x))`` for ``x >= 0``.
 
     The pair is the real/imaginary split of ``J_order(x e^{3 pi i/4})``;
     it grows like ``e^{x/sqrt(2)}`` and raises OverflowRangeError once that
     factor leaves the double range (x > ~1003).
     """
-    ber_s, bei_s, log_scale, _ = kelvin_scaled(order, x, policy)
+    ber_s, bei_s, log_scale, _ = kelvin_scaled(order, x)
     if log_scale == 0.0:
         return KelvinPair(ber_s, bei_s, order, x)
     if x > _KELVIN_OVERFLOW_X:
@@ -138,9 +143,7 @@ def kelvin(order: float, x: float, policy: SeriesPolicy = DEFAULT_POLICY) -> Kel
     return KelvinPair(ber_s * scale, bei_s * scale, order, x)
 
 
-def fg_from_kelvin(
-    order: float, omega: float, policy: SeriesPolicy = DEFAULT_POLICY
-) -> FGPair:
+def fg_from_kelvin(order: float, omega: float) -> FGPair:
     """Recover ``(f, g)`` from the Kelvin pair at ``x = sqrt(omega)``.
 
     Inverts the rotation between the two families:
@@ -158,7 +161,7 @@ def fg_from_kelvin(
     if not omega > 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
     x = math.sqrt(omega)
-    pair = kelvin(order, x, policy)
+    pair = kelvin(order, x)
     c = math.cos(0.75 * math.pi * order)
     s = math.sin(0.75 * math.pi * order)
     prefactor = (2.0 / x) ** order

@@ -9,9 +9,10 @@ summed by ``_tricomi_series`` at a point ``s`` times a prefactor:
 ``I_a(x)`` is ``(x/2)^a T_a(x^2)``, ``J_a(x)`` is ``(x/2)^a T_a(-x^2)``, the
 f/g pair is ``T_a(i omega)`` and ``ber_a + i bei_a`` is
 ``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``.  The loop owns the overflow test and
-the cancellation guard.  Likewise ``_hankel_terms`` is the one optimally
-truncated large-argument (Hankel) expansion, shared by the Kelvin pair and
-``bessel_j``.
+the cancellation guard; its tolerances are fixed, and its term cap follows
+from ``|s|``.  Likewise ``_hankel_terms`` is the one optimally
+truncated large-argument (Hankel) expansion, shared by the Kelvin pair
+(``modified_i_asymptotic_scaled``) and ``bessel_j`` (``_j_hankel``).
 
 Public tools:
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import NamedTuple
 
 from ..errors import (
@@ -41,8 +43,23 @@ from ..errors import (
     OverflowRangeError,
     TruncationError,
 )
-from ..policy import DEFAULT_POLICY, SeriesPolicy
 from .gammafn import _require_finite, _require_order, gamma_real
+
+#: Relative stopping tolerance of the power series: it stops once two
+#: successive terms fall below this fraction of the partial sum.
+_SERIES_TOL = 1e-15
+#: Largest-term/result ratio above which an alternating series is rejected
+#: (CancellationError).
+_CANCELLATION_GUARD = 1e12
+#: Terms the series may take beyond ``sqrt|s|``.  It never needs more than
+#: about ``|z| + 35`` (orders -0.999 to 999, ``|z|`` from 1e-3 to 1e3, on
+#: the real and imaginary axes and off them), so reaching
+#: ``int(sqrt|s|) + _SERIES_SLACK`` means a fault: TruncationError.
+_SERIES_SLACK = 64
+#: Stopping tolerance of the continued fraction on ``|delta - 1|``.
+_CF_TOL = 1e-15
+#: Roundoff of a sum, taken as this many ulps of its largest term.
+_ROUNDOFF = 4.0 * sys.float_info.epsilon
 
 
 class SeriesDiagnostics(NamedTuple):
@@ -53,77 +70,98 @@ class SeriesDiagnostics(NamedTuple):
     cancel_ratio: float  # max |term| / |T(s)|
 
 
+def _half_power(x: float, order: float) -> float:
+    """``(x/2)^order``, the prefactor of every series in ``x``; its overflow
+    is an OverflowRangeError."""
+    try:
+        return (0.5 * x) ** order
+    except OverflowError as exc:
+        raise OverflowRangeError(
+            f"(x/2)^order overflows at order {order}, x = {x:.3g}"
+        ) from exc
+
+
 def _tricomi_series(
-    order: float, s: float | complex, policy: SeriesPolicy, scale: float | complex = 1.0
+    order: float,
+    s: float | complex,
+    scale: float | complex = 1.0,
+    rel_tol: float = _SERIES_TOL,
+    guard: float = _CANCELLATION_GUARD,
 ) -> tuple[float | complex, SeriesDiagnostics]:
     """``scale * T_order(s)`` with diagnostics: the package's one power
     series.
 
     A real ``s`` and ``scale`` keep the arithmetic real.  The sum stops once
-    two successive terms fall below ``policy.rel_tol`` of the partial sum.
+    two successive terms fall below ``rel_tol`` of the partial sum.
+    ``rel_tol`` and ``guard`` differ from their defaults for ``bessel_j``
+    only, which is evaluated at its own zeros, where the sum cancels by
+    design.
 
     Raises
     ------
     OverflowRangeError
         If a term or the scaled result leaves the double range.
     CancellationError
-        If the largest term exceeds ``policy.cancellation_guard`` times
-        ``|T(s)|`` (oscillatory ``s`` of large modulus).
+        If the largest term exceeds ``guard`` times ``|T(s)|`` (oscillatory
+        ``s`` of large modulus).
     TruncationError
-        If ``policy.max_terms`` was reached first.
+        If ``int(sqrt|s|) + _SERIES_SLACK`` terms did not reach ``rel_tol``.
     """
     term = 1.0 / gamma_real(order + 1.0)
     total = term
     max_term = abs(term)
     quarter = s / 4.0
-    rel_tol = policy.rel_tol
+    modulus = 4.0 * abs(quarter)  # |s|; abs(s) of a complex may overflow
+    max_terms = int(2.0 * math.sqrt(abs(quarter))) + _SERIES_SLACK
     small_streak = 0
-    for m in range(1, policy.max_terms + 1):
-        term *= quarter / (m * (m + order))
-        total += term
-        mag = abs(term)
-        if mag > max_term:
-            max_term = mag
-        if mag <= rel_tol * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        elif mag < math.inf:
-            small_streak = 0
+    try:
+        for m in range(1, max_terms + 1):
+            term *= quarter / (m * (m + order))
+            total += term
+            mag = abs(term)
+            if mag > max_term:
+                max_term = mag
+            if mag <= rel_tol * abs(total):
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            elif mag < math.inf:
+                small_streak = 0
+            else:
+                break  # a term overflowed: the range test below raises
         else:
-            break  # a term overflowed: the range test below raises
-    else:
-        raise TruncationError(
-            f"uniform-I series did not converge within {policy.max_terms} "
-            f"terms (|s| = {abs(s):.3g})"
-        )
-    size = abs(total)
-    ratio = max_term / size if size else math.inf
-    value = scale * total
-    if not abs(value) < math.inf:
+            raise TruncationError(
+                f"uniform-I series did not converge within {max_terms} "
+                f"terms (|s| = {modulus:.3g})"
+            )
+        size = abs(total)
+        value = scale * total
+        finite = abs(value) < math.inf
+    except OverflowError:  # abs() of a complex beyond the double range
+        finite = False
+    if not finite:
         raise OverflowRangeError(
-            f"series of order {order} at |s| = {abs(s):.3g} exceeds "
+            f"series of order {order} at |s| = {modulus:.3g} exceeds "
             "double-precision range"
         )
-    if ratio > policy.cancellation_guard:
+    ratio = max_term / size if size else math.inf
+    if ratio > guard:
         raise CancellationError(
-            f"series lost too many digits at |s| = {abs(s):.3g} "
+            f"series lost too many digits at |s| = {modulus:.3g} "
             f"(term/result ratio {ratio:.3g})",
             ratio=ratio,
         )
     return value, SeriesDiagnostics(m + 1, max_term, ratio)
 
 
-def modified_bessel_i(
-    order: float, x: float, policy: SeriesPolicy = DEFAULT_POLICY
-) -> float:
+def modified_bessel_i(order: float, x: float) -> float:
     """Modified Bessel function ``I_order(x) = (x/2)^order T_order(x^2)``.
 
     All terms are positive, so the series is cancellation-free; it is
-    accurate to ~1e-14 relative for ``x`` up to several hundred.  With the
-    default 400 terms it raises TruncationError from ``x ~ 596``; given more
-    terms it raises OverflowRangeError near ``x ~ 713``, where
-    ``I_0(x) ~ e^x / sqrt(2 pi x)`` leaves the double range.
+    accurate to ~1e-14 relative for ``x`` up to several hundred.  At order 0
+    it returns up to ``x = 713`` and raises OverflowRangeError from
+    ``x = 714``, where ``I_0(x) ~ e^x / sqrt(2 pi x)`` leaves the double
+    range.
 
     Parameters
     ----------
@@ -138,16 +176,10 @@ def modified_bessel_i(
         raise DomainError(f"argument must be >= 0, got {x}")
     if x == 0.0 and order < 0.0:
         raise OverflowRangeError("I_a(0) diverges for a < 0")
-    try:
-        scale = (0.5 * x) ** order
-    except OverflowError as exc:  # (x/2)**order for extreme inputs
-        raise OverflowRangeError(str(exc)) from exc
-    return _tricomi_series(order, x * x, policy, scale)[0]
+    return _tricomi_series(order, x * x, _half_power(x, order))[0]
 
 
-def tricomi_it(
-    order: float, s: complex, policy: SeriesPolicy = DEFAULT_POLICY
-) -> complex:
+def tricomi_it(order: float, s: complex) -> complex:
     """Uniform modified Bessel function ``(z/2)^(-order) I_order(z)`` at
     ``z = sqrt(s)``, evaluated directly in the variable ``s``.
 
@@ -160,19 +192,15 @@ def tricomi_it(
     OverflowRangeError
         If the result leaves the double range (real ``s`` beyond ~5e5).
     CancellationError
-        If the largest term exceeded ``policy.cancellation_guard`` times the
-        result magnitude (oscillatory ``s`` with large modulus).
-    TruncationError
-        If ``policy.max_terms`` was reached first.
+        If the largest term exceeded 1e12 times the result magnitude
+        (oscillatory ``s`` with large modulus).
     """
     order = _require_order(order)
     s = _require_finite(complex(s), "s")
-    return _tricomi_series(order, s, policy)[0]
+    return _tricomi_series(order, s)[0]
 
 
-def _ratio_next_order(
-    order: float, z: complex, rel_tol: float
-) -> tuple[complex, float, int]:
+def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
     """Continued fraction for ``I_{order+1}(z) / I_order(z)`` (modified
     Lentz).  Returns (value, final residual |delta - 1|, iterations).
 
@@ -182,7 +210,7 @@ def _ratio_next_order(
     """
     if z == 0:
         raise DomainError("ratio undefined at z = 0")
-    tol = max(rel_tol, 1e-16)
+    tol = _CF_TOL  # a local: read on every iteration
     tiny = 1e-290
     f = complex(tiny)
     c = f
@@ -210,9 +238,7 @@ def _ratio_next_order(
     )
 
 
-def bessel_ratio_contiguous(
-    order: float, z: complex, policy: SeriesPolicy = DEFAULT_POLICY
-) -> complex:
+def bessel_ratio_contiguous(order: float, z: complex) -> complex:
     """Stable evaluation of ``I_order(z) / I_{order+2}(z)``.
 
     Composes the continued-fraction ratio ``r = I_{order+2}/I_{order+1}``
@@ -225,7 +251,7 @@ def bessel_ratio_contiguous(
     z = _require_finite(complex(z), "z")
     if z == 0:
         raise DomainError("ratio undefined at z = 0")
-    r, _, _ = _ratio_next_order(order + 1.0, z, policy.rel_tol)
+    r, _, _ = _ratio_next_order(order + 1.0, z)
     return 1.0 + (2.0 * (order + 1.0) / z) / r
 
 
@@ -260,9 +286,22 @@ def _hankel_terms(order: float, z: complex, rel_tol: float) -> tuple[list, float
     return terms[: m_star + 1], abs(terms[m_star])
 
 
-def modified_i_asymptotic_scaled(
-    order: float, z: complex, rel_tol: float = 1e-16
-) -> tuple[complex, float]:
+def _j_hankel(order: float, x: float, rel_tol: float) -> tuple[float, float]:
+    """``J_order(x) / sqrt(2/(pi x))`` from the large-argument expansion,
+    ``Re[(P + iQ) e^(i chi)]`` with ``P + iQ = sum t_k`` at ``z = -ix`` and
+    ``chi = x - (order/2 + 1/4) pi``, and its error estimate: the smallest
+    term plus ``_ROUNDOFF`` times the largest.
+
+    ``e^(i chi)`` comes from ``e^(ix)`` and the exactly reduced shift:
+    ``chi`` itself, rounded to double, is off by ~eps x.
+    """
+    terms, smallest = _hankel_terms(order, complex(0.0, -x), rel_tol)
+    shift = math.pi * math.fmod(0.5 * order + 0.25, 2.0)
+    value = (sum(terms) * cmath.rect(1.0, x) * cmath.rect(1.0, -shift)).real
+    return value, smallest + _ROUNDOFF * max(map(abs, terms))
+
+
+def modified_i_asymptotic_scaled(order: float, z: complex) -> tuple[complex, float]:
     """``I_order(z) * exp(-Re z)`` from the large-argument expansion.
 
     Keeps both exponential branches (the reflected ``e^{-z}`` term matters
@@ -275,7 +314,7 @@ def modified_i_asymptotic_scaled(
     """
     order = _require_order(order)
     z = _require_finite(complex(z), "z")
-    terms, est = _hankel_terms(order, z, rel_tol)
+    terms, est = _hankel_terms(order, z, _SERIES_TOL)
     if est > 3.0e-8:
         raise TruncationError(
             f"asymptotic expansion unreliable at |z| = {abs(z):.3g} "

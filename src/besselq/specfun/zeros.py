@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import threading
 from collections import OrderedDict
 
 from ..errors import DomainError, RootIsolationError, TruncationError
-from ..policy import SeriesPolicy
 from .gammafn import _require_finite, _require_index, _require_order
-from .modified import _hankel_terms, _tricomi_series
+from .modified import _ROUNDOFF, _half_power, _j_hankel, _tricomi_series
 
 #: ``bessel_j`` sums the series up to this argument.  Beyond it, it takes
 #: whichever of the series and the Hankel expansion has the smaller error
@@ -45,12 +43,9 @@ from .modified import _hankel_terms, _tricomi_series
 _J_SERIES_MAX_X = 12.0
 _J_MAX_ERROR = 5e-11
 
-#: Roundoff of a sum, taken as this many ulps of its largest term.
-_ROUNDOFF = 4.0 * sys.float_info.epsilon
-
 #: Truncation of both J expansions.  No cancellation guard: ``bessel_j`` is
 #: evaluated at its own zeros, where the sum cancels by design.
-_J_POLICY = SeriesPolicy(rel_tol=1e-17, cancellation_guard=math.inf)
+_J_REL_TOL = 1e-17
 
 #: Terms of the Hankel expansion in ``_hankel_refine``, and the largest first
 #: omitted term ``|a_14| / x^14`` that the zero refinement accepts.
@@ -74,19 +69,22 @@ def bessel_j(order: float, x: float) -> float:
     if x == 0.0 and order < 0.0:
         raise DomainError("J_a(0) diverges for a < 0")
     if x <= _J_SERIES_MAX_X:
-        return _tricomi_series(order, -x * x, _J_POLICY, (0.5 * x) ** order)[0]
+        scale = _half_power(x, order)
+        return _tricomi_series(order, -x * x, scale, _J_REL_TOL, math.inf)[0]
     amplitude = math.sqrt(2.0 / (math.pi * x))
-    terms, smallest = _hankel_terms(order, complex(0.0, -x), _J_POLICY.rel_tol)
-    pq = sum(terms)
-    chi = x - (0.5 * order + 0.25) * math.pi
-    value = amplitude * (pq.real * math.cos(chi) - pq.imag * math.sin(chi))
-    error = smallest + _ROUNDOFF * max(map(abs, terms))
-    # The series' estimate is at least that of its first term,
-    # 1/Gamma(order+1): sum it only where it can win and return.
-    floor = order * math.log(0.5 * x) - math.lgamma(order + 1.0)
+    value, error = _j_hankel(order, x, _J_REL_TOL)
+    value *= amplitude
+    # The series' estimate is at least that of each of its terms: sum it
+    # only where its first (m = 0) and its largest at small orders
+    # (m = floor(x/2)) let it win.
+    log_half = math.log(0.5 * x)
+    floor = max(
+        (2.0 * m + order) * log_half - math.lgamma(m + 1.0) - math.lgamma(m + order + 1.0)
+        for m in (0, math.floor(0.5 * x))
+    )
     if floor + math.log(_ROUNDOFF / amplitude) < math.log(min(error, _J_MAX_ERROR)):
-        scale = (0.5 * x) ** order
-        series, diagnostics = _tricomi_series(order, -x * x, _J_POLICY, scale)
+        scale = _half_power(x, order)
+        series, diagnostics = _tricomi_series(order, -x * x, scale, _J_REL_TOL, math.inf)
         series_error = _ROUNDOFF * diagnostics.max_term * scale / amplitude
         if series_error < error:
             value, error = series, series_error

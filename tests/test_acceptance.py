@@ -43,7 +43,6 @@ from besselq.checks import (
     check_route_agreement,
 )
 from besselq.cli import emit_figures
-from besselq.policy import DEFAULT_POLICY
 
 NUS_ROUTE = (-0.5, 0.0, 1.0, 3.5, 10.0)
 NUS_ASYMPTOTE = (0.0, 1.0, 5.0)
@@ -245,8 +244,8 @@ def test_criterion_8_figure_reproduction(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     nus = [-0.5, 0.0, 1.0, 2.0, 5.0]
-    emit_figures(out_a, nus, DEFAULT_POLICY)
-    emit_figures(out_b, nus, DEFAULT_POLICY)
+    emit_figures(out_a, nus)
+    emit_figures(out_b, nus)
 
     def load(path):
         lines = path.read_text().strip().split("\n")

@@ -145,7 +145,7 @@ def test_check_green_path(capsys):
 
 def test_check_exits_nonzero_on_failed_check(monkeypatch, capsys):
     failing = CheckResult("route agreement", 1.0, 1e-9, False, "injected")
-    monkeypatch.setattr(cli, "run_all_checks", lambda nus, policy: [failing])
+    monkeypatch.setattr(cli, "run_all_checks", lambda nus: [failing])
     assert main(["check", "--nu", "0"]) == 1
     captured = capsys.readouterr()
     assert "FAIL route agreement" in captured.out

@@ -20,6 +20,7 @@ from besselq import (
     creep_rate_time,
     frac_maxwell_q_inverse,
 )
+from besselq import model as model_module
 from besselq.checks import creep_rate_laplace_by_zeros
 from besselq.specfun import zeros
 
@@ -201,11 +202,13 @@ def test_dirichlet_truncation_raises_before_computing_zeros(monkeypatch):
             creep_rate_time(ModelOrder(1.0), t)
 
 
-def test_dirichlet_honours_max_zeros():
+def test_dirichlet_honours_max_zeros(monkeypatch):
     # 56 zeros are needed here; a limit below the first block of 64 holds
-    assert creep_rate_time(ModelOrder(0.0), 1e-3, max_zeros=56)[1].n_zeros == 56
+    monkeypatch.setattr(model_module, "_MAX_ZEROS", 56)
+    assert creep_rate_time(ModelOrder(0.0), 1e-3)[1].n_zeros == 56
+    monkeypatch.setattr(model_module, "_MAX_ZEROS", 55)
     with pytest.raises(TruncationError):
-        creep_rate_time(ModelOrder(0.0), 1e-3, max_zeros=55)
+        creep_rate_time(ModelOrder(0.0), 1e-3)
 
 
 def test_laplace_consistency_single_point():

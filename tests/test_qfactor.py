@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 from besselq import (
+    DEFAULT_CROSSOVER_OMEGA,
     BesselQError,
     CancellationError,
     DomainError,
@@ -23,7 +24,6 @@ from besselq import (
     q_inverse_fg,
     q_inverse_kelvin,
 )
-from besselq.policy import DEFAULT_CROSSOVER_OMEGA
 
 # oracle: Theorem-style combination of naive extended-precision series,
 # cross-validated against the ratio form inside the oracle itself

@@ -20,7 +20,6 @@ from besselq import (
     DomainError,
     OverflowRangeError,
     PoleError,
-    SeriesPolicy,
     TruncationError,
     bessel_j,
     bessel_ratio_contiguous,
@@ -32,6 +31,7 @@ from besselq import (
     modified_bessel_i,
     tricomi_it,
 )
+from besselq.specfun import modified
 from besselq.specfun.kelvinfg import _kelvin_series
 
 # oracle: naive series at >= 40 digits
@@ -117,8 +117,37 @@ def test_bessel_i_domain_and_overflow():
         modified_bessel_i(0.0, -1.0)
     with pytest.raises(OverflowRangeError):
         modified_bessel_i(-0.5, 0.0)
-    with pytest.raises((OverflowRangeError, TruncationError)):
-        modified_bessel_i(0.0, 800.0, SeriesPolicy(max_terms=2000))
+
+
+def test_bessel_i_up_to_double_range():
+    # the term cap follows from x, so I_0 returns until it leaves the range
+    for x in (650.0, 700.0, 713.0):
+        ref = mp.besseli(0, x)
+        assert float(abs(modified_bessel_i(0.0, x) - ref) / ref) < 1e-12
+    for x in (714.0, 800.0):
+        with pytest.raises(OverflowRangeError):
+            modified_bessel_i(0.0, x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bessel_j(400.0, 12.0),
+        lambda: bessel_j(200.0, 147.0),
+        lambda: bessel_j(500.0, 13.0),
+        lambda: kelvin_scaled(1000.0, 5.0),
+        lambda: modified_bessel_i(1000.0, 500.0),
+        lambda: tricomi_it(19.056616588080566, complex(937227.8620308988, 176193.06832100725)),
+    ],
+    ids=["j-400-12", "j-200-147", "j-500-13", "kelvin-1000-5", "i-1000-500", "t-complex"],
+)
+def test_overflow_is_typed(call):
+    # (x/2)^order, or |term| of a complex series, leaves the double range
+    # here; that may raise OverflowRangeError, never a bare OverflowError
+    try:
+        call()
+    except OverflowRangeError:
+        pass
 
 
 # ------------------------------------------------------------- tricomi
@@ -147,7 +176,7 @@ def test_tricomi_is_singlevalued_and_bitwise_deterministic():
 
 def test_tricomi_cancellation_flag():
     with pytest.raises(CancellationError) as info:
-        tricomi_it(0.0, complex(0.0, 4.0e4), SeriesPolicy(max_terms=4000))
+        tricomi_it(0.0, complex(0.0, 4.0e4))
     assert info.value.ratio > 1e12
 
 
@@ -158,9 +187,11 @@ def test_tricomi_overflow_is_loud(s):
         tricomi_it(0.0, s)
 
 
-def test_tricomi_truncation_error():
+def test_tricomi_truncation_error(monkeypatch):
+    # the cap sqrt|s| + slack never binds; without the slack it does
+    monkeypatch.setattr(modified, "_SERIES_SLACK", 0)
     with pytest.raises(TruncationError):
-        tricomi_it(0.0, complex(0.0, 400.0), SeriesPolicy(max_terms=8))
+        tricomi_it(0.0, complex(0.0, 400.0))
 
 
 # ------------------------------------------------------ contiguous ratio
@@ -225,13 +256,12 @@ def test_fg_matches_tricomi_on_imaginary_axis():
 
 def test_fg_guard_honesty():
     # whenever the series returns unflagged, it matches the oracle to
-    # rel_tol * cancellation_guard of the pair norm
-    policy = SeriesPolicy()
-    bound = policy.rel_tol * policy.cancellation_guard
+    # series tolerance * cancellation guard of the pair norm
+    bound = modified._SERIES_TOL * modified._CANCELLATION_GUARD
     for order in (0.0, 3.5):
         for omega in (1.0, 30.0, 324.0, 2000.0, 8000.0):
             try:
-                pair = fg_series(order, omega, policy)
+                pair = fg_series(order, omega)
             except CancellationError:
                 continue
             f_ref, g_ref = (float(v) for v in oracle.fg_pair(order, omega))
@@ -277,7 +307,7 @@ def test_kelvin_series_asymptotic_handover_consistency():
     # same point past the handover evaluated by the power series directly
     # and by the large-argument expansion that kelvin() uses there
     for order in (0.0, 1.0, 3.5):
-        series_pair, _ = _kelvin_series(order, 20.0, SeriesPolicy())
+        series_pair, _ = _kelvin_series(order, 20.0)
         asym_pair = kelvin(order, 20.0)
         norm = abs(series_pair)
         assert abs(series_pair.real - asym_pair.ber) < 2e-11 * norm

@@ -223,6 +223,29 @@ def test_bessel_j_beyond_series_region_is_right_or_raises():
         bessel_j_zero(30.0, 1)
 
 
+def test_bessel_j_phase_at_large_argument():
+    # chi = x - (a/2 + 1/4) pi rounded to double is off by ~eps x: that
+    # once cost 6.8e-10 of the amplitude at (2.5, 1e7) and 4.7e-2 at (20, 1e15)
+    with mp.workdps(40):
+        for order in (-0.5, 0.0, 2.5, 20.0):
+            for x in (1e6, 1e7, 1e8, 1e12, 1e15):
+                amplitude = math.sqrt(2.0 / (math.pi * x))
+                ref = float(mp.besselj(order, x))
+                assert abs(bessel_j(order, x) - ref) < 5e-11 * amplitude, (order, x)
+
+
+def test_bessel_j_near_order_minus_one():
+    # the series' first term alone, which shrinks for order < 0, once sent
+    # every x > 12 to the series there: TruncationError from x ~ 500 and
+    # OverflowRangeError from x ~ 720
+    with mp.workdps(30):
+        for order in (-0.99, -0.9):
+            for x in (50.0, 500.0, 600.0, 710.0, 720.0, 1e3, 1e4):
+                amplitude = math.sqrt(2.0 / (math.pi * x))
+                ref = float(mp.besselj(order, x))
+                assert abs(bessel_j(order, x) - ref) < 5e-11 * amplitude, (order, x)
+
+
 def test_rayleigh_sneddon_partial_sums_converge():
     # sum_k j_{nu,k}^(-2) = 1/(4(nu+1)); bare 1e4-term partial sum is close,
     # the trigamma-corrected version is used by the check suite
@@ -230,7 +253,7 @@ def test_rayleigh_sneddon_partial_sums_converge():
     bare = math.fsum(1.0 / (j * j) for j in zeros)
     # dropped tail is ~1/(pi^2 K) = 1.01e-5 absolute at K = 1e4
     assert abs(bare - 0.25) / 0.25 < 5e-5
-    corrected = rayleigh_sneddon_sum(0.0, 10_000)
+    corrected = rayleigh_sneddon_sum(0.0)
     assert abs(corrected - 0.25) / 0.25 < 1e-9
 
 
