@@ -17,13 +17,14 @@ from besselq.checks import creep_rate_laplace_by_zeros
 
 model = ModelOrder(0.0)
 
-# --- rate of creep in the time domain (Dirichlet series) --------------------
-print("Psi(t; nu=0) and the number of Bessel zeros the tail bound needed:")
-for t in (0.01, 0.1, 1.0, 10.0):
-    value, trunc = creep_rate_time(model, t)
-    print(f"  t={t:<6g} Psi={value:<22.15g} zeros={trunc.n_zeros:<4d} tail<{trunc.tail_bound:.1e}")
+# --- rate of creep in the time domain (Talbot inversion) ---------------------
+print("Psi(t; nu=0) by Talbot inversion of its Laplace transform:")
+for t in (1e-12, 0.01, 0.1, 1.0, 10.0):
+    value, inversion = creep_rate_time(model, t)
+    print(f"  t={t:<6g} Psi={value:<22.15g} nodes={inversion.nodes} "
+          f"est<{inversion.est_rel_error:.1e}")
 print("long-time limit 4(nu+1)(nu+2) =", 4.0 * 1.0 * 2.0)
-print("short-time growth ~ 2(nu+1)/sqrt(pi t)")
+print("short-time growth ~ 2(nu+1)/sqrt(pi t):", 2.0 / math.sqrt(math.pi * 1e-12))
 
 # --- the same object in the Laplace domain -----------------------------------
 # each term exp(-j^2 t) of the time series transforms to 1/(s + j^2)

@@ -10,9 +10,9 @@ require and the time/Laplace-domain material functions of the class.
 
 All public functions are pure and deterministic for fixed inputs; they
 are safe to call concurrently.  None takes a tolerance or a term cap: the
-series, continued fractions and Dirichlet sums run at fixed precision
-targets, and a call either meets its stated accuracy or raises a typed
-``BesselQError``.
+series, expansions, continued fractions and the Talbot quadrature run at
+fixed precision targets, and a call either meets its stated accuracy or
+raises a typed ``BesselQError``.
 """
 
 from .errors import (
@@ -27,8 +27,8 @@ from .errors import (
     TruncationError,
 )
 from .model import (
-    DirichletTruncation,
     ModelOrder,
+    TalbotInversion,
     creep_compliance_asymptotic,
     creep_compliance_laplace,
     creep_rate_laplace,
@@ -65,7 +65,6 @@ __all__ = [
     "BesselQError",
     "CancellationError",
     "DEFAULT_CROSSOVER_OMEGA",
-    "DirichletTruncation",
     "DomainError",
     "FGPair",
     "InconsistencyError",
@@ -76,6 +75,7 @@ __all__ = [
     "PoleError",
     "QEvaluation",
     "RootIsolationError",
+    "TalbotInversion",
     "TruncationError",
     "bessel_j",
     "bessel_j_zero",

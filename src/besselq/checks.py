@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import takewhile
+from typing import Iterable, Sequence
 
 from .cli import FrequencyGrid
 from .errors import BesselQError, DomainError
-from .model import ModelOrder, creep_rate_laplace
+from .model import ModelOrder, creep_rate_laplace, creep_rate_time
 from .qfactor import q_inverse, q_inverse_fg, q_inverse_kelvin
 from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
 from .specfun.zeros import bessel_j_zeros
@@ -24,6 +25,7 @@ ROUTE_AGREEMENT_BOUND_BELOW = 1e-9
 ROUTE_AGREEMENT_BOUND_ABOVE = 1e-8
 RAYLEIGH_SNEDDON_BOUND = 1e-6
 LAPLACE_CONSISTENCY_BOUND = 1e-12
+CREEP_TIME_BOUND = 1e-12
 
 DEFAULT_CHECK_NUS = (-0.5, 0.0, 1.0, 3.5, 10.0)
 
@@ -51,6 +53,23 @@ class CheckResult:
 
 def _log_grid(lo: float, hi: float, count: int) -> list[float]:
     return FrequencyGrid("log", lo, hi, count).points()
+
+
+def _worst_case(name: str, bound: float, cases: Iterable[tuple]) -> CheckResult:
+    """The largest relative discrepancy over ``cases``, an iterable of
+    ``(where, value, reference)``, against ``bound``; a BesselQError on the
+    way fails the check."""
+    worst = 0.0
+    detail = ""
+    try:
+        for where, value, reference in cases:
+            rel = abs(value - reference) / abs(reference)
+            if rel > worst:
+                worst = rel
+                detail = f"worst at {where}"
+    except BesselQError as exc:
+        return CheckResult(name, math.inf, bound, False, str(exc))
+    return CheckResult(name, worst, bound, worst <= bound, detail)
 
 
 def check_route_agreement(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> CheckResult:
@@ -146,27 +165,8 @@ def rayleigh_sneddon_sum(nu: float, *, s: float = 0.0) -> float:
 
 
 def check_rayleigh_sneddon(nus: Sequence[float] = (0.0, 1.0, 2.5)) -> CheckResult:
-    worst = 0.0
-    detail = ""
-    try:
-        for nu in nus:
-            total = rayleigh_sneddon_sum(nu)
-            target = 1.0 / (4.0 * (nu + 1.0))
-            rel = abs(total - target) / target
-            if rel > worst:
-                worst = rel
-                detail = f"worst at nu={nu}"
-    except BesselQError as exc:
-        return CheckResult(
-            "Rayleigh-Sneddon sum", math.inf, RAYLEIGH_SNEDDON_BOUND, False, str(exc)
-        )
-    return CheckResult(
-        "Rayleigh-Sneddon sum",
-        worst,
-        RAYLEIGH_SNEDDON_BOUND,
-        worst <= RAYLEIGH_SNEDDON_BOUND,
-        detail,
-    )
+    cases = ((f"nu={nu}", rayleigh_sneddon_sum(nu), 1.0 / (4.0 * (nu + 1.0))) for nu in nus)
+    return _worst_case("Rayleigh-Sneddon sum", RAYLEIGH_SNEDDON_BOUND, cases)
 
 
 def creep_rate_laplace_by_zeros(model: ModelOrder, s: float) -> float:
@@ -194,33 +194,33 @@ def creep_rate_laplace_by_zeros(model: ModelOrder, s: float) -> float:
 def check_laplace_consistency(nus: Sequence[float] = (0.0, 1.0)) -> CheckResult:
     """Term-by-term transform of the Dirichlet series vs the closed
     Laplace form, at ``s`` = 1, 2 and 5."""
-    worst = 0.0
-    detail = ""
-    try:
-        for nu in nus:
-            model = ModelOrder(nu)
-            for s in (1.0, 2.0, 5.0):
-                direct = creep_rate_laplace(model, complex(s, 0.0)).real
-                by_zeros = creep_rate_laplace_by_zeros(model, s)
-                rel = abs(by_zeros - direct) / abs(direct)
-                if rel > worst:
-                    worst = rel
-                    detail = f"worst at nu={nu}, s={s}"
-    except BesselQError as exc:
-        return CheckResult(
-            "Dirichlet/Laplace consistency",
-            math.inf,
-            LAPLACE_CONSISTENCY_BOUND,
-            False,
-            str(exc),
-        )
-    return CheckResult(
-        "Dirichlet/Laplace consistency",
-        worst,
-        LAPLACE_CONSISTENCY_BOUND,
-        worst <= LAPLACE_CONSISTENCY_BOUND,
-        detail,
+    cases = (
+        (f"nu={nu}, s={s}", creep_rate_laplace_by_zeros(ModelOrder(nu), s),
+         creep_rate_laplace(ModelOrder(nu), complex(s, 0.0)).real)
+        for nu in nus
+        for s in (1.0, 2.0, 5.0)
     )
+    return _worst_case("Dirichlet/Laplace consistency", LAPLACE_CONSISTENCY_BOUND, cases)
+
+
+def _creep_by_zeros(nu: float, t: float) -> float:
+    """``4(nu+1)(nu+2) + 4(nu+1) sum_k exp(-j_{nu+2,k}^2 t)`` over the first
+    10,000 zeros, skipping the terms past ``j^2 t = 746``, which underflow."""
+    zeros = takewhile(lambda j: j * j * t < 746.0, bessel_j_zeros(nu + 2.0, _ZERO_SUM_TERMS))
+    return 4.0 * (nu + 1.0) * (nu + 2.0 + math.fsum(math.exp(-j * j * t) for j in zeros))
+
+
+def check_creep_time(nus: Sequence[float] = (0.0, 1.0)) -> CheckResult:
+    """``creep_rate_time`` (Talbot inversion of the Laplace transform)
+    against its Dirichlet series over 10,000 zeros (``_creep_by_zeros``) at
+    ``t`` = 1e-3, 1e-2, 0.1 and 1, where the omitted tail, below
+    ``exp(-j_10001^2 t) < exp(-9.8e5)``, underflows."""
+    cases = (
+        (f"nu={nu}, t={t}", creep_rate_time(ModelOrder(nu), t)[0], _creep_by_zeros(nu, t))
+        for nu in nus
+        for t in (1e-3, 1e-2, 0.1, 1.0)
+    )
+    return _worst_case("creep time/Dirichlet", CREEP_TIME_BOUND, cases)
 
 
 def run_all_checks(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> list[CheckResult]:
@@ -229,4 +229,5 @@ def run_all_checks(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> list[CheckResult
         check_monotonicity(nus),
         check_rayleigh_sneddon(),
         check_laplace_consistency(),
+        check_creep_time(),
     ]

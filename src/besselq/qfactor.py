@@ -42,7 +42,7 @@ from .errors import (
     InconsistencyError,
     OverflowRangeError,
 )
-from .model import ModelOrder, _compliance_split
+from .model import _EPS, ModelOrder, _compliance_split
 from .specfun.kelvinfg import (
     _KELVIN_OVERFLOW_X,
     DEFAULT_CROSSOVER_OMEGA,
@@ -57,7 +57,6 @@ Route = Literal["fg_series", "kelvin", "direct_ratio"]
 #: own estimate is worse raises InconsistencyError instead of returning.
 EST_REL_ERROR_CEILING = 1e-6
 
-_EPS = 2.3e-16
 _DENOMINATOR_FLOOR = 1e-300
 
 
@@ -176,15 +175,15 @@ def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:
         Q^-1 = (P - Im T) / (1 + Re T),
 
     where ``T = (2(nu+1)/z) I_{nu+3}/I_{nu+2}`` at ``z = sqrt(i omega)``
-    comes from one continued fraction.  ``Re T > 0`` and ``-Im T >= 0``,
-    so neither part cancels and the route holds for every
-    ``omega > 0`` and every order ``nu > -1``.  The error estimate is the
-    CF residual plus roundoff growing with the iteration count, carried
-    through both parts.
+    comes from the one ratio evaluator (Hankel sums at large ``|z|``, a
+    continued fraction elsewhere), at a cost that stays flat as ``omega``
+    grows.  ``Re T > 0`` and ``-Im T >= 0``, so neither part cancels and
+    the route holds for every ``omega > 0`` and every order ``nu > -1``.
+    The error estimate is that of ``T``, carried through both parts.
     """
     omega = _check_omega(omega)
     nu = model.nu
-    s_j, tail, residual, iterations = _compliance_split(nu, complex(0.0, omega))
+    s_j, tail, u = _compliance_split(nu, complex(0.0, omega))
     if s_j.real <= 0.0:
         # Numerically asserted storage-modulus positivity; a violation is
         # surfaced, never clamped.
@@ -192,7 +191,6 @@ def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:
             f"Re(s J~) = {s_j.real:.3g} <= 0 at omega = {omega}"
         )
     pole = 4.0 * (nu + 1.0) * (nu + 2.0) / omega
-    u = residual + _EPS * (8.0 + iterations)
     est = u * (
         (pole + abs(tail)) / abs(s_j.imag) + (1.0 + abs(tail)) / s_j.real
     )

@@ -9,13 +9,9 @@ from .kelvinfg import (
     fg_series,
     kelvin,
     kelvin_scaled,
-)
-from .modified import (
-    bessel_ratio_contiguous,
-    modified_bessel_i,
     modified_i_asymptotic_scaled,
-    tricomi_it,
 )
+from .modified import bessel_ratio_contiguous, modified_bessel_i, tricomi_it
 from .zeros import bessel_j, bessel_j_zero, bessel_j_zeros, mcmahon_zero_estimate
 
 __all__ = [

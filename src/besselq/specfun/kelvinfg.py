@@ -27,14 +27,14 @@ import cmath
 import math
 from typing import NamedTuple
 
-from ..errors import DomainError, OverflowRangeError
+from ..errors import DomainError, OverflowRangeError, TruncationError
 from .gammafn import _require_finite, _require_order
 from .modified import (
     _SERIES_TOL,
     SeriesDiagnostics,
     _half_power,
+    _hankel_sums,
     _tricomi_series,
-    modified_i_asymptotic_scaled,
 )
 
 #: Frequency above which the alternating small-argument series of the
@@ -94,6 +94,36 @@ def _kelvin_series(order: float, x: float) -> tuple[complex, SeriesDiagnostics]:
     the shared power series, with its diagnostics."""
     scale = _half_power(x, order) * cmath.exp(0.75j * math.pi * order)
     return _tricomi_series(order, complex(0.0, x * x), scale)
+
+
+def modified_i_asymptotic_scaled(order: float, z: complex) -> tuple[complex, float]:
+    """``I_order(z) * exp(-Re z)`` from the large-argument expansion, and
+    its error estimate: the remainder bound of ``_hankel_sums`` plus
+    roundoff.
+
+    Keeps both exponential branches (the reflected ``e^{-z}`` term matters
+    near the series/asymptotic handover).  For ``arg z = pi/4`` and
+    ``|z| >= 18`` the estimate is at most about 5e-9 up to order 14 (6.6e-11
+    at order 12), against a true error near 1e-13.
+
+    Raises TruncationError where the estimate exceeds 3e-8: ``|z|`` is too
+    small for the order (``kelvin(30, 25)``, off by 2.8e-5, raises).
+    """
+    order = _require_order(order)
+    z = _require_finite(complex(z), "z")
+    even, odd, remainder, roundoff = _hankel_sums(order, z)
+    est = remainder + roundoff
+    if est > 3.0e-8:
+        raise TruncationError(
+            f"asymptotic expansion unreliable at |z| = {abs(z):.3g} "
+            f"(estimated relative error {est:.2e})"
+        )
+    prefactor = 1.0 / cmath.sqrt(2.0 * math.pi * z)
+    main = cmath.exp(complex(0.0, z.imag)) * (even - odd)  # e^z scaled by e^{-Re z}
+    reflected = (
+        cmath.exp(1j * math.pi * order) * 1j * cmath.exp(-z - z.real) * (even + odd)
+    )
+    return prefactor * (main + reflected), est
 
 
 def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:

@@ -1,5 +1,5 @@
 """Modified Bessel functions of the first kind: the one power series, the
-one large-argument expansion, and cancellation-free contiguous ratios.
+one large-argument expansion and the one contiguous-ratio evaluator.
 
 Every power series of the package is the uniform series
 
@@ -8,25 +8,16 @@ Every power series of the package is the uniform series
 summed by ``_tricomi_series`` at a point ``s`` times a prefactor:
 ``I_a(x)`` is ``(x/2)^a T_a(x^2)``, ``J_a(x)`` is ``(x/2)^a T_a(-x^2)``, the
 f/g pair is ``T_a(i omega)`` and ``ber_a + i bei_a`` is
-``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``.  The loop owns the overflow test and
-the cancellation guard; its tolerances are fixed, and its term cap follows
-from ``|s|``.  Likewise ``_hankel_terms`` is the one optimally
-truncated large-argument (Hankel) expansion, shared by the Kelvin pair
-(``modified_i_asymptotic_scaled``) and ``bessel_j`` (``_j_hankel``).
-
-Public tools:
-
-* ``modified_bessel_i`` -- ``I_a(x)`` for real nonnegative argument,
-* ``tricomi_it`` -- ``T_a(s)`` itself, a single-valued entire function of
-  ``s = z**2`` (no square root is ever extracted, so evaluation on the
-  imaginary axis needs no branch choice),
-* ``bessel_ratio_contiguous`` -- ``I_a(z)/I_{a+2}(z)`` through a modified
-  Lentz continued fraction for ``I_{a+1}/I_a`` composed with the three-term
-  recurrence ``I_{a}(z) = I_{a+2}(z) + (2(a+1)/z) I_{a+1}(z)``.  The common
-  exponential growth cancels exactly, so the ratio stays accurate at
-  arguments where the functions themselves overflow,
-* ``modified_i_asymptotic_scaled`` -- ``I_a(z) e^(-Re z)`` from the
-  large-argument expansion, used by the Kelvin-function module.
+``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``; ``tricomi_it`` is ``T_a`` itself.
+The loop owns the overflow test and the cancellation guard; its tolerances
+are fixed, and its term cap follows from ``|s|``.  ``_hankel_terms`` is the
+one optimally truncated large-argument (Hankel) expansion, shared by
+``bessel_j`` (``_j_hankel``) and, with a remainder bound
+(``_hankel_sums``), by the Kelvin pair (``modified_i_asymptotic_scaled``)
+and the ratio ``I_{a+1}/I_a`` (``_ratio_next_order``), which takes it or a
+continued fraction by regime.  Every ``I`` ratio of the package comes from
+that evaluator, so the exponential growth cancels exactly, also where the
+functions themselves overflow.
 """
 
 from __future__ import annotations
@@ -87,6 +78,7 @@ def _tricomi_series(
     scale: float | complex = 1.0,
     rel_tol: float = _SERIES_TOL,
     guard: float = _CANCELLATION_GUARD,
+    first: float | None = None,
 ) -> tuple[float | complex, SeriesDiagnostics]:
     """``scale * T_order(s)`` with diagnostics: the package's one power
     series.
@@ -95,7 +87,8 @@ def _tricomi_series(
     two successive terms fall below ``rel_tol`` of the partial sum.
     ``rel_tol`` and ``guard`` differ from their defaults for ``bessel_j``
     only, which is evaluated at its own zeros, where the sum cancels by
-    design.
+    design.  ``first`` replaces the first term ``1/Gamma(order+1)``, for
+    ``modified_bessel_i`` where that leaves the double range.
 
     Raises
     ------
@@ -107,7 +100,7 @@ def _tricomi_series(
     TruncationError
         If ``int(sqrt|s|) + _SERIES_SLACK`` terms did not reach ``rel_tol``.
     """
-    term = 1.0 / gamma_real(order + 1.0)
+    term = 1.0 / gamma_real(order + 1.0) if first is None else first
     total = term
     max_term = abs(term)
     quarter = s / 4.0
@@ -161,7 +154,8 @@ def modified_bessel_i(order: float, x: float) -> float:
     accurate to ~1e-14 relative for ``x`` up to several hundred.  At order 0
     it returns up to ``x = 713`` and raises OverflowRangeError from
     ``x = 714``, where ``I_0(x) ~ e^x / sqrt(2 pi x)`` leaves the double
-    range.
+    range.  Where ``(x/2)^order`` or ``Gamma(order+1)`` alone leaves it,
+    the leading term comes from ``lgamma`` (``I_200(147) = 2.33e9``).
 
     Parameters
     ----------
@@ -176,7 +170,18 @@ def modified_bessel_i(order: float, x: float) -> float:
         raise DomainError(f"argument must be >= 0, got {x}")
     if x == 0.0 and order < 0.0:
         raise OverflowRangeError("I_a(0) diverges for a < 0")
-    return _tricomi_series(order, x * x, _half_power(x, order))[0]
+    try:
+        scale, first = (0.5 * x) ** order, 1.0 / gamma_real(order + 1.0)
+    except (OverflowError, OverflowRangeError):
+        if x == 0.0:
+            return 0.0
+        total = _tricomi_series(order, x * x, first=1.0)[0]
+        log_value = order * math.log(0.5 * x) - math.lgamma(order + 1.0) + math.log(total)
+        try:
+            return math.exp(log_value)
+        except OverflowError as exc:
+            raise OverflowRangeError(f"I_{order}({x:.3g}) exceeds double range") from exc
+    return _tricomi_series(order, x * x, scale, first=first)[0]
 
 
 def tricomi_it(order: float, s: complex) -> complex:
@@ -201,21 +206,39 @@ def tricomi_it(order: float, s: complex) -> complex:
 
 
 def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
-    """Continued fraction for ``I_{order+1}(z) / I_order(z)`` (modified
-    Lentz).  Returns (value, final residual |delta - 1|, iterations).
+    """``I_{order+1}(z) / I_order(z)``, its relative error estimate and the
+    continued-fraction (CF) iterations spent.
 
-    The fraction ``1/(b1 + 1/(b2 + ...))`` with ``b_k = 2(order+k)/z``
-    follows from the downward three-term recurrence; it converges for any
-    ``z`` off the negative real axis, in roughly O(|z|) iterations.
+    Where ``Re z >= 20`` (the reflected ``e^{-2z}`` branch is below 4e-18)
+    and both alternating Hankel sums have a remainder bound below 1e-16 and
+    roundoff below 1e-14 of their size (``_hankel_sums``), it is their
+    quotient, with that bound plus roundoff and 0 iterations.  A tiny last
+    term is not enough: at order 88, ``z = 236(1+i)``, the terms first grow
+    to 1e4, the sums cancel to 3e-4 and their quotient is off by 1e-8.
+    Elsewhere it is the CF ``1/(b1 + 1/(b2 + ...))``, ``b_k = 2(order+k)/z``
+    (modified Lentz), with its final residual ``|delta - 1|``.  The CF takes
+    at most about ``|z| + 7|z|^(1/3) + 30`` iterations (on the imaginary
+    axis, fewer off it), so ``2|z| + 100`` of them mean a fault.
     """
     if z == 0:
         raise DomainError("ratio undefined at z = 0")
+    if z.real >= 20.0:
+        parts = []
+        for a in (order + 1.0, order):
+            even, odd, remainder, roundoff = _hankel_sums(a, z)
+            size = abs(even - odd)
+            if not (remainder < 1e-16 and roundoff < 1e-14 * size):
+                break
+            parts.append((even - odd, (remainder + roundoff) / size))
+        else:
+            (numer, e_numer), (denom, e_denom) = parts
+            return numer / denom, e_numer + e_denom, 0
     tol = _CF_TOL  # a local: read on every iteration
     tiny = 1e-290
     f = complex(tiny)
     c = f
     d = complex(0.0)
-    max_iter = 40000 + int(14.0 * abs(z))
+    max_iter = int(2.0 * abs(z)) + 100
     k = 0
     while k < max_iter:
         k += 1
@@ -245,7 +268,8 @@ def bessel_ratio_contiguous(order: float, z: complex) -> complex:
     with ``I_order = I_{order+2} + (2(order+1)/z) I_{order+1}``:
     ``I_order/I_{order+2} = 1 + (2(order+1)/z) / r``.  The exponential
     growth of the two functions cancels, so the ratio is accurate (relative
-    error ~1e-13) for ``|z|`` from 1e-3 up to several thousand.
+    error ~1e-13) from ``|z|`` = 1e-3 up, at a flat cost where
+    ``_ratio_next_order`` takes the Hankel sums.
     """
     order = _require_order(order)
     z = _require_finite(complex(z), "z")
@@ -301,29 +325,21 @@ def _j_hankel(order: float, x: float, rel_tol: float) -> tuple[float, float]:
     return value, smallest + _ROUNDOFF * max(map(abs, terms))
 
 
-def modified_i_asymptotic_scaled(order: float, z: complex) -> tuple[complex, float]:
-    """``I_order(z) * exp(-Re z)`` from the large-argument expansion.
+def _hankel_sums(order: float, z: complex) -> tuple[complex, complex, float, float]:
+    """Even and odd parts of ``sum t_k`` (``I_order(z)`` takes ``even -
+    odd``, its reflected branch ``even + odd``), a remainder bound and the
+    roundoff (``_ROUNDOFF`` times the largest term).
 
-    Keeps both exponential branches (the reflected ``e^{-z}`` term matters
-    near the series/asymptotic handover), so for ``arg z = pi/4`` the result
-    is accurate to ~1e-13 once ``|z| >= 18`` for orders up to ~14.
-
-    Raises TruncationError when the optimally truncated expansion cannot
-    reach ~3e-8 relative accuracy, which happens when ``|z|`` is too small
-    for an asymptotic evaluation.
+    The last term from ``_hankel_terms`` is left out as the first omitted
+    one, ``t_l``; the bound is ``|t_l| 2 chi(l) exp(|order^2 - 1/4|/|z|)``
+    (DLMF 10.40(iv), ``|ph z| <= pi/2``), with ``chi(l) = sqrt(pi)
+    Gamma(l/2 + 1)/Gamma(l/2 + 1/2)`` bounded by ``sqrt(pi (l + 1)/2)``.
     """
-    order = _require_order(order)
-    z = _require_finite(complex(z), "z")
-    terms, est = _hankel_terms(order, z, _SERIES_TOL)
-    if est > 3.0e-8:
-        raise TruncationError(
-            f"asymptotic expansion unreliable at |z| = {abs(z):.3g} "
-            f"(estimated relative error {est:.2e})"
-        )
-    prefactor = 1.0 / cmath.sqrt(2.0 * math.pi * z)
-    s_alt = sum((-1) ** k * t for k, t in enumerate(terms))
-    main = cmath.exp(complex(0.0, z.imag)) * s_alt  # e^z scaled by e^{-Re z}
-    reflected = (
-        cmath.exp(1j * math.pi * order) * 1j * cmath.exp(-z - z.real) * sum(terms)
-    )
-    return prefactor * (main + reflected), est
+    growth = math.exp(min(abs(order * order - 0.25) / abs(z), 700.0))
+    terms, _ = _hankel_terms(order, z, 1e-18 / growth)
+    kept = terms[:-1]
+    chi = math.sqrt(0.5 * math.pi * len(terms))
+    remainder = 2.0 * chi * growth * abs(terms[-1])
+    roundoff = _ROUNDOFF * max(map(abs, kept))
+    return sum(kept[0::2]), sum(kept[1::2]), remainder, roundoff
+

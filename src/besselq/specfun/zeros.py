@@ -20,17 +20,15 @@ smallest zero refined, exceeds 1e-10.  That happens from order ~10.8 on (the
 term is about 9e-13 at order 7, 5e-11 at 10, 8e-9 at 12), except at the
 half-integer orders 11.5, 12.5 and 13.5, where the expansion terminates.
 
-Zeros have one path, in pure Python: ``_zero_table`` refines them and keeps
-them per order, and both ``creep_rate_time`` and ``bessel_j_zeros`` (the
-verification suites, many zeros once) read that memo.
+The zeros serve the verification suites only (``checks``: 10,000 zeros at
+a few orders, several times each), so ``bessel_j_zeros`` keeps the tables
+of its last 8 calls; ``creep_rate_time`` needs no zeros.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 
 from ..errors import DomainError, RootIsolationError, TruncationError
 from .gammafn import _require_finite, _require_index, _require_order
@@ -55,9 +53,6 @@ _HANKEL_OMITTED_MAX = 1e-10
 #: Zeros whose McMahon guess lies at or below this come from the scalar
 #: bracket-verified ``bessel_j_zero``; larger ones from the Hankel refinement.
 _SMALL_ZERO_MAX = _J_SERIES_MAX_X + 8.0
-
-#: Orders whose zeros ``_zero_table`` keeps; the least recently used goes.
-_ZERO_TABLE_ORDERS = 8
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -278,77 +273,32 @@ def _require_hankel_terms(order: float, smallest: float) -> None:
         )
 
 
-def _unordered(order: float) -> RootIsolationError:
-    return RootIsolationError(
-        f"zero sequence of J_{order} not strictly increasing; refinement failed"
-    )
-
-
-_zero_tables: OrderedDict[float, tuple[float, ...]] = OrderedDict()
-_zero_tables_lock = threading.Lock()
-
-
-def _zero_block(order: float, start: int, stop: int) -> tuple[float, ...]:
-    """Zeros ``start + 1 .. stop`` of ``J_order``; raises before any work
-    where the Hankel terms fall short.
-
-    Small zeros (McMahon guess at most ``_SMALL_ZERO_MAX``) come from the
-    bracket-verified ``bessel_j_zero``, the rest from ``_hankel_refine``.
-    """
-    guesses = [mcmahon_zero_estimate(order, float(k)) for k in range(start + 1, stop + 1)]
-    large = [x for x in guesses if x > _SMALL_ZERO_MAX]
-    if large:
-        _require_hankel_terms(order, min(large))
-    return tuple(
-        bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _hankel_refine(order, x)
-        for k, x in enumerate(guesses, start=start + 1)
-    )
-
-
-def _zero_table(order: float, count: int) -> tuple[float, ...]:
-    """At least the first ``count`` positive zeros of ``J_order``, memoised.
-
-    Raises ``RootIsolationError`` where 13 Hankel terms do not suffice
-    (see ``_require_hankel_terms``).  The zeros are kept per order, for at
-    most ``_ZERO_TABLE_ORDERS`` orders, the least recently used evicted
-    first.  An order's table only grows: a growth computes its
-    whole block and checks it before one assignment publishes it, so an
-    order that raises leaves nothing behind, and the table holds zero ``k``
-    of ``J_order`` at index ``k - 1`` whatever the calls before.  The tuple
-    returned may hold more than ``count`` zeros.
-    """
-    order = _require_order(order)
-    with _zero_tables_lock:
-        table = _zero_tables.get(order, ())
-        if table:
-            _zero_tables.move_to_end(order)
-    if len(table) >= count:
-        return table
-    block = _zero_block(order, len(table), count)
-    edge = table[-1:] + block
-    if any(b <= a for a, b in zip(edge, edge[1:])):
-        raise _unordered(order)
-    grown = table + block
-    with _zero_tables_lock:
-        if len(grown) > len(_zero_tables.get(order, ())):
-            _zero_tables[order] = grown
-        _zero_tables.move_to_end(order)
-        while len(_zero_tables) > _ZERO_TABLE_ORDERS:
-            _zero_tables.popitem(last=False)
-    return grown
-
-
+@functools.lru_cache(maxsize=8)
 def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
     """First ``count`` positive zeros of ``J_order``, as a tuple.
 
-    Read from the memo ``creep_rate_time`` shares (``_zero_table``): a
-    later call at the same order returns, or extends, the zeros already
-    found.  The sequence is checked to be strictly increasing.
+    Small zeros (McMahon guess at most ``_SMALL_ZERO_MAX``) come from the
+    bracket-verified ``bessel_j_zero``, the rest from ``_hankel_refine``,
+    and the sequence is checked to be strictly increasing.  The tables of
+    the last 8 calls are kept.
 
-    Raises ``RootIsolationError`` when the first Hankel term the refinement
-    omits, ``|a_14| / x^14`` at the McMahon guess of the smallest zero it
-    refines, exceeds 1e-10: the order is then too close to the argument
-    for the expansion.
+    Raises ``RootIsolationError``, before any zero is refined, when the
+    first Hankel term the refinement omits, ``|a_14| / x^14`` at the
+    McMahon guess of the smallest zero it refines, exceeds 1e-10: the order
+    is then too close to the argument for the expansion.
     """
+    order = _require_order(order)
     count = _require_index(count, "count")
-    return _zero_table(order, count)[:count]
+    guesses = [mcmahon_zero_estimate(order, float(k)) for k in range(1, count + 1)]
+    large = [x for x in guesses if x > _SMALL_ZERO_MAX]
+    if large:
+        _require_hankel_terms(order, min(large))
+    zeros = tuple(
+        bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _hankel_refine(order, x)
+        for k, x in enumerate(guesses, start=1)
+    )
+    if any(b <= a for a, b in zip(zeros, zeros[1:])):
+        raise RootIsolationError(
+            f"zero sequence of J_{order} not strictly increasing; refinement failed"
+        )
+    return zeros

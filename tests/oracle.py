@@ -202,3 +202,17 @@ def first_zero_j0(dps: int = 30):
             else:
                 hi = mid
         return +((lo + hi) / 2)
+
+
+def creep_rate_time_talbot(nu, t, dps: int = 40):
+    """Psi(t; nu) by mpmath's own Talbot inversion of the whole transform
+    ``2(nu+1)/sqrt(s) I_{nu+1}(sqrt s)/I_{nu+2}(sqrt s)`` (``mpmath.besseli``),
+    independent of the zeros and of the package's pole split."""
+    with mp.workdps(dps):
+        nu = mp.mpf(nu)
+
+        def transform(s):
+            z = mp.sqrt(s)
+            return 2 * (nu + 1) / z * mp.besseli(nu + 1, z) / mp.besseli(nu + 2, z)
+
+        return mp.invertlaplace(transform, t, method="talbot")

@@ -8,6 +8,7 @@ import pytest
 import oracle
 from besselq import DomainError, ModelOrder, checks
 from besselq.checks import (
+    check_creep_time,
     check_laplace_consistency,
     creep_rate_laplace_by_zeros,
     rayleigh_sneddon_sum,
@@ -50,3 +51,24 @@ def test_laplace_check_fails_on_shifted_zeros(monkeypatch):
     )
     result = check_laplace_consistency()
     assert not result.passed and result.max_discrepancy > 1e-9
+
+
+def test_creep_time_check_fails_on_a_wrong_inversion(monkeypatch):
+    # measured discrepancy 2.7e-14; the Talbot estimates there reach 2.7e-13,
+    # under the 1e-12 bound, and an error of 1e-11 must fail
+    result = check_creep_time()
+    assert result.passed and result.max_discrepancy < 1e-13
+    inversion = checks.creep_rate_time
+    monkeypatch.setattr(
+        checks, "creep_rate_time", lambda m, t: (inversion(m, t)[0] * (1.0 + 1e-11), None)
+    )
+    assert not check_creep_time().passed
+
+
+def test_creep_time_check_fails_on_shifted_zeros(monkeypatch):
+    zeros = checks.bessel_j_zeros
+    monkeypatch.setattr(
+        checks, "bessel_j_zeros", lambda *args: tuple(j + 1e-9 for j in zeros(*args))
+    )
+    result = check_creep_time()
+    assert not result.passed and result.max_discrepancy > 1e-12

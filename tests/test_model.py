@@ -2,27 +2,24 @@
 asymptotic regimes, and the fractional Maxwell comparison model."""
 
 import cmath
+import json
 import math
 import time
-from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
 import oracle
 from besselq import (
-    BesselQError,
     DomainError,
     ModelOrder,
-    TruncationError,
     creep_compliance_asymptotic,
     creep_compliance_laplace,
     creep_rate_laplace,
     creep_rate_time,
     frac_maxwell_q_inverse,
 )
-from besselq import model as model_module
 from besselq.checks import creep_rate_laplace_by_zeros
-from besselq.specfun import zeros
 
 # oracle: naive series quotients at >= 40 digits
 PSI_LAPLACE_0_1 = 8.326612235221068270685
@@ -139,21 +136,38 @@ def test_dirichlet_long_time_constant():
     for nu in (0.0, 1.0):
         value, _ = creep_rate_time(ModelOrder(nu), 50.0)
         assert rel(value, 4.0 * (nu + 1.0) * (nu + 2.0)) < 1e-14
+        # no inversion at t = inf: the constant itself, exactly
+        assert creep_rate_time(ModelOrder(nu), math.inf) == (
+            4.0 * (nu + 1.0) * (nu + 2.0),
+            (0, 0.0),
+        )
 
 
 def test_dirichlet_golden():
-    value, truncation = creep_rate_time(ModelOrder(0.0), 1.0)
+    value, inversion = creep_rate_time(ModelOrder(0.0), 1.0)
     assert rel(value, PSI_TIME_0_1) < 1e-13
-    assert truncation.tail_bound >= 0.0
+    assert inversion.nodes == 24
+    assert rel(value, PSI_TIME_0_1) <= inversion.est_rel_error < 1e-13
 
 
 def test_dirichlet_tail_bound_is_honest():
-    # compare against a summation pushed far beyond the stopping point
+    # the Talbot estimate against a Dirichlet sum over mpmath's zeros
     model = ModelOrder(0.5)
     for t in (0.05, 0.3, 2.0):
-        value, truncation = creep_rate_time(model, t)
-        reference = float(oracle.creep_rate_time(0.5, t, n_zeros=max(80, 4 * truncation.n_zeros)))
-        assert abs(value - reference) <= truncation.tail_bound + 1e-12 * reference
+        value, inversion = creep_rate_time(model, t)
+        reference = float(oracle.creep_rate_time(0.5, t, n_zeros=80))
+        assert abs(value - reference) <= inversion.est_rel_error * reference
+
+
+def test_creep_matches_every_benchmark_reference():
+    # 860 points, orders 0 to 200 and t from 1e-4 to 10, from Dirichlet sums
+    # over mpmath's zeros: measured worst error 4.4e-14, estimate/error at
+    # least 5.3.  The orders from 20 up once raised RootIsolationError.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "creep.json"
+    for point in json.loads(path.read_text(encoding="ascii"))["points"]:
+        value, inversion = creep_rate_time(ModelOrder(point["nu"]), point["x"])
+        err = rel(value, point["ref"])
+        assert err <= min(inversion.est_rel_error, 2e-13), point
 
 
 def test_dirichlet_small_time_growth():
@@ -165,50 +179,48 @@ def test_dirichlet_small_time_growth():
 
 
 def test_dirichlet_domain_error():
-    with pytest.raises(DomainError):
-        creep_rate_time(ModelOrder(0.0), 0.0)
+    for t in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            creep_rate_time(ModelOrder(0.0), t)
 
 
-def test_dirichlet_beyond_hankel_limit_raises():
-    # J_22 zeros need more Hankel terms than the refinement keeps; this
-    # value was once returned silently wrong (1848.0300 vs 1848.0289)
-    with pytest.raises(BesselQError):
-        creep_rate_time(ModelOrder(20.0), 0.01057)
+def test_dirichlet_beyond_hankel_limit_matches_oracle():
+    # mpmath's own Talbot inversion of the whole transform, at 40 digits.
+    # The zeros of J_22 need more Hankel terms than their refinement keeps:
+    # the Dirichlet route once returned 1848.0300 at (20, 0.01057), then
+    # raised there, and raised TruncationError at (1, 1e-12).
+    for nu, t in ((1.0, 1e-12), (1.0, 1e-20), (0.0, 1e-300), (-0.99, 1e-14), (20.0, 0.01057),
+                  (20.0, 1e-9), (50.0, 1e-5), (100.0, 1e-3), (200.0, 1e-12), (200.0, 1e-4)):
+        value, inversion = creep_rate_time(ModelOrder(nu), t)
+        reference = float(oracle.creep_rate_time_talbot(nu, t))
+        assert rel(value, reference) <= inversion.est_rel_error < 2e-12, (nu, t)
 
 
-def test_dirichlet_result_does_not_depend_on_call_history(monkeypatch):
+def test_dirichlet_result_does_not_depend_on_call_history():
+    # the Talbot rule is built on first use; nothing else is kept
     model = ModelOrder(1.0)
     times = (1e-4, 3e-3, 0.1, 2.0)
-    monkeypatch.setattr(zeros, "_zero_tables", OrderedDict())
     cold = [creep_rate_time(model, t) for t in times]
-    monkeypatch.setattr(zeros, "_zero_tables", OrderedDict())
-    creep_rate_time(model, 1e-6)  # warms the table of J_3 to 2048 zeros
-    assert len(zeros._zero_tables[3.0]) > max(c[1].n_zeros for c in cold)
-    warm = [creep_rate_time(model, t) for t in times]
-    assert warm == cold
+    creep_rate_time(ModelOrder(200.0), 1e-6)
+    creep_rate_time(model, 1e-300)
+    assert [creep_rate_time(model, t) for t in times] == cold
 
 
-def test_dirichlet_truncation_raises_before_computing_zeros(monkeypatch):
-    # some 570,000 zeros of J_3 would be needed; the McMahon bound on j_K
-    # says so before any is computed
-    monkeypatch.setattr(zeros, "_zero_tables", OrderedDict())
-    start = time.perf_counter()
-    with pytest.raises(TruncationError):
-        creep_rate_time(ModelOrder(1.0), 1e-11)
-    assert time.perf_counter() - start < 0.05
-    assert 3.0 not in zeros._zero_tables
-    for t in (1e-20, 5e-324):  # 1 - exp(-2 pi j t) rounds to 0 here
-        with pytest.raises(TruncationError):
+def test_dirichlet_small_times_return_quickly():
+    # the cost does not grow as t falls; the Dirichlet route needed some
+    # 570,000 zeros at t = 1e-11 and raised
+    for t in (1e-11, 1e-20):
+        start = time.perf_counter()
+        value, _ = creep_rate_time(ModelOrder(1.0), t)
+        assert time.perf_counter() - start < 0.05
+        assert rel(value, 4.0 / math.sqrt(math.pi * t)) < 1e-4
+    # below t ~ 2e-307 the contour leaves the double range: loud and quick
+    for t in (1e-307, 5e-324):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="Talbot"):
             creep_rate_time(ModelOrder(1.0), t)
-
-
-def test_dirichlet_honours_max_zeros(monkeypatch):
-    # 56 zeros are needed here; a limit below the first block of 64 holds
-    monkeypatch.setattr(model_module, "_MAX_ZEROS", 56)
-    assert creep_rate_time(ModelOrder(0.0), 1e-3)[1].n_zeros == 56
-    monkeypatch.setattr(model_module, "_MAX_ZEROS", 55)
-    with pytest.raises(TruncationError):
-        creep_rate_time(ModelOrder(0.0), 1e-3)
+        assert time.perf_counter() - start < 0.05
+    assert creep_rate_time(ModelOrder(1.0), 3e-307)[0] < math.inf
 
 
 def test_laplace_consistency_single_point():

@@ -3,7 +3,9 @@ the single production route against the oracle over the whole domain, and
 the product identity linking the two closed forms."""
 
 import math
+import time
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +137,27 @@ def test_production_route_matches_oracle_across_domain():
             err = rel(ev.q_inverse, float(oracle.q_inverse(nu, omega)))
             assert err <= 1e-12, (nu, omega, err)
             assert err <= ev.est_rel_error, (nu, omega, err, ev.est_rel_error)
+
+
+@pytest.mark.parametrize("omega", [1e20, 1e50, 1e300])
+def test_production_route_matches_mpmath_at_high_frequency(omega):
+    # the continued fraction needed ~7 omega^(1/4) iterations: 3.7 s at
+    # 1e24, no return at 1e30.  The Hankel sums now serve these points
+    # (measured worst error 3.2e-16, error/estimate 0.04)
+    with mp.workdps(40):
+        z = mp.sqrt(mp.mpc(0, omega))
+        for nu in (-0.99, -0.5, 0.0, 5.0, 50.0, 169.0, 300.0):
+            ev = q_inverse(ModelOrder(nu), omega)
+            tail = 2 * (nu + 1) / z * mp.besseli(nu + 3, z) / mp.besseli(nu + 2, z)
+            ref = (4 * (mp.mpf(nu) + 1) * (nu + 2) / omega - tail.imag) / (1 + tail.real)
+            err = float(abs(ev.q_inverse - ref) / ref)
+            assert err <= ev.est_rel_error < 1e-13, (nu, err, ev.est_rel_error)
+
+
+def test_production_route_cost_is_flat_in_frequency():
+    start = time.perf_counter()
+    q_inverse(ModelOrder(0.0), 1e30)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_production_route_reaches_low_asymptote():

@@ -8,6 +8,7 @@ re-derives them live.
 import cmath
 import math
 import struct
+import time
 
 import mpmath as mp
 import pytest
@@ -18,6 +19,7 @@ import oracle
 from besselq import (
     CancellationError,
     DomainError,
+    NonConvergenceError,
     OverflowRangeError,
     PoleError,
     TruncationError,
@@ -129,6 +131,20 @@ def test_bessel_i_up_to_double_range():
             modified_bessel_i(0.0, x)
 
 
+def test_bessel_i_where_one_factor_leaves_double_range():
+    # (x/2)^order or Gamma(order+1) alone overflows here, the value does
+    # not; both once raised OverflowRangeError.  The leading term comes
+    # from lgamma, so the error grows with |log| of the factors (measured
+    # worst 2.2e-13, at order 1000)
+    for order, x in ((200.0, 147.0), (171.0, 200.0), (150.0, 400.0), (300.0, 700.0),
+                     (1000.0, 500.0)):
+        ref = mp.besseli(order, x)
+        assert float(abs(modified_bessel_i(order, x) - ref) / ref) < 1e-12, (order, x)
+    assert modified_bessel_i(200.0, 0.0) == 0.0
+    with pytest.raises(OverflowRangeError):
+        modified_bessel_i(200.0, 1000.0)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -227,6 +243,50 @@ def test_ratio_accuracy_sweep(magnitude, arg):
     assert rel(bessel_ratio_contiguous(1.3, z), ref) < 1e-11
 
 
+def test_ratio_regimes_agree_in_overlap_band(monkeypatch):
+    # where the Hankel sums are taken (0 iterations), the continued
+    # fraction agrees within the two estimates (measured worst 0.1 of them)
+    points = [
+        (order, cmath.rect(r, phi))
+        for order in (-0.9, 0.0, 2.0, 5.5, 20.0)
+        for r in (30.0, 120.0, 400.0, 2000.0)
+        for phi in (0.0, math.pi / 4, 1.2)
+    ]
+    expansion = {}
+    for order, z in points:
+        value, err, iterations = modified._ratio_next_order(order, z)
+        if iterations == 0:
+            expansion[order, z] = value, err
+    assert len(expansion) >= 40
+    monkeypatch.setattr(modified, "_hankel_sums", lambda order, z: (0j, 0j, math.inf, 0.0))
+    for (order, z), (value, err) in expansion.items():
+        cf, residual, iterations = modified._ratio_next_order(order, z)
+        assert iterations > 0
+        bound = err + residual + 2.3e-16 * (8 + iterations)
+        assert abs(cf - value) <= bound * abs(value), (order, z)
+
+
+def test_ratio_takes_expansion_only_under_its_bound():
+    # at order 88, z = 236(1+i), the Hankel terms first grow to 1e4, and
+    # the quotient of the sums is off by 1.2e-8; their roundoff, 4e-8 of
+    # their size, sends the point to the continued fraction
+    z = complex(236.0, 236.0)
+    ref = complex(mp.besseli(89, mp.mpc(z.real, z.imag)) / mp.besseli(88, mp.mpc(z.real, z.imag)))
+    (e1, o1, _, _), (e0, o0, _, roundoff) = (modified._hankel_sums(a, z) for a in (89.0, 88.0))
+    assert rel((e1 - o1) / (e0 - o0), ref) > 1e-9 and roundoff > 1e-14 * abs(e0 - o0)
+    value, _, iterations = modified._ratio_next_order(88.0, z)
+    assert iterations > 0 and rel(value, ref) < 1e-14
+
+
+def test_ratio_cf_cap_is_reachable(monkeypatch):
+    # the cap 2|z| + 100 follows from the argument, so a fault raises fast
+    monkeypatch.setattr(modified, "_CF_TOL", 0.0)
+    start = time.perf_counter()
+    with pytest.raises(NonConvergenceError, match="after 2100 iterations"):
+        modified._ratio_next_order(0.0, complex(0.0, 1000.0))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_ratio_rejects_zero():
     with pytest.raises(DomainError):
         bessel_ratio_contiguous(0.0, 0j)
@@ -312,6 +372,24 @@ def test_kelvin_series_asymptotic_handover_consistency():
         norm = abs(series_pair)
         assert abs(series_pair.real - asym_pair.ber) < 2e-11 * norm
         assert abs(series_pair.imag - asym_pair.bei) < 2e-11 * norm
+
+
+def test_kelvin_large_argument_raises_beyond_its_bound():
+    # the smallest Hankel term alone once passed these off as accurate
+    # (errors 2.8e-5, 4.9e-5 and 3.2 of the pair norm); the remainder bound
+    # is 23, 3e5 and 3e14 there
+    for order, x in ((30.0, 25.0), (25.0, 18.5), (30.0, 18.5)):
+        with pytest.raises(TruncationError):
+            kelvin(order, x)
+    # the check suite's orders (at most 12) keep returning from x = 18 on
+    for order in (10.0, 12.0):
+        for x in (18.0, 18.5, 25.0):
+            pair = kelvin(order, x)
+            ber_ref, bei_ref = (float(v) for v in oracle.kelvin_pair(order, x))
+            norm = math.hypot(ber_ref, bei_ref)
+            assert abs(pair.ber - ber_ref) < 1e-12 * norm
+            assert abs(pair.bei - bei_ref) < 1e-12 * norm
+            assert kelvin_scaled(order, x)[3] < 1e-10
 
 
 def test_kelvin_overflow():

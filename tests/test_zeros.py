@@ -1,9 +1,6 @@
 """Bessel-J evaluation and zero finding."""
 
 import math
-import sys
-import threading
-from collections import OrderedDict
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +17,6 @@ from besselq import (
     bessel_j_zeros,
 )
 from besselq.checks import rayleigh_sneddon_sum
-from besselq.specfun import zeros
 
 # first zero of J_0, from bisection on the naive series oracle
 J0_ZERO1 = 2.404825557695772768622
@@ -93,21 +89,14 @@ def test_vectorized_zeros_raise_beyond_hankel_limit():
             bessel_j_zeros(order, 8)
 
 
-@pytest.fixture
-def fresh_table(monkeypatch):
-    table = OrderedDict()
-    monkeypatch.setattr(zeros, "_zero_tables", table)
-    return table
-
-
-def test_zero_table_matches_mpmath(fresh_table):
+def test_zero_table_matches_mpmath():
     # from k = 8 on every zero is good to a few ulps; below that, 1e-13 up
     # to order 7, while at orders 8 to 10 the first few lose digits (worst
     # 1.5e-12 at order 10, k = 3, where the first omitted Hankel term is
     # 5e-11; see the module docstring)
     ks = (1, 2, 3, 4, 5, 8, 13, 21, 50, 200, 1000, 2345, 5000)
     for order in (-0.5, 0.0, 1.0, 2.0, 2.5, 4.5, 7.0, 8.0, 10.0):
-        table = zeros._zero_table(order, 5000)
+        table = bessel_j_zeros(order, 5000)
         for k in ks:
             tol = 1e-15 if k >= 8 else 1e-13 if order <= 7.0 else 1e-11
             if order == -0.5:  # J_{-1/2}(x) is proportional to cos(x)/sqrt(x)
@@ -117,75 +106,24 @@ def test_zero_table_matches_mpmath(fresh_table):
             assert abs(table[k - 1] - ref) <= tol * ref, (order, k)
 
 
-def test_zero_table_grows_only_once(fresh_table, monkeypatch):
-    calls = []
-    for name in ("bessel_j_zero", "_hankel_refine"):
-        def counted(*args, _fn=getattr(zeros, name)):
-            calls.append(args)
-            return _fn(*args)
-
-        monkeypatch.setattr(zeros, name, counted)
-    first = zeros._zero_table(2.0, 64)
-    assert len(calls) == 64
-    calls.clear()
-    assert zeros._zero_table(2.0, 64) is first
-    assert zeros._zero_table(2.0, 10) is first
-    assert calls == []
-    grown = zeros._zero_table(2.0, 100)
-    assert len(calls) == 36 and grown[:64] == first
-
-
-def test_zero_table_leaves_nothing_for_an_order_that_raises(fresh_table):
-    for _ in range(2):
-        with pytest.raises(RootIsolationError, match="J_22.0"):
-            zeros._zero_table(22.0, 8)
-        assert not fresh_table
-
-
-def test_zero_table_is_immutable_and_bounded(fresh_table):
-    table = zeros._zero_table(0.0, 8)
+def test_zero_table_is_immutable_and_bounded():
+    table = bessel_j_zeros(0.0, 8)
     with pytest.raises(TypeError):
         table[0] = 1.0
-    for order in range(1, zeros._ZERO_TABLE_ORDERS):
-        zeros._zero_table(float(order), 8)
-    zeros._zero_table(0.0, 8)  # order 0 is now the most recently used
-    zeros._zero_table(float(zeros._ZERO_TABLE_ORDERS), 8)
-    assert len(fresh_table) == zeros._ZERO_TABLE_ORDERS
-    assert 1.0 not in fresh_table and 0.0 in fresh_table
+    for order in range(1, 10):
+        bessel_j_zeros(float(order), 8)
+    info = bessel_j_zeros.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+    assert bessel_j_zeros(0.0, 8) == table
 
 
-def test_zero_table_concurrent_growth(fresh_table):
-    orders = (0.0, 2.0, 4.5)
-    reference = {order: zeros._zero_table(order, 700) for order in orders}
-    fresh_table.clear()
-    results, errors = [], []
-
-    def grow(worker):
-        try:
-            for i in range(12):
-                order = orders[(worker + i) % len(orders)]
-                count = 1 + (97 * (worker + 1) * (i + 1)) % 700
-                results.append((order, zeros._zero_table(order, count)))
-        except Exception as exc:  # reported through the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=grow, args=(w,)) for w in range(6)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers) and not errors
-    assert len(results) == 6 * 12
-    for order, table in results:
-        assert table == reference[order][: len(table)]
-    for order in orders:
-        longest = max(len(t) for o, t in results if o == order)
-        assert fresh_table[order] == reference[order][:longest]
+def test_zero_table_leaves_nothing_for_an_order_that_raises():
+    # each call raises afresh: nothing of the failed order is kept
+    for _ in range(2):
+        misses = bessel_j_zeros.cache_info().misses
+        with pytest.raises(RootIsolationError, match="J_22.0"):
+            bessel_j_zeros(22.0, 8)
+        assert bessel_j_zeros.cache_info().misses == misses + 1
 
 
 def test_bessel_j_matches_mpmath_across_handover():
