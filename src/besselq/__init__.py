@@ -13,6 +13,10 @@ are safe to call concurrently.  None takes a tolerance or a term cap: the
 series, expansions, continued fractions and the Talbot quadrature run at
 fixed precision targets, and a call either meets its stated accuracy or
 raises a typed ``BesselQError``.
+
+``import besselq`` loads the production path only: ``bessel_j`` and the
+zero finders, which serve the verification suites, are imported on first
+use (PEP 562), and ``besselq.checks`` and ``besselq.cli`` when imported.
 """
 
 from .errors import (
@@ -46,9 +50,6 @@ from .specfun import (
     DEFAULT_CROSSOVER_OMEGA,
     FGPair,
     KelvinPair,
-    bessel_j,
-    bessel_j_zero,
-    bessel_j_zeros,
     bessel_ratio_contiguous,
     fg_from_kelvin,
     fg_series,
@@ -98,3 +99,16 @@ __all__ = [
     "q_inverse_kelvin",
     "tricomi_it",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("bessel_j", "bessel_j_zero", "bessel_j_zeros"):
+        from . import specfun
+
+        value = globals()[name] = getattr(specfun, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,9 +9,8 @@ subcommand runs them all; the test suite reuses them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import takewhile
-from typing import Iterable, Sequence
 
 from .cli import FrequencyGrid
 from .errors import BesselQError, DomainError
@@ -19,6 +18,10 @@ from .model import ModelOrder, creep_rate_laplace, creep_rate_time
 from .qfactor import q_inverse, q_inverse_fg, q_inverse_kelvin
 from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
 from .specfun.zeros import bessel_j_zeros
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence
 
 #: Frozen bounds, measured during development with generous margin.
 ROUTE_AGREEMENT_BOUND_BELOW = 1e-9
@@ -34,13 +37,14 @@ DEFAULT_CHECK_NUS = (-0.5, 0.0, 1.0, 3.5, 10.0)
 _ZERO_SUM_TERMS = 10_000
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    max_discrepancy: float
-    bound: float
-    passed: bool
-    detail: str = ""
+class CheckResult(
+    namedtuple(
+        "CheckResult", "name max_discrepancy bound passed detail", defaults=("",)
+    )
+):
+    """One suite's worst discrepancy against its bound."""
+
+    __slots__ = ()
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"

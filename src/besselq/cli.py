@@ -29,15 +29,17 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BesselQError, DomainError
 from .model import ModelOrder
 from .qfactor import QEvaluation, q_inverse, q_inverse_asymptotic
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Iterable, Sequence
+
     from .checks import CheckResult
 
 SWEEP_HEADER = "omega,nu,q_inverse,route,est_rel_error,q_asymp_low,q_asymp_high"
@@ -48,24 +50,23 @@ FIGURE_NUS = (-0.5, 0.0, 1.0, 2.0, 5.0)
 ASYMPTOTE_PANEL_NUS = (0.0, 2.0)
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Linear or logarithmic frequency sweep specification."""
+class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
+    """Linear or logarithmic frequency sweep specification: ``scale`` is
+    'linear' or 'log'."""
 
-    scale: str  # 'linear' | 'log'
-    min: float
-    max: float
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.scale not in ("linear", "log"):
-            raise DomainError(f"scale must be 'linear' or 'log', got {self.scale!r}")
-        if not (self.min > 0.0 and self.max > self.min):
-            raise DomainError(
-                f"need 0 < min < max, got min={self.min}, max={self.max}"
-            )
-        if self.count < 2:
-            raise DomainError(f"count must be >= 2, got {self.count}")
+    def __new__(cls, scale: str, min: float, max: float, count: int) -> FrequencyGrid:
+        if scale not in ("linear", "log"):
+            raise DomainError(f"scale must be 'linear' or 'log', got {scale!r}")
+        if not (min > 0.0 and max > min):
+            raise DomainError(f"need 0 < min < max, got min={min}, max={max}")
+        if count < 2:
+            raise DomainError(f"count must be >= 2, got {count}")
+        return super().__new__(cls, scale, min, max, count)
+
+    # ``_replace`` builds through ``_make``: check there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def points(self) -> list[float]:
         """The grid, by the arithmetic of ``np.linspace`` / ``np.logspace``."""
@@ -80,17 +81,15 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return [start + i * step for i in range(count - 1)] + [stop]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(
+    namedtuple(
+        "SweepRecord",
+        "omega nu q_inverse route est_rel_error q_asymp_low q_asymp_high",
+    )
+):
     """One CSV row of a frequency sweep."""
 
-    omega: float
-    nu: float
-    q_inverse: float
-    route: str
-    est_rel_error: float
-    q_asymp_low: float
-    q_asymp_high: float
+    __slots__ = ()
 
     def as_csv(self) -> str:
         return ",".join(

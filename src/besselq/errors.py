@@ -42,8 +42,8 @@ class NonConvergenceError(BesselQError):
 
 
 class RootIsolationError(BesselQError):
-    """A Bessel-function zero could not be bracketed, or lies beyond the
-    documented reach of the zero finder."""
+    """A Bessel-function zero could not be bracketed, or the refined zeros
+    came out of order."""
 
 
 class InconsistencyError(BesselQError):

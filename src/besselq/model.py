@@ -29,11 +29,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, OverflowRangeError
 from .specfun.modified import _ratio_next_order
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Literal
 
 #: Relative rounding unit of one floating-point operation, with margin.
 _EPS = 2.3e-16
@@ -67,24 +70,26 @@ def _talbot_rule() -> tuple[tuple[tuple[complex, complex], ...], float]:
     return tuple(nodes), max(abs(ts) for ts, _ in nodes)
 
 
-@dataclass(frozen=True)
-class ModelOrder:
+class ModelOrder(namedtuple("ModelOrder", "nu")):
     """Order parameter ``nu > -1`` selecting one Bessel medium."""
 
-    nu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.nu) and self.nu > -1.0):
-            raise DomainError(f"model order must be finite and > -1, got {self.nu}")
+    def __new__(cls, nu: float) -> ModelOrder:
+        if not (math.isfinite(nu) and nu > -1.0):
+            raise DomainError(f"model order must be finite and > -1, got {nu}")
+        return super().__new__(cls, nu)
+
+    # ``_replace`` builds through ``_make``: check there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class TalbotInversion(NamedTuple):
+class TalbotInversion(namedtuple("TalbotInversion", "nodes est_rel_error")):
     """How ``creep_rate_time`` inverted the Laplace transform: the nodes of
     the Talbot rule (0 where no inversion was needed, at ``t = inf``) and
     the estimated relative error of the result."""
 
-    nodes: int
-    est_rel_error: float
+    __slots__ = ()
 
 
 def _check_s(s: complex) -> complex:

@@ -33,8 +33,7 @@ All functions are pure and deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
+from collections import namedtuple
 
 from .errors import (
     CancellationError,
@@ -51,7 +50,11 @@ from .specfun.kelvinfg import (
 )
 from .specfun.modified import _SERIES_TOL
 
-Route = Literal["fg_series", "kelvin", "direct_ratio"]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Literal
+
+    Route = Literal["fg_series", "kelvin", "direct_ratio"]
 
 #: Largest relative error estimate a QEvaluation may carry; a route whose
 #: own estimate is worse raises InconsistencyError instead of returning.
@@ -60,38 +63,38 @@ EST_REL_ERROR_CEILING = 1e-6
 _DENOMINATOR_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class QEvaluation:
+class QEvaluation(namedtuple("QEvaluation", "omega q_inverse route est_rel_error")):
     """One quality-factor sample with provenance and an error estimate."""
 
-    omega: float
-    q_inverse: float
-    route: Route
-    est_rel_error: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.omega > 0.0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
-        if self.q_inverse == math.inf:
+    def __new__(
+        cls, omega: float, q_inverse: float, route: Route, est_rel_error: float
+    ) -> QEvaluation:
+        if not omega > 0.0:
+            raise DomainError(f"omega must be positive, got {omega}")
+        if q_inverse == math.inf:
             raise OverflowRangeError(
-                f"Q^-1 exceeds the double range at omega = {self.omega} "
-                f"(route {self.route})"
+                f"Q^-1 exceeds the double range at omega = {omega} (route {route})"
             )
-        if not (math.isfinite(self.q_inverse) and self.q_inverse > 0.0):
+        if not (math.isfinite(q_inverse) and q_inverse > 0.0):
             raise InconsistencyError(
-                f"dissipativity violated: Q^-1 = {self.q_inverse} at "
-                f"omega = {self.omega} (route {self.route})"
+                f"dissipativity violated: Q^-1 = {q_inverse} at "
+                f"omega = {omega} (route {route})"
             )
-        if not (math.isfinite(self.est_rel_error) and self.est_rel_error >= 0.0):
+        if not (math.isfinite(est_rel_error) and est_rel_error >= 0.0):
             raise InconsistencyError(
-                f"error estimate must be finite and >= 0, got {self.est_rel_error}"
+                f"error estimate must be finite and >= 0, got {est_rel_error}"
             )
-        if self.est_rel_error > EST_REL_ERROR_CEILING:
+        if est_rel_error > EST_REL_ERROR_CEILING:
             raise InconsistencyError(
-                f"error estimate {self.est_rel_error:.3g} exceeds "
-                f"{EST_REL_ERROR_CEILING:.0e} at omega = {self.omega} "
-                f"(route {self.route})"
+                f"error estimate {est_rel_error:.3g} exceeds "
+                f"{EST_REL_ERROR_CEILING:.0e} at omega = {omega} (route {route})"
             )
+        return super().__new__(cls, omega, q_inverse, route, est_rel_error)
+
+    # ``_replace`` builds through ``_make``: check there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _check_omega(omega: float) -> float:

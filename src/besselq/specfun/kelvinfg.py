@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from ..errors import DomainError, OverflowRangeError, TruncationError
 from .gammafn import _require_finite, _require_order
@@ -53,22 +53,16 @@ _SERIES_MAX_X = math.sqrt(DEFAULT_CROSSOVER_OMEGA)
 _KELVIN_OVERFLOW_X = 709.0 * math.sqrt(2.0)
 
 
-class FGPair(NamedTuple):
+class FGPair(namedtuple("FGPair", "f g order omega")):
     """Value of the oscillatory pair at one (order, omega) point."""
 
-    f: float
-    g: float
-    order: float
-    omega: float
+    __slots__ = ()
 
 
-class KelvinPair(NamedTuple):
+class KelvinPair(namedtuple("KelvinPair", "ber bei order argument")):
     """Values of ber/bei at one (order, argument) point."""
 
-    ber: float
-    bei: float
-    order: float
-    argument: float
+    __slots__ = ()
 
 
 def fg_series(order: float, omega: float) -> FGPair:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from ..errors import (
     CancellationError,
@@ -53,12 +53,11 @@ _CF_TOL = 1e-15
 _ROUNDOFF = 4.0 * sys.float_info.epsilon
 
 
-class SeriesDiagnostics(NamedTuple):
-    """Bookkeeping returned by the shared series loop."""
+class SeriesDiagnostics(namedtuple("SeriesDiagnostics", "terms_used max_term cancel_ratio")):
+    """Bookkeeping returned by the shared series loop: the terms used, the
+    largest term and ``cancel_ratio``, that term over ``|T(s)|``."""
 
-    terms_used: int
-    max_term: float
-    cancel_ratio: float  # max |term| / |T(s)|
+    __slots__ = ()
 
 
 def _half_power(x: float, order: float) -> float:

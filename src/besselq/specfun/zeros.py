@@ -14,11 +14,13 @@ with the classical bounds ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)``.
 Validated to ~1e-12 absolute for orders up to ~8 and zero index up to 1e4;
 beyond that range accuracy degrades gradually (document-of-record: the
 Hankel expansion and McMahon guess both lose ground once order ~ argument).
-Zeros past the series region are refined with 13 Hankel terms, and
-``RootIsolationError`` is raised when the first omitted term, at the
-smallest zero refined, exceeds 1e-10.  That happens from order ~10.8 on (the
-term is about 9e-13 at order 7, 5e-11 at 10, 8e-9 at 12), except at the
-half-integer orders 11.5, 12.5 and 13.5, where the expansion terminates.
+Zeros past the series region are refined with 13 Hankel terms, so both zero
+finders serve only the orders where that suffices, and raise
+``DomainError`` for any other before any work: where the first omitted
+term, at the smallest zero the refinement would take, exceeds 1e-10.  That
+happens from order 10.792 on (the term is about 9e-13 at order 7, 5e-11 at
+10, 8e-9 at 12), except within about 0.01 of the half-integer orders 11.5,
+12.5 and 13.5, where the expansion terminates.
 
 The zeros serve the verification suites only (``checks``: 10,000 zeros at
 a few orders, several times each), so ``bessel_j_zeros`` keeps the tables
@@ -151,11 +153,13 @@ def bessel_j_zero(order: float, k: int) -> float:
     before refinement, so the result is guaranteed to be a zero (absolute
     error below 1e-10; typically ~1e-13).
 
-    Raises RootIsolationError if no sign-change bracket can be found, which
-    signals a bug rather than an expected failure mode, and TruncationError
-    where ``bessel_j`` does on the way (from order ~30).
+    Raises DomainError, before any work, for the orders that
+    ``bessel_j_zeros`` cannot refine (from 10.792 on, except near 11.5,
+    12.5 and 13.5; see ``_require_zero_order``), so both zero finders serve
+    one domain.  Raises RootIsolationError if no sign-change bracket can be
+    found, which signals a bug rather than an expected failure mode.
     """
-    order = _require_order(order)
+    order = _require_zero_order(order)
     k = _require_index(k, "zero index")
     if k == 1:
         lo, hi = _first_zero_bracket(order)
@@ -257,20 +261,28 @@ def _hankel_refine(order: float, x: float) -> float:
     return x
 
 
-def _require_hankel_terms(order: float, smallest: float) -> None:
-    """Raise unless 13 Hankel terms suffice for zeros from ``smallest`` up.
+def _require_zero_order(order: float) -> float:
+    """``order``, or DomainError unless 13 Hankel terms can refine its zeros.
 
-    The first omitted term ``|a_14| / x^14`` at ``x = smallest`` must not
-    exceed 1e-10: beyond that the order is too close to the argument for
-    the expansion.
+    The first omitted term ``|a_14| / x^14``, at the McMahon guess ``x`` of
+    the smallest zero past ``_SMALL_ZERO_MAX`` (the first one
+    ``bessel_j_zeros`` refines), must not exceed 1e-10.  It exceeds it from
+    order 10.792 on, except within about 0.01 of 11.5 and 12.5 and at 13.5,
+    where the expansion terminates, and at every order above 13.5: there
+    ``a_14`` grows like ``order^28`` while the zeros grow like ``order``.
     """
-    omitted = abs(_hankel_coefficients(order, _HANKEL_TERMS + 1)[-1])
-    estimate = omitted / smallest ** (_HANKEL_TERMS + 1)
-    if not estimate <= _HANKEL_OMITTED_MAX:
-        raise RootIsolationError(
-            f"zeros of J_{order} need more than {_HANKEL_TERMS} Hankel terms: "
-            f"first omitted term {estimate:.2e} exceeds {_HANKEL_OMITTED_MAX:.0e}"
-        )
+    order = _require_order(order)
+    if order <= _HANKEL_TERMS + 0.5:
+        k = 1
+        while (x := mcmahon_zero_estimate(order, k)) <= _SMALL_ZERO_MAX:
+            k += 1
+        omitted = abs(_hankel_coefficients(order, _HANKEL_TERMS + 1)[-1])
+        if omitted / x ** (_HANKEL_TERMS + 1) <= _HANKEL_OMITTED_MAX:
+            return order
+    raise DomainError(
+        f"zeros of J_{order} need more than {_HANKEL_TERMS} Hankel terms: the "
+        "zero finders serve orders up to 10.79 and near 11.5, 12.5 and 13.5"
+    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -282,17 +294,16 @@ def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
     and the sequence is checked to be strictly increasing.  The tables of
     the last 8 calls are kept.
 
-    Raises ``RootIsolationError``, before any zero is refined, when the
-    first Hankel term the refinement omits, ``|a_14| / x^14`` at the
-    McMahon guess of the smallest zero it refines, exceeds 1e-10: the order
-    is then too close to the argument for the expansion.
+    Raises ``DomainError``, before any zero is refined and whatever
+    ``count``, for the orders whose zeros the refinement cannot reach: from
+    10.792 on, except near 11.5, 12.5 and 13.5 (``_require_zero_order``).
+    The first Hankel term it omits, ``|a_14| / x^14`` at the McMahon guess
+    of the smallest zero it would refine, then exceeds 1e-10: the order is
+    too close to the argument for the expansion.
     """
-    order = _require_order(order)
+    order = _require_zero_order(order)
     count = _require_index(count, "count")
     guesses = [mcmahon_zero_estimate(order, float(k)) for k in range(1, count + 1)]
-    large = [x for x in guesses if x > _SMALL_ZERO_MAX]
-    if large:
-        _require_hankel_terms(order, min(large))
     zeros = tuple(
         bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _hankel_refine(order, x)
         for k, x in enumerate(guesses, start=1)

@@ -1,6 +1,7 @@
 """The whole package runs without numpy: every scalar route, the zeros and
 the ``sweep``, ``figures`` and ``check`` commands, in a process where any
-import of numpy raises."""
+import of numpy raises.  ``import besselq`` and its two production calls
+load neither ``dataclasses``, ``typing`` nor the zeros, checks or CLI."""
 
 import os
 import subprocess
@@ -50,3 +51,46 @@ def test_scalar_routes_do_not_load_numpy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "all checks passed" in result.stdout
+
+
+CLOSURE_SCRIPT = """
+import sys
+import besselq
+
+m = besselq.ModelOrder(1.0)
+besselq.q_inverse(m, 10.0)
+besselq.creep_rate_time(m, 0.5)
+loaded = [name for name in ("dataclasses", "typing", "inspect", "besselq.specfun.zeros",
+                            "besselq.checks", "besselq.cli") if name in sys.modules]
+assert not loaded, loaded
+
+for name in besselq.__all__:
+    getattr(besselq, name)
+from besselq import bessel_j_zeros
+from besselq.specfun import mcmahon_zero_estimate
+assert bessel_j_zeros is besselq.bessel_j_zeros
+assert "besselq.specfun.zeros" in sys.modules
+assert set(besselq.__all__) <= set(dir(besselq))
+assert set(besselq.specfun.__all__) <= set(dir(besselq.specfun))
+for module in (besselq, besselq.specfun):
+    try:
+        module.no_such_name
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(f"{module.__name__}.no_such_name did not raise")
+"""
+
+
+def test_import_loads_only_the_production_path():
+    # -S: no site, so nothing the installation's site hooks pre-load hides
+    # what besselq itself imports
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", CLOSURE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

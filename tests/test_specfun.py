@@ -93,6 +93,24 @@ def test_gamma_overflow():
         gamma_real(200.0)
 
 
+def test_gamma_outside_normal_range_is_typed():
+    # math.gamma returns -0.0 at -180.5 and a subnormal at -171.5, and
+    # overflows at 1e-320: no digits, or not all of them, survive
+    for x in (-180.5, -171.5, -170.7, 1e-320, -1e-320, 171.7):
+        with pytest.raises(OverflowRangeError):
+            gamma_real(x)
+    assert rel(gamma_real(-170.5), float(mp.gamma(-170.5))) < 2e-15
+
+
+def test_bessel_i_at_large_order_against_mpmath():
+    # 1/Gamma(order+1) is the series' first term: a 15-term Lanczos fit
+    # left 7.8e-14 and 6.6e-14 here
+    with mp.workdps(40):
+        for order, x in ((120.7, 30.0), (150.2, 3.0)):
+            ref = mp.besseli(order, x)
+            assert float(abs(modified_bessel_i(order, x) - ref) / ref) < 2e-15
+
+
 # ------------------------------------------------- modified Bessel series
 
 

@@ -1,6 +1,7 @@
 """Bessel-J evaluation and zero finding."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,6 @@ import oracle
 from besselq import (
     BesselQError,
     DomainError,
-    RootIsolationError,
     TruncationError,
     bessel_j,
     bessel_j_zero,
@@ -89,6 +89,23 @@ def test_vectorized_zeros_raise_beyond_hankel_limit():
             bessel_j_zeros(order, 8)
 
 
+def test_zero_domain_ends_where_13_hankel_terms_stop_sufficing():
+    # below 10.792 the first omitted Hankel term stays under 1e-10 and the
+    # zeros are right; from there both finders refuse the order, whatever
+    # the count (once bessel_j_zeros(10.8, 50) raised RootIsolationError
+    # after refining, and bessel_j_zeros(10.8, 1) returned)
+    for order in (10.79, 11.5, 12.5, 13.5):
+        table = bessel_j_zeros(order, 60)
+        for k in (1, 2, 3, 8, 60):
+            ref = float(mp.besseljzero(order, k))
+            assert abs(table[k - 1] - ref) < 1e-10, (order, k)
+            assert abs(bessel_j_zero(order, k) - ref) < 1e-10, (order, k)
+    for order in (10.8, 11.0, 12.0, 13.6, 30.0, 1e6, 1e300):
+        for call in (lambda: bessel_j_zero(order, 1), lambda: bessel_j_zeros(order, 1)):
+            with pytest.raises(DomainError, match=re.escape(f"J_{order}")):
+                call()
+
+
 def test_zero_table_matches_mpmath():
     # from k = 8 on every zero is good to a few ulps; below that, 1e-13 up
     # to order 7, while at orders 8 to 10 the first few lose digits (worst
@@ -121,7 +138,7 @@ def test_zero_table_leaves_nothing_for_an_order_that_raises():
     # each call raises afresh: nothing of the failed order is kept
     for _ in range(2):
         misses = bessel_j_zeros.cache_info().misses
-        with pytest.raises(RootIsolationError, match="J_22.0"):
+        with pytest.raises(DomainError, match="J_22.0"):
             bessel_j_zeros(22.0, 8)
         assert bessel_j_zeros.cache_info().misses == misses + 1
 
@@ -156,8 +173,10 @@ def test_bessel_j_beyond_series_region_is_right_or_raises():
             assert abs(value - float(mp.besselj(order, x))) < 5e-11 * amplitude, (order, x)
     assert all(order >= 30.0 for order, _ in raised)
     assert (30.0, 13.0) not in raised and (30.0, 25.0) not in raised
-    # the zero search steps on such points: it once returned 11.57 for j_{30,1}
-    with pytest.raises(TruncationError):
+    # the zero search steps on such points: it once returned 11.57 for
+    # j_{30,1}, then raised TruncationError on the way; order 30 is now
+    # outside the zeros' domain, refused before any work
+    with pytest.raises(DomainError):
         bessel_j_zero(30.0, 1)
 
 
