@@ -3,13 +3,13 @@
 Run:  python demos/01_special_functions.py
 """
 
-import cmath
 import math
 
 from besselq import (
+    ModelOrder,
     bessel_j_zero,
     bessel_j_zeros,
-    bessel_ratio_contiguous,
+    creep_compliance_laplace,
     fg_from_kelvin,
     fg_series,
     gamma_real,
@@ -48,9 +48,9 @@ print("fg_from_kelvin    =", tuple(fg_from_kelvin(0.5, omega))[:2], " (same f, g
 print("ber_0(30)         =", kelvin(0.0, 30.0).ber)
 
 # --- stable modified-Bessel ratios -------------------------------------------
-# the ratio I_a / I_{a+2} stays O(1) where the functions themselves overflow
-z = cmath.sqrt(1j * 1.0e6)
-print("\nI_0/I_2 at |z| = 1000:", bessel_ratio_contiguous(0.0, z))
+# the ratio I_a / I_{a+2} stays O(1) where the functions themselves overflow;
+# it is the compliance combination s J~(s; a) at s = z^2
+print("\nI_0/I_2 at z = sqrt(1e6 i):", creep_compliance_laplace(ModelOrder(0.0), 1e6j))
 
 # --- zeros of J_nu ------------------------------------------------------------
 print("\nfirst zero of J_0      =", bessel_j_zero(0.0, 1))

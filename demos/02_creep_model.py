@@ -32,7 +32,7 @@ s = 2.0
 direct = creep_rate_laplace(model, complex(s, 0.0)).real
 by_zeros = creep_rate_laplace_by_zeros(model, s)
 print(f"\nPsi~(s={s}) closed form: {direct:.15g}")
-print(f"Psi~(s={s}) from 10,000 zeros of J_2, term by term: {by_zeros:.15g}")
+print(f"Psi~(s={s}) from 1,000 zeros of J_2, term by term: {by_zeros:.15g}")
 
 # --- creep compliance combination s J~(s) ------------------------------------
 print("\ns J~(s; nu=0) = 1 + Psi~(s; nu=0):")

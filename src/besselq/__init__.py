@@ -50,7 +50,6 @@ from .specfun import (
     DEFAULT_CROSSOVER_OMEGA,
     FGPair,
     KelvinPair,
-    bessel_ratio_contiguous,
     fg_from_kelvin,
     fg_series,
     gamma_real,
@@ -81,7 +80,6 @@ __all__ = [
     "bessel_j",
     "bessel_j_zero",
     "bessel_j_zeros",
-    "bessel_ratio_contiguous",
     "creep_compliance_asymptotic",
     "creep_compliance_laplace",
     "creep_rate_laplace",

@@ -16,7 +16,7 @@ from .kelvinfg import (
     kelvin_scaled,
     modified_i_asymptotic_scaled,
 )
-from .modified import bessel_ratio_contiguous, modified_bessel_i, tricomi_it
+from .modified import modified_bessel_i, tricomi_it
 
 #: The names served from ``zeros``, imported on first use.
 _ZEROS_NAMES = ("bessel_j", "bessel_j_zero", "bessel_j_zeros", "mcmahon_zero_estimate")
@@ -28,7 +28,6 @@ __all__ = [
     "bessel_j",
     "bessel_j_zero",
     "bessel_j_zeros",
-    "bessel_ratio_contiguous",
     "fg_from_kelvin",
     "fg_series",
     "gamma_real",

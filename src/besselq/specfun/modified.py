@@ -260,24 +260,6 @@ def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
     )
 
 
-def bessel_ratio_contiguous(order: float, z: complex) -> complex:
-    """Stable evaluation of ``I_order(z) / I_{order+2}(z)``.
-
-    Composes the continued-fraction ratio ``r = I_{order+2}/I_{order+1}``
-    with ``I_order = I_{order+2} + (2(order+1)/z) I_{order+1}``:
-    ``I_order/I_{order+2} = 1 + (2(order+1)/z) / r``.  The exponential
-    growth of the two functions cancels, so the ratio is accurate (relative
-    error ~1e-13) from ``|z|`` = 1e-3 up, at a flat cost where
-    ``_ratio_next_order`` takes the Hankel sums.
-    """
-    order = _require_order(order)
-    z = _require_finite(complex(z), "z")
-    if z == 0:
-        raise DomainError("ratio undefined at z = 0")
-    r, _, _ = _ratio_next_order(order + 1.0, z)
-    return 1.0 + (2.0 * (order + 1.0) / z) / r
-
-
 def _hankel_terms(order: float, z: complex, rel_tol: float) -> tuple[list, float]:
     """Optimally truncated terms ``t_k = a_k(order) / z^k`` of the
     large-argument expansion, ``a_k = prod_{j<=k} (4 order^2 - (2j-1)^2) /

@@ -22,9 +22,10 @@ happens from order 10.792 on (the term is about 9e-13 at order 7, 5e-11 at
 10, 8e-9 at 12), except within about 0.01 of the half-integer orders 11.5,
 12.5 and 13.5, where the expansion terminates.
 
-The zeros serve the verification suites only (``checks``: 10,000 zeros at
-a few orders, several times each), so ``bessel_j_zeros`` keeps the tables
-of its last 8 calls; ``creep_rate_time`` needs no zeros.
+The zeros serve the verification suites only (``checks``: 1,000 zeros at
+a few orders, those of orders 2 and 3 fourteen times), so
+``bessel_j_zeros`` keeps the tables of its last 8 calls; ``creep_rate_time``
+needs no zeros.
 """
 
 from __future__ import annotations
@@ -201,7 +202,6 @@ def bessel_j_zero(order: float, k: int) -> float:
     return x
 
 
-@functools.lru_cache(maxsize=64)
 def _hankel_coefficients(order: float, count: int) -> tuple[float, ...]:
     """``a_1 .. a_count`` of the large-argument expansion of ``J_order``."""
     mu = 4.0 * order * order
@@ -213,7 +213,6 @@ def _hankel_coefficients(order: float, count: int) -> tuple[float, ...]:
     return tuple(coefficients)
 
 
-@functools.lru_cache(maxsize=64)
 def _hankel_horner(order: float) -> tuple[tuple[float, float, float, float], ...]:
     """Signed 13-term Hankel coefficients of ``J_order`` and ``J_order+1``,
     rows highest power first for Horner's rule in ``w = 1/x^2``.
@@ -231,17 +230,17 @@ def _hankel_horner(order: float) -> tuple[tuple[float, float, float, float], ...
     return tuple(zip(*columns))
 
 
-def _hankel_refine(order: float, x: float) -> float:
+def _hankel_refine(order: float, x: float, rows: tuple) -> float:
     """At most four Newton steps on the 13-term Hankel ``J_order`` from a
     McMahon guess ``x``, stopping once a step falls below ``4e-15 x``:
-    Newton's next step would then move it by rounding only.
+    Newton's next step would then move it by rounding only.  ``rows`` are
+    ``_hankel_horner(order)``.
 
     One Horner pass gives ``P``, ``Q`` of both ``J_order`` and
     ``J_order+1``; one ``cos``/``sin`` pair serves both, as ``chi_{a+1} =
     chi_a - pi/2``; the common amplitude ``sqrt(2/(pi x))`` cancels in the
     step ``J_a / J_a' = J_a / ((a/x) J_a - J_{a+1})`` and is left out.
     """
-    rows = _hankel_horner(order)
     shift = (0.5 * order + 0.25) * math.pi
     for _ in range(4):
         w = 1.0 / (x * x)
@@ -304,8 +303,9 @@ def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
     order = _require_zero_order(order)
     count = _require_index(count, "count")
     guesses = [mcmahon_zero_estimate(order, float(k)) for k in range(1, count + 1)]
+    rows = _hankel_horner(order)
     zeros = tuple(
-        bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _hankel_refine(order, x)
+        bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _hankel_refine(order, x, rows)
         for k, x in enumerate(guesses, start=1)
     )
     if any(b <= a for a, b in zip(zeros, zeros[1:])):

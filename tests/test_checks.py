@@ -3,6 +3,7 @@ share, their domain guards, and that a wrong ingredient makes them fail."""
 
 import math
 
+import mpmath as mp
 import pytest
 
 import oracle
@@ -15,7 +16,7 @@ from besselq.checks import (
 )
 
 
-def test_zero_sum_matches_closed_forms():
+def _assert_zero_sum_matches_closed_forms():
     # s = 0: the Rayleigh-Sneddon value 1/(4(nu+1))
     for nu in (-0.5, 0.0, 1.0, 2.5):
         target = 1.0 / (4.0 * (nu + 1.0))
@@ -27,6 +28,27 @@ def test_zero_sum_matches_closed_forms():
             target = (psi - 4.0 * (nu + 1.0) * (nu + 2.0) / s) / (4.0 * (nu + 1.0))
             value = rayleigh_sneddon_sum(nu + 2.0, s=s)
             assert abs(value - target) <= 1e-13 * target, (nu, s)
+
+
+def test_zero_sum_matches_closed_forms():
+    _assert_zero_sum_matches_closed_forms()
+
+
+@pytest.mark.parametrize("terms", [300, 1_000, 3_000])
+def test_zero_sum_tail_holds_from_300_zeros(monkeypatch, terms):
+    # the beta^-6 tail term keeps the sum at roundoff (measured 1.3e-14);
+    # the two-term tail was 1.6e-9 off at 300 zeros and 1.3e-11 at 1,000
+    monkeypatch.setattr(checks, "_ZERO_SUM_TERMS", terms)
+    _assert_zero_sum_matches_closed_forms()
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("x", [100.0, 1000.75, 1e4])
+def test_hurwitz_zeta_matches_mpmath(n, x):
+    # 30 digits: at 15, mpmath's own zeta(6, 1000.75) is 1.9e-12 off
+    with mp.workdps(30):
+        ref = float(mp.zeta(n, x))
+    assert abs(checks._hurwitz_zeta(n, x) - ref) <= 1e-11 * ref
 
 
 def test_laplace_by_zeros_needs_finite_positive_s():

@@ -19,12 +19,13 @@ import oracle
 from besselq import (
     CancellationError,
     DomainError,
+    ModelOrder,
     NonConvergenceError,
     OverflowRangeError,
     PoleError,
     TruncationError,
     bessel_j,
-    bessel_ratio_contiguous,
+    creep_compliance_laplace,
     fg_from_kelvin,
     fg_series,
     gamma_real,
@@ -231,15 +232,21 @@ def test_tricomi_truncation_error(monkeypatch):
 # ------------------------------------------------------ contiguous ratio
 
 
+def i_ratio(order, z):
+    """``I_order(z) / I_{order+2}(z)`` for ``Re z >= 0``: the compliance
+    combination ``s J~(s)`` at ``s = z^2``."""
+    return creep_compliance_laplace(ModelOrder(order), z * z)
+
+
 def test_ratio_small_z_leading_term():
     z = 1e-3
-    ratio = bessel_ratio_contiguous(0.0, complex(z, 0.0))
+    ratio = i_ratio(0.0, complex(z, 0.0))
     # I_0/I_2 ~ 8/z^2 (1 + o(1)) for z -> 0
     assert abs(ratio * z * z / 8.0 - 1.0) < 1e-5
 
 
 def test_ratio_golden_real_10():
-    assert rel(bessel_ratio_contiguous(0.0, 10.0 + 0j), RATIO_0_10) < 1e-11
+    assert rel(i_ratio(0.0, 10.0 + 0j), RATIO_0_10) < 1e-11
 
 
 def test_ratio_matches_tricomi_reassembly():
@@ -248,7 +255,7 @@ def test_ratio_matches_tricomi_reassembly():
         for omega in (0.5, 5.0, 40.0):
             s = complex(0.0, omega)
             z = cmath.sqrt(s)
-            lhs = bessel_ratio_contiguous(order, z)
+            lhs = i_ratio(order, z)
             rhs = (4.0 / s) * tricomi_it(order, s) / tricomi_it(order + 2.0, s)
             assert rel(lhs, rhs) < 1e-10
 
@@ -258,7 +265,7 @@ def test_ratio_matches_tricomi_reassembly():
 def test_ratio_accuracy_sweep(magnitude, arg):
     z = magnitude * cmath.exp(1j * arg)
     ref = complex(oracle.i_ratio(1.3, mp.mpc(z.real, z.imag)))
-    assert rel(bessel_ratio_contiguous(1.3, z), ref) < 1e-11
+    assert rel(i_ratio(1.3, z), ref) < 1e-11
 
 
 def test_ratio_regimes_agree_in_overlap_band(monkeypatch):
@@ -307,7 +314,7 @@ def test_ratio_cf_cap_is_reachable(monkeypatch):
 
 def test_ratio_rejects_zero():
     with pytest.raises(DomainError):
-        bessel_ratio_contiguous(0.0, 0j)
+        i_ratio(0.0, 0j)
 
 
 # ------------------------------------------------------------- f/g pair
@@ -459,7 +466,7 @@ NAN, INF = math.nan, math.inf
         (gamma_real, (-INF,)),
         (modified_bessel_i, (0.0, NAN)),
         (tricomi_it, (0.0, complex(NAN, 0.0))),
-        (bessel_ratio_contiguous, (0.0, complex(0.0, INF))),
+        (creep_compliance_laplace, (ModelOrder(0.0), complex(INF, 0.0))),
     ],
     ids=lambda v: v.__name__ if callable(v) else repr(v),
 )

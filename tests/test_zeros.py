@@ -205,7 +205,7 @@ def test_bessel_j_near_order_minus_one():
 
 def test_rayleigh_sneddon_partial_sums_converge():
     # sum_k j_{nu,k}^(-2) = 1/(4(nu+1)); bare 1e4-term partial sum is close,
-    # the trigamma-corrected version is used by the check suite
+    # the tail-corrected version is used by the check suite
     zeros = bessel_j_zeros(0.0, 10_000)
     bare = math.fsum(1.0 / (j * j) for j in zeros)
     # dropped tail is ~1/(pi^2 K) = 1.01e-5 absolute at K = 1e4
