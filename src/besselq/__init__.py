@@ -14,9 +14,12 @@ series, expansions, continued fractions and the Talbot quadrature run at
 fixed precision targets, and a call either meets its stated accuracy or
 raises a typed ``BesselQError``.
 
-``import besselq`` loads the production path only: ``bessel_j`` and the
-zero finders, which serve the verification suites, are imported on first
-use (PEP 562), and ``besselq.checks`` and ``besselq.cli`` when imported.
+``import besselq`` loads the production path only: ``errors``, ``model``,
+``qfactor`` and the ratio evaluator of ``specfun.modified``.  The special
+functions of the verification routes (Kelvin and f/g pairs, gamma, the
+power series, ``J`` and its zeros) are served from ``specfun`` on first
+use (PEP 562), ``q_inverse_fg`` and ``q_inverse_kelvin`` import them when
+called, and ``besselq.checks`` and ``besselq.cli`` load when imported.
 """
 
 from .errors import (
@@ -45,18 +48,6 @@ from .qfactor import (
     q_inverse_asymptotic,
     q_inverse_fg,
     q_inverse_kelvin,
-)
-from .specfun import (
-    DEFAULT_CROSSOVER_OMEGA,
-    FGPair,
-    KelvinPair,
-    fg_from_kelvin,
-    fg_series,
-    gamma_real,
-    kelvin,
-    kelvin_scaled,
-    modified_bessel_i,
-    tricomi_it,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +91,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    if name in ("bessel_j", "bessel_j_zero", "bessel_j_zeros"):
+    # called only for names not bound above: the public ones come from specfun
+    if name in __all__:
         from . import specfun
 
         value = globals()[name] = getattr(specfun, name)

@@ -13,6 +13,12 @@ Subcommands
 
 ``sweep`` and ``figures`` evaluate ``q_inverse``, the single production
 route; ``check`` compares it with the f/g and Kelvin verification routes.
+Each command imports only what it runs: ``figures`` its writer
+(``besselq.figures``) and ``check`` the suites (``besselq.checks``), on
+first use, and the command line is read from the ``COMMANDS`` table, not
+by ``argparse``.  A command line the table does not allow exits 2 with the
+usage on stderr; a value outside the domain, or an output that cannot be
+written, exits 1 with ``error: ...``.
 
 All numeric CSV fields use 17-significant-digit scientific notation with a
 decimal point (locale independent), and commands are deterministic for
@@ -25,12 +31,12 @@ it.  No command needs numpy.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import BesselQError, DomainError
 from .model import ModelOrder
@@ -38,7 +44,7 @@ from .qfactor import QEvaluation, q_inverse, q_inverse_asymptotic
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Sequence
+    from typing import Iterable, NoReturn, Sequence
 
     from .checks import CheckResult
 
@@ -46,8 +52,6 @@ SWEEP_HEADER = "omega,nu,q_inverse,route,est_rel_error,q_asymp_low,q_asymp_high"
 
 #: Default order set for the figure datasets (overridable with --nu).
 FIGURE_NUS = (-0.5, 0.0, 1.0, 2.0, 5.0)
-#: Orders shown in the two asymptote-comparison panels.
-ASYMPTOTE_PANEL_NUS = (0.0, 2.0)
 
 
 class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
@@ -59,6 +63,9 @@ class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
     def __new__(cls, scale: str, min: float, max: float, count: int) -> FrequencyGrid:
         if scale not in ("linear", "log"):
             raise DomainError(f"scale must be 'linear' or 'log', got {scale!r}")
+        for name, bound in (("min", min), ("max", max)):
+            if not math.isfinite(bound):
+                raise DomainError(f"{name} must be finite, got {bound}")
         if not (min > 0.0 and max > min):
             raise DomainError(f"need 0 < min < max, got min={min}, max={max}")
         if count < 2:
@@ -148,132 +155,127 @@ def write_sweep_csv(records: Iterable[SweepRecord], path: Path) -> None:
     _write_ascii(path, "\n".join(lines) + "\n")
 
 
-def _write_table(
-    path: Path, header: Sequence[str], columns: Sequence[Sequence[float]]
-) -> None:
-    rows = [",".join(header)]
-    for row in zip(*columns):
-        rows.append(",".join(_fmt(value) for value in row))
-    _write_ascii(path, "\n".join(rows) + "\n")
+#: An option with no default: the command line must give it.
+_REQUIRED = ...
+
+#: The command line, one entry a command: its help line, its usage and its
+#: options, each as (values it takes, "+" for one or more; type; default).
+COMMANDS = {
+    "sweep": (
+        "evaluate Q^-1 over a frequency grid",
+        "--nu NU [NU ...] (--linear A B | --log A B) [--count COUNT] [--out OUT]",
+        {
+            "--nu": ("+", float, _REQUIRED),
+            "--linear": (2, float, None),
+            "--log": (2, float, None),
+            "--count": (1, int, 181),
+            "--out": (1, Path, Path("sweep.csv")),
+        },
+    ),
+    "figures": (
+        "emit figure datasets and plot scripts",
+        "[--nu NU [NU ...]] [--out OUT]",
+        {"--nu": ("+", float, list(FIGURE_NUS)), "--out": (1, Path, Path("figures"))},
+    ),
+    "check": (
+        "run cross-method verification suites",
+        "[--nu NU [NU ...]]",
+        {"--nu": ("+", float, [-0.5, 0.0, 1.0, 3.5, 10.0])},
+    ),
+}
 
 
-def _gnuplot_script(
-    csv_name: str,
-    png_name: str,
-    title: str,
-    logscale: bool,
-    series: Sequence[tuple[int, str, str]],
-) -> str:
-    lines = [
-        "# gnuplot script (plain text); run:  gnuplot " + png_name.replace(".png", ".gp"),
-        "set datafile separator ','",
-        "set terminal pngcairo size 960,640",
-        f"set output '{png_name}'",
-        f"set title '{title}'",
-        "set xlabel 'omega'",
-        "set ylabel 'Q^{-1}'",
-        "set key top right",
-    ]
-    if logscale:
-        lines.append("set logscale xy")
-    plots = [
-        f"'{csv_name}' every ::1 using 1:{col} with lines {style} title '{label}'"
-        for col, label, style in series
-    ]
-    lines.append("plot \\\n    " + ", \\\n    ".join(plots))
-    return "\n".join(lines) + "\n"
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: besselq [-h] {" + ",".join(COMMANDS) + "} ..."
+    return f"usage: besselq {command} [-h] {COMMANDS[command][1]}"
 
 
-def emit_figures(outdir: Path, nus: Sequence[float]) -> list[Path]:
-    """Write the four figure datasets and their gnuplot scripts."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def q_column(nu: float, omegas: list[float]) -> list[float]:
-        model = ModelOrder(nu)
-        return [q_inverse(model, w).q_inverse for w in omegas]
-
-    def emit(tag: str, header: Sequence[str], cols: Sequence[Sequence[float]],
-             title: str, logscale: bool, series: Sequence[tuple[int, str, str]]) -> None:
-        csv, gp = outdir / f"{tag}.csv", outdir / f"{tag}.gp"
-        _write_table(csv, header, cols)
-        _write_ascii(gp, _gnuplot_script(csv.name, f"{tag}.png", title, logscale, series))
-        written.extend((csv, gp))
-
-    # figure 1: linear-scale overview; the steep low-frequency rise needs a
-    # window starting well below omega ~ 1
-    omegas = FrequencyGrid("linear", 0.05, 20.0, 400).points()
-    header = ["omega"] + [f"q_nu_{nu:g}" for nu in nus]
-    series = [(i + 2, f"nu={nu:g}", "lw 2") for i, nu in enumerate(nus)]
-    cols = [omegas] + [q_column(nu, omegas) for nu in nus]
-    emit("fig1_linear", header, cols, "Q^{-1}(omega), linear scale", False, series)
-
-    # figure 2: log-log overview across nine decades
-    omegas = FrequencyGrid("log", 1e-4, 1e5, 181).points()
-    cols = [omegas] + [q_column(nu, omegas) for nu in nus]
-    emit("fig2_loglog", header, cols, "Q^{-1}(omega), log-log", True, series)
-
-    # figures 3 and 4: full curve against each asymptote, two orders per panel
-    for tag, regime, grid in (
-        ("fig3_high_asymptote", "high", FrequencyGrid("log", 10.0, 1e6, 121)),
-        ("fig4_low_asymptote", "low", FrequencyGrid("log", 1e-4, 10.0, 121)),
-    ):
-        omegas = grid.points()
-        header34 = ["omega"]
-        cols34: list[list[float]] = [omegas]
-        series34 = []
-        col = 2
-        for nu in ASYMPTOTE_PANEL_NUS:
-            model = ModelOrder(nu)
-            header34 += [f"q_nu_{nu:g}", f"asymp_nu_{nu:g}"]
-            cols34.append(q_column(nu, omegas))
-            cols34.append([q_inverse_asymptotic(model, w, regime) for w in omegas])
-            series34.append((col, f"nu={nu:g}", "lw 2"))
-            series34.append((col + 1, f"nu={nu:g} asymptote", "dashtype 2"))
-            col += 2
-        direction = "omega -> inf" if regime == "high" else "omega -> 0"
-        emit(tag, header34, cols34, f"Q^{{-1}} vs asymptote ({direction})", True, series34)
-    return written
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="besselq",
-        description="Quality factor of Bessel-type viscoelastic media",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate Q^-1 over a frequency grid")
-    p_sweep.add_argument("--nu", type=float, nargs="+", required=True, help="model orders (> -1)")
-    scale = p_sweep.add_mutually_exclusive_group(required=True)
-    scale.add_argument("--linear", type=float, nargs=2, metavar=("A", "B"))
-    scale.add_argument("--log", type=float, nargs=2, metavar=("A", "B"))
-    p_sweep.add_argument("--count", type=int, default=181)
-    p_sweep.add_argument("--out", type=Path, default=Path("sweep.csv"))
-
-    p_fig = sub.add_parser("figures", help="emit figure datasets and plot scripts")
-    p_fig.add_argument("--nu", type=float, nargs="+", default=list(FIGURE_NUS))
-    p_fig.add_argument("--out", type=Path, default=Path("figures"))
-
-    p_check = sub.add_parser("check", help="run cross-method verification suites")
-    p_check.add_argument(
-        "--nu", type=float, nargs="+", default=[-0.5, 0.0, 1.0, 3.5, 10.0]
-    )
-    return parser
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.linear is not None:
-        grid = FrequencyGrid("linear", args.linear[0], args.linear[1], args.count)
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["Quality factor of Bessel-type viscoelastic media", "", "commands:"]
+        lines += [f"  {name:<9} {entry[0]}" for name, entry in COMMANDS.items()]
     else:
-        grid = FrequencyGrid("log", args.log[0], args.log[1], args.count)
+        lines = [COMMANDS[command][0], "", "NU: model orders (> -1)"]
+    return _usage(command) + "\n\n" + "\n".join(lines)
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    """Print the usage and ``message`` to stderr and exit with status 2."""
+    prog = "besselq" if command is None else f"besselq {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv: Sequence[str]) -> tuple[str, SimpleNamespace]:
+    """The command and its options, defaults filled in, from ``argv``.
+
+    ``-h``/``--help`` prints the help and exits 0; anything the table does
+    not allow prints the usage and exits 2.  A token that starts with ``-``
+    and a digit or ``.`` is a (negative) value, ``--name=value`` gives a
+    first value, and an option may be shortened to a unique prefix.
+    """
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_help(None))
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error(None, "choose a command from " + ", ".join(COMMANDS))
+    command, options = argv[0], COMMANDS[argv[0]][2]
+    given: dict[str, list[str]] = {}
+    name = None
+    for token in argv[1:]:
+        if token in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(0)
+        if token.startswith("-") and not (token[1:2].isdigit() or token[1:2] == "."):
+            prefix, equals, value = token.partition("=")
+            matches = [option for option in options if option.startswith(prefix)]
+            if len(matches) != 1:
+                _usage_error(command, f"unrecognized option: {token}")
+            name = matches[0]
+            given[name] = [value] if equals else []
+        elif name is None:
+            _usage_error(command, f"unrecognized argument: {token}")
+        else:
+            given[name].append(token)
+    args = SimpleNamespace()
+    for name, (n, kind, default) in options.items():
+        values = given.get(name)
+        if values is None:
+            if default is _REQUIRED:
+                _usage_error(command, f"the following arguments are required: {name}")
+            setattr(args, name[2:], default)
+            continue
+        if not values or (n != "+" and len(values) != n):
+            _usage_error(command, f"argument {name}: expected {n} value(s), got {len(values)}")
+        try:
+            converted = [kind(value) for value in values]
+        except ValueError:
+            _usage_error(command, f"argument {name}: invalid {kind.__name__} value in {values}")
+        setattr(args, name[2:], converted[0] if n == 1 else converted)
+    return command, args
+
+
+def cmd_sweep(args: SimpleNamespace) -> int:
+    scales = [scale for scale in ("linear", "log") if getattr(args, scale) is not None]
+    if len(scales) != 1:
+        _usage_error("sweep", "give exactly one of --linear A B and --log A B")
+    grid = FrequencyGrid(scales[0], *getattr(args, scales[0]), args.count)
     records = evaluate_sweep(args.nu, grid)
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
     return 0
 
 
-def cmd_figures(args: argparse.Namespace) -> int:
+def emit_figures(outdir: Path, nus: Sequence[float]) -> list[Path]:
+    """``besselq.figures.emit_figures``, imported on first use, so that
+    ``sweep`` and ``check`` do not load the figure writer."""
+    from .figures import emit_figures
+
+    return emit_figures(outdir, nus)
+
+
+def cmd_figures(args: SimpleNamespace) -> int:
     written = emit_figures(args.out, args.nu)
     for path in written:
         print(f"wrote {path}")
@@ -288,7 +290,7 @@ def run_all_checks(nus: Sequence[float]) -> list[CheckResult]:
     return run_all_checks(nus)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     results = run_all_checks(args.nu)
     for result in results:
         print(result.summary())
@@ -301,15 +303,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "sweep":
+        if command == "sweep":
             return cmd_sweep(args)
-        if args.command == "figures":
+        if command == "figures":
             return cmd_figures(args)
         return cmd_check(args)
-    except BesselQError as exc:
+    except (BesselQError, OSError) as exc:  # a bad value, or an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,9 @@ response ``s J~(s)`` under harmonic excitation at frequency ``omega`` is
 ``q_inverse`` is the production route: the contiguous modified-Bessel ratio
 with its ``1/s`` pole split off (``model._compliance_split``), valid for
 every ``omega > 0`` and every order.  Two independent closed forms stay as
-verification routes, used by the checks and tests:
+verification routes, used by the checks and tests; each imports its
+special functions (``specfun.kelvinfg``) when called, so ``q_inverse``
+never loads them:
 
 * ``q_inverse_fg``     -- the oscillatory-pair form
   ``(f_n f_{n+2} + g_n g_{n+2}) / (g_n f_{n+2} - f_n g_{n+2})`` built from
@@ -42,13 +44,6 @@ from .errors import (
     OverflowRangeError,
 )
 from .model import _EPS, ModelOrder, _compliance_split
-from .specfun.kelvinfg import (
-    _KELVIN_OVERFLOW_X,
-    DEFAULT_CROSSOVER_OMEGA,
-    fg_series,
-    kelvin_scaled,
-)
-from .specfun.modified import _SERIES_TOL
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -110,6 +105,9 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     Restricted to ``omega <= DEFAULT_CROSSOVER_OMEGA``; above that the
     alternating series cancel too strongly and CancellationError is raised.
     """
+    from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA, fg_series
+    from .specfun.series import _SERIES_TOL
+
     omega = _check_omega(omega)
     if omega > DEFAULT_CROSSOVER_OMEGA:
         raise CancellationError(
@@ -144,6 +142,8 @@ def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
     between numerator and denominator, so only representability of the
     unscaled pair limits the range (OverflowRangeError near omega ~ 1e6).
     """
+    from .specfun.kelvinfg import _KELVIN_OVERFLOW_X, kelvin_scaled
+
     omega = _check_omega(omega)
     nu = model.nu
     x = math.sqrt(omega)

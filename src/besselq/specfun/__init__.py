@@ -1,53 +1,44 @@
 """Special functions underpinning the Bessel-media material models.
 
-``bessel_j`` and the zero finders live in ``zeros``, which only the
-verification suites need: it is imported on first use of one of them
-(PEP 562), not with the package.
+The production path (``q_inverse``, ``creep_rate_time``) needs only the
+contiguous-ratio evaluator of ``modified``, which it imports itself.  Every
+public name here belongs to the verification routes and lives in one of
+``kelvinfg`` (Kelvin and f/g pairs), ``gammafn`` (gamma), ``series`` (the
+power series, ``I`` and ``T``) and ``zeros`` (``J`` and its zeros): each
+module is imported on first use of one of its names (PEP 562), not with
+the package.
 """
 
-from .gammafn import gamma_real
-from .kelvinfg import (
-    DEFAULT_CROSSOVER_OMEGA,
-    FGPair,
-    KelvinPair,
-    fg_from_kelvin,
-    fg_series,
-    kelvin,
-    kelvin_scaled,
-    modified_i_asymptotic_scaled,
-)
-from .modified import modified_bessel_i, tricomi_it
+#: The module each public name lives in.
+_MODULE_OF = {
+    "DEFAULT_CROSSOVER_OMEGA": "kelvinfg",
+    "FGPair": "kelvinfg",
+    "KelvinPair": "kelvinfg",
+    "fg_from_kelvin": "kelvinfg",
+    "fg_series": "kelvinfg",
+    "kelvin": "kelvinfg",
+    "kelvin_scaled": "kelvinfg",
+    "modified_i_asymptotic_scaled": "kelvinfg",
+    "gamma_real": "gammafn",
+    "modified_bessel_i": "series",
+    "tricomi_it": "series",
+    "bessel_j": "zeros",
+    "bessel_j_zero": "zeros",
+    "bessel_j_zeros": "zeros",
+    "mcmahon_zero_estimate": "zeros",
+}
 
-#: The names served from ``zeros``, imported on first use.
-_ZEROS_NAMES = ("bessel_j", "bessel_j_zero", "bessel_j_zeros", "mcmahon_zero_estimate")
-
-__all__ = [
-    "DEFAULT_CROSSOVER_OMEGA",
-    "FGPair",
-    "KelvinPair",
-    "bessel_j",
-    "bessel_j_zero",
-    "bessel_j_zeros",
-    "fg_from_kelvin",
-    "fg_series",
-    "gamma_real",
-    "kelvin",
-    "kelvin_scaled",
-    "mcmahon_zero_estimate",
-    "modified_bessel_i",
-    "modified_i_asymptotic_scaled",
-    "tricomi_it",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _ZEROS_NAMES:
-        from . import zeros
-
-        value = globals()[name] = getattr(zeros, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the relative import of the submodule; importlib would be one more module to load
+    module = __import__(_MODULE_OF[name], globals(), None, (name,), 1)
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_ZEROS_NAMES))
+    return sorted(set(globals()) | set(__all__))

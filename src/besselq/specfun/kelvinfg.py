@@ -12,7 +12,7 @@ and rotates into the Kelvin functions at argument ``x = sqrt(w)``:
 
     ber_a(x) + i bei_a(x) = (x/2)^a e^(3 pi i a / 4) (f_a(w) + i g_a(w)).
 
-Both are the one uniform series ``T_a(s)`` of ``modified`` on the imaginary
+Both are the one uniform series ``T_a(s)`` of ``series`` on the imaginary
 axis: ``f + i g = T_a(i w)`` and ``ber + i bei = (x/2)^a e^(3 pi i a/4)
 T_a(i x^2)``.  It alternates there, so it is reliable only while the largest
 term stays within the cancellation guard.  Above ``x = sqrt(omega*) = 18``
@@ -29,13 +29,8 @@ from collections import namedtuple
 
 from ..errors import DomainError, OverflowRangeError, TruncationError
 from .gammafn import _require_finite, _require_order
-from .modified import (
-    _SERIES_TOL,
-    SeriesDiagnostics,
-    _half_power,
-    _hankel_sums,
-    _tricomi_series,
-)
+from .modified import _hankel_sums
+from .series import _SERIES_TOL, SeriesDiagnostics, _half_power, _tricomi_series
 
 #: Frequency above which the alternating small-argument series of the
 #: verification routes (the f/g pair and the ber/bei power series) are

@@ -2,7 +2,7 @@
 zeros.
 
 ``bessel_j`` is ``(x/2)^a T_a(-x^2)``, the shared power series of
-``modified``, for x <= 12, where roundoff in the alternating sum stays near
+``series``, for x <= 12, where roundoff in the alternating sum stays near
 machine level.  Beyond that it is whichever of the series and the shared
 optimally truncated Hankel expansion, ``sum t_k = P + iQ`` at ``z = -ix``,
 has the smaller error estimate, or ``TruncationError`` when neither
@@ -30,12 +30,14 @@ needs no zeros.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
 from ..errors import DomainError, RootIsolationError, TruncationError
 from .gammafn import _require_finite, _require_index, _require_order
-from .modified import _ROUNDOFF, _half_power, _j_hankel, _tricomi_series
+from .modified import _ROUNDOFF, _hankel_terms
+from .series import _half_power, _tricomi_series
 
 #: ``bessel_j`` sums the series up to this argument.  Beyond it, it takes
 #: whichever of the series and the Hankel expansion has the smaller error
@@ -92,6 +94,21 @@ def bessel_j(order: float, x: float) -> float:
             f"reaches {_J_MAX_ERROR:.0e} of the amplitude (estimate {error:.2e})"
         )
     return value
+
+
+def _j_hankel(order: float, x: float, rel_tol: float) -> tuple[float, float]:
+    """``J_order(x) / sqrt(2/(pi x))`` from the large-argument expansion,
+    ``Re[(P + iQ) e^(i chi)]`` with ``P + iQ = sum t_k`` at ``z = -ix`` and
+    ``chi = x - (order/2 + 1/4) pi``, and its error estimate: the smallest
+    term plus ``_ROUNDOFF`` times the largest.
+
+    ``e^(i chi)`` comes from ``e^(ix)`` and the exactly reduced shift:
+    ``chi`` itself, rounded to double, is off by ~eps x.
+    """
+    terms, smallest = _hankel_terms(order, complex(0.0, -x), rel_tol)
+    shift = math.pi * math.fmod(0.5 * order + 0.25, 2.0)
+    value = (sum(terms) * cmath.rect(1.0, x) * cmath.rect(1.0, -shift)).real
+    return value, smallest + _ROUNDOFF * max(map(abs, terms))
 
 
 def _bessel_j_prime(order: float, x: float) -> float:

@@ -29,6 +29,10 @@ def test_frequency_grid_validation():
         FrequencyGrid("linear", 2.0, 1.0, 10)
     with pytest.raises(DomainError):
         FrequencyGrid("linear", 1.0, 2.0, 1)
+    with pytest.raises(DomainError, match="max"):
+        FrequencyGrid("log", 1.0, math.inf, 3)
+    with pytest.raises(DomainError, match="min"):
+        FrequencyGrid("linear", math.inf, math.inf, 3)
 
 
 def test_sweep_row_count_and_header(tmp_path):
@@ -162,3 +166,81 @@ def test_new_output_has_write_text_permissions(tmp_path):
     finally:
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+# --------------------------------------------------- command-line contract
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["sweep", "--help"], ["figures", "-h"], ["check", "--help"]]
+)
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["sweep", "--log", "1", "10"],
+        ["sweep", "--nu", "0"],
+        ["sweep", "--nu", "0", "--linear", "1", "2", "--log", "1", "2"],
+        ["sweep", "--nu", "0", "--log", "1", "10", "--bogus"],
+        ["sweep", "--nu", "0", "--log", "1"],
+        ["sweep", "--nu", "zero", "--log", "1", "10"],
+        ["sweep", "--nu", "0", "--log", "1", "10", "--count", "2.5"],
+        ["sweep", "--nu", "0", "--log", "1", "10", "extra"],
+        ["check", "--nu"],
+    ],
+)
+def test_bad_invocation_exits_2_with_usage(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "x.csv")] if argv[:1] == ["sweep"] else argv)
+    assert exit_info.value.code == 2
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_negative_values_parse(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--nu", "-0.5", "0", "--log", "1", "10", "--count", "2", "--out", str(out)]
+    assert main(argv) == 0
+    _, rows = read_csv(out)
+    assert [float(r[1]) for r in rows] == [-0.5, -0.5, 0.0, 0.0]
+
+
+def test_command_defaults(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "emit_figures", lambda outdir, nus: calls.append((outdir, nus)) or [])
+    monkeypatch.setattr(cli, "run_all_checks", lambda nus: calls.append(nus) or [])
+    monkeypatch.chdir(tmp_path)
+    assert main(["figures"]) == 0
+    assert main(["check"]) == 0
+    assert main(["sweep", "--nu", "0", "--log", "1", "10"]) == 0
+    assert [(str(calls[0][0]), list(calls[0][1])), list(calls[1])] == [
+        ("figures", [-0.5, 0.0, 1.0, 2.0, 5.0]),
+        [-0.5, 0.0, 1.0, 3.5, 10.0],
+    ]
+    assert len(read_csv(tmp_path / "sweep.csv")[1]) == 181
+
+
+def test_sweep_rejects_infinite_bound(tmp_path, capsys):
+    code = main(["sweep", "--nu", "0", "--log", "1", "inf", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "figures"])
+def test_output_errors_are_reported(command, tmp_path, capsys):
+    if command == "sweep":
+        argv = ["sweep", "--nu", "0", "--log", "1", "10", "--count", "2",
+                "--out", str(tmp_path / "missing" / "x.csv")]
+    else:
+        (tmp_path / "taken").write_text("a file\n")
+        argv = ["figures", "--nu", "0", "--out", str(tmp_path / "taken")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,10 @@
 """The whole package runs without numpy: every scalar route, the zeros and
 the ``sweep``, ``figures`` and ``check`` commands, in a process where any
 import of numpy raises.  ``import besselq`` and its two production calls
-load neither ``dataclasses``, ``typing`` nor the zeros, checks or CLI."""
+load neither ``dataclasses``, ``typing``, the special functions of the
+verification routes, the checks nor the CLI, and ``besselq sweep`` loads
+neither ``argparse`` nor the figure writer, the checks or their special
+functions."""
 
 import os
 import subprocess
@@ -61,7 +64,9 @@ m = besselq.ModelOrder(1.0)
 besselq.q_inverse(m, 10.0)
 besselq.creep_rate_time(m, 0.5)
 loaded = [name for name in ("dataclasses", "typing", "inspect", "besselq.specfun.zeros",
-                            "besselq.checks", "besselq.cli") if name in sys.modules]
+                            "besselq.specfun.kelvinfg", "besselq.specfun.gammafn",
+                            "besselq.specfun.series", "besselq.checks", "besselq.cli")
+          if name in sys.modules]
 assert not loaded, loaded
 
 for name in besselq.__all__:
@@ -94,3 +99,23 @@ def test_import_loads_only_the_production_path():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_sweep_loads_only_what_it_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["sweep", "--nu", "0", "--log", "1", "10", "--count", "2", "--out",
+            str(tmp_path / "sweep.csv")]
+    result = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "besselq.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    # each line of -X importtime ends in "| <module>", indented by depth
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert "besselq.qfactor" in imported
+    unwanted = {"argparse", "gettext", "locale", "besselq.figures", "besselq.checks",
+                "besselq.specfun.kelvinfg", "besselq.specfun.zeros"}
+    assert not imported & unwanted, sorted(imported & unwanted)

@@ -34,7 +34,7 @@ from besselq import (
     modified_bessel_i,
     tricomi_it,
 )
-from besselq.specfun import modified
+from besselq.specfun import modified, series
 from besselq.specfun.kelvinfg import _kelvin_series
 
 # oracle: naive series at >= 40 digits
@@ -224,7 +224,7 @@ def test_tricomi_overflow_is_loud(s):
 
 def test_tricomi_truncation_error(monkeypatch):
     # the cap sqrt|s| + slack never binds; without the slack it does
-    monkeypatch.setattr(modified, "_SERIES_SLACK", 0)
+    monkeypatch.setattr(series, "_SERIES_SLACK", 0)
     with pytest.raises(TruncationError):
         tricomi_it(0.0, complex(0.0, 400.0))
 
@@ -342,7 +342,7 @@ def test_fg_matches_tricomi_on_imaginary_axis():
 def test_fg_guard_honesty():
     # whenever the series returns unflagged, it matches the oracle to
     # series tolerance * cancellation guard of the pair norm
-    bound = modified._SERIES_TOL * modified._CANCELLATION_GUARD
+    bound = series._SERIES_TOL * series._CANCELLATION_GUARD
     for order in (0.0, 3.5):
         for omega in (1.0, 30.0, 324.0, 2000.0, 8000.0):
             try:
