@@ -3,7 +3,8 @@
 Each check compares quantities that the library computes along genuinely
 different paths (series vs continued fraction vs closed form) and reports
 the worst observed discrepancy against a frozen bound.  The CLI ``check``
-subcommand runs them all; the test suite reuses them.
+subcommand runs them all; the test suite reuses them.  Their grids come
+from ``besselq.tables``, so the suites do not import the CLI.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .cli import FrequencyGrid
 from .errors import BesselQError, DomainError
 from .model import ModelOrder, creep_rate_laplace, creep_rate_time
 from .qfactor import q_inverse, q_inverse_fg, q_inverse_kelvin
 from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
 from .specfun.zeros import bessel_j_zeros
+from .tables import FrequencyGrid
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

@@ -20,27 +20,24 @@ by ``argparse``.  A command line the table does not allow exits 2 with the
 usage on stderr; a value outside the domain, or an output that cannot be
 written, exits 1 with ``error: ...``.
 
-All numeric CSV fields use 17-significant-digit scientific notation with a
-decimal point (locale independent), and commands are deterministic for
-fixed flags: rerunning produces byte-identical files.  No command takes a
-numerical tolerance: every evaluation runs at the package's fixed targets.
-Outputs are overwritten in place and then cut to length (``_write_ascii``),
-so an interrupted write can leave old and new bytes mixed; a rerun repairs
-it.  No command needs numpy.
+The grids and the CSV writer live in ``besselq.tables``, which the
+commands share (``figures`` and ``checks`` import it, not this module).
+Commands are deterministic for fixed flags: rerunning produces
+byte-identical files.  No command takes a numerical tolerance: every
+evaluation runs at the package's fixed targets.  No command needs numpy.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import sys
 from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import BesselQError, DomainError
+from .errors import BesselQError
 from .model import ModelOrder
 from .qfactor import QEvaluation, q_inverse, q_inverse_asymptotic
+from .tables import FrequencyGrid, write_csv
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -48,44 +45,8 @@ if TYPE_CHECKING:
 
     from .checks import CheckResult
 
-SWEEP_HEADER = "omega,nu,q_inverse,route,est_rel_error,q_asymp_low,q_asymp_high"
-
 #: Default order set for the figure datasets (overridable with --nu).
 FIGURE_NUS = (-0.5, 0.0, 1.0, 2.0, 5.0)
-
-
-class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
-    """Linear or logarithmic frequency sweep specification: ``scale`` is
-    'linear' or 'log'."""
-
-    __slots__ = ()
-
-    def __new__(cls, scale: str, min: float, max: float, count: int) -> FrequencyGrid:
-        if scale not in ("linear", "log"):
-            raise DomainError(f"scale must be 'linear' or 'log', got {scale!r}")
-        for name, bound in (("min", min), ("max", max)):
-            if not math.isfinite(bound):
-                raise DomainError(f"{name} must be finite, got {bound}")
-        if not (min > 0.0 and max > min):
-            raise DomainError(f"need 0 < min < max, got min={min}, max={max}")
-        if count < 2:
-            raise DomainError(f"count must be >= 2, got {count}")
-        return super().__new__(cls, scale, min, max, count)
-
-    # ``_replace`` builds through ``_make``: check there too
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def points(self) -> list[float]:
-        """The grid, by the arithmetic of ``np.linspace`` / ``np.logspace``."""
-        if self.scale == "linear":
-            return _linspace(self.min, self.max, self.count)
-        exponents = _linspace(math.log10(self.min), math.log10(self.max), self.count)
-        return [10.0**y for y in exponents]
-
-
-def _linspace(start: float, stop: float, count: int) -> list[float]:
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count - 1)] + [stop]
 
 
 class SweepRecord(
@@ -97,25 +58,6 @@ class SweepRecord(
     """One CSV row of a frequency sweep."""
 
     __slots__ = ()
-
-    def as_csv(self) -> str:
-        return ",".join(
-            [
-                _fmt(self.omega),
-                _fmt(self.nu),
-                _fmt(self.q_inverse),
-                self.route,
-                _fmt(self.est_rel_error),
-                _fmt(self.q_asymp_low),
-                _fmt(self.q_asymp_high),
-            ]
-        )
-
-
-def _fmt(value: float) -> str:
-    if not math.isfinite(value):
-        raise BesselQError(f"non-finite value reached the CSV writer: {value}")
-    return format(value, ".16e")
 
 
 def evaluate_sweep(nus: Sequence[float], grid: FrequencyGrid) -> list[SweepRecord]:
@@ -138,21 +80,8 @@ def evaluate_sweep(nus: Sequence[float], grid: FrequencyGrid) -> list[SweepRecor
     return records
 
 
-def _write_ascii(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as ASCII, overwriting in place: no
-    ``O_TRUNC`` on open, a truncate to the new length after the write.
-    Truncating a recently written file to zero makes the opener wait on
-    writeback (ext4); an overwrite in place does not."""
-    data = text.encode("ascii")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as fh:
-        fh.write(data)
-        fh.truncate()
-
-
 def write_sweep_csv(records: Iterable[SweepRecord], path: Path) -> None:
-    lines = [SWEEP_HEADER] + [r.as_csv() for r in records]
-    _write_ascii(path, "\n".join(lines) + "\n")
+    write_csv(path, SweepRecord._fields, records)
 
 
 #: An option with no default: the command line must give it.

@@ -2,15 +2,15 @@
 the gnuplot scripts that plot them.
 
 ``cli.emit_figures`` imports this module on first use, so of the commands
-only ``figures`` loads it.  It writes through the CLI's number format and
-in-place writer, so its files follow the same rules as a sweep CSV.
+only ``figures`` loads it.  Its tables go through ``tables.write_csv``, the
+writer of a sweep CSV, and its scripts through the same in-place writer.
 """
 
 from __future__ import annotations
 
-from .cli import FrequencyGrid, _fmt, _write_ascii
 from .model import ModelOrder
 from .qfactor import q_inverse, q_inverse_asymptotic
+from .tables import FrequencyGrid, _write_ascii, write_csv
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -19,15 +19,6 @@ if TYPE_CHECKING:
 
 #: Orders shown in the two asymptote-comparison panels.
 ASYMPTOTE_PANEL_NUS = (0.0, 2.0)
-
-
-def _write_table(
-    path: Path, header: Sequence[str], columns: Sequence[Sequence[float]]
-) -> None:
-    rows = [",".join(header)]
-    for row in zip(*columns):
-        rows.append(",".join(_fmt(value) for value in row))
-    _write_ascii(path, "\n".join(rows) + "\n")
 
 
 def _gnuplot_script(
@@ -69,7 +60,7 @@ def emit_figures(outdir: Path, nus: Sequence[float]) -> list[Path]:
     def emit(tag: str, header: Sequence[str], cols: Sequence[Sequence[float]],
              title: str, logscale: bool, series: Sequence[tuple[int, str, str]]) -> None:
         csv, gp = outdir / f"{tag}.csv", outdir / f"{tag}.gp"
-        _write_table(csv, header, cols)
+        write_csv(csv, header, zip(*cols))
         _write_ascii(gp, _gnuplot_script(csv.name, f"{tag}.png", title, logscale, series))
         written.extend((csv, gp))
 

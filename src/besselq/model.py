@@ -101,6 +101,14 @@ def _check_s(s: complex) -> complex:
     return s
 
 
+def _representable(value: complex, s: complex) -> complex:
+    """``value``, or OverflowRangeError where the pole term
+    ``4(nu+1)(nu+2)/s`` has left the double range."""
+    if not cmath.isfinite(value):
+        raise OverflowRangeError(f"the 1/s pole term exceeds the double range at s = {s}")
+    return value
+
+
 def creep_rate_laplace(model: ModelOrder, s: complex) -> complex:
     """Laplace transform of the rate of creep, ``Psi~(s; nu)``.
 
@@ -109,11 +117,13 @@ def creep_rate_laplace(model: ModelOrder, s: complex) -> complex:
     ``_compliance_split``, the contiguous ratio that also serves
     ``creep_compliance_laplace``, ``creep_rate_time`` and ``q_inverse``.
     Behaves like ``2(nu+1)/sqrt(s)`` as ``s -> inf`` and like
-    ``4(nu+1)(nu+2)/s`` as ``s -> 0``.
+    ``4(nu+1)(nu+2)/s`` as ``s -> 0``; raises OverflowRangeError where that
+    pole term leaves the double range.
     """
     s = _check_s(s)
     nu = model.nu
-    return 4.0 * (nu + 1.0) * (nu + 2.0) / s + _compliance_split(nu, s)[1]
+    value = 4.0 * (nu + 1.0) * (nu + 2.0) / s + _compliance_split(nu, s)[1]
+    return _representable(value, s)
 
 
 def _compliance_split(nu: float, s: complex) -> tuple[complex, complex, float]:
@@ -146,9 +156,10 @@ def creep_compliance_laplace(model: ModelOrder, s: complex) -> complex:
     the real part keeps full accuracy as ``s -> 0``.  Equals
     ``1 + creep_rate_laplace(model, s)``, from the same contiguous ratio,
     up to rounding.  For real s > 0 the value is real and exceeds 1.
+    Raises OverflowRangeError where the pole term leaves the double range.
     """
     s = _check_s(s)
-    return _compliance_split(model.nu, s)[0]
+    return _representable(_compliance_split(model.nu, s)[0], s)
 
 
 def creep_rate_time(model: ModelOrder, t: float) -> tuple[float, TalbotInversion]:

@@ -35,6 +35,7 @@ All functions are pure and deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import (
@@ -99,11 +100,44 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
+def _pair_quotient(
+    omega: float, route: Route, f1: float, g1: float, f2: float, g2: float,
+    unit: float, floor: float,
+) -> QEvaluation:
+    """``Q^-1 = (f1 f2 + g1 g2) / (g1 f2 - f1 g2)`` from the pairs at orders
+    ``nu`` and ``nu+2``, each with relative error ``unit`` per component;
+    ``floor`` is added to the estimate.  Raises OverflowRangeError where the
+    product of the pair norms underflows, InconsistencyError where the
+    denominator is lost to rounding or is not positive."""
+    norm1 = math.hypot(f1, g1)
+    norm2 = math.hypot(f2, g2)
+    if norm1 * norm2 < sys.float_info.min:
+        raise OverflowRangeError(
+            f"the {route} pair products underflow at omega = {omega} "
+            f"(|p1| |p2| = {norm1 * norm2:.3g})"
+        )
+    numer = f1 * f2 + g1 * g2
+    denom = g1 * f2 - f1 * g2
+    if abs(denom) < _DENOMINATOR_FLOOR * norm1 * norm2:
+        raise InconsistencyError(
+            f"{route} denominator hazard at omega = {omega} (|denom| = {abs(denom):.3g})"
+        )
+    if denom <= 0.0:
+        raise InconsistencyError(
+            f"storage response lost positivity at omega = {omega} "
+            f"({route} denominator = {denom:.3g})"
+        )
+    est = unit * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom)) + floor
+    return QEvaluation(omega, numer / denom, route, est)
+
+
 def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     """Q^-1 from the oscillatory pair (f, g) at orders nu and nu+2.
 
     Restricted to ``omega <= DEFAULT_CROSSOVER_OMEGA``; above that the
     alternating series cancel too strongly and CancellationError is raised.
+    Where the products of the pair values underflow (``nu`` near 100 at
+    ``omega = 1``) it raises OverflowRangeError.
     """
     from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA, fg_series
     from .specfun.series import _SERIES_TOL
@@ -117,21 +151,7 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     nu = model.nu
     f1, g1, _, _ = fg_series(nu, omega)
     f2, g2, _, _ = fg_series(nu + 2.0, omega)
-    numer = f1 * f2 + g1 * g2
-    denom = g1 * f2 - f1 * g2
-    norm1 = math.hypot(f1, g1)
-    norm2 = math.hypot(f2, g2)
-    if abs(denom) < _DENOMINATOR_FLOOR * norm1 * norm2:
-        raise InconsistencyError(
-            f"f/g denominator hazard at omega = {omega} (|denom| = {abs(denom):.3g})"
-        )
-    if denom <= 0.0:
-        raise InconsistencyError(
-            f"storage response lost positivity at omega = {omega} "
-            f"(f/g denominator = {denom:.3g})"
-        )
-    est = _EPS * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom)) + 4.0 * _SERIES_TOL
-    return QEvaluation(omega, numer / denom, "fg_series", est)
+    return _pair_quotient(omega, "fg_series", f1, g1, f2, g2, _EPS, 4.0 * _SERIES_TOL)
 
 
 def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
@@ -139,8 +159,10 @@ def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
 
     Works with exponentially scaled ber/bei internally: the order-dependent
     power prefactors and the common ``e^{x/sqrt(2)}`` growth both cancel
-    between numerator and denominator, so only representability of the
-    unscaled pair limits the range (OverflowRangeError near omega ~ 1e6).
+    between numerator and denominator, so only representability limits the
+    range: of the unscaled pair near omega ~ 1e6, and of the products of
+    the pair values at small ``omega`` or large ``nu`` (both
+    OverflowRangeError).
     """
     from .specfun.kelvinfg import _KELVIN_OVERFLOW_X, kelvin_scaled
 
@@ -152,21 +174,11 @@ def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
             f"ber/bei are not representable at sqrt(omega) = {x:.4g}; "
             "use q_inverse"
         )
-    ber1, bei1, scale1, e1 = kelvin_scaled(nu, x)
-    ber2, bei2, scale2, e2 = kelvin_scaled(nu + 2.0, x)
-    if scale1 != scale2:  # both routes share the same x, so scales agree
-        raise InconsistencyError("internal scale mismatch in Kelvin route")
-    numer = bei2 * ber1 - bei1 * ber2
-    denom = bei1 * bei2 + ber1 * ber2
-    norm1 = math.hypot(ber1, bei1)
-    norm2 = math.hypot(ber2, bei2)
-    if abs(denom) < _DENOMINATOR_FLOOR * max(norm1 * norm2, 1e-300):
-        raise InconsistencyError(
-            f"Kelvin denominator hazard at omega = {omega} "
-            f"(|denom| = {abs(denom):.3g})"
-        )
-    est = (e1 + e2) * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom))
-    return QEvaluation(omega, numer / denom, "kelvin", est)
+    ber1, bei1, _, e1 = kelvin_scaled(nu, x)
+    ber2, bei2, _, e2 = kelvin_scaled(nu + 2.0, x)
+    # the f/g quotient of (ber1 + i bei1, -bei2 + i ber2) is the Kelvin
+    # form with numerator and denominator both negated
+    return _pair_quotient(omega, "kelvin", ber1, bei1, -bei2, ber2, e1 + e2, 0.0)
 
 
 def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:

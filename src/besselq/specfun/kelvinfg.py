@@ -173,7 +173,8 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
     Agrees with ``fg_series`` wherever both are reliable.  Above
     ``omega = 324`` the Kelvin pair comes from the large-argument expansion,
     which makes this an independent check of the direct summation there;
-    below it both sum the same series.
+    below it both sum the same series.  Raises OverflowRangeError where the
+    prefactor ``(2/sqrt(omega))^order`` leaves the double range.
     """
     order = _require_order(order)
     omega = _require_finite(float(omega), "omega")
@@ -183,7 +184,12 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
     pair = kelvin(order, x)
     c = math.cos(0.75 * math.pi * order)
     s = math.sin(0.75 * math.pi * order)
-    prefactor = (2.0 / x) ** order
+    try:
+        prefactor = (2.0 / x) ** order
+    except OverflowError as exc:
+        raise OverflowRangeError(
+            f"(2/sqrt(omega))^order overflows at order {order}, omega = {omega}"
+        ) from exc
     f = prefactor * (c * pair.ber + s * pair.bei)
     g = prefactor * (-s * pair.ber + c * pair.bei)
     return FGPair(f, g, order, omega)

@@ -1,0 +1,87 @@
+"""Frequency grids and the one CSV writer of the ``sweep``, ``figures`` and
+``check`` commands.
+
+A leaf: it imports only ``errors``, so the command layer (``cli``) and the
+modules it runs (``figures``, ``checks``) share it without importing each
+other.
+
+Every numeric CSV field uses 17-significant-digit scientific notation with
+a decimal point (``_fmt``, locale independent); a non-finite value raises
+``BesselQError``.  Outputs are overwritten in place and then cut to length
+(``_write_ascii``), so an interrupted write can leave old and new bytes
+mixed; a rerun repairs it.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from collections import namedtuple
+
+from .errors import BesselQError, DomainError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
+    from typing import Iterable, Sequence
+
+
+class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
+    """Linear or logarithmic frequency sweep specification: ``scale`` is
+    'linear' or 'log'."""
+
+    __slots__ = ()
+
+    def __new__(cls, scale: str, min: float, max: float, count: int) -> FrequencyGrid:
+        if scale not in ("linear", "log"):
+            raise DomainError(f"scale must be 'linear' or 'log', got {scale!r}")
+        for name, bound in (("min", min), ("max", max)):
+            if not math.isfinite(bound):
+                raise DomainError(f"{name} must be finite, got {bound}")
+        if not (min > 0.0 and max > min):
+            raise DomainError(f"need 0 < min < max, got min={min}, max={max}")
+        if count < 2:
+            raise DomainError(f"count must be >= 2, got {count}")
+        return super().__new__(cls, scale, min, max, count)
+
+    # ``_replace`` builds through ``_make``: check there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def points(self) -> list[float]:
+        """The grid, by the arithmetic of ``np.linspace`` / ``np.logspace``."""
+        if self.scale == "linear":
+            return _linspace(self.min, self.max, self.count)
+        exponents = _linspace(math.log10(self.min), math.log10(self.max), self.count)
+        return [10.0**y for y in exponents]
+
+
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count - 1)] + [stop]
+
+
+def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise BesselQError(f"non-finite value reached the CSV writer: {value}")
+    return format(value, ".16e")
+
+
+def _write_ascii(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII, overwriting in place: no
+    ``O_TRUNC`` on open, a truncate to the new length after the write.
+    Truncating a recently written file to zero makes the opener wait on
+    writeback (ext4); an overwrite in place does not."""
+    data = text.encode("ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as CSV: numbers through
+    ``_fmt``, strings as they are."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
+    _write_ascii(path, "\n".join(lines) + "\n")

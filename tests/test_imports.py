@@ -4,12 +4,15 @@ import of numpy raises.  ``import besselq`` and its two production calls
 load neither ``dataclasses``, ``typing``, the special functions of the
 verification routes, the checks nor the CLI, and ``besselq sweep`` loads
 neither ``argparse`` nor the figure writer, the checks or their special
-functions."""
+functions.  Neither the figure writer nor the checks import the CLI, so
+``python -m besselq.cli figures`` and ``check`` compile it once."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,3 +122,37 @@ def test_sweep_loads_only_what_it_runs(tmp_path):
     unwanted = {"argparse", "gettext", "locale", "besselq.figures", "besselq.checks",
                 "besselq.specfun.kelvinfg", "besselq.specfun.zeros"}
     assert not imported & unwanted, sorted(imported & unwanted)
+
+
+@pytest.mark.parametrize("argv", [["figures", "--nu", "1"], ["check", "--nu", "1"]],
+                         ids=lambda argv: argv[0])
+def test_commands_compile_the_cli_once(tmp_path, argv):
+    # run as -m besselq.cli, the CLI is __main__: a module that imported
+    # besselq.cli would compile and run it a second time
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "besselq.cli", *argv],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert "besselq.cli" not in imported
+    assert "besselq.tables" in imported
+
+
+@pytest.mark.parametrize("module", ["besselq.figures", "besselq.checks"])
+def test_command_modules_do_not_import_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = f"import sys, {module}; assert 'besselq.cli' not in sys.modules"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

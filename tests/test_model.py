@@ -13,6 +13,7 @@ import oracle
 from besselq import (
     DomainError,
     ModelOrder,
+    OverflowRangeError,
     creep_compliance_asymptotic,
     creep_compliance_laplace,
     creep_rate_laplace,
@@ -127,6 +128,20 @@ def test_laplace_domain_errors():
         creep_rate_laplace(ModelOrder(0.0), 0j)
     with pytest.raises(DomainError):
         creep_compliance_laplace(ModelOrder(0.0), complex(float("inf"), 0.0))
+
+
+def test_laplace_pole_term_beyond_double_range_is_overflow():
+    # 4(nu+1)(nu+2)/s overflows: these once returned (inf+0j)
+    for fn in (creep_rate_laplace, creep_compliance_laplace):
+        for s in (1e-308, complex(1e-308, 1e-308)):
+            with pytest.raises(OverflowRangeError):
+                fn(ModelOrder(1.0), s)
+
+
+def test_dirichlet_inverts_only_the_bounded_part():
+    # at t = 1e305 every contour node has |s| near 1e-305, where the pole
+    # term overflows; the inversion uses T alone and returns the constant
+    assert creep_rate_time(ModelOrder(1e4), 1e305)[0] == 400120008.0
 
 
 # -------------------------------------------------------- time domain

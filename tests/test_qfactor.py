@@ -26,6 +26,8 @@ from besselq import (
     q_inverse_fg,
     q_inverse_kelvin,
 )
+from besselq.model import _EPS
+from besselq.specfun.series import _SERIES_TOL
 
 # oracle: Theorem-style combination of naive extended-precision series,
 # cross-validated against the ratio form inside the oracle itself
@@ -181,6 +183,52 @@ def test_estimate_ceiling_rejects_kelvin_noise_floor():
 def test_result_beyond_double_range_is_overflow():
     with pytest.raises(OverflowRangeError):
         q_inverse(ModelOrder(1e4), 1e-300)
+
+
+@pytest.mark.parametrize(
+    "route, nu, omega",
+    [
+        (q_inverse_kelvin, 50.0, 1e-100),
+        (q_inverse_kelvin, 10.0, 1e-300),
+        (q_inverse_kelvin, 100.0, 1.0),
+        (q_inverse_kelvin, 130.0, 1.0),
+        (q_inverse_kelvin, 50.0, 1e-3),
+        (q_inverse_fg, 100.0, 1.0),
+        (q_inverse_fg, 130.0, 1.0),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_verification_routes_raise_where_pair_products_underflow(route, nu, omega):
+    # these once raised ZeroDivisionError, or an InconsistencyError about a
+    # nan estimate or a zero denominator
+    with pytest.raises(OverflowRangeError):
+        route(ModelOrder(nu), omega)
+
+
+def test_verification_routes_keep_their_own_arithmetic():
+    # the two routes share one pair quotient; on the check grids each value
+    # and estimate is bit for bit the route's own closed form
+    for nu in NUS:
+        model = ModelOrder(nu)
+        below = log_grid(1e-3, DEFAULT_CROSSOVER_OMEGA, 40)
+        for omega in below + log_grid(DEFAULT_CROSSOVER_OMEGA, 1e6, 40):
+            ber1, bei1, _, e1 = kelvin_scaled(nu, math.sqrt(omega))
+            ber2, bei2, _, e2 = kelvin_scaled(nu + 2.0, math.sqrt(omega))
+            numer = bei2 * ber1 - bei1 * ber2
+            denom = bei1 * bei2 + ber1 * ber2
+            norm1, norm2 = math.hypot(ber1, bei1), math.hypot(ber2, bei2)
+            est = (e1 + e2) * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom))
+            ev = q_inverse_kelvin(model, omega)
+            assert (ev.q_inverse, ev.est_rel_error) == (numer / denom, est), (nu, omega)
+        for omega in below:
+            f1, g1, _, _ = fg_series(nu, omega)
+            f2, g2, _, _ = fg_series(nu + 2.0, omega)
+            numer = f1 * f2 + g1 * g2
+            denom = g1 * f2 - f1 * g2
+            norm1, norm2 = math.hypot(f1, g1), math.hypot(f2, g2)
+            est = _EPS * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom)) + 4.0 * _SERIES_TOL
+            ev = q_inverse_fg(model, omega)
+            assert (ev.q_inverse, ev.est_rel_error) == (numer / denom, est), (nu, omega)
 
 
 # ------------------------------------------------- invariant structure

@@ -446,6 +446,12 @@ def test_fg_from_kelvin_matches_fg_series():
     assert rel(pair_a.g, pair_b.g) < 1e-10
 
 
+def test_fg_from_kelvin_prefactor_overflow_is_typed():
+    # (2/sqrt(omega))^order once raised a bare OverflowError
+    with pytest.raises(OverflowRangeError):
+        fg_from_kelvin(50.0, 1e-300)
+
+
 # ------------------------------------------------- non-finite arguments
 
 NAN, INF = math.nan, math.inf
