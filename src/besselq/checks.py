@@ -17,7 +17,7 @@ from .model import ModelOrder, creep_rate_laplace, creep_rate_time
 from .qfactor import q_inverse, q_inverse_fg, q_inverse_kelvin
 from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
 from .specfun.zeros import bessel_j_zeros
-from .tables import FrequencyGrid
+from .tables import DEFAULT_CHECK_NUS, FrequencyGrid
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -29,8 +29,6 @@ ROUTE_AGREEMENT_BOUND_ABOVE = 1e-8
 RAYLEIGH_SNEDDON_BOUND = 1e-6
 LAPLACE_CONSISTENCY_BOUND = 1e-12
 CREEP_TIME_BOUND = 1e-12
-
-DEFAULT_CHECK_NUS = (-0.5, 0.0, 1.0, 3.5, 10.0)
 
 #: Zeros that ``rayleigh_sneddon_sum`` sums; McMahon's expansion covers the
 #: rest.

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 from .errors import BesselQError
 from .model import ModelOrder
 from .qfactor import QEvaluation, q_inverse, q_inverse_asymptotic
-from .tables import FrequencyGrid, write_csv
+from .tables import DEFAULT_CHECK_NUS, FrequencyGrid, write_csv
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -109,7 +109,7 @@ COMMANDS = {
     "check": (
         "run cross-method verification suites",
         "[--nu NU [NU ...]]",
-        {"--nu": ("+", float, [-0.5, 0.0, 1.0, 3.5, 10.0])},
+        {"--nu": ("+", float, list(DEFAULT_CHECK_NUS))},
     ),
 }
 

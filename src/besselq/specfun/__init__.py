@@ -3,8 +3,8 @@
 The production path (``q_inverse``, ``creep_rate_time``) needs only the
 contiguous-ratio evaluator of ``modified``, which it imports itself.  Every
 public name here belongs to the verification routes and lives in one of
-``kelvinfg`` (Kelvin and f/g pairs), ``gammafn`` (gamma), ``series`` (the
-power series, ``I`` and ``T``) and ``zeros`` (``J`` and its zeros): each
+``kelvinfg`` (Kelvin and f/g pairs), ``series`` (gamma and the power
+series, ``I`` and ``T``) and ``zeros`` (``J`` and its zeros): each
 module is imported on first use of one of its names (PEP 562), not with
 the package.
 """
@@ -19,7 +19,7 @@ _MODULE_OF = {
     "kelvin": "kelvinfg",
     "kelvin_scaled": "kelvinfg",
     "modified_i_asymptotic_scaled": "kelvinfg",
-    "gamma_real": "gammafn",
+    "gamma_real": "series",
     "modified_bessel_i": "series",
     "tricomi_it": "series",
     "bessel_j": "zeros",

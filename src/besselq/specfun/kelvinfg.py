@@ -28,9 +28,16 @@ import math
 from collections import namedtuple
 
 from ..errors import DomainError, OverflowRangeError, TruncationError
-from .gammafn import _require_finite, _require_order
 from .modified import _hankel_sums
-from .series import _SERIES_TOL, SeriesDiagnostics, _half_power, _tricomi_series
+from .series import (
+    _SERIES_TOL,
+    SeriesDiagnostics,
+    _half_power,
+    _require_finite,
+    _require_order,
+    _rotation,
+    _tricomi_series,
+)
 
 #: Frequency above which the alternating small-argument series of the
 #: verification routes (the f/g pair and the ber/bei power series) are
@@ -81,7 +88,7 @@ def fg_series(order: float, omega: float) -> FGPair:
 def _kelvin_series(order: float, x: float) -> tuple[complex, SeriesDiagnostics]:
     """``ber + i bei = (x/2)^order e^{3 pi i order/4} T_order(i x^2)`` by
     the shared power series, with its diagnostics."""
-    scale = _half_power(x, order) * cmath.exp(0.75j * math.pi * order)
+    scale = _half_power(x, order) * _rotation(order, 0.75)
     return _tricomi_series(order, complex(0.0, x * x), scale)
 
 
@@ -109,9 +116,7 @@ def modified_i_asymptotic_scaled(order: float, z: complex) -> tuple[complex, flo
         )
     prefactor = 1.0 / cmath.sqrt(2.0 * math.pi * z)
     main = cmath.exp(complex(0.0, z.imag)) * (even - odd)  # e^z scaled by e^{-Re z}
-    reflected = (
-        cmath.exp(1j * math.pi * order) * 1j * cmath.exp(-z - z.real) * (even + odd)
-    )
+    reflected = _rotation(order, 1.0) * 1j * cmath.exp(-z - z.real) * (even + odd)
     return prefactor * (main + reflected), est
 
 
@@ -140,7 +145,7 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
         return pair.real, pair.imag, 0.0, est
     z = x * cmath.exp(0.25j * math.pi)
     scaled_i, est = modified_i_asymptotic_scaled(order, z)
-    pair = cmath.exp(0.5j * math.pi * order) * scaled_i
+    pair = _rotation(order, 0.5) * scaled_i
     return pair.real, pair.imag, z.real, max(est, _SERIES_TOL)
 
 
@@ -182,8 +187,8 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
         raise DomainError(f"omega must be positive, got {omega}")
     x = math.sqrt(omega)
     pair = kelvin(order, x)
-    c = math.cos(0.75 * math.pi * order)
-    s = math.sin(0.75 * math.pi * order)
+    rotation = _rotation(order, 0.75)
+    c, s = rotation.real, rotation.imag
     try:
         prefactor = (2.0 / x) ** order
     except OverflowError as exc:

@@ -7,7 +7,9 @@ summed by ``_tricomi_series`` at a point ``s`` times a prefactor:
 f/g pair is ``T_a(i omega)`` and ``ber_a + i bei_a`` is
 ``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``; ``tricomi_it`` is ``T_a`` itself.
 The loop owns the overflow test and the cancellation guard; its tolerances
-are fixed, and its term cap follows from ``|s|``.
+are fixed, and its term cap follows from ``|s|``.  Its first term
+``1/Gamma(a+1)`` comes from ``gamma_real``, a checked ``math.gamma``, which
+lives here with the argument checks every special function shares.
 
 Only the verification routes (``kelvinfg``, ``zeros``) and the public
 ``modified_bessel_i`` and ``tricomi_it`` sum it: ``q_inverse`` and
@@ -16,16 +18,18 @@ Only the verification routes (``kelvinfg``, ``zeros``) and the public
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from collections import namedtuple
 
 from ..errors import (
     CancellationError,
     DomainError,
     OverflowRangeError,
+    PoleError,
     TruncationError,
 )
-from .gammafn import _require_finite, _require_order, gamma_real
 
 #: Relative stopping tolerance of the power series: it stops once two
 #: successive terms fall below this fraction of the partial sum.
@@ -47,6 +51,71 @@ class SeriesDiagnostics(namedtuple("SeriesDiagnostics", "terms_used max_term can
     __slots__ = ()
 
 
+def _require_finite(value, name: str = "argument"):
+    """``value`` (a float or complex) unchanged, or DomainError if it has
+    an infinite or NaN part."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_order(order: float) -> float:
+    order = _require_finite(float(order), "order")
+    if not order > -1.0:
+        raise DomainError(f"order must exceed -1, got {order}")
+    return order
+
+
+def _require_index(value, name: str) -> int:
+    """``value`` as an int, or DomainError unless it is a whole number >= 1."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # infinite or NaN
+        whole = 0
+    if not (whole >= 1 and whole == value):
+        raise DomainError(f"{name} must be a whole number >= 1, got {value}")
+    return whole
+
+
+def gamma_real(x: float) -> float:
+    """Gamma function for real ``x`` away from the poles: ``math.gamma``
+    with typed errors.
+
+    Parameters
+    ----------
+    x : float
+        Any real number that is not a nonpositive integer.
+
+    Returns
+    -------
+    float
+        ``Gamma(x)``, within 1e-15 relative of mpmath: at most 8.4e-16 on
+        20,000 random points of ``[-170.5, 171.6]``, and 7.8e-16 on 5,000
+        points within 1e-15 to 0.1 of the poles 0 to -160.
+
+    Raises
+    ------
+    DomainError
+        If ``x`` is infinite or NaN.
+    PoleError
+        If ``x`` is zero or a negative integer.
+    OverflowRangeError
+        If the result leaves the normal double-precision range: above it
+        for x > ~171.6 or next to zero, below it (underflow, where digits or
+        the whole value are lost) for x < ~-170.6.
+    """
+    x = _require_finite(float(x))
+    if x <= 0.0 and x == math.floor(x):
+        raise PoleError(f"gamma pole at nonpositive integer x = {x}")
+    try:
+        value = math.gamma(x)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise OverflowRangeError(f"gamma({x}) is outside the double-precision range")
+    return value
+
+
 def _half_power(x: float, order: float) -> float:
     """``(x/2)^order``, the prefactor of every series in ``x``; its overflow
     is an OverflowRangeError."""
@@ -56,6 +125,13 @@ def _half_power(x: float, order: float) -> float:
         raise OverflowRangeError(
             f"(x/2)^order overflows at order {order}, x = {x:.3g}"
         ) from exc
+
+
+def _rotation(order: float, c: float) -> complex:
+    """``e^(i pi c order)``, the phase of the Kelvin and f/g prefactors, for
+    ``c`` a multiple of 1/4.  ``order`` is reduced modulo 8 first, exactly,
+    so the rounding of the phase does not grow with the order."""
+    return cmath.rect(1.0, math.pi * math.fmod(c * math.fmod(order, 8.0), 2.0))
 
 
 def _tricomi_series(

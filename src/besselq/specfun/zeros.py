@@ -6,21 +6,16 @@ zeros.
 machine level.  Beyond that it is whichever of the series and the shared
 optimally truncated Hankel expansion, ``sum t_k = P + iQ`` at ``z = -ix``,
 has the smaller error estimate, or ``TruncationError`` when neither
-reaches 5e-11 of the amplitude.  Zeros come from a McMahon
-asymptotic initial guess refined by Newton steps safeguarded with bisection
-inside a verified sign-change bracket.  The first zero is always isolated
-with the classical bounds ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)``.
+reaches 5e-11 of the amplitude.  Zeros come from Newton steps
+safeguarded with bisection inside a verified sign-change bracket: the
+classical bounds ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)`` for the first zero, a
+McMahon asymptotic guess for the others.
 
 Validated to ~1e-12 absolute for orders up to ~8 and zero index up to 1e4;
 beyond that range accuracy degrades gradually (document-of-record: the
 Hankel expansion and McMahon guess both lose ground once order ~ argument).
-Zeros past the series region are refined with 13 Hankel terms, so both zero
-finders serve only the orders where that suffices, and raise
-``DomainError`` for any other before any work: where the first omitted
-term, at the smallest zero the refinement would take, exceeds 1e-10.  That
-happens from order 10.792 on (the term is about 9e-13 at order 7, 5e-11 at
-10, 8e-9 at 12), except within about 0.01 of the half-integer orders 11.5,
-12.5 and 13.5, where the expansion terminates.
+Both zero finders serve one domain of orders, up to 10.79 and near 11.5,
+12.5 and 13.5: see ``_require_zero_order``.
 
 The zeros serve the verification suites only (``checks``: 1,000 zeros at
 a few orders, those of orders 2 and 3 fourteen times), so
@@ -35,9 +30,14 @@ import functools
 import math
 
 from ..errors import DomainError, RootIsolationError, TruncationError
-from .gammafn import _require_finite, _require_index, _require_order
 from .modified import _ROUNDOFF, _hankel_terms
-from .series import _half_power, _tricomi_series
+from .series import (
+    _half_power,
+    _require_finite,
+    _require_index,
+    _require_order,
+    _tricomi_series,
+)
 
 #: ``bessel_j`` sums the series up to this argument.  Beyond it, it takes
 #: whichever of the series and the Hankel expansion has the smaller error
@@ -137,33 +137,6 @@ def mcmahon_zero_estimate(order: float, k: float) -> float:
     )
 
 
-def _first_zero_bracket(order: float) -> tuple[float, float]:
-    # 4(a+1) < j_{a,1}^2 < 2(a+1)(a+3), valid for all a > -1
-    lo = 2.0 * math.sqrt(order + 1.0) * (1.0 - 1e-12)
-    hi = math.sqrt(2.0 * (order + 1.0) * (order + 3.0)) * (1.0 + 1e-12)
-    return lo, hi
-
-
-def _scan_bracket(order: float, k: int) -> tuple[float, float, float, float]:
-    """Fallback: walk up from below the first zero counting sign changes."""
-    x0 = 0.5 * _first_zero_bracket(order)[0]
-    f0 = bessel_j(order, x0)
-    step = 1.0
-    count = 0
-    limit = (k + order / 2.0 + 4.0) * math.pi + 20.0
-    while x0 < limit:
-        x1 = x0 + step
-        f1 = bessel_j(order, x1)
-        if f0 * f1 < 0.0:
-            count += 1
-            if count == k:
-                return x0, x1, f0, f1
-        x0, f0 = x1, f1
-    raise RootIsolationError(
-        f"could not isolate zero #{k} of J_{order} by scanning"
-    )
-
-
 def bessel_j_zero(order: float, k: int) -> float:
     """k-th positive zero of ``J_order``, bracket-verified.
 
@@ -171,19 +144,20 @@ def bessel_j_zero(order: float, k: int) -> float:
     before refinement, so the result is guaranteed to be a zero (absolute
     error below 1e-10; typically ~1e-13).
 
-    Raises DomainError, before any work, for the orders that
-    ``bessel_j_zeros`` cannot refine (from 10.792 on, except near 11.5,
-    12.5 and 13.5; see ``_require_zero_order``), so both zero finders serve
-    one domain.  Raises RootIsolationError if no sign-change bracket can be
-    found, which signals a bug rather than an expected failure mode.
+    Raises DomainError, before any work, outside the domain of
+    ``_require_zero_order``.  The bracket is the classical bound for
+    ``k = 1`` and the McMahon guess ``+- 0.05``, widened while it holds no
+    sign change, for the others; RootIsolationError, naming the order and
+    the index, if it still holds none, which signals a bug rather than an
+    expected failure mode.
     """
     order = _require_zero_order(order)
     k = _require_index(k, "zero index")
     if k == 1:
-        lo, hi = _first_zero_bracket(order)
+        # 4(a+1) < j_{a,1}^2 < 2(a+1)(a+3), valid for all a > -1
+        lo = 2.0 * math.sqrt(order + 1.0) * (1.0 - 1e-12)
+        hi = math.sqrt(2.0 * (order + 1.0) * (order + 3.0)) * (1.0 + 1e-12)
         flo, fhi = bessel_j(order, lo), bessel_j(order, hi)
-        if flo * fhi > 0.0:
-            lo, hi, flo, fhi = _scan_bracket(order, k)
     else:
         guess = mcmahon_zero_estimate(order, k)
         h = 0.05
@@ -193,8 +167,11 @@ def bessel_j_zero(order: float, k: int) -> float:
             h *= 1.7
             lo, hi = guess - h, guess + h
             flo, fhi = bessel_j(order, lo), bessel_j(order, hi)
-        if flo * fhi > 0.0:
-            lo, hi, flo, fhi = _scan_bracket(order, k)
+    if flo * fhi > 0.0:
+        raise RootIsolationError(
+            f"could not isolate zero #{k} of J_{order}: no sign change "
+            f"on [{lo:.17g}, {hi:.17g}]"
+        )
     # Newton safeguarded by the bracket
     x = 0.5 * (lo + hi)
     for _ in range(100):
@@ -278,14 +255,19 @@ def _hankel_refine(order: float, x: float, rows: tuple) -> float:
 
 
 def _require_zero_order(order: float) -> float:
-    """``order``, or DomainError unless 13 Hankel terms can refine its zeros.
+    """``order``, or DomainError unless 13 Hankel terms can refine its zeros:
+    the one domain of both zero finders, checked before any work and
+    whatever the index or count.
 
-    The first omitted term ``|a_14| / x^14``, at the McMahon guess ``x`` of
-    the smallest zero past ``_SMALL_ZERO_MAX`` (the first one
-    ``bessel_j_zeros`` refines), must not exceed 1e-10.  It exceeds it from
-    order 10.792 on, except within about 0.01 of 11.5 and 12.5 and at 13.5,
-    where the expansion terminates, and at every order above 13.5: there
-    ``a_14`` grows like ``order^28`` while the zeros grow like ``order``.
+    Zeros past the series region are refined with 13 Hankel terms.  The
+    first omitted term ``|a_14| / x^14``, at the McMahon guess ``x`` of the
+    smallest zero past ``_SMALL_ZERO_MAX`` (the first one ``bessel_j_zeros``
+    refines), must not exceed 1e-10: the order must not come too close to
+    the argument for the expansion.  The term is about 9e-13 at order 7,
+    5e-11 at 10 and 8e-9 at 12.  It exceeds 1e-10 from order 10.792 on,
+    except within about 0.01 of 11.5 and 12.5 and at 13.5, where the
+    expansion terminates, and at every order above 13.5: there ``a_14``
+    grows like ``order^28`` while the zeros grow like ``order``.
     """
     order = _require_order(order)
     if order <= _HANKEL_TERMS + 0.5:
@@ -310,12 +292,8 @@ def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
     and the sequence is checked to be strictly increasing.  The tables of
     the last 8 calls are kept.
 
-    Raises ``DomainError``, before any zero is refined and whatever
-    ``count``, for the orders whose zeros the refinement cannot reach: from
-    10.792 on, except near 11.5, 12.5 and 13.5 (``_require_zero_order``).
-    The first Hankel term it omits, ``|a_14| / x^14`` at the McMahon guess
-    of the smallest zero it would refine, then exceeds 1e-10: the order is
-    too close to the argument for the expansion.
+    Raises ``DomainError``, before any zero is refined, outside the domain
+    of ``_require_zero_order``.
     """
     order = _require_zero_order(order)
     count = _require_index(count, "count")

@@ -1,5 +1,5 @@
-"""Frequency grids and the one CSV writer of the ``sweep``, ``figures`` and
-``check`` commands.
+"""Frequency grids, the default orders of ``check`` and the one CSV writer
+of the ``sweep``, ``figures`` and ``check`` commands.
 
 A leaf: it imports only ``errors``, so the command layer (``cli``) and the
 modules it runs (``figures``, ``checks``) share it without importing each
@@ -24,6 +24,9 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from pathlib import Path
     from typing import Iterable, Sequence
+
+#: The orders ``besselq check`` and the suites of ``checks`` run at by default.
+DEFAULT_CHECK_NUS = (-0.5, 0.0, 1.0, 3.5, 10.0)
 
 
 class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):

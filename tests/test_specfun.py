@@ -430,6 +430,19 @@ def test_kelvin_scaled_matches_unscaled():
     assert rel(bei_s * scale, pair.bei) < 1e-14
 
 
+@pytest.mark.parametrize("x", [1.0, 5.0])
+@pytest.mark.parametrize("order", [50.0, 100.0, 130.0])
+def test_kelvin_scaled_within_its_estimate_at_large_orders(order, x):
+    # the phase e^(3 pi i order/4) was once rounded at its argument, near
+    # 2.4 order: at x = 1 the pair was off by 6.4e-15 (order 50) to 2.8e-14
+    # (order 130) of its norm, against an estimate of 1e-15
+    ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
+    ber_ref, bei_ref = (float(v) for v in oracle.kelvin_pair(order, x))
+    assert log_scale == 0.0
+    error = math.hypot(ber_s - ber_ref, bei_s - bei_ref)
+    assert error <= est * math.hypot(ber_ref, bei_ref)
+
+
 def test_fg_from_kelvin_golden_and_limits():
     pair = fg_from_kelvin(0.5, 16.0)
     assert rel(pair.f, FG_05_16[0]) < 1e-11

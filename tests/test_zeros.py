@@ -11,12 +11,14 @@ import oracle
 from besselq import (
     BesselQError,
     DomainError,
+    RootIsolationError,
     TruncationError,
     bessel_j,
     bessel_j_zero,
     bessel_j_zeros,
 )
 from besselq.checks import rayleigh_sneddon_sum
+from besselq.specfun import zeros as zeros_module
 
 # first zero of J_0, from bisection on the naive series oracle
 J0_ZERO1 = 2.404825557695772768622
@@ -48,6 +50,30 @@ def test_zero_has_verified_sign_change():
             z = bessel_j_zero(order, k)
             delta = 1e-7 * max(1.0, z)
             assert bessel_j(order, z - delta) * bessel_j(order, z + delta) < 0.0
+
+
+#: Orders across the domain of the zero finders, for the bracket tests.
+BRACKET_ORDERS = [-0.99] + [-0.75 + 0.25 * i for i in range(47)] + [11.5, 12.5, 13.5]
+
+
+def test_one_bracket_rule_isolates_every_zero_up_to_k_40():
+    # the k = 1 bound and the McMahon guess bracket every zero: a skipped
+    # zero would leave a gap of about 2 pi, a repeated one a gap of 0
+    for order in BRACKET_ORDERS:
+        table = [bessel_j_zero(order, k) for k in range(1, 41)]
+        assert 4.0 * (order + 1.0) < table[0] ** 2 < 2.0 * (order + 1.0) * (order + 3.0)
+        for a, b in zip(table, table[1:]):
+            assert 0.5 * math.pi < b - a < 1.5 * math.pi, (order, a, b)
+        for z in table:
+            delta = 1e-7 * z
+            assert bessel_j(order, z - delta) * bessel_j(order, z + delta) < 0.0, (order, z)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_bracket_without_a_sign_change_raises(monkeypatch, k):
+    monkeypatch.setattr(zeros_module, "bessel_j", lambda order, x: 1.0)
+    with pytest.raises(RootIsolationError, match=re.escape(f"zero #{k} of J_2.5")):
+        bessel_j_zero(2.5, k)
 
 
 def test_scalar_zero_accuracy_against_mpmath():
