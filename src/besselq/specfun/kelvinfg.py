@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 from ..errors import DomainError, OverflowRangeError, TruncationError
@@ -127,7 +128,8 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     ``ber = ber_s * exp(log_scale)`` and likewise for bei.  Up to ``x = 18``
     the direct series is used and ``log_scale`` is 0; above it, the scaled
     large-argument evaluation (``log_scale = x/sqrt(2)``).  ``est_rel``
-    estimates the relative accuracy of the pair.
+    estimates the relative accuracy of the pair; above ``x = 18`` it adds
+    ``2 eps x`` for the rounding of the phase ``Im z = x/sqrt(2)``.
 
     The scaled form exists so that ratios of Kelvin-function products (the
     quality-factor formulas) can be formed at arguments where ber/bei
@@ -146,7 +148,7 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     z = x * cmath.exp(0.25j * math.pi)
     scaled_i, est = modified_i_asymptotic_scaled(order, z)
     pair = _rotation(order, 0.5) * scaled_i
-    return pair.real, pair.imag, z.real, max(est, _SERIES_TOL)
+    return pair.real, pair.imag, z.real, est + 2.0 * sys.float_info.epsilon * x
 
 
 def kelvin(order: float, x: float) -> KelvinPair:

@@ -77,6 +77,20 @@ def _require_index(value, name: str) -> int:
     return whole
 
 
+def _in_range(function, *args) -> float:
+    """``function(*args)``, or OverflowRangeError where the value leaves the
+    normal double range: above it, or below it, where digits or the whole
+    value are lost."""
+    try:
+        value = function(*args)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= abs(value) < math.inf:
+        call = f"{function.__name__}({', '.join(map(repr, args))})"
+        raise OverflowRangeError(f"{call} is outside the double-precision range")
+    return value
+
+
 def gamma_real(x: float) -> float:
     """Gamma function for real ``x`` away from the poles: ``math.gamma``
     with typed errors.
@@ -107,24 +121,13 @@ def gamma_real(x: float) -> float:
     x = _require_finite(float(x))
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at nonpositive integer x = {x}")
-    try:
-        value = math.gamma(x)
-    except OverflowError:
-        value = math.inf
-    if not sys.float_info.min <= abs(value) < math.inf:
-        raise OverflowRangeError(f"gamma({x}) is outside the double-precision range")
-    return value
+    return _in_range(math.gamma, x)
 
 
 def _half_power(x: float, order: float) -> float:
-    """``(x/2)^order``, the prefactor of every series in ``x``; its overflow
-    is an OverflowRangeError."""
-    try:
-        return (0.5 * x) ** order
-    except OverflowError as exc:
-        raise OverflowRangeError(
-            f"(x/2)^order overflows at order {order}, x = {x:.3g}"
-        ) from exc
+    """``(x/2)^order``, the prefactor of every series in ``x``: exact at
+    ``x = 0``, else in the normal double range or an OverflowRangeError."""
+    return _in_range(pow, 0.5 * x, order) if x else 0.0**order
 
 
 def _rotation(order: float, c: float) -> complex:
@@ -155,7 +158,9 @@ def _tricomi_series(
     Raises
     ------
     OverflowRangeError
-        If a term or the scaled result leaves the double range.
+        If a term or the scaled result leaves the double range, above it or
+        below its normal range; an exact zero, of the sum or of the
+        prefactor at x = 0, is returned.
     CancellationError
         If the largest term exceeds ``guard`` times ``|T(s)|`` (oscillatory
         ``s`` of large modulus).
@@ -191,12 +196,12 @@ def _tricomi_series(
             )
         size = abs(total)
         value = scale * total
-        finite = abs(value) < math.inf
+        in_range = sys.float_info.min <= abs(value) < math.inf or not (total and scale)
     except OverflowError:  # abs() of a complex beyond the double range
-        finite = False
-    if not finite:
+        in_range = False
+    if not in_range:
         raise OverflowRangeError(
-            f"series of order {order} at |s| = {modulus:.3g} exceeds "
+            f"series of order {order} at |s| = {modulus:.3g} leaves the "
             "double-precision range"
         )
     ratio = max_term / size if size else math.inf
@@ -212,12 +217,14 @@ def _tricomi_series(
 def modified_bessel_i(order: float, x: float) -> float:
     """Modified Bessel function ``I_order(x) = (x/2)^order T_order(x^2)``.
 
-    All terms are positive, so the series is cancellation-free; it is
-    accurate to ~1e-14 relative for ``x`` up to several hundred.  At order 0
-    it returns up to ``x = 713`` and raises OverflowRangeError from
-    ``x = 714``, where ``I_0(x) ~ e^x / sqrt(2 pi x)`` leaves the double
-    range.  Where ``(x/2)^order`` or ``Gamma(order+1)`` alone leaves it,
-    the leading term comes from ``lgamma`` (``I_200(147) = 2.33e9``).
+    All terms are positive, so the series is cancellation-free: within
+    2.7e-14 relative of mpmath (1,000 random points, orders -0.9 to 170,
+    ``x`` from 1e-3 to 700).  OverflowRangeError where the value leaves the
+    normal double range at ``x > 0``: from ``x = 714`` at order 0, and at
+    ``I_150(1e-3)``.  Where ``(x/2)^order`` or ``Gamma(order+1)`` alone
+    leaves it, the leading term comes from ``lgamma`` (``I_200(147) =
+    2.33e9``), with an error that grows with those logarithms: 1.3e-13 at
+    order 145, ``x = 684``; 4.3e-13 at orders 250 to 320.
 
     Parameters
     ----------
@@ -233,16 +240,13 @@ def modified_bessel_i(order: float, x: float) -> float:
     if x == 0.0 and order < 0.0:
         raise OverflowRangeError("I_a(0) diverges for a < 0")
     try:
-        scale, first = (0.5 * x) ** order, 1.0 / gamma_real(order + 1.0)
-    except (OverflowError, OverflowRangeError):
+        scale, first = _half_power(x, order), 1.0 / gamma_real(order + 1.0)
+    except OverflowRangeError:
         if x == 0.0:
             return 0.0
         total = _tricomi_series(order, x * x, first=1.0)[0]
         log_value = order * math.log(0.5 * x) - math.lgamma(order + 1.0) + math.log(total)
-        try:
-            return math.exp(log_value)
-        except OverflowError as exc:
-            raise OverflowRangeError(f"I_{order}({x:.3g}) exceeds double range") from exc
+        return _in_range(math.exp, log_value)
     return _tricomi_series(order, x * x, scale, first=first)[0]
 
 

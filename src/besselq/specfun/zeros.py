@@ -111,10 +111,6 @@ def _j_hankel(order: float, x: float, rel_tol: float) -> tuple[float, float]:
     return value, smallest + _ROUNDOFF * max(map(abs, terms))
 
 
-def _bessel_j_prime(order: float, x: float) -> float:
-    return (order / x) * bessel_j(order, x) - bessel_j(order + 1.0, x)
-
-
 def mcmahon_zero_estimate(order: float, k: float) -> float:
     """McMahon expansion for the k-th positive zero of ``J_order``.
 
@@ -172,7 +168,7 @@ def bessel_j_zero(order: float, k: int) -> float:
             f"could not isolate zero #{k} of J_{order}: no sign change "
             f"on [{lo:.17g}, {hi:.17g}]"
         )
-    # Newton safeguarded by the bracket
+    # Newton safeguarded by the bracket, with J' = (order/x) J - J_{order+1}
     x = 0.5 * (lo + hi)
     for _ in range(100):
         f = bessel_j(order, x)
@@ -182,15 +178,16 @@ def bessel_j_zero(order: float, k: int) -> float:
             hi = x
         else:
             lo, flo = x, f
-        d = _bessel_j_prime(order, x)
+        d = (order / x) * f - bessel_j(order + 1.0, x)
         x_next = x - f / d if d != 0.0 else 0.5 * (lo + hi)
         if not (lo < x_next < hi):
             x_next = 0.5 * (lo + hi)
         if abs(x_next - x) < 4e-15 * max(1.0, x):
             x = x_next
-            d = _bessel_j_prime(order, x)
+            f = bessel_j(order, x)
+            d = (order / x) * f - bessel_j(order + 1.0, x)
             if d != 0.0:
-                x -= bessel_j(order, x) / d  # final polish
+                x -= f / d  # final polish
             return x
         x = x_next
     return x

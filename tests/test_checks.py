@@ -7,13 +7,16 @@ import mpmath as mp
 import pytest
 
 import oracle
-from besselq import DomainError, ModelOrder, checks
+from besselq import DomainError, ModelOrder, TruncationError, checks
 from besselq.checks import (
     check_creep_time,
     check_laplace_consistency,
+    check_route_agreement,
     creep_rate_laplace_by_zeros,
     rayleigh_sneddon_sum,
 )
+from besselq.cli import main
+from besselq.tables import FrequencyGrid
 
 
 def _assert_zero_sum_matches_closed_forms():
@@ -94,3 +97,31 @@ def test_creep_time_check_fails_on_shifted_zeros(monkeypatch):
     )
     result = check_creep_time()
     assert not result.passed and result.max_discrepancy > 1e-12
+
+
+def test_check_names_the_route_and_point_that_raised(capsys):
+    # the Kelvin route raises TruncationError at |z| = 20 for order 25; the
+    # route line once read only the exception's message
+    assert main(["check", "--nu", "25"]) == 1
+    route_line = capsys.readouterr().out.splitlines()[0]
+    assert route_line.startswith("FAIL route agreement: max discrepancy inf")
+    assert "q_inverse_kelvin/q_inverse, nu=25.0, omega=398.1: TruncationError: " in route_line
+
+
+def test_route_agreement_reports_the_point_where_a_route_raised(monkeypatch):
+    omega = FrequencyGrid("log", 1e-3, 324.0, 40).points()[17]
+    fg = checks.q_inverse_fg
+
+    def q_inverse_fg(model, w):
+        if w == omega and model.nu == 1.0:
+            raise TruncationError("injected")
+        return fg(model, w)
+
+    monkeypatch.setattr(checks, "q_inverse_fg", q_inverse_fg)
+    result = check_route_agreement((0.0, 1.0))
+    assert not result.passed and result.max_discrepancy == math.inf
+    where = f"q_inverse_fg/q_inverse_kelvin/q_inverse, nu=1.0, omega={omega:.4g}"
+    assert f"{where}: TruncationError: injected;" in result.detail
+    # the band above the crossover, which the f/g route does not enter, is
+    # reported too
+    assert ", worst at q_inverse_kelvin/q_inverse, nu=" in result.detail
