@@ -7,7 +7,8 @@ stream of cases ``(where, evaluate)``: ``evaluate()`` returns the values
 compared, the reference last, and ``_worst_case`` takes the largest spread
 ``(max - min) / |reference|``.  A case that raises a BesselQError fails its
 suite, and the detail names ``where``, the exception class and its message.
-Monotonicity keeps its own rule: a signed, strict step is not a spread.
+Monotonicity keeps its own rule, a signed, strict step is not a spread, and
+reports a raise the same way.
 The CLI ``check`` subcommand runs them all; the test suite reuses them.
 Their grids come from ``besselq.tables``, so the suites do not import the
 CLI.
@@ -113,19 +114,20 @@ def check_monotonicity(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> CheckResult:
     """Q^-1 must decrease strictly along 181 log-spaced frequencies in
     ``[1e-4, 1e5]`` for every order."""
     omegas = FrequencyGrid("log", 1e-4, 1e5, 181).points()
-    worst = -math.inf
-    detail = ""
-    try:
-        for nu in nus:
-            model = ModelOrder(nu)
-            values = [q_inverse(model, w).q_inverse for w in omegas]
-            steps = [(b - a) / abs(a) for a, b in zip(values, values[1:])]
-            i = max(range(len(steps)), key=steps.__getitem__)
-            if steps[i] > worst:
-                worst = steps[i]
-                detail = f"largest upward step at nu={nu}, omega={omegas[i]:.4g}"
-    except BesselQError as exc:
-        return CheckResult("monotonicity", math.inf, 0.0, False, str(exc))
+    worst, detail = -math.inf, ""
+    for nu in nus:
+        values = []
+        for omega in omegas:
+            try:
+                values.append(q_inverse(ModelOrder(nu), omega).q_inverse)
+            except BesselQError as exc:
+                detail = f"nu={nu}, omega={omega:.4g}: {type(exc).__name__}: {exc}"
+                return CheckResult("monotonicity", math.inf, 0.0, False, detail)
+        steps = [(b - a) / abs(a) for a, b in zip(values, values[1:])]
+        i = max(range(len(steps)), key=steps.__getitem__)
+        if steps[i] > worst:
+            worst = steps[i]
+            detail = f"largest upward step at nu={nu}, omega={omegas[i]:.4g}"
     return CheckResult("monotonicity", worst, 0.0, worst < 0.0, detail)
 
 

@@ -18,7 +18,8 @@ Each command imports only what it runs: ``figures`` its writer
 first use, and the command line is read from the ``COMMANDS`` table, not
 by ``argparse``.  A command line the table does not allow exits 2 with the
 usage on stderr; a value outside the domain, or an output that cannot be
-written, exits 1 with ``error: ...``.
+written, exits 1 with ``error: ...``.  A reader that closes stdout early
+changes neither the status nor stderr.
 
 The grids and the CSV writer live in ``besselq.tables``, which the
 commands share (``figures`` and ``checks`` import it, not this module).
@@ -29,6 +30,7 @@ evaluation runs at the package's fixed targets.  No command needs numpy.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -185,6 +187,19 @@ def parse_args(argv: Sequence[str]) -> tuple[str, SimpleNamespace]:
     return command, args
 
 
+def _print_out(lines: Sequence[str]) -> bool:
+    """Print ``lines`` and flush them; False, with stdout sent to the null
+    device for the flush at exit, where its reader has gone (a closed pipe)."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def cmd_sweep(args: SimpleNamespace) -> int:
     scales = [scale for scale in ("linear", "log") if getattr(args, scale) is not None]
     if len(scales) != 1:
@@ -192,7 +207,7 @@ def cmd_sweep(args: SimpleNamespace) -> int:
     grid = FrequencyGrid(scales[0], *getattr(args, scales[0]), args.count)
     records = evaluate_sweep(args.nu, grid)
     write_sweep_csv(records, args.out)
-    print(f"wrote {len(records)} rows to {args.out}")
+    _print_out([f"wrote {len(records)} rows to {args.out}"])
     return 0
 
 
@@ -206,8 +221,7 @@ def emit_figures(outdir: Path, nus: Sequence[float]) -> list[Path]:
 
 def cmd_figures(args: SimpleNamespace) -> int:
     written = emit_figures(args.out, args.nu)
-    for path in written:
-        print(f"wrote {path}")
+    _print_out([f"wrote {path}" for path in written])
     return 0
 
 
@@ -221,14 +235,11 @@ def run_all_checks(nus: Sequence[float]) -> list[CheckResult]:
 
 def cmd_check(args: SimpleNamespace) -> int:
     results = run_all_checks(args.nu)
-    for result in results:
-        print(result.summary())
     failed = [r for r in results if not r.passed]
-    if failed:
+    lines = [r.summary() for r in results] + ([] if failed else ["all checks passed"])
+    if _print_out(lines) and failed:
         print(f"FAILED: {failed[0].name}", file=sys.stderr)
-        return 1
-    print("all checks passed")
-    return 0
+    return 1 if failed else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

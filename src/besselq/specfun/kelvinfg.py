@@ -33,7 +33,8 @@ from .modified import _hankel_sums
 from .series import (
     _SERIES_TOL,
     SeriesDiagnostics,
-    _half_power,
+    _in_range,
+    _require_argument,
     _require_finite,
     _require_order,
     _rotation,
@@ -89,8 +90,7 @@ def fg_series(order: float, omega: float) -> FGPair:
 def _kelvin_series(order: float, x: float) -> tuple[complex, SeriesDiagnostics]:
     """``ber + i bei = (x/2)^order e^{3 pi i order/4} T_order(i x^2)`` by
     the shared power series, with its diagnostics."""
-    scale = _half_power(x, order) * _rotation(order, 0.75)
-    return _tricomi_series(order, complex(0.0, x * x), scale)
+    return _tricomi_series(order, complex(0.0, x * x), x, _rotation(order, 0.75))
 
 
 def modified_i_asymptotic_scaled(order: float, z: complex) -> tuple[complex, float]:
@@ -135,12 +135,7 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     quality-factor formulas) can be formed at arguments where ber/bei
     themselves overflow.
     """
-    order = _require_order(order)
-    x = _require_finite(float(x))
-    if x < 0.0:
-        raise DomainError(f"argument must be >= 0, got {x}")
-    if x == 0.0 and order < 0.0:
-        raise OverflowRangeError("ber/bei diverge at x = 0 for order < 0")
+    order, x = _require_argument(order, x)
     if x <= _SERIES_MAX_X:
         pair, diag = _kelvin_series(order, x)
         est = max(_SERIES_TOL, 2.3e-16 * diag.cancel_ratio)
@@ -181,7 +176,7 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
     ``omega = 324`` the Kelvin pair comes from the large-argument expansion,
     which makes this an independent check of the direct summation there;
     below it both sum the same series.  Raises OverflowRangeError where the
-    prefactor ``(2/sqrt(omega))^order`` leaves the double range.
+    prefactor ``(2/sqrt(omega))^order`` leaves the normal double range.
     """
     order = _require_order(order)
     omega = _require_finite(float(omega), "omega")
@@ -191,12 +186,7 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
     pair = kelvin(order, x)
     rotation = _rotation(order, 0.75)
     c, s = rotation.real, rotation.imag
-    try:
-        prefactor = (2.0 / x) ** order
-    except OverflowError as exc:
-        raise OverflowRangeError(
-            f"(2/sqrt(omega))^order overflows at order {order}, omega = {omega}"
-        ) from exc
+    prefactor = _in_range(pow, 2.0 / x, order)
     f = prefactor * (c * pair.ber + s * pair.bei)
     g = prefactor * (-s * pair.ber + c * pair.bei)
     return FGPair(f, g, order, omega)

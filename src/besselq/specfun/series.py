@@ -2,14 +2,15 @@
 
     T_a(s) = sum_m (s/4)^m / (m! Gamma(m+a+1)) = (z/2)^(-a) I_a(z),  z = sqrt(s),
 
-summed by ``_tricomi_series`` at a point ``s`` times a prefactor:
-``I_a(x)`` is ``(x/2)^a T_a(x^2)``, ``J_a(x)`` is ``(x/2)^a T_a(-x^2)``, the
-f/g pair is ``T_a(i omega)`` and ``ber_a + i bei_a`` is
-``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``; ``tricomi_it`` is ``T_a`` itself.
-The loop owns the overflow test and the cancellation guard; its tolerances
-are fixed, and its term cap follows from ``|s|``.  Its first term
-``1/Gamma(a+1)`` comes from ``gamma_real``, a checked ``math.gamma``, which
-lives here with the argument checks every special function shares.
+summed by ``_tricomi_series`` at a point ``s`` times ``(x/2)^a`` and a
+phase: ``I_a(x)`` is ``(x/2)^a T_a(x^2)``, ``J_a(x)`` is ``(x/2)^a
+T_a(-x^2)``, ``ber_a + i bei_a`` is ``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``
+(DLMF 10.2.2, 10.25.2, 10.61), the f/g pair is ``T_a(i omega)`` and
+``tricomi_it`` is ``T_a`` itself.  The loop owns the prefactor, the overflow
+test and the cancellation guard; its tolerances are fixed, and its term cap
+follows from ``|s|``.  Its first term ``1/Gamma(a+1)`` comes from
+``gamma_real``, a checked ``math.gamma``, which lives here with the argument
+checks every special function shares.
 
 Only the verification routes (``kelvinfg``, ``zeros``) and the public
 ``modified_bessel_i`` and ``tricomi_it`` sum it: ``q_inverse`` and
@@ -22,6 +23,7 @@ import cmath
 import math
 import sys
 from collections import namedtuple
+from operator import truediv
 
 from ..errors import (
     CancellationError,
@@ -124,12 +126,6 @@ def gamma_real(x: float) -> float:
     return _in_range(math.gamma, x)
 
 
-def _half_power(x: float, order: float) -> float:
-    """``(x/2)^order``, the prefactor of every series in ``x``: exact at
-    ``x = 0``, else in the normal double range or an OverflowRangeError."""
-    return _in_range(pow, 0.5 * x, order) if x else 0.0**order
-
-
 def _rotation(order: float, c: float) -> complex:
     """``e^(i pi c order)``, the phase of the Kelvin and f/g prefactors, for
     ``c`` a multiple of 1/4.  ``order`` is reduced modulo 8 first, exactly,
@@ -137,37 +133,68 @@ def _rotation(order: float, c: float) -> complex:
     return cmath.rect(1.0, math.pi * math.fmod(c * math.fmod(order, 8.0), 2.0))
 
 
+def _require_argument(order: float, x: float) -> tuple[float, float]:
+    """``order`` and ``x`` of ``I``, ``J`` or ber/bei, the one check of the
+    three: DomainError unless both are finite, ``order > -1`` and ``x >= 0``;
+    OverflowRangeError at ``x = 0`` below order 0, where all three diverge."""
+    order = _require_order(order)
+    x = _require_finite(float(x))
+    if x < 0.0:
+        raise DomainError(f"argument must be >= 0, got {x}")
+    if x == 0.0 and order < 0.0:
+        raise OverflowRangeError(f"order {order} < 0 diverges at x = 0")
+    return order, x
+
+
+def _leading_factors(order: float, x: float) -> tuple[float, float] | None:
+    """``(x/2)^order`` and the first term ``1/Gamma(order+1)``, or None where
+    either is not a normal double or ``x/2`` is rounded (a subnormal ``x``).
+    At ``x = 0`` the first term is left at 1: the value is ``0.0**order``."""
+    if not x:
+        return 0.0**order, 1.0
+    half = 0.5 * x
+    if half + half != x:
+        return None
+    try:
+        return _in_range(pow, half, order), _in_range(truediv, 1.0, gamma_real(order + 1.0))
+    except OverflowRangeError:
+        return None
+
+
 def _tricomi_series(
     order: float,
     s: float | complex,
-    scale: float | complex = 1.0,
+    x: float = 2.0,
+    phase: float | complex = 1.0,
     rel_tol: float = _SERIES_TOL,
     guard: float = _CANCELLATION_GUARD,
-    first: float | None = None,
 ) -> tuple[float | complex, SeriesDiagnostics]:
-    """``scale * T_order(s)`` with diagnostics: the package's one power
-    series.
+    """``(x/2)^order phase T_order(s)`` with diagnostics: the package's one
+    power series, and the one place that decides how it starts.
 
-    A real ``s`` and ``scale`` keep the arithmetic real.  The sum stops once
-    two successive terms fall below ``rel_tol`` of the partial sum.
-    ``rel_tol`` and ``guard`` differ from their defaults for ``bessel_j``
-    only, which is evaluated at its own zeros, where the sum cancels by
-    design.  ``first`` replaces the first term ``1/Gamma(order+1)``, for
-    ``modified_bessel_i`` where that leaves the double range.
+    ``x = 2`` (the default) gives ``T_order(s)``; a real ``s`` and ``phase``
+    keep the arithmetic real.  The value is the product of the sum and the
+    ``_leading_factors``, or where there are none, of the sum started from 1
+    and ``exp(order (log x - log 2) - lgamma(order+1))``, formed in logs: its
+    error grows with them, 1.3e-13 for ``I`` at order 145, ``x = 684``, and
+    4.3e-13 at orders 250 to 320.  The sum stops once two successive terms
+    fall below ``rel_tol`` of the partial sum; ``rel_tol`` and ``guard``
+    differ from their defaults for ``bessel_j`` only, which is evaluated at
+    its own zeros, where the sum cancels by design.
 
     Raises
     ------
     OverflowRangeError
-        If a term or the scaled result leaves the double range, above it or
-        below its normal range; an exact zero, of the sum or of the
-        prefactor at x = 0, is returned.
+        If a term or the result leaves the double range, above it or below
+        its normal range; an exact zero, of the sum or at x = 0, is returned.
     CancellationError
         If the largest term exceeds ``guard`` times ``|T(s)|`` (oscillatory
         ``s`` of large modulus).
     TruncationError
         If ``int(sqrt|s|) + _SERIES_SLACK`` terms did not reach ``rel_tol``.
     """
-    term = 1.0 / gamma_real(order + 1.0) if first is None else first
+    factors = _leading_factors(order, x)
+    term = factors[1] if factors else 1.0
     total = term
     max_term = abs(term)
     quarter = s / 4.0
@@ -195,9 +222,13 @@ def _tricomi_series(
                 f"terms (|s| = {modulus:.3g})"
             )
         size = abs(total)
-        value = scale * total
-        in_range = sys.float_info.min <= abs(value) < math.inf or not (total and scale)
-    except OverflowError:  # abs() of a complex beyond the double range
+        if factors:
+            value = factors[0] * phase * total
+        else:
+            log_size = order * (math.log(x) - math.log(2.0)) - math.lgamma(order + 1.0)
+            value = math.exp(log_size + math.log(size)) * (phase * total / size) if size else total
+        in_range = sys.float_info.min <= abs(value) < math.inf or not (total and x)
+    except OverflowError:  # abs() of a complex, or exp(), beyond the double range
         in_range = False
     if not in_range:
         raise OverflowRangeError(
@@ -221,10 +252,7 @@ def modified_bessel_i(order: float, x: float) -> float:
     2.7e-14 relative of mpmath (1,000 random points, orders -0.9 to 170,
     ``x`` from 1e-3 to 700).  OverflowRangeError where the value leaves the
     normal double range at ``x > 0``: from ``x = 714`` at order 0, and at
-    ``I_150(1e-3)``.  Where ``(x/2)^order`` or ``Gamma(order+1)`` alone
-    leaves it, the leading term comes from ``lgamma`` (``I_200(147) =
-    2.33e9``), with an error that grows with those logarithms: 1.3e-13 at
-    order 145, ``x = 684``; 4.3e-13 at orders 250 to 320.
+    ``I_150(1e-3)``.
 
     Parameters
     ----------
@@ -233,21 +261,8 @@ def modified_bessel_i(order: float, x: float) -> float:
     x : float
         Argument ``x >= 0``.
     """
-    order = _require_order(order)
-    x = _require_finite(float(x))
-    if x < 0.0:
-        raise DomainError(f"argument must be >= 0, got {x}")
-    if x == 0.0 and order < 0.0:
-        raise OverflowRangeError("I_a(0) diverges for a < 0")
-    try:
-        scale, first = _half_power(x, order), 1.0 / gamma_real(order + 1.0)
-    except OverflowRangeError:
-        if x == 0.0:
-            return 0.0
-        total = _tricomi_series(order, x * x, first=1.0)[0]
-        log_value = order * math.log(0.5 * x) - math.lgamma(order + 1.0) + math.log(total)
-        return _in_range(math.exp, log_value)
-    return _tricomi_series(order, x * x, scale, first=first)[0]
+    order, x = _require_argument(order, x)
+    return _tricomi_series(order, x * x, x)[0]
 
 
 def tricomi_it(order: float, s: complex) -> complex:

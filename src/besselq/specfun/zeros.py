@@ -31,13 +31,7 @@ import math
 
 from ..errors import DomainError, RootIsolationError, TruncationError
 from .modified import _ROUNDOFF, _hankel_terms
-from .series import (
-    _half_power,
-    _require_finite,
-    _require_index,
-    _require_order,
-    _tricomi_series,
-)
+from .series import _require_argument, _require_index, _require_order, _tricomi_series
 
 #: ``bessel_j`` sums the series up to this argument.  Beyond it, it takes
 #: whichever of the series and the Hankel expansion has the smaller error
@@ -62,15 +56,9 @@ _SMALL_ZERO_MAX = _J_SERIES_MAX_X + 8.0
 
 def bessel_j(order: float, x: float) -> float:
     """Bessel function ``J_order(x)`` for ``order > -1``, ``x >= 0``."""
-    order = _require_order(order)
-    x = _require_finite(float(x))
-    if x < 0.0:
-        raise DomainError(f"argument must be >= 0, got {x}")
-    if x == 0.0 and order < 0.0:
-        raise DomainError("J_a(0) diverges for a < 0")
+    order, x = _require_argument(order, x)
     if x <= _J_SERIES_MAX_X:
-        scale = _half_power(x, order)
-        return _tricomi_series(order, -x * x, scale, _J_REL_TOL, math.inf)[0]
+        return _tricomi_series(order, -x * x, x, 1.0, _J_REL_TOL, math.inf)[0]
     amplitude = math.sqrt(2.0 / (math.pi * x))
     value, error = _j_hankel(order, x, _J_REL_TOL)
     value *= amplitude
@@ -83,9 +71,8 @@ def bessel_j(order: float, x: float) -> float:
         for m in (0, math.floor(0.5 * x))
     )
     if floor + math.log(_ROUNDOFF / amplitude) < math.log(min(error, _J_MAX_ERROR)):
-        scale = _half_power(x, order)
-        series, diagnostics = _tricomi_series(order, -x * x, scale, _J_REL_TOL, math.inf)
-        series_error = _ROUNDOFF * diagnostics.max_term * scale / amplitude
+        series, diagnostics = _tricomi_series(order, -x * x, x, 1.0, _J_REL_TOL, math.inf)
+        series_error = _ROUNDOFF * diagnostics.cancel_ratio * abs(series) / amplitude
         if series_error < error:
             value, error = series, series_error
     if not error <= _J_MAX_ERROR:
@@ -172,24 +159,17 @@ def bessel_j_zero(order: float, k: int) -> float:
     x = 0.5 * (lo + hi)
     for _ in range(100):
         f = bessel_j(order, x)
-        if f == 0.0:
-            return x
         if f * flo < 0.0:
             hi = x
         else:
             lo, flo = x, f
         d = (order / x) * f - bessel_j(order + 1.0, x)
-        x_next = x - f / d if d != 0.0 else 0.5 * (lo + hi)
-        if not (lo < x_next < hi):
-            x_next = 0.5 * (lo + hi)
-        if abs(x_next - x) < 4e-15 * max(1.0, x):
-            x = x_next
-            f = bessel_j(order, x)
-            d = (order / x) * f - bessel_j(order + 1.0, x)
-            if d != 0.0:
-                x -= f / d  # final polish
-            return x
-        x = x_next
+        step = f / d if d else math.inf
+        # converged (f == 0.0 too) before the bracket test: a last step that
+        # rounds onto the bracket's end must not fall back to bisection
+        if abs(step) < 4e-15 * max(1.0, x):
+            return x - step
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
     return x
 
 

@@ -11,6 +11,7 @@ from besselq import DomainError, ModelOrder, TruncationError, checks
 from besselq.checks import (
     check_creep_time,
     check_laplace_consistency,
+    check_monotonicity,
     check_route_agreement,
     creep_rate_laplace_by_zeros,
     rayleigh_sneddon_sum,
@@ -125,3 +126,18 @@ def test_route_agreement_reports_the_point_where_a_route_raised(monkeypatch):
     # the band above the crossover, which the f/g route does not enter, is
     # reported too
     assert ", worst at q_inverse_kelvin/q_inverse, nu=" in result.detail
+
+
+def test_monotonicity_reports_the_point_where_q_inverse_raised(monkeypatch):
+    omega = FrequencyGrid("log", 1e-4, 1e5, 181).points()[90]
+    q_inverse = checks.q_inverse
+
+    def raising(model, w):
+        if w == omega and model.nu == 1.0:
+            raise TruncationError("injected")
+        return q_inverse(model, w)
+
+    monkeypatch.setattr(checks, "q_inverse", raising)
+    result = check_monotonicity((0.0, 1.0))
+    assert not result.passed and result.max_discrepancy == math.inf
+    assert result.detail == f"nu=1.0, omega={omega:.4g}: TruncationError: injected"

@@ -3,6 +3,9 @@
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from besselq import cli
 from besselq.checks import CheckResult
 from besselq.cli import FrequencyGrid, main
 from besselq.errors import DomainError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_csv(path):
@@ -154,6 +159,28 @@ def test_check_exits_nonzero_on_failed_check(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL route agreement" in captured.out
     assert "FAILED: route agreement" in captured.err
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, status", [([], 0), (["--nu", "25"], 1)], ids=["pass", "fail"])
+def test_check_into_a_closed_pipe(argv, status, buffered):
+    # a reader that has gone (besselq check | true) once made `check` print
+    # "error: [Errno 32] Broken pipe" and exit 1; the status is the checks'
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "besselq.cli", "check", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as process:
+        process.stdout.close()
+        _, stderr = process.communicate(timeout=60)
+    assert process.returncode == status
+    assert stderr == b""
 
 
 def test_new_output_has_write_text_permissions(tmp_path):

@@ -196,13 +196,12 @@ def test_exact_zeros_at_zero_argument_stay():
     "call",
     [
         lambda: bessel_j(400.0, 12.0),
-        lambda: bessel_j(200.0, 147.0),
         lambda: bessel_j(500.0, 13.0),
         lambda: kelvin_scaled(1000.0, 5.0),
         lambda: modified_bessel_i(1000.0, 500.0),
         lambda: tricomi_it(19.056616588080566, complex(937227.8620308988, 176193.06832100725)),
     ],
-    ids=["j-400-12", "j-200-147", "j-500-13", "kelvin-1000-5", "i-1000-500", "t-complex"],
+    ids=["j-400-12", "j-500-13", "kelvin-1000-5", "i-1000-500", "t-complex"],
 )
 def test_overflow_is_typed(call):
     # (x/2)^order, or |term| of a complex series, leaves the double range
@@ -211,6 +210,57 @@ def test_overflow_is_typed(call):
         call()
     except OverflowRangeError:
         pass
+
+
+def test_j_beyond_both_expansions_raises_truncation():
+    # J_200(147) = 5.3e-15 is in range, but neither expansion reaches 5e-11
+    # of the amplitude (the series' estimate is 2.7e-6): it once raised
+    # OverflowRangeError from Gamma(201) before either was tried
+    with pytest.raises(TruncationError):
+        bessel_j(200.0, 147.0)
+
+
+def test_j_and_kelvin_beyond_order_170_against_mpmath():
+    # 1/Gamma(order+1) leaves the double range from order 170.6 on; these
+    # values are in range and once raised OverflowRangeError
+    with mp.workdps(40):
+        for order, x in ((188.97, 4.24), (171.0, 12.0), (250.0, 11.5), (300.0, 30.0),
+                         (400.0, 60.0)):
+            ref = mp.besselj(order, x)
+            assert float(abs(bessel_j(order, x) - ref) / abs(ref)) < 5e-13, (order, x)
+        for order, x in ((171.0, 18.0), (172.0, 5.0), (200.0, 10.0), (250.0, 17.0)):
+            pair = kelvin(order, x)
+            for value, ref in ((pair.ber, mp.ber(order, x)), (pair.bei, mp.bei(order, x))):
+                assert float(abs(value - ref) / abs(ref)) < 5e-13, (order, x)
+
+
+def test_exact_zero_at_zero_argument_beyond_order_170():
+    # the value is exactly 0; Gamma(201) once made J and ber/bei raise
+    assert bessel_j(200.0, 0.0) == 0.0
+    assert tuple(kelvin(200.0, 0.0))[:2] == (0.0, 0.0)
+    assert modified_bessel_i(200.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("order", [-0.9, -0.5, 0.5])
+def test_subnormal_argument(order):
+    # x/2 rounds to 0 at x = 5e-324: (x/2)^order once raised a bare
+    # ZeroDivisionError (order < 0) or ValueError, or OverflowRangeError
+    x = 5e-324
+    with mp.workdps(40):
+        pair = kelvin(order, x)
+        for value, ref in ((modified_bessel_i(order, x), mp.besseli(order, x)),
+                           (bessel_j(order, x), mp.besselj(order, x)),
+                           (pair.ber, mp.ber(order, x)),
+                           (pair.bei, mp.bei(order, x))):
+            assert float(abs(value - ref) / abs(ref)) < 2e-13
+
+
+def test_one_error_at_zero_argument_below_order_zero():
+    # I_a(0), J_a(0) and ber/bei_a(0) all diverge for a < 0; J once raised
+    # DomainError where the other two raised OverflowRangeError
+    for fn in (modified_bessel_i, bessel_j, kelvin, kelvin_scaled):
+        with pytest.raises(OverflowRangeError):
+            fn(-0.5, 0.0)
 
 
 # ------------------------------------------------------------- tricomi

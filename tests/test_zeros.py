@@ -103,6 +103,21 @@ def test_zero_hit_exactly_by_newton_is_kept():
     assert abs(bessel_j_zeros(8.0, 8)[0] - ref) < 1e-10
 
 
+def test_zero_search_stops_once_newton_has_converged(monkeypatch):
+    # a converged Newton step that rounded onto the bracket's end once sent
+    # the search back to bisection: 86 calls of bessel_j for this zero
+    calls = []
+
+    def counted(order, x):
+        calls.append(x)
+        return bessel_j(order, x)
+
+    monkeypatch.setattr(zeros_module, "bessel_j", counted)
+    zero = bessel_j_zero(10.0, 2)
+    assert len(calls) <= 20
+    assert abs(zero - float(mp.besseljzero(10, 2))) < 1e-12 * zero
+
+
 def test_vectorized_zeros_raise_beyond_hankel_limit():
     # the first omitted Hankel term is 5e-11 at order 10 and 8e-9 at 12;
     # bessel_j_zeros(22, 8) was once off by 0.80 without a word
