@@ -21,8 +21,9 @@ usage on stderr; a value outside the domain, or an output that cannot be
 written, exits 1 with ``error: ...``.  A reader that closes stdout early
 changes neither the status nor stderr.
 
-The grids and the CSV writer live in ``besselq.tables``, which the
-commands share (``figures`` and ``checks`` import it, not this module).
+The grids, the sweep table (``evaluate_sweep``) and the CSV writer live
+in ``besselq.tables``, which the commands share (``figures`` and
+``checks`` import it, not this module).
 Commands are deterministic for fixed flags: rerunning produces
 byte-identical files.  No command takes a numerical tolerance: every
 evaluation runs at the package's fixed targets.  No command needs numpy.
@@ -32,14 +33,11 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import BesselQError
-from .model import ModelOrder
-from .qfactor import QEvaluation, q_inverse, q_inverse_asymptotic
-from .tables import DEFAULT_CHECK_NUS, FrequencyGrid, write_csv
+from .tables import DEFAULT_CHECK_NUS, FrequencyGrid, SweepRecord, evaluate_sweep, write_csv
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -49,37 +47,6 @@ if TYPE_CHECKING:
 
 #: Default order set for the figure datasets (overridable with --nu).
 FIGURE_NUS = (-0.5, 0.0, 1.0, 2.0, 5.0)
-
-
-class SweepRecord(
-    namedtuple(
-        "SweepRecord",
-        "omega nu q_inverse route est_rel_error q_asymp_low q_asymp_high",
-    )
-):
-    """One CSV row of a frequency sweep."""
-
-    __slots__ = ()
-
-
-def evaluate_sweep(nus: Sequence[float], grid: FrequencyGrid) -> list[SweepRecord]:
-    records: list[SweepRecord] = []
-    for nu in nus:
-        model = ModelOrder(nu)
-        for omega in grid.points():
-            ev: QEvaluation = q_inverse(model, omega)
-            records.append(
-                SweepRecord(
-                    omega=ev.omega,
-                    nu=nu,
-                    q_inverse=ev.q_inverse,
-                    route=ev.route,
-                    est_rel_error=ev.est_rel_error,
-                    q_asymp_low=q_inverse_asymptotic(model, ev.omega, "low"),
-                    q_asymp_high=q_inverse_asymptotic(model, ev.omega, "high"),
-                )
-            )
-    return records
 
 
 def write_sweep_csv(records: Iterable[SweepRecord], path: Path) -> None:

@@ -44,7 +44,7 @@ from .errors import (
     InconsistencyError,
     OverflowRangeError,
 )
-from .model import _EPS, ModelOrder, _compliance_split
+from .model import ModelOrder, _compliance_split
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -137,10 +137,13 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     Restricted to ``omega <= DEFAULT_CROSSOVER_OMEGA``; above that the
     alternating series cancel too strongly and CancellationError is raised.
     Where the products of the pair values underflow (``nu`` near 100 at
-    ``omega = 1``) it raises OverflowRangeError.
+    ``omega = 1``) it raises OverflowRangeError.  Each pair component is
+    taken to carry ``_ROUNDOFF`` times the sum of the two series'
+    ``cancel_ratio``; the estimate adds ``4 _SERIES_TOL`` for truncation.
     """
-    from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA, fg_series
-    from .specfun.series import _SERIES_TOL
+    from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
+    from .specfun.modified import _ROUNDOFF
+    from .specfun.series import _SERIES_TOL, _tricomi_series
 
     omega = _check_omega(omega)
     if omega > DEFAULT_CROSSOVER_OMEGA:
@@ -148,10 +151,11 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
             f"f/g route requested above the crossover "
             f"({omega:.3g} > {DEFAULT_CROSSOVER_OMEGA:.3g})"
         )
-    nu = model.nu
-    f1, g1, _, _ = fg_series(nu, omega)
-    f2, g2, _, _ = fg_series(nu + 2.0, omega)
-    return _pair_quotient(omega, "fg_series", f1, g1, f2, g2, _EPS, 4.0 * _SERIES_TOL)
+    s = complex(0.0, omega)  # f + i g = T_a(i omega), as in ``fg_series``
+    (p1, d1), (p2, d2) = _tricomi_series(model.nu, s), _tricomi_series(model.nu + 2.0, s)
+    unit = _ROUNDOFF * (d1.cancel_ratio + d2.cancel_ratio)
+    return _pair_quotient(omega, "fg_series", p1.real, p1.imag, p2.real, p2.imag, unit,
+                          4.0 * _SERIES_TOL)
 
 
 def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
@@ -174,11 +178,16 @@ def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
             f"ber/bei are not representable at sqrt(omega) = {x:.4g}; "
             "use q_inverse"
         )
+    nu2 = nu + 2.0
     ber1, bei1, _, e1 = kelvin_scaled(nu, x)
-    ber2, bei2, _, e2 = kelvin_scaled(nu + 2.0, x)
+    ber2, bei2, _, e2 = kelvin_scaled(nu2, x)
+    # the rounding of nu + 2 turns the second pair by 3 pi/4 times it, its
+    # phase e^(3 pi i nu2/4): an error of that pair that the quotient does
+    # not cancel
+    turn = 0.75 * math.pi * abs(math.fsum((nu2, -nu, -2.0)))
     # the f/g quotient of (ber1 + i bei1, -bei2 + i ber2) is the Kelvin
     # form with numerator and denominator both negated
-    return _pair_quotient(omega, "kelvin", ber1, bei1, -bei2, ber2, e1 + e2, 0.0)
+    return _pair_quotient(omega, "kelvin", ber1, bei1, -bei2, ber2, e1 + e2 + turn, 0.0)
 
 
 def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:

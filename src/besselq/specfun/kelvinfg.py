@@ -31,7 +31,6 @@ from collections import namedtuple
 from ..errors import DomainError, OverflowRangeError, TruncationError
 from .modified import _hankel_sums
 from .series import (
-    _SERIES_TOL,
     SeriesDiagnostics,
     _in_range,
     _require_argument,
@@ -128,8 +127,11 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     ``ber = ber_s * exp(log_scale)`` and likewise for bei.  Up to ``x = 18``
     the direct series is used and ``log_scale`` is 0; above it, the scaled
     large-argument evaluation (``log_scale = x/sqrt(2)``).  ``est_rel``
-    estimates the relative accuracy of the pair; above ``x = 18`` it adds
-    ``2 eps x`` for the rounding of the phase ``Im z = x/sqrt(2)``.
+    estimates the relative accuracy of the pair: up to ``x = 18`` it is the
+    series' own (``SeriesDiagnostics.rel_error``: its cancellation and the
+    rounding of its prefactor and phase, in logs above order ~170.6); above
+    it the expansion's, plus ``2 eps x`` for the rounding of the phase
+    ``Im z = x/sqrt(2)``.
 
     The scaled form exists so that ratios of Kelvin-function products (the
     quality-factor formulas) can be formed at arguments where ber/bei
@@ -138,8 +140,7 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     order, x = _require_argument(order, x)
     if x <= _SERIES_MAX_X:
         pair, diag = _kelvin_series(order, x)
-        est = max(_SERIES_TOL, 2.3e-16 * diag.cancel_ratio)
-        return pair.real, pair.imag, 0.0, est
+        return pair.real, pair.imag, 0.0, diag.rel_error
     z = x * cmath.exp(0.25j * math.pi)
     scaled_i, est = modified_i_asymptotic_scaled(order, z)
     pair = _rotation(order, 0.5) * scaled_i

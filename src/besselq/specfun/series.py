@@ -32,6 +32,7 @@ from ..errors import (
     PoleError,
     TruncationError,
 )
+from .modified import _ROUNDOFF
 
 #: Relative stopping tolerance of the power series: it stops once two
 #: successive terms fall below this fraction of the partial sum.
@@ -39,6 +40,9 @@ _SERIES_TOL = 1e-15
 #: Largest-term/result ratio above which an alternating series is rejected
 #: (CancellationError).
 _CANCELLATION_GUARD = 1e12
+#: Relative rounding of the value's factors other than the sum: of
+#: ``(x/2)^a``, ``1/Gamma(a+1)``, the phase and their products.
+_PREFACTOR_ROUNDOFF = 2e-15
 #: Terms the series may take beyond ``sqrt|s|``.  It never needs more than
 #: about ``|z| + 35`` (orders -0.999 to 999, ``|z|`` from 1e-3 to 1e3, on
 #: the real and imaginary axes and off them), so reaching
@@ -46,9 +50,10 @@ _CANCELLATION_GUARD = 1e12
 _SERIES_SLACK = 64
 
 
-class SeriesDiagnostics(namedtuple("SeriesDiagnostics", "terms_used max_term cancel_ratio")):
+class SeriesDiagnostics(namedtuple("SeriesDiagnostics", "terms_used rel_error cancel_ratio")):
     """Bookkeeping returned by the shared series loop: the terms used, the
-    largest term and ``cancel_ratio``, that term over ``|T(s)|``."""
+    estimated relative error of the value, and ``cancel_ratio``, the largest
+    term over ``|T(s)|``."""
 
     __slots__ = ()
 
@@ -182,6 +187,12 @@ def _tricomi_series(
     differ from their defaults for ``bessel_j`` only, which is evaluated at
     its own zeros, where the sum cancels by design.
 
+    The estimate ``rel_error`` of the value is ``rel_tol``, plus
+    ``_ROUNDOFF`` times ``cancel_ratio`` for the sum, plus
+    ``_PREFACTOR_ROUNDOFF`` for the factors, plus, in logs, ``_ROUNDOFF``
+    times the size of each of the three logarithms, whose rounding
+    ``exp()`` turns into relative error.
+
     Raises
     ------
     OverflowRangeError
@@ -222,11 +233,16 @@ def _tricomi_series(
                 f"terms (|s| = {modulus:.3g})"
             )
         size = abs(total)
+        error = rel_tol + _PREFACTOR_ROUNDOFF
         if factors:
             value = factors[0] * phase * total
+        elif size:
+            power = order * (math.log(x) - math.log(2.0))
+            log_gamma, log_size = math.lgamma(order + 1.0), math.log(size)
+            value = math.exp(power - log_gamma + log_size) * (phase * total / size)
+            error += _ROUNDOFF * (abs(power) + abs(log_gamma) + abs(log_size))
         else:
-            log_size = order * (math.log(x) - math.log(2.0)) - math.lgamma(order + 1.0)
-            value = math.exp(log_size + math.log(size)) * (phase * total / size) if size else total
+            value = total
         in_range = sys.float_info.min <= abs(value) < math.inf or not (total and x)
     except OverflowError:  # abs() of a complex, or exp(), beyond the double range
         in_range = False
@@ -242,7 +258,7 @@ def _tricomi_series(
             f"(term/result ratio {ratio:.3g})",
             ratio=ratio,
         )
-    return value, SeriesDiagnostics(m + 1, max_term, ratio)
+    return value, SeriesDiagnostics(m + 1, error + _ROUNDOFF * ratio, ratio)
 
 
 def modified_bessel_i(order: float, x: float) -> float:

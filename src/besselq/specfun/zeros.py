@@ -6,10 +6,11 @@ zeros.
 machine level.  Beyond that it is whichever of the series and the shared
 optimally truncated Hankel expansion, ``sum t_k = P + iQ`` at ``z = -ix``,
 has the smaller error estimate, or ``TruncationError`` when neither
-reaches 5e-11 of the amplitude.  Zeros come from Newton steps
-safeguarded with bisection inside a verified sign-change bracket: the
-classical bounds ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)`` for the first zero, a
-McMahon asymptotic guess for the others.
+reaches 5e-11 of the amplitude, and where ``x <= order`` (below the first
+zero, where the value may be far below the amplitude) of the value.  Zeros
+come from Newton steps safeguarded with bisection inside a verified
+sign-change bracket: the classical bounds ``4(a+1) < j_{a,1}^2 <
+2(a+1)(a+3)`` for the first zero, a McMahon asymptotic guess for the others.
 
 Validated to ~1e-12 absolute for orders up to ~8 and zero index up to 1e4;
 beyond that range accuracy degrades gradually (document-of-record: the
@@ -55,7 +56,12 @@ _SMALL_ZERO_MAX = _J_SERIES_MAX_X + 8.0
 
 
 def bessel_j(order: float, x: float) -> float:
-    """Bessel function ``J_order(x)`` for ``order > -1``, ``x >= 0``."""
+    """Bessel function ``J_order(x)`` for ``order > -1``, ``x >= 0``.
+
+    Above ``x = 12`` the value is within 5e-11 of the amplitude
+    ``sqrt(2/(pi x))`` and, where ``x <= order``, within 5e-11 relative;
+    otherwise TruncationError.
+    """
     order, x = _require_argument(order, x)
     if x <= _J_SERIES_MAX_X:
         return _tricomi_series(order, -x * x, x, 1.0, _J_REL_TOL, math.inf)[0]
@@ -72,13 +78,20 @@ def bessel_j(order: float, x: float) -> float:
     )
     if floor + math.log(_ROUNDOFF / amplitude) < math.log(min(error, _J_MAX_ERROR)):
         series, diagnostics = _tricomi_series(order, -x * x, x, 1.0, _J_REL_TOL, math.inf)
-        series_error = _ROUNDOFF * diagnostics.cancel_ratio * abs(series) / amplitude
+        series_error = diagnostics.rel_error * abs(series) / amplitude
         if series_error < error:
             value, error = series, series_error
     if not error <= _J_MAX_ERROR:
         raise TruncationError(
             f"J_{order}({x}): neither the series nor the Hankel expansion "
             f"reaches {_J_MAX_ERROR:.0e} of the amplitude (estimate {error:.2e})"
+        )
+    # up to its order J has no zero: there the error must be small beside
+    # the value itself, not beside the amplitude
+    if x <= order and error * amplitude > _J_MAX_ERROR * abs(value):
+        raise TruncationError(
+            f"J_{order}({x}) = {value:.3e} below its first zero: the estimate "
+            f"{error * amplitude:.2e} exceeds {_J_MAX_ERROR:.0e} of it"
         )
     return value
 

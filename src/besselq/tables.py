@@ -1,9 +1,11 @@
-"""Frequency grids, the default orders of ``check`` and the one CSV writer
-of the ``sweep``, ``figures`` and ``check`` commands.
+"""Frequency grids, the sweep table, the default orders of ``check`` and
+the one CSV writer of the ``sweep``, ``figures`` and ``check`` commands.
 
-A leaf: it imports only ``errors``, so the command layer (``cli``) and the
-modules it runs (``figures``, ``checks``) share it without importing each
-other.
+``evaluate_sweep`` evaluates every ``Q^-1`` dataset the commands write:
+``sweep`` writes its rows, ``figures`` lays them out one column an order.
+It imports ``model`` and ``qfactor``, which every command loads anyway, so
+``cli`` and the modules it runs (``figures``, ``checks``) share this module
+without importing each other.
 
 Every numeric CSV field uses 17-significant-digit scientific notation with
 a decimal point (``_fmt``, locale independent); a non-finite value raises
@@ -19,6 +21,8 @@ import os
 from collections import namedtuple
 
 from .errors import BesselQError, DomainError
+from .model import ModelOrder
+from .qfactor import q_inverse, q_inverse_asymptotic
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -56,6 +60,33 @@ class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
             return _linspace(self.min, self.max, self.count)
         exponents = _linspace(math.log10(self.min), math.log10(self.max), self.count)
         return [10.0**y for y in exponents]
+
+
+class SweepRecord(
+    namedtuple(
+        "SweepRecord",
+        "omega nu q_inverse route est_rel_error q_asymp_low q_asymp_high",
+    )
+):
+    """One CSV row of a frequency sweep."""
+
+    __slots__ = ()
+
+
+def evaluate_sweep(nus: Sequence[float], grid: FrequencyGrid) -> list[SweepRecord]:
+    """``q_inverse`` and both asymptotes at every point of ``grid``, order
+    by order: ``grid.count`` rows for each of ``nus``, in that order."""
+    records: list[SweepRecord] = []
+    for nu in nus:
+        model = ModelOrder(nu)
+        for omega in grid.points():
+            ev = q_inverse(model, omega)
+            records.append(SweepRecord(
+                ev.omega, nu, ev.q_inverse, ev.route, ev.est_rel_error,
+                q_inverse_asymptotic(model, ev.omega, "low"),
+                q_inverse_asymptotic(model, ev.omega, "high"),
+            ))
+    return records
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:

@@ -3,6 +3,7 @@ the single production route against the oracle over the whole domain, and
 the product identity linking the two closed forms."""
 
 import math
+import random
 import time
 
 import mpmath as mp
@@ -26,8 +27,8 @@ from besselq import (
     q_inverse_fg,
     q_inverse_kelvin,
 )
-from besselq.model import _EPS
-from besselq.specfun.series import _SERIES_TOL
+from besselq.specfun.modified import _ROUNDOFF
+from besselq.specfun.series import _SERIES_TOL, _tricomi_series
 
 # oracle: Theorem-style combination of naive extended-precision series,
 # cross-validated against the ratio form inside the oracle itself
@@ -205,6 +206,31 @@ def test_verification_routes_raise_where_pair_products_underflow(route, nu, omeg
         route(ModelOrder(nu), omega)
 
 
+#: Kelvin-route draws of the probe below that lay over their estimate, by
+#: up to 1.06x, until it counted the rounding of nu + 2.
+KELVIN_ORDER_ROUNDING_POINTS = ((30.831847562081823, 0.29138570909544803),
+                                (30.488583764676743, 0.004805073738959944))
+
+
+def test_verification_routes_within_their_estimates():
+    # the f/g estimate once took a flat 2.3e-16 per pair component and
+    # missed the cancellation of the two series: 61 of 700 draws of this
+    # distribution lay over it, by up to 18x at nu = -0.997, omega = 296
+    rng = random.Random(7)
+    points = [(-1.0 + 10.0 ** rng.uniform(-3.0, math.log10(51.0)),
+               10.0 ** rng.uniform(-3.0, math.log10(DEFAULT_CROSSOVER_OMEGA)))
+              for _ in range(200)]
+    for nu, omega in points + list(KELVIN_ORDER_ROUNDING_POINTS):
+        ref = float(oracle.q_inverse(nu, omega))
+        for route in (q_inverse_fg, q_inverse_kelvin):
+            try:
+                ev = route(ModelOrder(nu), omega)
+            except BesselQError:
+                continue
+            assert rel(ev.q_inverse, ref) <= ev.est_rel_error, (
+                route.__name__, nu, omega, ev.est_rel_error)
+
+
 def test_verification_routes_keep_their_own_arithmetic():
     # the two routes share one pair quotient; on the check grids each value
     # and estimate is bit for bit the route's own closed form
@@ -226,7 +252,9 @@ def test_verification_routes_keep_their_own_arithmetic():
             numer = f1 * f2 + g1 * g2
             denom = g1 * f2 - f1 * g2
             norm1, norm2 = math.hypot(f1, g1), math.hypot(f2, g2)
-            est = _EPS * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom)) + 4.0 * _SERIES_TOL
+            ratios = [_tricomi_series(a, complex(0.0, omega))[1].cancel_ratio for a in (nu, nu + 2.0)]
+            unit = _ROUNDOFF * (ratios[0] + ratios[1])
+            est = unit * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom)) + 4.0 * _SERIES_TOL
             ev = q_inverse_fg(model, omega)
             assert (ev.q_inverse, ev.est_rel_error) == (numer / denom, est), (nu, omega)
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import oracle
 from besselq import (
+    BesselQError,
     CancellationError,
     DomainError,
     ModelOrder,
@@ -509,6 +510,33 @@ def test_kelvin_large_argument_within_its_estimate():
             ber, bei = mp.ber(order, x), mp.bei(order, x)
             scale = mp.exp(log_scale)
             error = mp.hypot(ber_s * scale - ber, bei_s * scale - bei) / mp.hypot(ber, bei)
+        assert error <= est, (order, x, float(error), est)
+
+
+#: Log-path draws of the series-side probe (orders above 170.6, where the
+#: prefactor is formed in logarithms): errors 1.8e-13 and 1.1e-13 once lay
+#: against a flat estimate of 1e-15.
+KELVIN_LOG_PATH_POINTS = ((175.02759120283238, 6.497040789239172),
+                          (177.9555695460039, 3.0519632619034835))
+
+
+def test_kelvin_series_within_its_estimate():
+    # the series-side estimate once counted only the cancellation, not the
+    # rounding of (x/2)^a, 1/Gamma(a+1) and the phase: 6 of these 300 draws
+    # lay over it, by up to 1.8x, and the log-path points by 181x and 111x;
+    # a draw may also raise, typed
+    rng = random.Random(3)
+    points = [(-1.0 + 10.0 ** rng.uniform(-3.0, 2.3),
+               10.0 ** rng.uniform(-2.0, math.log10(18.0))) for _ in range(300)]
+    for order, x in points + list(KELVIN_LOG_PATH_POINTS):
+        try:
+            ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
+        except BesselQError:
+            continue
+        assert log_scale == 0.0
+        with mp.workdps(40):
+            ber, bei = mp.ber(order, x), mp.bei(order, x)
+            error = mp.hypot(ber_s - ber, bei_s - bei) / mp.hypot(ber, bei)
         assert error <= est, (order, x, float(error), est)
 
 

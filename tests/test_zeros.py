@@ -1,6 +1,7 @@
 """Bessel-J evaluation and zero finding."""
 
 import math
+import random
 import re
 
 import mpmath as mp
@@ -219,6 +220,26 @@ def test_bessel_j_beyond_series_region_is_right_or_raises():
     # outside the zeros' domain, refused before any work
     with pytest.raises(DomainError):
         bessel_j_zero(30.0, 1)
+
+
+def test_bessel_j_below_its_first_zero_is_relative_or_raises():
+    # where 12 < x <= order J has no zero, so an error bounded by 5e-11 of
+    # the amplitude may exceed the value: J_350(200) once came back
+    # -3.50e-46 (mpmath +9.34e-54) and J_160(100) 3.5e-4 off; a returned
+    # value must be within 5e-11 of it
+    rng = random.Random(5)
+    points = [(350.0, 200.0), (160.0, 100.0)]
+    for _ in range(200):
+        order = 10.0 ** rng.uniform(math.log10(12.0), math.log10(400.0))
+        points.append((order, rng.uniform(12.01, order)))
+    for order, x in points:
+        try:
+            value = bessel_j(order, x)
+        except BesselQError:
+            continue
+        with mp.workdps(40):
+            ref = mp.besselj(order, x)
+            assert float(abs(value - ref)) <= 5e-11 * float(abs(ref)), (order, x, value)
 
 
 def test_bessel_j_phase_at_large_argument():
