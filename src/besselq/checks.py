@@ -96,8 +96,11 @@ def check_route_agreement(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> CheckResu
     """Agreement of ``q_inverse`` with the two verification routes on 40
     log-spaced frequencies each side of the crossover: of all three to 1e-9
     relative below it, of the Kelvin route to 1e-8 above it (up to omega =
-    1e6, where ber/bei remain representable).  The discrepancy is that below
-    the crossover, inf if either band raised; the detail reports both."""
+    1e6, where ber/bei remain representable).  Below the crossover the three
+    are two, as the f/g and Kelvin routes sum the same series (``qfactor``):
+    that band compares the series with the continued fraction of
+    ``q_inverse``.  The discrepancy is that below the crossover, inf if
+    either band raised; the detail reports both."""
     below = _route_band(nus, 1e-3, DEFAULT_CROSSOVER_OMEGA, ROUTE_AGREEMENT_BOUND_BELOW,
                         (q_inverse_fg, q_inverse_kelvin, q_inverse))
     above = _route_band(nus, DEFAULT_CROSSOVER_OMEGA, 1e6, ROUTE_AGREEMENT_BOUND_ABOVE,

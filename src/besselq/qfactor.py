@@ -21,6 +21,9 @@ never loads them:
   the double range near omega ~ 1e6; its roundoff floor grows like
   ``eps/omega`` at low frequency).
 
+Below the crossover ``omega = 324`` the two are one: both sum ``T_a(i omega)``
+(the Kelvin form at ``i x^2``), whose prefactor and phase cancel in the quotient.
+
 Every route returns a ``QEvaluation`` whose error estimate stays at or
 below ``EST_REL_ERROR_CEILING``; a route whose own estimate is worse raises.
 Both asymptotic regimes are available in closed form:

@@ -18,7 +18,6 @@ _MODULE_OF = {
     "fg_series": "kelvinfg",
     "kelvin": "kelvinfg",
     "kelvin_scaled": "kelvinfg",
-    "modified_i_asymptotic_scaled": "kelvinfg",
     "gamma_real": "series",
     "modified_bessel_i": "series",
     "tricomi_it": "series",

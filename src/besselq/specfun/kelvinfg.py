@@ -16,9 +16,9 @@ Both are the one uniform series ``T_a(s)`` of ``series`` on the imaginary
 axis: ``f + i g = T_a(i w)`` and ``ber + i bei = (x/2)^a e^(3 pi i a/4)
 T_a(i x^2)``.  It alternates there, so it is reliable only while the largest
 term stays within the cancellation guard.  Above ``x = sqrt(omega*) = 18``
-(``DEFAULT_CROSSOVER_OMEGA``) the Kelvin pair switches to a scaled
-large-argument evaluation through ``ber_a(x) + i bei_a(x) = e^(i a pi / 2)
-I_a(x e^(i pi / 4))``; the f/g series has no such switch.
+(``DEFAULT_CROSSOVER_OMEGA``) the Kelvin pair takes ``bessel_j``'s handover
+to the scaled large-argument expansion of ``ber_a(x) + i bei_a(x) = e^(i a
+pi / 2) I_a(x e^(i pi / 4))``; the f/g series has no such handover.
 """
 
 from __future__ import annotations
@@ -28,28 +28,19 @@ import math
 import sys
 from collections import namedtuple
 
-from ..errors import DomainError, OverflowRangeError, TruncationError
+from ..errors import DomainError, OverflowRangeError
 from .modified import _hankel_sums
-from .series import (
-    SeriesDiagnostics,
-    _in_range,
-    _require_argument,
-    _require_finite,
-    _require_order,
-    _rotation,
-    _tricomi_series,
-)
+from .series import (SeriesDiagnostics, _in_range, _require_argument, _require_finite,
+                     _require_order, _rotation, _series_or_expansion, _tricomi_series)
 
-#: Frequency above which the alternating small-argument series of the
-#: verification routes (the f/g pair and the ber/bei power series) are
-#: abandoned: the f/g route refuses it and ber/bei switch to their
-#: large-argument form at sqrt(324) = 18, which keeps the largest-term/result
-#: ratio of those series well below 1e12 in 64-bit arithmetic.
+#: Frequency up to which the alternating series serve alone, their
+#: largest-term/result ratio well below 1e12: the f/g route refuses to go
+#: above it, and above ``x = sqrt(324) = 18`` ber/bei may take the
+#: large-argument expansion, returning with relative estimates up to
+#: ``_KELVIN_MAX_ERROR``.
 DEFAULT_CROSSOVER_OMEGA = 324.0
-
-#: Argument x = sqrt(omega) where the Kelvin series hands over to the
-#: large-argument evaluation.
 _SERIES_MAX_X = math.sqrt(DEFAULT_CROSSOVER_OMEGA)
+_KELVIN_MAX_ERROR = 3e-8
 
 #: Largest x for which the unscaled pair (growing like e^(x/sqrt(2))) is
 #: representable in double precision.
@@ -92,46 +83,34 @@ def _kelvin_series(order: float, x: float) -> tuple[complex, SeriesDiagnostics]:
     return _tricomi_series(order, complex(0.0, x * x), x, _rotation(order, 0.75))
 
 
-def modified_i_asymptotic_scaled(order: float, z: complex) -> tuple[complex, float]:
-    """``I_order(z) * exp(-Re z)`` from the large-argument expansion, and
-    its error estimate: the remainder bound of ``_hankel_sums`` plus
-    roundoff.
-
-    Keeps both exponential branches (the reflected ``e^{-z}`` term matters
-    near the series/asymptotic handover).  For ``arg z = pi/4`` and
-    ``|z| >= 18`` the estimate is at most about 5e-9 up to order 14 (6.6e-11
-    at order 12), against a true error near 1e-13.
-
-    Raises TruncationError where the estimate exceeds 3e-8: ``|z|`` is too
-    small for the order (``kelvin(30, 25)``, off by 2.8e-5, raises).
-    """
-    order = _require_order(order)
-    z = _require_finite(complex(z), "z")
+def _kelvin_expansion(order: float, x: float) -> tuple[complex, float, float]:
+    """``(ber + i bei) e^(-Re z)``, ``z = x e^(i pi/4)``, from the expansion
+    of ``e^(i order pi/2) I_order(z)`` with both exponential branches (DLMF
+    10.40.5), its relative estimate and ``Re z``: the remainder bound and
+    roundoff of ``_hankel_sums`` over ``|even - odd|``, which may cancel far
+    below the first term, plus ``2 eps x`` for the rounding of ``Im z``."""
+    z = x * cmath.exp(0.25j * math.pi)
     even, odd, remainder, roundoff = _hankel_sums(order, z)
-    est = remainder + roundoff
-    if est > 3.0e-8:
-        raise TruncationError(
-            f"asymptotic expansion unreliable at |z| = {abs(z):.3g} "
-            f"(estimated relative error {est:.2e})"
-        )
+    size = abs(even - odd)
+    est = (remainder + roundoff) / size if size else math.inf
     prefactor = 1.0 / cmath.sqrt(2.0 * math.pi * z)
     main = cmath.exp(complex(0.0, z.imag)) * (even - odd)  # e^z scaled by e^{-Re z}
     reflected = _rotation(order, 1.0) * 1j * cmath.exp(-z - z.real) * (even + odd)
-    return prefactor * (main + reflected), est
+    pair = _rotation(order, 0.5) * (prefactor * (main + reflected))
+    return pair, est + 2.0 * sys.float_info.epsilon * x, z.real
 
 
 def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     """Kelvin pair with the exponential growth factored out.
 
     Returns ``(ber_s, bei_s, log_scale, est_rel)`` such that
-    ``ber = ber_s * exp(log_scale)`` and likewise for bei.  Up to ``x = 18``
-    the direct series is used and ``log_scale`` is 0; above it, the scaled
-    large-argument evaluation (``log_scale = x/sqrt(2)``).  ``est_rel``
-    estimates the relative accuracy of the pair: up to ``x = 18`` it is the
-    series' own (``SeriesDiagnostics.rel_error``: its cancellation and the
-    rounding of its prefactor and phase, in logs above order ~170.6); above
-    it the expansion's, plus ``2 eps x`` for the rounding of the phase
-    ``Im z = x/sqrt(2)``.
+    ``ber = ber_s * exp(log_scale)`` and likewise for bei, and ``est_rel``
+    estimates the relative error of the pair.  Up to ``x = 18`` the pair is
+    the series (``est_rel`` its ``SeriesDiagnostics.rel_error``) and
+    ``log_scale`` is 0.  Above it ``log_scale = x/sqrt(2)``, and the pair is
+    the series or ``_kelvin_expansion``, by ``bessel_j``'s handover
+    (``series._series_or_expansion``); TruncationError where neither
+    reaches 3e-8.
 
     The scaled form exists so that ratios of Kelvin-function products (the
     quality-factor formulas) can be formed at arguments where ber/bei
@@ -141,10 +120,10 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     if x <= _SERIES_MAX_X:
         pair, diag = _kelvin_series(order, x)
         return pair.real, pair.imag, 0.0, diag.rel_error
-    z = x * cmath.exp(0.25j * math.pi)
-    scaled_i, est = modified_i_asymptotic_scaled(order, z)
-    pair = _rotation(order, 0.5) * scaled_i
-    return pair.real, pair.imag, z.real, est + 2.0 * sys.float_info.epsilon * x
+    pair, est, log_scale = _kelvin_expansion(order, x)
+    pair, est = _series_or_expansion(order, x, lambda: _kelvin_series(order, x),
+                                     (pair, est), _KELVIN_MAX_ERROR, None, log_scale)
+    return pair.real, pair.imag, log_scale, est
 
 
 def kelvin(order: float, x: float) -> KelvinPair:
@@ -155,12 +134,8 @@ def kelvin(order: float, x: float) -> KelvinPair:
     factor leaves the double range (x > ~1003).
     """
     ber_s, bei_s, log_scale, _ = kelvin_scaled(order, x)
-    if log_scale == 0.0:
-        return KelvinPair(ber_s, bei_s, order, x)
     if x > _KELVIN_OVERFLOW_X:
-        raise OverflowRangeError(
-            f"ber/bei overflow near x = {x:.3g}; use the scaled evaluation"
-        )
+        raise OverflowRangeError(f"ber/bei overflow near x = {x:.3g}; use the scaled evaluation")
     scale = math.exp(log_scale)
     return KelvinPair(ber_s * scale, bei_s * scale, order, x)
 
@@ -173,21 +148,17 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
         f = (2/sqrt(w))^a [ cos(3 pi a/4) ber + sin(3 pi a/4) bei ]
         g = (2/sqrt(w))^a [-sin(3 pi a/4) ber + cos(3 pi a/4) bei ]
 
-    Agrees with ``fg_series`` wherever both are reliable.  Above
-    ``omega = 324`` the Kelvin pair comes from the large-argument expansion,
-    which makes this an independent check of the direct summation there;
-    below it both sum the same series.  Raises OverflowRangeError where the
-    prefactor ``(2/sqrt(omega))^order`` leaves the normal double range.
+    Agrees with ``fg_series`` wherever both are reliable, and checks it
+    independently only where the Kelvin pair is the large-argument
+    expansion (above ``omega = 324``); elsewhere both sum the same series.
+    Raises OverflowRangeError where the prefactor ``(2/sqrt(omega))^order``
+    leaves the normal double range.
     """
     order = _require_order(order)
     omega = _require_finite(float(omega), "omega")
     if not omega > 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
     x = math.sqrt(omega)
-    pair = kelvin(order, x)
-    rotation = _rotation(order, 0.75)
-    c, s = rotation.real, rotation.imag
-    prefactor = _in_range(pow, 2.0 / x, order)
-    f = prefactor * (c * pair.ber + s * pair.bei)
-    g = prefactor * (-s * pair.ber + c * pair.bei)
-    return FGPair(f, g, order, omega)
+    ber, bei = kelvin(order, x)[:2]
+    fg = complex(ber, bei) * _rotation(order, 0.75).conjugate() * _in_range(pow, 2.0 / x, order)
+    return FGPair(fg.real, fg.imag, order, omega)

@@ -5,7 +5,7 @@ the package's special functions.
 ``_hankel_terms`` is the one optimally truncated large-argument (Hankel)
 expansion, shared by ``bessel_j`` (``zeros._j_hankel``) and, with a
 remainder bound (``_hankel_sums``), by the Kelvin pair
-(``modified_i_asymptotic_scaled``) and the ratio ``I_{a+1}/I_a``
+(``kelvinfg._kelvin_expansion``) and the ratio ``I_{a+1}/I_a``
 (``_ratio_next_order``), which takes it or a continued fraction by regime.
 Every ``I`` ratio of the package comes from that evaluator, so the
 exponential growth cancels exactly, also where the functions themselves

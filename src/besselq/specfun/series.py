@@ -8,9 +8,10 @@ T_a(-x^2)``, ``ber_a + i bei_a`` is ``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``
 (DLMF 10.2.2, 10.25.2, 10.61), the f/g pair is ``T_a(i omega)`` and
 ``tricomi_it`` is ``T_a`` itself.  The loop owns the prefactor, the overflow
 test and the cancellation guard; its tolerances are fixed, and its term cap
-follows from ``|s|``.  Its first term ``1/Gamma(a+1)`` comes from
-``gamma_real``, a checked ``math.gamma``, which lives here with the argument
-checks every special function shares.
+follows from ``|s|``.  ``_series_or_expansion`` hands it over to a
+large-argument expansion for ``J`` and ber/bei.  Its first term
+``1/Gamma(a+1)`` comes from ``gamma_real``, a checked ``math.gamma``, which
+lives here with the argument checks every special function shares.
 
 Only the verification routes (``kelvinfg``, ``zeros``) and the public
 ``modified_bessel_i`` and ``tricomi_it`` sum it: ``q_inverse`` and
@@ -26,6 +27,7 @@ from collections import namedtuple
 from operator import truediv
 
 from ..errors import (
+    BesselQError,
     CancellationError,
     DomainError,
     OverflowRangeError,
@@ -259,6 +261,44 @@ def _tricomi_series(
             ratio=ratio,
         )
     return value, SeriesDiagnostics(m + 1, error + _ROUNDOFF * ratio, ratio)
+
+
+def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: float,
+                         unit: float | None = None, log_scale: float = 0.0) -> tuple:
+    """``e^(-log_scale)`` times ``series()`` (a ``_tricomi_series`` call
+    with ``x``) or the large-argument ``expansion`` ``(value, error)``,
+    whichever has the smaller estimate, with that estimate: in units of
+    ``unit``, else relative.  The one handover of ``bessel_j`` and ber/bei.
+    The series' estimate is at least ``_ROUNDOFF`` times each of its terms,
+    so it is summed only where those at ``m = 0`` and ``floor(x/2)`` let it
+    beat ``min(error, cap)`` (for relative errors the expansion's size
+    stands in for the value's).  A series that raises gives way to an
+    expansion within ``cap`` and is let through otherwise; TruncationError
+    where neither estimate is within ``cap``."""
+    value, error = expansion
+    log_half = math.log(0.5 * x)
+    floor = max(
+        (2.0 * m + order) * log_half - math.lgamma(m + 1.0) - math.lgamma(m + order + 1.0)
+        for m in (0, math.floor(0.5 * x))
+    )
+    size = unit or abs(value)
+    if size and floor - log_scale + math.log(_ROUNDOFF / size) < math.log(min(error, cap)):
+        try:
+            total, diagnostics = series()
+        except BesselQError:
+            if not error <= cap:
+                raise
+        else:
+            total *= math.exp(-log_scale)
+            rel = diagnostics.rel_error
+            series_error = rel * abs(total) / unit if unit else rel
+            if series_error < error:
+                value, error = total, series_error
+    if not error <= cap:
+        scale = "relative" if unit is None else f"of {unit:.3g}"
+        raise TruncationError(f"order {order} at x = {x}: neither the series nor the "
+                              f"expansion reaches {cap:.0e} {scale} (estimate {error:.2e})")
+    return value, error
 
 
 def modified_bessel_i(order: float, x: float) -> float:

@@ -3,14 +3,15 @@ zeros.
 
 ``bessel_j`` is ``(x/2)^a T_a(-x^2)``, the shared power series of
 ``series``, for x <= 12, where roundoff in the alternating sum stays near
-machine level.  Beyond that it is whichever of the series and the shared
-optimally truncated Hankel expansion, ``sum t_k = P + iQ`` at ``z = -ix``,
-has the smaller error estimate, or ``TruncationError`` when neither
-reaches 5e-11 of the amplitude, and where ``x <= order`` (below the first
-zero, where the value may be far below the amplitude) of the value.  Zeros
-come from Newton steps safeguarded with bisection inside a verified
-sign-change bracket: the classical bounds ``4(a+1) < j_{a,1}^2 <
-2(a+1)(a+3)`` for the first zero, a McMahon asymptotic guess for the others.
+machine level.  Beyond that the handover the Kelvin pair shares
+(``series._series_or_expansion``) takes the series or the optimally
+truncated Hankel expansion, ``sum t_k = P + iQ`` at ``z = -ix``, or raises
+``TruncationError`` when neither reaches 5e-11 of the amplitude, and where
+``x <= order`` (below the first zero, where the value may be far below the
+amplitude) of the value.  Zeros come from Newton steps safeguarded with
+bisection inside a verified sign-change bracket: the classical bounds
+``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)`` for the first zero, a McMahon
+asymptotic guess for the others.
 
 Validated to ~1e-12 absolute for orders up to ~8 and zero index up to 1e4;
 beyond that range accuracy degrades gradually (document-of-record: the
@@ -32,12 +33,11 @@ import math
 
 from ..errors import DomainError, RootIsolationError, TruncationError
 from .modified import _ROUNDOFF, _hankel_terms
-from .series import _require_argument, _require_index, _require_order, _tricomi_series
+from .series import (_require_argument, _require_index, _require_order,
+                     _series_or_expansion, _tricomi_series)
 
-#: ``bessel_j`` sums the series up to this argument.  Beyond it, it takes
-#: whichever of the series and the Hankel expansion has the smaller error
-#: estimate, and raises when neither is within ``_J_MAX_ERROR`` of the local
-#: amplitude ``sqrt(2/(pi x))``.
+#: ``bessel_j`` sums the series alone up to this argument, and above it
+#: hands over within ``_J_MAX_ERROR`` of the amplitude ``sqrt(2/(pi x))``.
 _J_SERIES_MAX_X = 12.0
 _J_MAX_ERROR = 5e-11
 
@@ -63,29 +63,12 @@ def bessel_j(order: float, x: float) -> float:
     otherwise TruncationError.
     """
     order, x = _require_argument(order, x)
+    series = functools.partial(_tricomi_series, order, -x * x, x, 1.0, _J_REL_TOL, math.inf)
     if x <= _J_SERIES_MAX_X:
-        return _tricomi_series(order, -x * x, x, 1.0, _J_REL_TOL, math.inf)[0]
+        return series()[0]
     amplitude = math.sqrt(2.0 / (math.pi * x))
-    value, error = _j_hankel(order, x, _J_REL_TOL)
-    value *= amplitude
-    # The series' estimate is at least that of each of its terms: sum it
-    # only where its first (m = 0) and its largest at small orders
-    # (m = floor(x/2)) let it win.
-    log_half = math.log(0.5 * x)
-    floor = max(
-        (2.0 * m + order) * log_half - math.lgamma(m + 1.0) - math.lgamma(m + order + 1.0)
-        for m in (0, math.floor(0.5 * x))
-    )
-    if floor + math.log(_ROUNDOFF / amplitude) < math.log(min(error, _J_MAX_ERROR)):
-        series, diagnostics = _tricomi_series(order, -x * x, x, 1.0, _J_REL_TOL, math.inf)
-        series_error = diagnostics.rel_error * abs(series) / amplitude
-        if series_error < error:
-            value, error = series, series_error
-    if not error <= _J_MAX_ERROR:
-        raise TruncationError(
-            f"J_{order}({x}): neither the series nor the Hankel expansion "
-            f"reaches {_J_MAX_ERROR:.0e} of the amplitude (estimate {error:.2e})"
-        )
+    value, error = _series_or_expansion(order, x, series, _j_hankel(order, x, amplitude),
+                                        _J_MAX_ERROR, amplitude)
     # up to its order J has no zero: there the error must be small beside
     # the value itself, not beside the amplitude
     if x <= order and error * amplitude > _J_MAX_ERROR * abs(value):
@@ -96,19 +79,20 @@ def bessel_j(order: float, x: float) -> float:
     return value
 
 
-def _j_hankel(order: float, x: float, rel_tol: float) -> tuple[float, float]:
-    """``J_order(x) / sqrt(2/(pi x))`` from the large-argument expansion,
-    ``Re[(P + iQ) e^(i chi)]`` with ``P + iQ = sum t_k`` at ``z = -ix`` and
-    ``chi = x - (order/2 + 1/4) pi``, and its error estimate: the smallest
-    term plus ``_ROUNDOFF`` times the largest.
+def _j_hankel(order: float, x: float, amplitude: float) -> tuple[float, float]:
+    """``J_order(x)`` from the large-argument expansion, ``amplitude
+    Re[(P + iQ) e^(i chi)]`` with ``P + iQ = sum t_k`` at ``z = -ix``, ``chi =
+    x - (order/2 + 1/4) pi`` and ``amplitude = sqrt(2/(pi x))``, and its error
+    estimate in units of the amplitude: the smallest term plus ``_ROUNDOFF``
+    times the largest.
 
     ``e^(i chi)`` comes from ``e^(ix)`` and the exactly reduced shift:
     ``chi`` itself, rounded to double, is off by ~eps x.
     """
-    terms, smallest = _hankel_terms(order, complex(0.0, -x), rel_tol)
+    terms, smallest = _hankel_terms(order, complex(0.0, -x), _J_REL_TOL)
     shift = math.pi * math.fmod(0.5 * order + 0.25, 2.0)
     value = (sum(terms) * cmath.rect(1.0, x) * cmath.rect(1.0, -shift)).real
-    return value, smallest + _ROUNDOFF * max(map(abs, terms))
+    return value * amplitude, smallest + _ROUNDOFF * max(map(abs, terms))
 
 
 def mcmahon_zero_estimate(order: float, k: float) -> float:

@@ -101,12 +101,27 @@ def test_creep_time_check_fails_on_shifted_zeros(monkeypatch):
 
 
 def test_check_names_the_route_and_point_that_raised(capsys):
-    # the Kelvin route raises TruncationError at |z| = 20 for order 25; the
+    # the Kelvin pair products underflow at omega = 1e-3 for order 50; the
     # route line once read only the exception's message
-    assert main(["check", "--nu", "25"]) == 1
+    assert main(["check", "--nu", "50"]) == 1
     route_line = capsys.readouterr().out.splitlines()[0]
     assert route_line.startswith("FAIL route agreement: max discrepancy inf")
-    assert "q_inverse_kelvin/q_inverse, nu=25.0, omega=398.1: TruncationError: " in route_line
+    where = "q_inverse_fg/q_inverse_kelvin/q_inverse, nu=50.0, omega=0.001"
+    assert f"{where}: OverflowRangeError: " in route_line
+    # above the crossover neither the Kelvin series nor its expansion
+    # reaches 3e-8 there
+    assert "above crossover inf" in route_line
+    assert "q_inverse_kelvin/q_inverse, nu=50.0, omega=" in route_line
+    assert ": TruncationError: " in route_line
+
+
+@pytest.mark.parametrize("nu", ["25", "30"])
+def test_check_passes_where_the_kelvin_series_takes_over(nu, capsys):
+    # the Kelvin pair's large-argument expansion cannot serve these orders
+    # near x = 18; the series, whose estimate is the smaller, does: the
+    # check once failed with TruncationError at omega = 398.1
+    assert main(["check", "--nu", nu]) == 0
+    assert "all checks passed" in capsys.readouterr().out
 
 
 def test_route_agreement_reports_the_point_where_a_route_raised(monkeypatch):

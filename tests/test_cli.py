@@ -162,7 +162,7 @@ def test_check_exits_nonzero_on_failed_check(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv, status", [([], 0), (["--nu", "25"], 1)], ids=["pass", "fail"])
+@pytest.mark.parametrize("argv, status", [([], 0), (["--nu", "50"], 1)], ids=["pass", "fail"])
 def test_check_into_a_closed_pipe(argv, status, buffered):
     # a reader that has gone (besselq check | true) once made `check` print
     # "error: [Errno 32] Broken pipe" and exit 1; the status is the checks'

@@ -37,7 +37,7 @@ from besselq import (
     tricomi_it,
 )
 from besselq.specfun import modified, series
-from besselq.specfun.kelvinfg import _kelvin_series
+from besselq.specfun.kelvinfg import _kelvin_expansion, _kelvin_series
 
 # oracle: naive series at >= 40 digits
 I0_2 = 2.279585302336067267437
@@ -469,22 +469,33 @@ def test_kelvin_large_argument_route():
 
 def test_kelvin_series_asymptotic_handover_consistency():
     # same point past the handover evaluated by the power series directly
-    # and by the large-argument expansion that kelvin() uses there
+    # and by the large-argument expansion
     for order in (0.0, 1.0, 3.5):
         series_pair, _ = _kelvin_series(order, 20.0)
-        asym_pair = kelvin(order, 20.0)
+        scaled, _, log_scale = _kelvin_expansion(order, 20.0)
+        asym_pair = scaled * math.exp(log_scale)
         norm = abs(series_pair)
-        assert abs(series_pair.real - asym_pair.ber) < 2e-11 * norm
-        assert abs(series_pair.imag - asym_pair.bei) < 2e-11 * norm
+        assert abs(series_pair.real - asym_pair.real) < 2e-11 * norm
+        assert abs(series_pair.imag - asym_pair.imag) < 2e-11 * norm
 
 
 def test_kelvin_large_argument_raises_beyond_its_bound():
     # the smallest Hankel term alone once passed these off as accurate
     # (errors 2.8e-5, 4.9e-5 and 3.2 of the pair norm); the remainder bound
-    # is 23, 3e5 and 3e14 there
+    # is 23, 3e5 and 3e14 there, and the series, whose estimate is the
+    # smaller, now serves them
     for order, x in ((30.0, 25.0), (25.0, 18.5), (30.0, 18.5)):
-        with pytest.raises(TruncationError):
-            kelvin(order, x)
+        ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
+        ber_ref, bei_ref = (float(v) for v in oracle.kelvin_pair(order, x))
+        scale = math.exp(log_scale)
+        error = math.hypot(ber_s * scale - ber_ref, bei_s * scale - bei_ref)
+        assert error <= est * math.hypot(ber_ref, bei_ref), (order, x)
+    # where both fail, loudly: the series cancels past its guard, and the
+    # expansion's sums cancel to 5e-7 of its first term, a relative
+    # estimate of 4.4e-2 (the estimate in units of that term once read
+    # 2.4e-8, against an error of 1.4e-2)
+    with pytest.raises(TruncationError):
+        kelvin(71.63, 128.6)
     # the check suite's orders (at most 12) keep returning from x = 18 on
     for order in (10.0, 12.0):
         for x in (18.0, 18.5, 25.0):
