@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import BesselQError, DomainError
+from .errors import BesselQError, _require_positive
 from .model import ModelOrder, creep_rate_laplace, creep_rate_time
 from .qfactor import q_inverse, q_inverse_fg, q_inverse_kelvin
 from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
@@ -196,9 +196,7 @@ def creep_rate_laplace_by_zeros(model: ModelOrder, s: float) -> float:
     so the two transforms cross-validate each other.  Real ``s`` only;
     raises ``DomainError`` unless ``s`` is finite and positive.
     """
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise DomainError(f"zeros route needs finite real s > 0, got {s}")
+    s = _require_positive(s, "s")
     nu = model.nu
     total = rayleigh_sneddon_sum(nu + 2.0, s=s)
     return 4.0 * (nu + 1.0) * (nu + 2.0) / s + 4.0 * (nu + 1.0) * total

@@ -1,8 +1,23 @@
-"""Exception hierarchy for the besselq package.
+"""Exception hierarchy for the besselq package, and the guards that keep
+its promise: every numerical routine either returns a finite, trusted value
+or raises one of these exceptions; NaN/Inf never escape silently.
 
-Every numerical routine either returns a finite, trusted value or raises one
-of these exceptions; NaN/Inf never escape silently.
+The guards are the one home of the domain and range rules:
+
+* ``_require_finite`` -- an argument is a finite float or complex;
+* ``_require_order``    -- an order is finite and exceeds -1;
+* ``_require_positive`` -- a frequency (or time) is finite and positive;
+* ``_representable``    -- a result is finite.
+
+The argument guards convert the value themselves, so a number beyond the
+double range (an int such as ``10**400``) raises DomainError, not a bare
+OverflowError.  Every public entry checks its arguments through them, and
+every float or complex that ``model`` and ``qfactor`` return passes
+``_representable``, except ``frac_maxwell_q_inverse``, whose value cannot
+leave the range.
 """
+
+import math
 
 
 class BesselQError(Exception):
@@ -49,3 +64,41 @@ class RootIsolationError(BesselQError):
 class InconsistencyError(BesselQError):
     """Independent evaluation routes disagree beyond tolerance, or a
     structural sign condition (dissipativity) failed numerically."""
+
+
+def _require_finite(value, name: str = "argument", kind: type = float):
+    """``value`` as a ``kind`` (float or complex), or DomainError where it
+    lies beyond the double range or has an infinite or NaN part."""
+    try:
+        value = kind(value)
+    except OverflowError:
+        raise DomainError(f"{name} lies beyond the double range") from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_order(order) -> float:
+    """``order`` as a float, or DomainError unless it is finite and > -1."""
+    order = _require_finite(order, "order")
+    if not order > -1.0:
+        raise DomainError(f"order must exceed -1, got {order}")
+    return order
+
+
+def _require_positive(value, name: str) -> float:
+    """``value`` as a float, or DomainError unless it is finite and > 0."""
+    value = _require_finite(value, name)
+    if not value > 0.0:
+        raise DomainError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _representable(value, what: str, *args):
+    """``value`` (a float or complex), or OverflowRangeError where a part of
+    it is infinite or NaN: ``what % args`` has left the double range.  The
+    message is formatted only then, so a call that passes costs no
+    formatting."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise OverflowRangeError(f"{what % args} exceeds the double range")
+    return value

@@ -16,8 +16,9 @@ functions of contiguous order,
 which this module evaluates through one contiguous ratio
 (``_compliance_split``, a single internal square root shared by numerator
 and denominator, so the two expressions above are consistent by
-construction of the branch).  ``creep_rate_time`` inverts the same ratio by
-Talbot quadrature; the zeros serve the verification suites only.
+construction of the branch) and the pole term of ``_pole_term``.
+``creep_rate_time`` inverts the same ratio by Talbot quadrature; the zeros
+serve the verification suites only.
 
 The fractional Maxwell comparison model closes the module: the Bessel class
 behaves like a fractional Maxwell element of order 1/2 at high frequency
@@ -31,7 +32,8 @@ import functools
 import math
 from collections import namedtuple
 
-from .errors import DomainError, OverflowRangeError
+from .errors import (DomainError, _representable, _require_finite, _require_order,
+                     _require_positive)
 from .specfun.modified import _ratio_next_order
 
 TYPE_CHECKING = False
@@ -76,9 +78,7 @@ class ModelOrder(namedtuple("ModelOrder", "nu")):
     __slots__ = ()
 
     def __new__(cls, nu: float) -> ModelOrder:
-        if not (math.isfinite(nu) and nu > -1.0):
-            raise DomainError(f"model order must be finite and > -1, got {nu}")
-        return super().__new__(cls, nu)
+        return super().__new__(cls, _require_order(nu))
 
     # ``_replace`` builds through ``_make``: check there too
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -93,20 +93,16 @@ class TalbotInversion(namedtuple("TalbotInversion", "nodes est_rel_error")):
 
 
 def _check_s(s: complex) -> complex:
-    s = complex(s)
+    s = _require_finite(s, "Laplace frequency s", complex)
     if s == 0:
         raise DomainError("Laplace frequency s must be nonzero")
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError("Laplace frequency s must be finite")
     return s
 
 
-def _representable(value: complex, s: complex) -> complex:
-    """``value``, or OverflowRangeError where the pole term
-    ``4(nu+1)(nu+2)/s`` has left the double range."""
-    if not cmath.isfinite(value):
-        raise OverflowRangeError(f"the 1/s pole term exceeds the double range at s = {s}")
-    return value
+def _pole_term(nu: float, s: complex) -> complex:
+    """``4(nu+1)(nu+2)/s``, the pole of ``Psi~`` and ``s J~`` at ``s = 0``,
+    or OverflowRangeError where it leaves the double range."""
+    return _representable(4.0 * (nu + 1.0) * (nu + 2.0) / s, "the pole term at s = %s", s)
 
 
 def creep_rate_laplace(model: ModelOrder, s: complex) -> complex:
@@ -118,16 +114,16 @@ def creep_rate_laplace(model: ModelOrder, s: complex) -> complex:
     ``creep_compliance_laplace``, ``creep_rate_time`` and ``q_inverse``.
     Behaves like ``2(nu+1)/sqrt(s)`` as ``s -> inf`` and like
     ``4(nu+1)(nu+2)/s`` as ``s -> 0``; raises OverflowRangeError where that
-    pole term leaves the double range.
+    pole term or the value leaves the double range.
     """
     s = _check_s(s)
     nu = model.nu
-    value = 4.0 * (nu + 1.0) * (nu + 2.0) / s + _compliance_split(nu, s)[1]
-    return _representable(value, s)
+    value = _pole_term(nu, s) + _compliance_split(nu, s)[0]
+    return _representable(value, "Psi~ at s = %s", s)
 
 
-def _compliance_split(nu: float, s: complex) -> tuple[complex, complex, float]:
-    """``s J~(s; nu)`` with its ``1/s`` pole split off.
+def _compliance_split(nu: float, s: complex) -> tuple[complex, float]:
+    """``s J~(s; nu)`` with its ``1/s`` pole split off: the remainder ``T``.
 
     The recurrence ``I_{nu+1}/I_{nu+2} = 2(nu+2)/z + I_{nu+3}/I_{nu+2}``
     (DLMF 10.29.1) turns ``s J~ = 1 + (2(nu+1)/z) I_{nu+1}/I_{nu+2}`` into
@@ -138,14 +134,14 @@ def _compliance_split(nu: float, s: complex) -> tuple[complex, complex, float]:
     formed from ``s`` itself, never from ``z*z``, so on the imaginary axis it
     is exactly imaginary and ``Re(s J~) = 1 + Re T`` carries no cancellation.
 
-    Returns ``(s J~, T, u)``, ``u`` the relative error estimate of ``T``:
-    that of the ratio plus roundoff growing with the CF iterations.
+    Returns ``(T, u)``, ``u`` the relative error estimate of ``T``: that of
+    the ratio plus roundoff growing with the CF iterations.  The callers add
+    ``1`` and the pole term (``_pole_term``) themselves.
     """
     z = cmath.sqrt(s)
     r, error, iterations = _ratio_next_order(nu + 2.0, z)
     tail = (2.0 * (nu + 1.0) / z) * r
-    u = error + _EPS * (8.0 + iterations)
-    return 1.0 + 4.0 * (nu + 1.0) * (nu + 2.0) / s + tail, tail, u
+    return tail, error + _EPS * (8.0 + iterations)
 
 
 def creep_compliance_laplace(model: ModelOrder, s: complex) -> complex:
@@ -156,10 +152,13 @@ def creep_compliance_laplace(model: ModelOrder, s: complex) -> complex:
     the real part keeps full accuracy as ``s -> 0``.  Equals
     ``1 + creep_rate_laplace(model, s)``, from the same contiguous ratio,
     up to rounding.  For real s > 0 the value is real and exceeds 1.
-    Raises OverflowRangeError where the pole term leaves the double range.
+    Raises OverflowRangeError where the pole term or the value leaves the
+    double range.
     """
     s = _check_s(s)
-    return _representable(_compliance_split(model.nu, s)[0], s)
+    nu = model.nu
+    value = 1.0 + _pole_term(nu, s) + _compliance_split(nu, s)[0]
+    return _representable(value, "s J~ at s = %s", s)
 
 
 def creep_rate_time(model: ModelOrder, t: float) -> tuple[float, TalbotInversion]:
@@ -178,13 +177,14 @@ def creep_rate_time(model: ModelOrder, t: float) -> tuple[float, TalbotInversion
     ``|Psi|``.  ``Psi`` behaves like ``2(nu+1)/sqrt(pi t)`` as ``t -> 0+``
     and tends to the constant ``4(nu+1)(nu+2)``, returned exactly at
     ``t = inf``.  Raises DomainError unless ``t > 0``, and below ``t`` of
-    about 2e-307, where the contour leaves the double range.
+    about 2e-307, where the contour leaves the double range;
+    OverflowRangeError where the constant (from ``nu`` of about 6.7e153) or
+    the value leaves the double range.
     """
-    t = float(t)
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
+    if t != math.inf:
+        t = _require_positive(t, "time")
     nu = model.nu
-    const = 4.0 * (nu + 1.0) * (nu + 2.0)
+    const = _representable(4.0 * (nu + 1.0) * (nu + 2.0), "the creep constant 4(nu+1)(nu+2)")
     if t == math.inf:
         return const, TalbotInversion(0, 0.0)
     rule, reach = _talbot_rule()
@@ -192,11 +192,11 @@ def creep_rate_time(model: ModelOrder, t: float) -> tuple[float, TalbotInversion
         raise DomainError(f"time {t} is below the reach of the Talbot contour")
     inverse = spread = 0.0
     for ts, weight in rule:
-        _, tail, u = _compliance_split(nu, ts / t)
+        tail, u = _compliance_split(nu, ts / t)
         term = weight * tail
         inverse += term.imag
         spread += abs(term) * u
-    value = const + inverse / t
+    value = _representable(const + inverse / t, "Psi at t = %s", t)
     est = math.exp(-1.358 * _TALBOT_N) + spread / (t * value)
     return value, TalbotInversion(_TALBOT_N, est)
 
@@ -208,14 +208,20 @@ def creep_compliance_asymptotic(
 
     ``high`` (s -> inf):  1 + 2(nu+1) s^{-1/2}   (principal branch);
     ``low``  (s -> 0):    2(nu+2)/(nu+3) + 4(nu+1)(nu+2)/s.
+
+    Raises OverflowRangeError where the form leaves the double range: the
+    ``high`` one at large ``nu`` or small ``|s|``, the ``low`` one where
+    its pole term does.
     """
     s = _check_s(s)
     nu = model.nu
     if regime == "high":
-        return 1.0 + 2.0 * (nu + 1.0) / cmath.sqrt(s)
-    if regime == "low":
-        return 2.0 * (nu + 2.0) / (nu + 3.0) + 4.0 * (nu + 1.0) * (nu + 2.0) / s
-    raise DomainError(f"regime must be 'high' or 'low', got {regime!r}")
+        value = 1.0 + 2.0 * (nu + 1.0) / cmath.sqrt(s)
+    elif regime == "low":
+        value = 2.0 * (nu + 2.0) / (nu + 3.0) + _pole_term(nu, s)
+    else:
+        raise DomainError(f"regime must be 'high' or 'low', got {regime!r}")
+    return _representable(value, "the %s-frequency form at s = %s", regime, s)
 
 
 def frac_maxwell_q_inverse(beta: float, omega_tau: float) -> float:
@@ -226,15 +232,9 @@ def frac_maxwell_q_inverse(beta: float, omega_tau: float) -> float:
     for ``0 < beta <= 1``; beta = 1 is the ordinary Maxwell element with
     ``Q^-1 = 1/(omega tau)``.
     """
-    beta = float(beta)
-    omega_tau = float(omega_tau)
+    beta = _require_finite(beta, "beta")
     if not (0.0 < beta <= 1.0):
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    if not omega_tau > 0.0:
-        raise DomainError(f"omega*tau must be positive, got {omega_tau}")
+    omega_tau = _require_positive(omega_tau, "omega*tau")
     half = 0.5 * math.pi * beta
-    try:
-        denom = omega_tau**beta + math.cos(half)
-    except OverflowError as exc:
-        raise OverflowRangeError(str(exc)) from exc
-    return math.sin(half) / denom
+    return math.sin(half) / (omega_tau**beta + math.cos(half))

@@ -46,8 +46,10 @@ from .errors import (
     DomainError,
     InconsistencyError,
     OverflowRangeError,
+    _representable,
+    _require_positive,
 )
-from .model import ModelOrder, _compliance_split
+from .model import ModelOrder, _compliance_split, _pole_term
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -70,17 +72,13 @@ class QEvaluation(namedtuple("QEvaluation", "omega q_inverse route est_rel_error
     def __new__(
         cls, omega: float, q_inverse: float, route: Route, est_rel_error: float
     ) -> QEvaluation:
-        if not omega > 0.0:
-            raise DomainError(f"omega must be positive, got {omega}")
-        if q_inverse == math.inf:
-            raise OverflowRangeError(
-                f"Q^-1 exceeds the double range at omega = {omega} (route {route})"
-            )
-        if not (math.isfinite(q_inverse) and q_inverse > 0.0):
+        omega = _require_positive(omega, "omega")
+        if not q_inverse > 0.0:
             raise InconsistencyError(
                 f"dissipativity violated: Q^-1 = {q_inverse} at "
                 f"omega = {omega} (route {route})"
             )
+        _representable(q_inverse, "Q^-1 at omega = %s (route %s)", omega, route)
         if not (math.isfinite(est_rel_error) and est_rel_error >= 0.0):
             raise InconsistencyError(
                 f"error estimate must be finite and >= 0, got {est_rel_error}"
@@ -94,13 +92,6 @@ class QEvaluation(namedtuple("QEvaluation", "omega q_inverse route est_rel_error
 
     # ``_replace`` builds through ``_make``: check there too
     _make = classmethod(lambda cls, fields: cls(*fields))
-
-
-def _check_omega(omega: float) -> float:
-    omega = float(omega)
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise DomainError(f"omega must be positive and finite, got {omega}")
-    return omega
 
 
 def _pair_quotient(
@@ -148,7 +139,7 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     from .specfun.modified import _ROUNDOFF
     from .specfun.series import _SERIES_TOL, _tricomi_series
 
-    omega = _check_omega(omega)
+    omega = _require_positive(omega, "omega")
     if omega > DEFAULT_CROSSOVER_OMEGA:
         raise CancellationError(
             f"f/g route requested above the crossover "
@@ -173,7 +164,7 @@ def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
     """
     from .specfun.kelvinfg import _KELVIN_OVERFLOW_X, kelvin_scaled
 
-    omega = _check_omega(omega)
+    omega = _require_positive(omega, "omega")
     nu = model.nu
     x = math.sqrt(omega)
     if x > _KELVIN_OVERFLOW_X:
@@ -207,19 +198,23 @@ def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:
     grows.  ``Re T > 0`` and ``-Im T >= 0``, so neither part cancels and
     the route holds for every ``omega > 0`` and every order ``nu > -1``.
     The error estimate is that of ``T``, carried through both parts.
+    OverflowRangeError where ``P`` leaves the double range (from ``nu`` of
+    about 6.7e153 at ``omega = 1``), before any work on ``T``.
     """
-    omega = _check_omega(omega)
+    omega = _require_positive(omega, "omega")
     nu = model.nu
-    s_j, tail, u = _compliance_split(nu, complex(0.0, omega))
+    s = complex(0.0, omega)
+    pole = _pole_term(nu, s)  # -i P
+    tail, u = _compliance_split(nu, s)
+    s_j = 1.0 + pole + tail
     if s_j.real <= 0.0:
         # Numerically asserted storage-modulus positivity; a violation is
         # surfaced, never clamped.
         raise InconsistencyError(
             f"Re(s J~) = {s_j.real:.3g} <= 0 at omega = {omega}"
         )
-    pole = 4.0 * (nu + 1.0) * (nu + 2.0) / omega
     est = u * (
-        (pole + abs(tail)) / abs(s_j.imag) + (1.0 + abs(tail)) / s_j.real
+        (abs(pole) + abs(tail)) / abs(s_j.imag) + (1.0 + abs(tail)) / s_j.real
     )
     return QEvaluation(omega, -s_j.imag / s_j.real, "direct_ratio", est)
 
@@ -236,12 +231,18 @@ def q_inverse_asymptotic(
     (2nu+3)/sqrt(2 omega) * (1 + O(omega^-1/2)), from the second coefficient
     (nu+1)(2nu+3) of the large-argument expansion of I_nu/I_{nu+2}
     (DLMF 10.40.1).  At omega = 1e5 that is 2.9e-2 for nu = 5.
+
+    Raises OverflowRangeError where the form leaves the double range: the
+    ``low`` one at small ``omega`` or large ``nu``, the ``high`` one where
+    ``sqrt(2)(nu+1)`` does (``nu`` above about 1.27e308).
     """
-    omega = _check_omega(omega)
+    omega = _require_positive(omega, "omega")
     nu = model.nu
     if regime == "low":
-        return 2.0 * (nu + 1.0) * (nu + 3.0) / omega
-    if regime == "high":
+        value = 2.0 * (nu + 1.0) * (nu + 3.0) / omega
+    elif regime == "high":
         c = math.sqrt(2.0) * (nu + 1.0)
-        return c / (math.sqrt(omega) + c)
-    raise DomainError(f"regime must be 'high' or 'low', got {regime!r}")
+        value = c / (math.sqrt(omega) + c)
+    else:
+        raise DomainError(f"regime must be 'high' or 'low', got {regime!r}")
+    return _representable(value, "the %s-frequency asymptote at omega = %s", regime, omega)

@@ -28,10 +28,10 @@ import math
 import sys
 from collections import namedtuple
 
-from ..errors import DomainError, OverflowRangeError
+from ..errors import OverflowRangeError, _require_order, _require_positive
 from .modified import _hankel_sums
-from .series import (SeriesDiagnostics, _in_range, _require_argument, _require_finite,
-                     _require_order, _rotation, _series_or_expansion, _tricomi_series)
+from .series import (SeriesDiagnostics, _in_range, _require_argument, _rotation,
+                     _series_or_expansion, _tricomi_series)
 
 #: Frequency up to which the alternating series serve alone, their
 #: largest-term/result ratio well below 1e12: the f/g route refuses to go
@@ -65,14 +65,13 @@ def fg_series(order: float, omega: float) -> FGPair:
     ``omega -> 0+`` are ``(1/Gamma(order+1), 0)``.
 
     Raises CancellationError when the largest term exceeded 1e12 times the
-    pair norm; this happens far above the recommended crossover, so results
-    returned without error are trustworthy to roughly 1e-15 * 1e12 = 1e-3
-    of the pair norm (series tolerance times cancellation guard).
+    pair norm; this happens far above the recommended crossover.  The error
+    relative to the pair norm is ``tricomi_it``'s at ``s = i omega``: below
+    ``1e-13 + 2 eps (1 + R) max(1, omega^(1/4))``, ``R`` the largest term
+    over the norm (at most 1e12, the guard).
     """
     order = _require_order(order)
-    omega = _require_finite(float(omega), "omega")
-    if not omega > 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    omega = _require_positive(omega, "omega")
     pair, _ = _tricomi_series(order, complex(0.0, omega))
     return FGPair(pair.real, pair.imag, order, omega)
 
@@ -155,9 +154,7 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
     leaves the normal double range.
     """
     order = _require_order(order)
-    omega = _require_finite(float(omega), "omega")
-    if not omega > 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    omega = _require_positive(omega, "omega")
     x = math.sqrt(omega)
     ber, bei = kelvin(order, x)[:2]
     fg = complex(ber, bei) * _rotation(order, 0.75).conjugate() * _in_range(pow, 2.0 / x, order)

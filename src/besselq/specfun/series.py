@@ -11,7 +11,8 @@ test and the cancellation guard; its tolerances are fixed, and its term cap
 follows from ``|s|``.  ``_series_or_expansion`` hands it over to a
 large-argument expansion for ``J`` and ber/bei.  Its first term
 ``1/Gamma(a+1)`` comes from ``gamma_real``, a checked ``math.gamma``, which
-lives here with the argument checks every special function shares.
+lives here with ``_require_argument``, the argument check of ``I``, ``J``
+and ber/bei (built on the guards of ``errors``).
 
 Only the verification routes (``kelvinfg``, ``zeros``) and the public
 ``modified_bessel_i`` and ``tricomi_it`` sum it: ``q_inverse`` and
@@ -33,6 +34,8 @@ from ..errors import (
     OverflowRangeError,
     PoleError,
     TruncationError,
+    _require_finite,
+    _require_order,
 )
 from .modified import _ROUNDOFF
 
@@ -58,21 +61,6 @@ class SeriesDiagnostics(namedtuple("SeriesDiagnostics", "terms_used rel_error ca
     term over ``|T(s)|``."""
 
     __slots__ = ()
-
-
-def _require_finite(value, name: str = "argument"):
-    """``value`` (a float or complex) unchanged, or DomainError if it has
-    an infinite or NaN part."""
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DomainError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _require_order(order: float) -> float:
-    order = _require_finite(float(order), "order")
-    if not order > -1.0:
-        raise DomainError(f"order must exceed -1, got {order}")
-    return order
 
 
 def _require_index(value, name: str) -> int:
@@ -127,7 +115,7 @@ def gamma_real(x: float) -> float:
         for x > ~171.6 or next to zero, below it (underflow, where digits or
         the whole value are lost) for x < ~-170.6.
     """
-    x = _require_finite(float(x))
+    x = _require_finite(x)
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at nonpositive integer x = {x}")
     return _in_range(math.gamma, x)
@@ -145,7 +133,7 @@ def _require_argument(order: float, x: float) -> tuple[float, float]:
     three: DomainError unless both are finite, ``order > -1`` and ``x >= 0``;
     OverflowRangeError at ``x = 0`` below order 0, where all three diverge."""
     order = _require_order(order)
-    x = _require_finite(float(x))
+    x = _require_finite(x)
     if x < 0.0:
         raise DomainError(f"argument must be >= 0, got {x}")
     if x == 0.0 and order < 0.0:
@@ -212,9 +200,9 @@ def _tricomi_series(
     max_term = abs(term)
     quarter = s / 4.0
     modulus = 4.0 * abs(quarter)  # |s|; abs(s) of a complex may overflow
-    max_terms = int(2.0 * math.sqrt(abs(quarter))) + _SERIES_SLACK
     small_streak = 0
     try:
+        max_terms = int(2.0 * math.sqrt(abs(quarter))) + _SERIES_SLACK
         for m in range(1, max_terms + 1):
             term *= quarter / (m * (m + order))
             total += term
@@ -246,7 +234,7 @@ def _tricomi_series(
         else:
             value = total
         in_range = sys.float_info.min <= abs(value) < math.inf or not (total and x)
-    except OverflowError:  # abs() of a complex, or exp(), beyond the double range
+    except OverflowError:  # |s| = inf, or abs() of a complex or exp() beyond the double range
         in_range = False
     if not in_range:
         raise OverflowRangeError(
@@ -277,11 +265,14 @@ def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: 
     where neither estimate is within ``cap``."""
     value, error = expansion
     log_half = math.log(0.5 * x)
-    floor = max(
-        (2.0 * m + order) * log_half - math.lgamma(m + 1.0) - math.lgamma(m + order + 1.0)
-        for m in (0, math.floor(0.5 * x))
-    )
-    size = unit or abs(value)
+    try:
+        size = unit or abs(value)
+        floor = max(
+            (2.0 * m + order) * log_half - math.lgamma(m + 1.0) - math.lgamma(m + order + 1.0)
+            for m in (0, math.floor(0.5 * x))
+        )
+    except OverflowError:  # |value| or lgamma beyond the double range: no series
+        size = 0.0
     if size and floor - log_scale + math.log(_ROUNDOFF / size) < math.log(min(error, cap)):
         try:
             total, diagnostics = series()
@@ -329,6 +320,13 @@ def tricomi_it(order: float, s: complex) -> complex:
     single-valued entire function of ``s``; callers never take a square
     root.  ``tricomi_it(a, 0)`` equals ``1/Gamma(a+1)``.
 
+    For orders up to 170 the relative error is below ``1e-13 + 2 eps (1 +
+    R) max(1, |s|^(1/4))``, ``R`` the largest term over ``|T|``: the
+    rounding of ``a + 1`` in ``Gamma(a+1)`` gives up to 7e-14, and that of
+    the terms grows with their number and ``R``.  Measured at most 0.19 of
+    it on the 3,881 of 4,500 random points that return (orders ``-1 +
+    10^U(-3, log10 171)``, ``|s| = 10^U(-3, 5.3)``, every phase).
+
     Raises
     ------
     OverflowRangeError
@@ -338,5 +336,5 @@ def tricomi_it(order: float, s: complex) -> complex:
         (oscillatory ``s`` with large modulus).
     """
     order = _require_order(order)
-    s = _require_finite(complex(s), "s")
+    s = _require_finite(s, "s", complex)
     return _tricomi_series(order, s)[0]

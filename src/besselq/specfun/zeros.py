@@ -31,10 +31,9 @@ import cmath
 import functools
 import math
 
-from ..errors import DomainError, RootIsolationError, TruncationError
+from ..errors import DomainError, RootIsolationError, TruncationError, _require_order
 from .modified import _ROUNDOFF, _hankel_terms
-from .series import (_require_argument, _require_index, _require_order,
-                     _series_or_expansion, _tricomi_series)
+from .series import _require_argument, _require_index, _series_or_expansion, _tricomi_series
 
 #: ``bessel_j`` sums the series alone up to this argument, and above it
 #: hands over within ``_J_MAX_ERROR`` of the amplitude ``sqrt(2/(pi x))``.
@@ -66,7 +65,7 @@ def bessel_j(order: float, x: float) -> float:
     series = functools.partial(_tricomi_series, order, -x * x, x, 1.0, _J_REL_TOL, math.inf)
     if x <= _J_SERIES_MAX_X:
         return series()[0]
-    amplitude = math.sqrt(2.0 / (math.pi * x))
+    amplitude = math.sqrt(2.0 / (math.pi * x)) or math.sqrt(2.0 / math.pi / x)  # pi x = inf
     value, error = _series_or_expansion(order, x, series, _j_hankel(order, x, amplitude),
                                         _J_MAX_ERROR, amplitude)
     # up to its order J has no zero: there the error must be small beside

@@ -9,7 +9,7 @@ without importing each other.
 
 Every numeric CSV field uses 17-significant-digit scientific notation with
 a decimal point (``_fmt``, locale independent); a non-finite value raises
-``BesselQError``.  Outputs are overwritten in place and then cut to length
+``OverflowRangeError``.  Outputs are overwritten in place and then cut to length
 (``_write_ascii``), so an interrupted write can leave old and new bytes
 mixed; a rerun repairs it.
 """
@@ -20,7 +20,7 @@ import math
 import os
 from collections import namedtuple
 
-from .errors import BesselQError, DomainError
+from .errors import DomainError, _representable, _require_finite, _require_positive
 from .model import ModelOrder
 from .qfactor import q_inverse, q_inverse_asymptotic
 
@@ -42,11 +42,9 @@ class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
     def __new__(cls, scale: str, min: float, max: float, count: int) -> FrequencyGrid:
         if scale not in ("linear", "log"):
             raise DomainError(f"scale must be 'linear' or 'log', got {scale!r}")
-        for name, bound in (("min", min), ("max", max)):
-            if not math.isfinite(bound):
-                raise DomainError(f"{name} must be finite, got {bound}")
-        if not (min > 0.0 and max > min):
-            raise DomainError(f"need 0 < min < max, got min={min}, max={max}")
+        min, max = _require_positive(min, "min"), _require_finite(max, "max")
+        if not max > min:
+            raise DomainError(f"need min < max, got min={min}, max={max}")
         if count < 2:
             raise DomainError(f"count must be >= 2, got {count}")
         return super().__new__(cls, scale, min, max, count)
@@ -95,9 +93,7 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
 
 
 def _fmt(value: float) -> str:
-    if not math.isfinite(value):
-        raise BesselQError(f"non-finite value reached the CSV writer: {value}")
-    return format(value, ".16e")
+    return format(_representable(value, "the CSV value %s", value), ".16e")
 
 
 def _write_ascii(path: Path, text: str) -> None:

@@ -90,6 +90,16 @@ def test_sweep_rejects_invalid_order(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sweep_reports_an_order_whose_pole_term_overflows(tmp_path, capsys):
+    # 4(nu+1)(nu+2)/omega leaves the double range from nu ~ 6.7e153 at
+    # omega = 1: a typed error, not "dissipativity violated: Q^-1 = nan"
+    code = main(["sweep", "--nu", "1e154", "--log", "1", "10", "--count", "2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the double range" in err
+
+
 def test_sweep_17_significant_digits(tmp_path):
     out = tmp_path / "sweep.csv"
     main(["sweep", "--nu", "0", "--linear", "1", "2", "--count", "2", "--out", str(out)])

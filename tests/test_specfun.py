@@ -28,12 +28,15 @@ from besselq import (
     TruncationError,
     bessel_j,
     creep_compliance_laplace,
+    creep_rate_laplace,
+    creep_rate_time,
     fg_from_kelvin,
     fg_series,
     gamma_real,
     kelvin,
     kelvin_scaled,
     modified_bessel_i,
+    q_inverse,
     tricomi_it,
 )
 from besselq.specfun import modified, series
@@ -389,6 +392,39 @@ def test_ratio_cf_cap_is_reachable(monkeypatch):
     with pytest.raises(NonConvergenceError, match="after 2100 iterations"):
         modified._ratio_next_order(0.0, complex(0.0, 1000.0))
     assert time.perf_counter() - start < 0.5
+
+
+def test_ratio_cf_work_is_bounded(monkeypatch):
+    # at |z| = 1e150 the argument's own cap is 2e150 iterations; the work
+    # cap _CF_MAX_ITER bounds it, and its count is in the message
+    monkeypatch.setattr(modified, "_CF_MAX_ITER", 5000)
+    start = time.perf_counter()
+    for order, z in ((1e100, 1e150 * cmath.exp(0.25j * math.pi)), (3.0, 1e150j)):
+        with pytest.raises(NonConvergenceError, match="after 5000 iterations"):
+            modified._ratio_next_order(order, z)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: creep_rate_laplace(ModelOrder(1), -1e300),
+    lambda: q_inverse(ModelOrder(1e100), 1e308),
+    lambda: creep_rate_time(ModelOrder(1e100), 1e-300),
+], ids=["creep_rate_laplace", "q_inverse", "creep_rate_time"])
+def test_calls_that_never_returned_raise_at_the_cf_cap(call, monkeypatch):
+    # each once ran toward a cap of about 2e150 iterations; at 2^22 each
+    # raises in about 4 s, here at a smaller cap
+    monkeypatch.setattr(modified, "_CF_MAX_ITER", 5000)
+    with pytest.raises(NonConvergenceError, match="after 5000 iterations"):
+        call()
+
+
+def test_slowest_returning_call_stays_under_the_cf_cap():
+    # 2,282,655 iterations, about 2 s: the cap must not cut it.  The
+    # high-frequency asymptote is off by (2nu+3)/sqrt(2 omega) = 1.4e-5.
+    nu, omega = 1e7, 1e24
+    value = q_inverse(ModelOrder(nu), omega).q_inverse
+    c = math.sqrt(2.0) * (nu + 1.0)
+    assert rel(value, c / (math.sqrt(omega) + c)) < 2.0 * (2.0 * nu + 3.0) / math.sqrt(2.0 * omega)
 
 
 def test_ratio_rejects_zero():
