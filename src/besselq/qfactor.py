@@ -96,11 +96,11 @@ class QEvaluation(namedtuple("QEvaluation", "omega q_inverse route est_rel_error
 
 def _pair_quotient(
     omega: float, route: Route, f1: float, g1: float, f2: float, g2: float,
-    unit: float, floor: float,
+    unit: float,
 ) -> QEvaluation:
     """``Q^-1 = (f1 f2 + g1 g2) / (g1 f2 - f1 g2)`` from the pairs at orders
-    ``nu`` and ``nu+2``, each with relative error ``unit`` per component;
-    ``floor`` is added to the estimate.  Raises OverflowRangeError where the
+    ``nu`` and ``nu+2``, each with relative error ``unit`` per component
+    (relative to the pair's norm).  Raises OverflowRangeError where the
     product of the pair norms underflows, InconsistencyError where the
     denominator is lost to rounding or is not positive."""
     norm1 = math.hypot(f1, g1)
@@ -121,7 +121,7 @@ def _pair_quotient(
             f"storage response lost positivity at omega = {omega} "
             f"({route} denominator = {denom:.3g})"
         )
-    est = unit * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom)) + floor
+    est = unit * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom))
     return QEvaluation(omega, numer / denom, route, est)
 
 
@@ -132,12 +132,11 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     alternating series cancel too strongly and CancellationError is raised.
     Where the products of the pair values underflow (``nu`` near 100 at
     ``omega = 1``) it raises OverflowRangeError.  Each pair component is
-    taken to carry ``_ROUNDOFF`` times the sum of the two series'
-    ``cancel_ratio``; the estimate adds ``4 _SERIES_TOL`` for truncation.
+    taken to carry the sum of the two series' ``rel_error``, their running
+    error bounds.
     """
     from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
-    from .specfun.modified import _ROUNDOFF
-    from .specfun.series import _SERIES_TOL, _tricomi_series
+    from .specfun.series import _tricomi_series
 
     omega = _require_positive(omega, "omega")
     if omega > DEFAULT_CROSSOVER_OMEGA:
@@ -147,9 +146,8 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
         )
     s = complex(0.0, omega)  # f + i g = T_a(i omega), as in ``fg_series``
     (p1, d1), (p2, d2) = _tricomi_series(model.nu, s), _tricomi_series(model.nu + 2.0, s)
-    unit = _ROUNDOFF * (d1.cancel_ratio + d2.cancel_ratio)
-    return _pair_quotient(omega, "fg_series", p1.real, p1.imag, p2.real, p2.imag, unit,
-                          4.0 * _SERIES_TOL)
+    return _pair_quotient(omega, "fg_series", p1.real, p1.imag, p2.real, p2.imag,
+                          d1.rel_error + d2.rel_error)
 
 
 def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
@@ -181,7 +179,7 @@ def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
     turn = 0.75 * math.pi * abs(math.fsum((nu2, -nu, -2.0)))
     # the f/g quotient of (ber1 + i bei1, -bei2 + i ber2) is the Kelvin
     # form with numerator and denominator both negated
-    return _pair_quotient(omega, "kelvin", ber1, bei1, -bei2, ber2, e1 + e2 + turn, 0.0)
+    return _pair_quotient(omega, "kelvin", ber1, bei1, -bei2, ber2, e1 + e2 + turn)
 
 
 def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:

@@ -24,7 +24,6 @@ _MODULE_OF = {
     "bessel_j": "zeros",
     "bessel_j_zero": "zeros",
     "bessel_j_zeros": "zeros",
-    "mcmahon_zero_estimate": "zeros",
 }
 
 __all__ = sorted(_MODULE_OF)

@@ -68,7 +68,8 @@ def fg_series(order: float, omega: float) -> FGPair:
     pair norm; this happens far above the recommended crossover.  The error
     relative to the pair norm is ``tricomi_it``'s at ``s = i omega``: below
     ``1e-13 + 2 eps (1 + R) max(1, omega^(1/4))``, ``R`` the largest term
-    over the norm (at most 1e12, the guard).
+    over the norm (at most 1e12, the guard), and within the running bound
+    of ``_tricomi_series``, which ``q_inverse_fg`` carries.
     """
     order = _require_order(order)
     omega = _require_positive(omega, "omega")

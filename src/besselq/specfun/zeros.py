@@ -40,8 +40,7 @@ from .series import _require_argument, _require_index, _series_or_expansion, _tr
 _J_SERIES_MAX_X = 12.0
 _J_MAX_ERROR = 5e-11
 
-#: Truncation of both J expansions.  No cancellation guard: ``bessel_j`` is
-#: evaluated at its own zeros, where the sum cancels by design.
+#: Truncation of the Hankel expansion of J.
 _J_REL_TOL = 1e-17
 
 #: Terms of the Hankel expansion in ``_hankel_refine``, and the largest first
@@ -62,7 +61,9 @@ def bessel_j(order: float, x: float) -> float:
     otherwise TruncationError.
     """
     order, x = _require_argument(order, x)
-    series = functools.partial(_tricomi_series, order, -x * x, x, 1.0, _J_REL_TOL, math.inf)
+    # no cancellation guard: J is evaluated at its own zeros, where the sum
+    # cancels by design
+    series = functools.partial(_tricomi_series, order, -x * x, x, guard=math.inf)
     if x <= _J_SERIES_MAX_X:
         return series()[0]
     amplitude = math.sqrt(2.0 / (math.pi * x)) or math.sqrt(2.0 / math.pi / x)  # pi x = inf
@@ -94,12 +95,13 @@ def _j_hankel(order: float, x: float, amplitude: float) -> tuple[float, float]:
     return value * amplitude, smallest + _ROUNDOFF * max(map(abs, terms))
 
 
-def mcmahon_zero_estimate(order: float, k: float) -> float:
+def _mcmahon_zero_estimate(order: float, k: float) -> float:
     """McMahon expansion for the k-th positive zero of ``J_order``.
 
     Four correction terms in ``1/(8 beta)`` with ``beta =
     (k + order/2 - 1/4) pi``; excellent for ``k >= 2`` (and asymptotically
-    in k), unreliable for ``k = 1`` near order -1.
+    in k), unreliable for ``k = 1`` near order -1.  Private: it checks no
+    argument, and its callers take orders through ``_require_zero_order``.
     """
     mu = 4.0 * order * order
     beta = (k + 0.5 * order - 0.25) * math.pi
@@ -138,7 +140,7 @@ def bessel_j_zero(order: float, k: int) -> float:
         hi = math.sqrt(2.0 * (order + 1.0) * (order + 3.0)) * (1.0 + 1e-12)
         flo, fhi = bessel_j(order, lo), bessel_j(order, hi)
     else:
-        guess = mcmahon_zero_estimate(order, k)
+        guess = _mcmahon_zero_estimate(order, k)
         h = 0.05
         lo, hi = guess - h, guess + h
         flo, fhi = bessel_j(order, lo), bessel_j(order, hi)
@@ -245,7 +247,7 @@ def _require_zero_order(order: float) -> float:
     order = _require_order(order)
     if order <= _HANKEL_TERMS + 0.5:
         k = 1
-        while (x := mcmahon_zero_estimate(order, k)) <= _SMALL_ZERO_MAX:
+        while (x := _mcmahon_zero_estimate(order, k)) <= _SMALL_ZERO_MAX:
             k += 1
         omitted = abs(_hankel_coefficients(order, _HANKEL_TERMS + 1)[-1])
         if omitted / x ** (_HANKEL_TERMS + 1) <= _HANKEL_OMITTED_MAX:
@@ -270,7 +272,7 @@ def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
     """
     order = _require_zero_order(order)
     count = _require_index(count, "count")
-    guesses = [mcmahon_zero_estimate(order, float(k)) for k in range(1, count + 1)]
+    guesses = [_mcmahon_zero_estimate(order, float(k)) for k in range(1, count + 1)]
     rows = _hankel_horner(order)
     zeros = tuple(
         bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _hankel_refine(order, x, rows)

@@ -49,7 +49,7 @@ assert not loaded, loaded
 for name in besselq.__all__:
     getattr(besselq, name)
 from besselq import bessel_j_zeros
-from besselq.specfun import mcmahon_zero_estimate
+from besselq.specfun import bessel_j_zero
 assert bessel_j_zeros is besselq.bessel_j_zeros
 assert "besselq.specfun.zeros" in sys.modules
 assert set(besselq.__all__) <= set(dir(besselq))
