@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import BesselQError, _require_positive
+from .errors import BesselQError, InconsistencyError, _require_positive
 from .model import ModelOrder, creep_rate_laplace, creep_rate_time
 from .qfactor import q_inverse, q_inverse_fg, q_inverse_kelvin
 from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
@@ -77,15 +77,33 @@ def _worst_case(name: str, bound: float, cases: Iterable[tuple]) -> CheckResult:
     return CheckResult(name, worst, bound, worst <= bound, detail)
 
 
+def _judged(routes: tuple, nu: float, omega: float) -> list[float]:
+    """``Q^-1`` at ``(nu, omega)`` by each of ``routes`` (``q_inverse``
+    last), or InconsistencyError naming the route whose value lies further
+    from ``q_inverse``'s than the two estimates allow,
+    ``est_r q_r + est q``."""
+    evaluations = [route(ModelOrder(nu), omega) for route in routes]
+    q, est = evaluations[-1].q_inverse, evaluations[-1].est_rel_error
+    for route, ev in zip(routes, evaluations):
+        if abs(ev.q_inverse - q) > ev.est_rel_error * ev.q_inverse + est * q:
+            raise InconsistencyError(
+                f"{route.__name__} gives {ev.q_inverse!r} (estimate "
+                f"{ev.est_rel_error:.3g}), outside the estimates of q_inverse's "
+                f"{q!r} (estimate {est:.3g})"
+            )
+    return [ev.q_inverse for ev in evaluations]
+
+
 def _route_band(
     nus: Sequence[float], lo: float, hi: float, bound: float, routes: tuple
 ) -> CheckResult:
     """One band of ``check_route_agreement``: ``Q^-1`` by each of ``routes``
-    (``q_inverse`` last) at each order and 40 log-spaced ``omega`` in [lo, hi]."""
+    (``q_inverse`` last, each judged by ``_judged``) at each order and 40
+    log-spaced ``omega`` in [lo, hi]."""
     label = "/".join(r.__name__ for r in routes)
     cases = (
         (f"{label}, nu={nu}, omega={omega:.4g}",
-         lambda nu=nu, omega=omega: [r(ModelOrder(nu), omega).q_inverse for r in routes])
+         lambda nu=nu, omega=omega: _judged(routes, nu, omega))
         for nu in nus
         for omega in FrequencyGrid("log", lo, hi, 40).points()
     )
@@ -96,11 +114,11 @@ def check_route_agreement(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> CheckResu
     """Agreement of ``q_inverse`` with the two verification routes on 40
     log-spaced frequencies each side of the crossover: of all three to 1e-9
     relative below it, of the Kelvin route to 1e-8 above it (up to omega =
-    1e6, where ber/bei remain representable).  Below the crossover the three
-    are two, as the f/g and Kelvin routes sum the same series (``qfactor``):
-    that band compares the series with the continued fraction of
-    ``q_inverse``.  The discrepancy is that below the crossover, inf if
-    either band raised; the detail reports both."""
+    1e6), each route within the estimates (``_judged``).  Below the
+    crossover the three are two, as the f/g and Kelvin routes sum the same
+    series (``qfactor``): that band compares the series with the continued
+    fraction of ``q_inverse``.  The discrepancy is that below the
+    crossover, inf if either band raised; the detail reports both bands'."""
     below = _route_band(nus, 1e-3, DEFAULT_CROSSOVER_OMEGA, ROUTE_AGREEMENT_BOUND_BELOW,
                         (q_inverse_fg, q_inverse_kelvin, q_inverse))
     above = _route_band(nus, DEFAULT_CROSSOVER_OMEGA, 1e6, ROUTE_AGREEMENT_BOUND_ABOVE,
@@ -108,8 +126,8 @@ def check_route_agreement(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> CheckResu
     return below._replace(
         max_discrepancy=below.max_discrepancy if above.max_discrepancy < math.inf else math.inf,
         passed=below.passed and above.passed,
-        detail=f"{below.detail}; above crossover {above.max_discrepancy:.3e} "
-        f"(bound {ROUTE_AGREEMENT_BOUND_ABOVE:.1e}), {above.detail}",
+        detail=f"below crossover {below.max_discrepancy:.3e}, {below.detail}; above crossover "
+        f"{above.max_discrepancy:.3e} (bound {ROUTE_AGREEMENT_BOUND_ABOVE:.1e}), {above.detail}",
     )
 
 

@@ -14,13 +14,16 @@ never loads them:
 
 * ``q_inverse_fg``     -- the oscillatory-pair form
   ``(f_n f_{n+2} + g_n g_{n+2}) / (g_n f_{n+2} - f_n g_{n+2})`` built from
-  the alternating series (reliable below the cancellation crossover);
+  the alternating series (returning up to ``omega`` of a few 1e3);
 * ``q_inverse_kelvin`` -- the Kelvin-function form
   ``(bei_{n+2} ber_n - bei_n ber_{n+2}) / (bei_n bei_{n+2} + ber_n ber_{n+2})``
-  at argument ``sqrt(omega)`` (scaled internally, valid until ber/bei leave
-  the double range near omega ~ 1e6; its roundoff floor grows like
-  ``eps/omega`` at low frequency).
+  at argument ``sqrt(omega)`` (scaled internally, returning up to ``omega``
+  of about 1e9; its roundoff floor grows like ``eps/omega`` at low
+  frequency).
 
+Both are one quotient of two pairs scaled to unit modulus
+(``_pair_quotient``), so neither keeps a range rule of its own: the
+series' guards and the ``QEvaluation`` ceiling decide where they stop.
 Below the crossover ``omega = 324`` the two are one: both sum ``T_a(i omega)``
 (the Kelvin form at ``i x^2``), whose prefactor and phase cancel in the quotient.
 
@@ -38,17 +41,9 @@ All functions are pure and deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
-from .errors import (
-    CancellationError,
-    DomainError,
-    InconsistencyError,
-    OverflowRangeError,
-    _representable,
-    _require_positive,
-)
+from .errors import DomainError, InconsistencyError, _representable, _require_positive
 from .model import ModelOrder, _compliance_split, _pole_term
 
 TYPE_CHECKING = False
@@ -60,8 +55,6 @@ if TYPE_CHECKING:
 #: Largest relative error estimate a QEvaluation may carry; a route whose
 #: own estimate is worse raises InconsistencyError instead of returning.
 EST_REL_ERROR_CEILING = 1e-6
-
-_DENOMINATOR_FLOOR = 1e-300
 
 
 class QEvaluation(namedtuple("QEvaluation", "omega q_inverse route est_rel_error")):
@@ -95,81 +88,65 @@ class QEvaluation(namedtuple("QEvaluation", "omega q_inverse route est_rel_error
 
 
 def _pair_quotient(
-    omega: float, route: Route, f1: float, g1: float, f2: float, g2: float,
-    unit: float,
+    omega: float, route: Route, p1: complex, p2: complex, unit: float
 ) -> QEvaluation:
-    """``Q^-1 = (f1 f2 + g1 g2) / (g1 f2 - f1 g2)`` from the pairs at orders
-    ``nu`` and ``nu+2``, each with relative error ``unit`` per component
-    (relative to the pair's norm).  Raises OverflowRangeError where the
-    product of the pair norms underflows, InconsistencyError where the
-    denominator is lost to rounding or is not positive."""
-    norm1 = math.hypot(f1, g1)
-    norm2 = math.hypot(f2, g2)
-    if norm1 * norm2 < sys.float_info.min:
-        raise OverflowRangeError(
-            f"the {route} pair products underflow at omega = {omega} "
-            f"(|p1| |p2| = {norm1 * norm2:.3g})"
-        )
-    numer = f1 * f2 + g1 * g2
-    denom = g1 * f2 - f1 * g2
-    if abs(denom) < _DENOMINATOR_FLOOR * norm1 * norm2:
-        raise InconsistencyError(
-            f"{route} denominator hazard at omega = {omega} (|denom| = {abs(denom):.3g})"
-        )
-    if denom <= 0.0:
+    """``Q^-1 = Re w / (-Im w)``, ``w = conj(p1) p2``, from the pairs ``p1 =
+    f1 + i g1`` and ``p2 = f2 + i g2`` at orders ``nu`` and ``nu+2``, each
+    with relative error ``unit`` (relative to its modulus):
+    ``(f1 f2 + g1 g2) / (g1 f2 - f1 g2)``.  Both pairs are first scaled to
+    unit modulus, which leaves the quotient as it is and keeps every product
+    in range.  The estimate ``unit (1/|Re w| + 1/(-Im w))`` grows without
+    bound as either part vanishes, and the ``QEvaluation`` ceiling then
+    raises InconsistencyError; so does a denominator that is not
+    positive."""
+    w = (p1 / abs(p1)).conjugate() * (p2 / abs(p2))
+    if not -w.imag > 0.0:
         raise InconsistencyError(
             f"storage response lost positivity at omega = {omega} "
-            f"({route} denominator = {denom:.3g})"
+            f"({route} denominator = {-w.imag:.3g})"
         )
-    est = unit * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom))
-    return QEvaluation(omega, numer / denom, route, est)
+    est = unit * (1.0 / abs(w.real) + 1.0 / -w.imag)
+    return QEvaluation(omega, w.real / -w.imag, route, est)
 
 
 def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     """Q^-1 from the oscillatory pair (f, g) at orders nu and nu+2.
 
-    Restricted to ``omega <= DEFAULT_CROSSOVER_OMEGA``; above that the
-    alternating series cancel too strongly and CancellationError is raised.
-    Where the products of the pair values underflow (``nu`` near 100 at
-    ``omega = 1``) it raises OverflowRangeError.  Each pair component is
-    taken to carry the sum of the two series' ``rel_error``, their running
-    error bounds.
+    Each pair component is taken to carry the sum of the two series'
+    ``rel_error``, their running error bounds.  The alternating series
+    cancel ever more strongly as ``omega`` grows: the route returns up to
+    ``omega`` of about 1.6e3 near ``nu = -1``, 2.8e3 at ``nu = 0`` and 1.3e4
+    at ``nu = 150``, then raises, by the series' cancellation guard
+    (CancellationError), its running bound through the estimate ceiling
+    (InconsistencyError) or its range test (OverflowRangeError, also from
+    ``nu`` about 168.6, where ``1/Gamma(nu+3)`` leaves the normal range).
     """
-    from .specfun.kelvinfg import DEFAULT_CROSSOVER_OMEGA
     from .specfun.series import _tricomi_series
 
     omega = _require_positive(omega, "omega")
-    if omega > DEFAULT_CROSSOVER_OMEGA:
-        raise CancellationError(
-            f"f/g route requested above the crossover "
-            f"({omega:.3g} > {DEFAULT_CROSSOVER_OMEGA:.3g})"
-        )
     s = complex(0.0, omega)  # f + i g = T_a(i omega), as in ``fg_series``
     (p1, d1), (p2, d2) = _tricomi_series(model.nu, s), _tricomi_series(model.nu + 2.0, s)
-    return _pair_quotient(omega, "fg_series", p1.real, p1.imag, p2.real, p2.imag,
-                          d1.rel_error + d2.rel_error)
+    return _pair_quotient(omega, "fg_series", p1, p2, d1.rel_error + d2.rel_error)
 
 
 def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
     """Q^-1 from Kelvin functions of orders nu and nu+2 at ``sqrt(omega)``.
 
-    Works with exponentially scaled ber/bei internally: the order-dependent
-    power prefactors and the common ``e^{x/sqrt(2)}`` growth both cancel
-    between numerator and denominator, so only representability limits the
-    range: of the unscaled pair near omega ~ 1e6, and of the products of
-    the pair values at small ``omega`` or large ``nu`` (both
-    OverflowRangeError).
+    Works with exponentially scaled ber/bei: the order-dependent power
+    prefactors and the common ``e^{x/sqrt(2)}`` growth both cancel between
+    numerator and denominator, so the route needs no range of its own.  It
+    returns up to ``omega`` of about 1.6e9 at ``nu = 0`` (1.6e7 near ``nu =
+    -1``, 2e11 at ``nu = 150``); above, the Kelvin expansion's estimate
+    passes the ceiling (InconsistencyError, at 1e12 for ``nu = 0``) and then
+    its own cap (TruncationError from 1e20).  At low frequency its roundoff
+    floor grows like ``eps/omega``, and the series' range test raises
+    OverflowRangeError where ``(x/2)^nu`` leaves the double range.
     """
-    from .specfun.kelvinfg import _KELVIN_OVERFLOW_X, kelvin_scaled
+    from .specfun.kelvinfg import kelvin_scaled
 
     omega = _require_positive(omega, "omega")
     nu = model.nu
     x = math.sqrt(omega)
-    if x > _KELVIN_OVERFLOW_X:
-        raise OverflowRangeError(
-            f"ber/bei are not representable at sqrt(omega) = {x:.4g}; "
-            "use q_inverse"
-        )
     nu2 = nu + 2.0
     ber1, bei1, _, e1 = kelvin_scaled(nu, x)
     ber2, bei2, _, e2 = kelvin_scaled(nu2, x)
@@ -179,7 +156,8 @@ def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
     turn = 0.75 * math.pi * abs(math.fsum((nu2, -nu, -2.0)))
     # the f/g quotient of (ber1 + i bei1, -bei2 + i ber2) is the Kelvin
     # form with numerator and denominator both negated
-    return _pair_quotient(omega, "kelvin", ber1, bei1, -bei2, ber2, e1 + e2 + turn)
+    return _pair_quotient(omega, "kelvin", complex(ber1, bei1), complex(-bei2, ber2),
+                          e1 + e2 + turn)
 
 
 def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:

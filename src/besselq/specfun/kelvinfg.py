@@ -34,10 +34,10 @@ from .series import (SeriesDiagnostics, _in_range, _require_argument, _rotation,
                      _series_or_expansion, _tricomi_series)
 
 #: Frequency up to which the alternating series serve alone, their
-#: largest-term/result ratio well below 1e12: the f/g route refuses to go
-#: above it, and above ``x = sqrt(324) = 18`` ber/bei may take the
-#: large-argument expansion, returning with relative estimates up to
-#: ``_KELVIN_MAX_ERROR``.
+#: largest-term/result ratio well below 1e12: above ``x = sqrt(324) = 18``
+#: ber/bei may take the large-argument expansion, returning with relative
+#: estimates up to ``_KELVIN_MAX_ERROR``; the checks split their route
+#: bands here.
 DEFAULT_CROSSOVER_OMEGA = 324.0
 _SERIES_MAX_X = math.sqrt(DEFAULT_CROSSOVER_OMEGA)
 _KELVIN_MAX_ERROR = 3e-8

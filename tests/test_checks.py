@@ -101,18 +101,39 @@ def test_creep_time_check_fails_on_shifted_zeros(monkeypatch):
 
 
 def test_check_names_the_route_and_point_that_raised(capsys):
-    # the Kelvin pair products underflow at omega = 1e-3 for order 50; the
+    # the series of order 100 leaves the double range at omega = 1e-3; the
     # route line once read only the exception's message
+    assert main(["check", "--nu", "100"]) == 1
+    route_line = capsys.readouterr().out.splitlines()[0]
+    assert route_line.startswith("FAIL route agreement: max discrepancy inf")
+    where = "q_inverse_fg/q_inverse_kelvin/q_inverse, nu=100.0, omega=0.001"
+    assert f"below crossover inf, {where}: OverflowRangeError: " in route_line
+    # at order 50 the band below the crossover passes, and its figure shows
+    # although the band above raised: neither the Kelvin series nor its
+    # expansion reaches 3e-8 there
     assert main(["check", "--nu", "50"]) == 1
     route_line = capsys.readouterr().out.splitlines()[0]
     assert route_line.startswith("FAIL route agreement: max discrepancy inf")
-    where = "q_inverse_fg/q_inverse_kelvin/q_inverse, nu=50.0, omega=0.001"
-    assert f"{where}: OverflowRangeError: " in route_line
-    # above the crossover neither the Kelvin series nor its expansion
-    # reaches 3e-8 there
+    below = float(route_line.split("below crossover ")[1].split(",")[0])
+    assert below <= checks.ROUTE_AGREEMENT_BOUND_BELOW
     assert "above crossover inf" in route_line
     assert "q_inverse_kelvin/q_inverse, nu=50.0, omega=" in route_line
     assert ": TruncationError: " in route_line
+
+
+def test_route_agreement_judges_the_estimates(monkeypatch):
+    # a Kelvin route that claims a millionth of its estimate lies outside
+    # the estimates, though its value is as close as before
+    kelvin = checks.q_inverse_kelvin
+
+    def q_inverse_kelvin(model, w):
+        ev = kelvin(model, w)
+        return ev._replace(est_rel_error=ev.est_rel_error * 1e-6)
+
+    monkeypatch.setattr(checks, "q_inverse_kelvin", q_inverse_kelvin)
+    result = check_route_agreement((0.0, 1.0))
+    assert not result.passed and result.max_discrepancy == math.inf
+    assert ": InconsistencyError: q_inverse_kelvin gives " in result.detail
 
 
 @pytest.mark.parametrize("nu", ["25", "30"])

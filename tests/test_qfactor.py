@@ -15,8 +15,8 @@ import oracle
 from besselq import (
     DEFAULT_CROSSOVER_OMEGA,
     BesselQError,
-    CancellationError,
     DomainError,
+    InconsistencyError,
     ModelOrder,
     OverflowRangeError,
     fg_series,
@@ -69,8 +69,12 @@ def test_fg_route_low_frequency():
 
 
 def test_fg_route_rejects_above_crossover():
-    with pytest.raises(CancellationError):
-        q_inverse_fg(ModelOrder(0.0), 400.0)
+    # the route keeps no crossover of its own: at 400 its series still
+    # serve, within their estimate; far above, they cancel and it raises
+    ev = q_inverse_fg(ModelOrder(0.0), 400.0)
+    assert rel(ev.q_inverse, float(oracle.q_inverse(0.0, 400.0))) <= ev.est_rel_error
+    with pytest.raises(BesselQError):
+        q_inverse_fg(ModelOrder(0.0), 1e5)
 
 
 def test_fg_kelvin_consistency_nu2_omega10():
@@ -92,8 +96,13 @@ def test_kelvin_direct_consistency_nu1_omega100():
 
 
 def test_kelvin_route_overflow_guard():
-    with pytest.raises(OverflowRangeError):
-        q_inverse_kelvin(ModelOrder(0.0), 2.5e6)
+    # the scaled pair does not overflow where ber/bei do: 2.5e6 returns
+    # within its estimate, and far above the expansion's estimate passes
+    # the ceiling
+    ev = q_inverse_kelvin(ModelOrder(0.0), 2.5e6)
+    assert rel(ev.q_inverse, float(oracle.q_inverse(0.0, 2.5e6))) <= ev.est_rel_error
+    with pytest.raises(InconsistencyError):
+        q_inverse_kelvin(ModelOrder(0.0), 1e12)
 
 
 def test_direct_route_high_frequency_asymptote_gap():
@@ -187,9 +196,20 @@ def test_result_beyond_double_range_is_overflow():
 
 @pytest.mark.parametrize(
     "route, nu, omega",
+    [(q_inverse_kelvin, 50.0, 1e-100), (q_inverse_kelvin, 10.0, 1e-300)],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_verification_routes_raise_where_pair_products_underflow(route, nu, omega):
+    # these once raised ZeroDivisionError, or an InconsistencyError about a
+    # nan estimate or a zero denominator; now (x/2)^nu leaves the double
+    # range in the series
+    with pytest.raises(OverflowRangeError):
+        route(ModelOrder(nu), omega)
+
+
+@pytest.mark.parametrize(
+    "route, nu, omega",
     [
-        (q_inverse_kelvin, 50.0, 1e-100),
-        (q_inverse_kelvin, 10.0, 1e-300),
         (q_inverse_kelvin, 100.0, 1.0),
         (q_inverse_kelvin, 130.0, 1.0),
         (q_inverse_kelvin, 50.0, 1e-3),
@@ -198,11 +218,11 @@ def test_result_beyond_double_range_is_overflow():
     ],
     ids=lambda v: v.__name__ if callable(v) else repr(v),
 )
-def test_verification_routes_raise_where_pair_products_underflow(route, nu, omega):
-    # these once raised ZeroDivisionError, or an InconsistencyError about a
-    # nan estimate or a zero denominator
-    with pytest.raises(OverflowRangeError):
-        route(ModelOrder(nu), omega)
+def test_unit_pairs_return_where_products_underflowed(route, nu, omega):
+    # the products of the pair values underflow here, and the routes raised
+    # OverflowRangeError; the pairs scaled to unit modulus do not
+    ev = route(ModelOrder(nu), omega)
+    assert rel(ev.q_inverse, float(oracle.q_inverse(nu, omega))) <= ev.est_rel_error
 
 
 #: Kelvin-route draws of the probe below that lay over their estimate, by
@@ -230,6 +250,17 @@ def test_verification_routes_within_their_estimates():
                 route.__name__, nu, omega, ev.est_rel_error)
 
 
+def _unit_pair_quotient(f1, g1, f2, g2, unit):
+    """``(f1 f2 + g1 g2) / (g1 f2 - f1 g2)`` of the pairs scaled to unit
+    modulus (by ``abs`` of a complex, whose rounding may differ from
+    ``math.hypot``'s), and its estimate ``unit (1/|numer| + 1/|denom|)``."""
+    norm1, norm2 = abs(complex(f1, g1)), abs(complex(f2, g2))
+    f1, g1, f2, g2 = f1 / norm1, g1 / norm1, f2 / norm2, g2 / norm2
+    numer = f1 * f2 - (-g1) * g2
+    denom = -(f1 * g2 + (-g1) * f2)
+    return numer / denom, unit * (1.0 / abs(numer) + 1.0 / denom)
+
+
 def test_verification_routes_keep_their_own_arithmetic():
     # the two routes share one pair quotient; on the check grids each value
     # and estimate is bit for bit the route's own closed form
@@ -239,23 +270,16 @@ def test_verification_routes_keep_their_own_arithmetic():
         for omega in below + log_grid(DEFAULT_CROSSOVER_OMEGA, 1e6, 40):
             ber1, bei1, _, e1 = kelvin_scaled(nu, math.sqrt(omega))
             ber2, bei2, _, e2 = kelvin_scaled(nu + 2.0, math.sqrt(omega))
-            numer = bei2 * ber1 - bei1 * ber2
-            denom = bei1 * bei2 + ber1 * ber2
-            norm1, norm2 = math.hypot(ber1, bei1), math.hypot(ber2, bei2)
-            est = (e1 + e2) * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom))
             ev = q_inverse_kelvin(model, omega)
-            assert (ev.q_inverse, ev.est_rel_error) == (numer / denom, est), (nu, omega)
+            expected = _unit_pair_quotient(ber1, bei1, -bei2, ber2, e1 + e2)
+            assert (ev.q_inverse, ev.est_rel_error) == expected, (nu, omega)
         for omega in below:
             f1, g1, _, _ = fg_series(nu, omega)
             f2, g2, _, _ = fg_series(nu + 2.0, omega)
-            numer = f1 * f2 + g1 * g2
-            denom = g1 * f2 - f1 * g2
-            norm1, norm2 = math.hypot(f1, g1), math.hypot(f2, g2)
             errors = [_tricomi_series(a, complex(0.0, omega))[1].rel_error for a in (nu, nu + 2.0)]
-            unit = errors[0] + errors[1]
-            est = unit * norm1 * norm2 * (1.0 / abs(numer) + 1.0 / abs(denom))
             ev = q_inverse_fg(model, omega)
-            assert (ev.q_inverse, ev.est_rel_error) == (numer / denom, est), (nu, omega)
+            expected = _unit_pair_quotient(f1, g1, f2, g2, errors[0] + errors[1])
+            assert (ev.q_inverse, ev.est_rel_error) == expected, (nu, omega)
 
 
 # ------------------------------------------------- invariant structure
