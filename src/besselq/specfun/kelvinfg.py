@@ -28,7 +28,7 @@ import math
 import sys
 from collections import namedtuple
 
-from ..errors import OverflowRangeError, _require_order, _require_positive
+from ..errors import _representable, _require_order, _require_positive
 from .modified import _hankel_sums
 from .series import (SeriesDiagnostics, _in_range, _require_argument, _rotation,
                      _series_or_expansion, _tricomi_series)
@@ -41,10 +41,6 @@ from .series import (SeriesDiagnostics, _in_range, _require_argument, _rotation,
 DEFAULT_CROSSOVER_OMEGA = 324.0
 _SERIES_MAX_X = math.sqrt(DEFAULT_CROSSOVER_OMEGA)
 _KELVIN_MAX_ERROR = 3e-8
-
-#: Largest x for which the unscaled pair (growing like e^(x/sqrt(2))) is
-#: representable in double precision.
-_KELVIN_OVERFLOW_X = 709.0 * math.sqrt(2.0)
 
 
 class FGPair(namedtuple("FGPair", "f g order omega")):
@@ -130,14 +126,15 @@ def kelvin(order: float, x: float) -> KelvinPair:
     """Kelvin functions ``(ber_order(x), bei_order(x))`` for ``x >= 0``.
 
     The pair is the real/imaginary split of ``J_order(x e^{3 pi i/4})``;
-    it grows like ``e^{x/sqrt(2)}`` and raises OverflowRangeError once that
-    factor leaves the double range (x > ~1003).
+    it grows like ``e^{x/sqrt(2)}`` and raises OverflowRangeError once a
+    value leaves the double range (x > ~1010 at order 0).  The scale
+    ``e^{log_scale}`` is applied in two halves, so the pair returns where it
+    is representable though the scale alone is not (x > 709 sqrt(2)).
     """
     ber_s, bei_s, log_scale, _ = kelvin_scaled(order, x)
-    if x > _KELVIN_OVERFLOW_X:
-        raise OverflowRangeError(f"ber/bei overflow near x = {x:.3g}; use the scaled evaluation")
-    scale = math.exp(log_scale)
-    return KelvinPair(ber_s * scale, bei_s * scale, order, x)
+    half = _in_range(math.exp, 0.5 * log_scale)
+    pair = _representable(complex(ber_s, bei_s) * half * half, "ber/bei_%r(%r)", order, x)
+    return KelvinPair(pair.real, pair.imag, order, x)
 
 
 def fg_from_kelvin(order: float, omega: float) -> FGPair:

@@ -8,16 +8,18 @@ machine level.  Beyond that the handover the Kelvin pair shares
 truncated Hankel expansion, ``sum t_k = P + iQ`` at ``z = -ix``, or raises
 ``TruncationError`` when neither reaches 5e-11 of the amplitude, and where
 ``x <= order`` (below the first zero, where the value may be far below the
-amplitude) of the value.  Zeros come from Newton steps safeguarded with
-bisection inside a verified sign-change bracket: the classical bounds
+amplitude) of the value.  ``bessel_j_zero`` takes Newton steps safeguarded
+with bisection inside a verified sign-change bracket: the classical bounds
 ``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)`` for the first zero, a McMahon
-asymptotic guess for the others.
+asymptotic guess for the others.  ``bessel_j_zeros`` takes it for the zeros
+whose McMahon guess lies at most 20, and Newton's method on the phase of
+that same expansion for the rest.
 
-Validated to ~1e-12 absolute for orders up to ~8 and zero index up to 1e4;
-beyond that range accuracy degrades gradually (document-of-record: the
-Hankel expansion and McMahon guess both lose ground once order ~ argument).
-Both zero finders serve one domain of orders, up to 10.79 and near 11.5,
-12.5 and 13.5: see ``_require_zero_order``.
+Both zero finders serve the orders ``(-1, 16]``: see
+``_require_zero_order``.  On a grid of orders from -0.999 to 16 by 0.01
+both are within 4e-12 absolute of mpmath (the worst a bracket zero, limited
+by ``bessel_j``'s 5e-11 of the amplitude near the handover); the phase
+zeros, from the first past 20 to index 1e4, within a few ulps.
 
 The zeros serve the verification suites only (``checks``: 1,000 zeros at
 a few orders, those of orders 2 and 3 fourteen times), so
@@ -31,7 +33,8 @@ import cmath
 import functools
 import math
 
-from ..errors import DomainError, RootIsolationError, TruncationError, _require_order
+from ..errors import (DomainError, NonConvergenceError, RootIsolationError, TruncationError,
+                      _require_order)
 from .modified import _ROUNDOFF, _hankel_terms
 from .series import _require_argument, _require_index, _series_or_expansion, _tricomi_series
 
@@ -43,14 +46,12 @@ _J_MAX_ERROR = 5e-11
 #: Truncation of the Hankel expansion of J.
 _J_REL_TOL = 1e-17
 
-#: Terms of the Hankel expansion in ``_hankel_refine``, and the largest first
-#: omitted term ``|a_14| / x^14`` that the zero refinement accepts.
-_HANKEL_TERMS = 13
-_HANKEL_OMITTED_MAX = 1e-10
-
 #: Zeros whose McMahon guess lies at or below this come from the scalar
-#: bracket-verified ``bessel_j_zero``; larger ones from the Hankel refinement.
+#: bracket-verified ``bessel_j_zero``; larger ones from ``_phase_zero``.
 _SMALL_ZERO_MAX = _J_SERIES_MAX_X + 8.0
+
+#: Largest order of the zero finders: see ``_require_zero_order``.
+_ZERO_ORDER_MAX = 16.0
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -123,10 +124,11 @@ def bessel_j_zero(order: float, k: int) -> float:
 
     A sign change of ``J_order`` across the returned point is established
     before refinement, so the result is guaranteed to be a zero (absolute
-    error below 1e-10; typically ~1e-13).
+    error below 1e-10; typically ~1e-13, at most 4e-12 on a 0.01 grid of
+    orders to 16).
 
-    Raises DomainError, before any work, outside the domain of
-    ``_require_zero_order``.  The bracket is the classical bound for
+    Raises DomainError, before any work, for an order outside ``(-1,
+    16]`` (``_require_zero_order``).  The bracket is the classical bound for
     ``k = 1`` and the McMahon guess ``+- 0.05``, widened while it holds no
     sign change, for the others; RootIsolationError, naming the order and
     the index, if it still holds none, which signals a bug rather than an
@@ -171,91 +173,45 @@ def bessel_j_zero(order: float, k: int) -> float:
     return x
 
 
-def _hankel_coefficients(order: float, count: int) -> tuple[float, ...]:
-    """``a_1 .. a_count`` of the large-argument expansion of ``J_order``."""
-    mu = 4.0 * order * order
-    coefficients = []
-    a = 1.0
-    for k in range(1, count + 1):
-        a *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
-        coefficients.append(a)
-    return tuple(coefficients)
+def _phase_zero(order: float, k: int, x: float) -> float:
+    """The k-th zero of ``J_order`` by Newton's method on the phase of the
+    large-argument expansion, from a guess ``x`` past ``_SMALL_ZERO_MAX``.
 
-
-def _hankel_horner(order: float) -> tuple[tuple[float, float, float, float], ...]:
-    """Signed 13-term Hankel coefficients of ``J_order`` and ``J_order+1``,
-    rows highest power first for Horner's rule in ``w = 1/x^2``.
-
-    Row ``m`` holds the coefficients of ``w^(6-m)`` in ``P_order``,
-    ``x Q_order``, ``P_order+1`` and ``x Q_order+1``, where ``J_a(x) =
-    sqrt(2/(pi x)) (P_a cos chi_a - Q_a sin chi_a)``, ``P_a = 1 - a_2/x^2 +
-    a_4/x^4 - ...``, ``Q_a = a_1/x - a_3/x^3 + ...``.
+    With ``S = P + iQ`` the sum of ``_j_hankel``, ``J = sqrt(2/(pi x)) |S|
+    cos(theta)`` and ``theta = x - (order/2 + 1/4) pi + arg S``; the k-th
+    zero is where ``x + arg S = beta_k = (k + order/2 - 1/4) pi``.  The
+    modulus-phase identity ``M^2 theta' = 2/(pi x)`` (DLMF 10.18) gives
+    ``theta' = 1/|S|^2``, so the step is the residual, reduced modulo
+    ``2 pi`` as ``arg S`` wraps, times ``|S|^2``.  The phase needs only
+    ``eps x`` absolute accuracy: the expansion is truncated at ``1e-16 x``.
+    Stops once a step falls below ``4e-15 x``; NonConvergenceError if eight
+    steps do not get there.
     """
-    columns = []
-    for a in (order, order + 1.0):
-        c = (1.0,) + _hankel_coefficients(a, _HANKEL_TERMS)
-        signed = [(-1) ** (k // 2) * c[k] for k in range(_HANKEL_TERMS + 1)]
-        columns += [signed[0::2][::-1], signed[1::2][::-1]]
-    return tuple(zip(*columns))
-
-
-def _hankel_refine(order: float, x: float, rows: tuple) -> float:
-    """At most four Newton steps on the 13-term Hankel ``J_order`` from a
-    McMahon guess ``x``, stopping once a step falls below ``4e-15 x``:
-    Newton's next step would then move it by rounding only.  ``rows`` are
-    ``_hankel_horner(order)``.
-
-    One Horner pass gives ``P``, ``Q`` of both ``J_order`` and
-    ``J_order+1``; one ``cos``/``sin`` pair serves both, as ``chi_{a+1} =
-    chi_a - pi/2``; the common amplitude ``sqrt(2/(pi x))`` cancels in the
-    step ``J_a / J_a' = J_a / ((a/x) J_a - J_{a+1})`` and is left out.
-    """
-    shift = (0.5 * order + 0.25) * math.pi
-    for _ in range(4):
-        w = 1.0 / (x * x)
-        p0 = q0 = p1 = q1 = 0.0
-        for a, b, c, d in rows:
-            p0 = p0 * w + a
-            q0 = q0 * w + b
-            p1 = p1 * w + c
-            q1 = q1 * w + d
-        chi = x - shift
-        cos, sin = math.cos(chi), math.sin(chi)
-        f = p0 * cos - q0 / x * sin
-        step = f / ((order / x) * f - (p1 * sin + q1 / x * cos))
+    beta = (k + 0.5 * order - 0.25) * math.pi
+    for _ in range(8):
+        s = sum(_hankel_terms(order, complex(0.0, -x), 1e-16 * x)[0])
+        step = math.remainder(x - beta + cmath.phase(s), 2.0 * math.pi) * abs(s) ** 2
         x -= step
         if abs(step) < 4e-15 * x:
-            break
-    return x
+            return x
+    raise NonConvergenceError(f"zero #{k} of J_{order}: Newton on the phase did not settle "
+                              f"near x = {x:.17g}")
 
 
 def _require_zero_order(order: float) -> float:
-    """``order``, or DomainError unless 13 Hankel terms can refine its zeros:
+    """``order``, or DomainError unless ``-1 < order <= _ZERO_ORDER_MAX``:
     the one domain of both zero finders, checked before any work and
     whatever the index or count.
 
-    Zeros past the series region are refined with 13 Hankel terms.  The
-    first omitted term ``|a_14| / x^14``, at the McMahon guess ``x`` of the
-    smallest zero past ``_SMALL_ZERO_MAX`` (the first one ``bessel_j_zeros``
-    refines), must not exceed 1e-10: the order must not come too close to
-    the argument for the expansion.  The term is about 9e-13 at order 7,
-    5e-11 at 10 and 8e-9 at 12.  It exceeds 1e-10 from order 10.792 on,
-    except within about 0.01 of 11.5 and 12.5 and at 13.5, where the
-    expansion terminates, and at every order above 13.5: there ``a_14``
-    grows like ``order^28`` while the zeros grow like ``order``.
+    From about order 16.002 on, the first-zero bracket ``4(a+1) < j^2 <
+    2(a+1)(a+3)`` of ``bessel_j_zero`` also holds ``j_{a,2}``, and there the
+    first zero would raise RootIsolationError.
     """
     order = _require_order(order)
-    if order <= _HANKEL_TERMS + 0.5:
-        k = 1
-        while (x := _mcmahon_zero_estimate(order, k)) <= _SMALL_ZERO_MAX:
-            k += 1
-        omitted = abs(_hankel_coefficients(order, _HANKEL_TERMS + 1)[-1])
-        if omitted / x ** (_HANKEL_TERMS + 1) <= _HANKEL_OMITTED_MAX:
-            return order
-    raise DomainError(
-        f"zeros of J_{order} need more than {_HANKEL_TERMS} Hankel terms: the "
-        "zero finders serve orders up to 10.79 and near 11.5, 12.5 and 13.5"
-    )
+    if order > _ZERO_ORDER_MAX:
+        raise DomainError(f"zeros of J_{order}: the zero finders serve orders "
+                          f"up to {_ZERO_ORDER_MAX:g}")
+    return order
 
 
 @functools.lru_cache(maxsize=8)
@@ -263,19 +219,18 @@ def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
     """First ``count`` positive zeros of ``J_order``, as a tuple.
 
     Small zeros (McMahon guess at most ``_SMALL_ZERO_MAX``) come from the
-    bracket-verified ``bessel_j_zero``, the rest from ``_hankel_refine``,
-    and the sequence is checked to be strictly increasing.  The tables of
-    the last 8 calls are kept.
+    bracket-verified ``bessel_j_zero``, the rest from ``_phase_zero``,
+    within a few ulps, and the sequence is checked to be strictly
+    increasing.  The tables of the last 8 calls are kept.
 
-    Raises ``DomainError``, before any zero is refined, outside the domain
-    of ``_require_zero_order``.
+    Raises ``DomainError``, before any zero is refined, for an order
+    outside ``(-1, 16]`` (``_require_zero_order``).
     """
     order = _require_zero_order(order)
     count = _require_index(count, "count")
     guesses = [_mcmahon_zero_estimate(order, float(k)) for k in range(1, count + 1)]
-    rows = _hankel_horner(order)
     zeros = tuple(
-        bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _hankel_refine(order, x, rows)
+        bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _phase_zero(order, k, x)
         for k, x in enumerate(guesses, start=1)
     )
     if any(b <= a for a, b in zip(zeros, zeros[1:])):

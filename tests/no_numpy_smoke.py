@@ -49,6 +49,14 @@ else:
 b.bessel_j_zero(2.0, 3)
 zeros = b.bessel_j_zeros(2.0, 5)
 assert isinstance(zeros, tuple) and len(zeros) == 5
+zeros = b.bessel_j_zeros(16.0, 40)  # Newton on the Hankel phase, at the domain's edge
+assert len(zeros) == 40 and all(a < b for a, b in zip(zeros, zeros[1:]))
+try:
+    b.bessel_j_zeros(16.01, 1)
+except b.DomainError:
+    pass
+else:
+    raise AssertionError("bessel_j_zeros(16.01, 1) did not raise DomainError")
 out = Path(sys.argv[1])
 assert cli.main(["sweep", "--nu", "0", "--log", "1e-2", "1e2", "--count", "5",
                  "--out", str(out / "sweep.csv")]) == 0

@@ -201,8 +201,8 @@ def test_dirichlet_domain_error():
 
 def test_dirichlet_beyond_hankel_limit_matches_oracle():
     # mpmath's own Talbot inversion of the whole transform, at 40 digits.
-    # The zeros of J_22 need more Hankel terms than their refinement keeps:
-    # the Dirichlet route once returned 1848.0300 at (20, 0.01057), then
+    # J_22 lies beyond the orders (up to 16) whose zeros are served: the
+    # Dirichlet route once returned 1848.0300 at (20, 0.01057), then
     # raised there, and raised TruncationError at (1, 1e-12).
     for nu, t in ((1.0, 1e-12), (1.0, 1e-20), (0.0, 1e-300), (-0.99, 1e-14), (20.0, 0.01057),
                   (20.0, 1e-9), (50.0, 1e-5), (100.0, 1e-3), (200.0, 1e-12), (200.0, 1e-4)):

@@ -68,7 +68,7 @@ def test_fg_route_low_frequency():
     assert abs(ev.q_inverse * 1e-3 / 6.0 - 1.0) < 1e-6
 
 
-def test_fg_route_rejects_above_crossover():
+def test_fg_route_returns_at_400_and_raises_at_1e5():
     # the route keeps no crossover of its own: at 400 its series still
     # serve, within their estimate; far above, they cancel and it raises
     ev = q_inverse_fg(ModelOrder(0.0), 400.0)
@@ -95,7 +95,7 @@ def test_kelvin_direct_consistency_nu1_omega100():
     assert rel(a, b) < 1e-9
 
 
-def test_kelvin_route_overflow_guard():
+def test_kelvin_route_returns_at_2_5e6_and_raises_at_1e12():
     # the scaled pair does not overflow where ber/bei do: 2.5e6 returns
     # within its estimate, and far above the expansion's estimate passes
     # the ceiling

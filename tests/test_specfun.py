@@ -593,6 +593,19 @@ def test_kelvin_overflow():
         kelvin(0.0, 1100.0)
 
 
+def test_kelvin_returns_while_the_pair_is_representable():
+    # the scale e^(x/sqrt 2) alone overflows from x = 709 sqrt(2) = 1002.7,
+    # where kelvin() once refused, but ber_0(1009) = -9.0e307 is a double
+    for x in (1003.0, 1009.0):
+        pair = kelvin(0.0, x)
+        est = kelvin_scaled(0.0, x)[3]
+        ber_ref, bei_ref = (float(v) for v in oracle.kelvin_pair(0.0, x))
+        error = math.hypot(pair.ber - ber_ref, pair.bei - bei_ref)
+        assert error <= est * math.hypot(ber_ref, bei_ref), x
+    with pytest.raises(OverflowRangeError):
+        kelvin(0.0, 1011.0)
+
+
 def test_kelvin_scaled_matches_unscaled():
     ber_s, bei_s, log_scale, _ = kelvin_scaled(1.0, 40.0)
     pair = kelvin(1.0, 40.0)

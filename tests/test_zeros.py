@@ -12,6 +12,7 @@ import oracle
 from besselq import (
     BesselQError,
     DomainError,
+    NonConvergenceError,
     RootIsolationError,
     TruncationError,
     bessel_j,
@@ -120,44 +121,76 @@ def test_zero_search_stops_once_newton_has_converged(monkeypatch):
 
 
 def test_vectorized_zeros_raise_beyond_hankel_limit():
-    # the first omitted Hankel term is 5e-11 at order 10 and 8e-9 at 12;
-    # bessel_j_zeros(22, 8) was once off by 0.80 without a word
-    for order in (10.0, 12.5):
+    # 13 Hankel terms once limited the refinement (their first omitted term
+    # was 8e-9 at order 12); bessel_j_zeros(22, 8) was once off by 0.80
+    # without a word, and order 22 lies beyond the zero finders' domain
+    for order in (10.0, 12.0, 12.5):
         zeros = bessel_j_zeros(order, 8)
         for k in (1, 8):
             assert abs(zeros[k - 1] - float(mp.besseljzero(order, k))) < 1e-10
-    for order in (12.0, 22.0):
-        with pytest.raises(BesselQError, match=f"J_{order}"):
-            bessel_j_zeros(order, 8)
+    with pytest.raises(BesselQError, match="J_22.0"):
+        bessel_j_zeros(22.0, 8)
 
 
-def test_zero_domain_ends_where_13_hankel_terms_stop_sufficing():
-    # below 10.792 the first omitted Hankel term stays under 1e-10 and the
-    # zeros are right; from there both finders refuse the order, whatever
-    # the count (once bessel_j_zeros(10.8, 50) raised RootIsolationError
-    # after refining, and bessel_j_zeros(10.8, 1) returned)
-    for order in (10.79, 11.5, 12.5, 13.5):
+def test_zero_domain_ends_at_order_16(monkeypatch):
+    # up to order 16 both finders return, where 13 Hankel terms once
+    # confined them to 10.79 and near 11.5, 12.5 and 13.5; above it both
+    # refuse the order before any work, whatever the index or count (once
+    # bessel_j_zeros(10.8, 50) raised RootIsolationError after refining,
+    # and bessel_j_zeros(10.8, 1) returned)
+    for order in (10.79, 10.8, 11.0, 11.5, 12.0, 12.5, 13.5, 13.6, 16.0):
         table = bessel_j_zeros(order, 60)
         for k in (1, 2, 3, 8, 60):
             ref = float(mp.besseljzero(order, k))
             assert abs(table[k - 1] - ref) < 1e-10, (order, k)
             assert abs(bessel_j_zero(order, k) - ref) < 1e-10, (order, k)
-    for order in (10.8, 11.0, 12.0, 13.6, 30.0, 1e6, 1e300):
-        for call in (lambda: bessel_j_zero(order, 1), lambda: bessel_j_zeros(order, 1)):
-            with pytest.raises(DomainError, match=re.escape(f"J_{order}")):
-                call()
+
+    def no_work(*args):
+        raise AssertionError("work done for an order outside the domain")
+
+    for name in ("bessel_j", "_hankel_terms", "_mcmahon_zero_estimate"):
+        monkeypatch.setattr(zeros_module, name, no_work)
+    for order in (16.01, 30.0, 1e6, 1e300):
+        for n in (1, 2, 50, 10**6):
+            for call in (lambda: bessel_j_zero(order, n), lambda: bessel_j_zeros(order, n)):
+                with pytest.raises(DomainError, match=re.escape(f"J_{order}")):
+                    call()
+
+
+def test_zero_finders_match_mpmath_on_a_dense_grid_of_orders():
+    # every order from -0.999 to 16 by 0.01: the first zero, from the
+    # bracket, and the first one past x = 20, from Newton on the phase
+    for order in [round(-0.999 + 0.01 * i, 3) for i in range(1700)] + [16.0]:
+        k_phase = 1
+        while zeros_module._mcmahon_zero_estimate(order, k_phase) <= zeros_module._SMALL_ZERO_MAX:
+            k_phase += 1
+        table = bessel_j_zeros(order, k_phase)
+        assert all(a < b for a, b in zip(table, table[1:])), order
+        for k in {1, k_phase}:
+            if order >= 0:
+                ref = float(mp.besseljzero(order, k))
+            else:
+                ref = float(mp.findroot(lambda t: mp.besselj(order, t), table[k - 1]))
+            assert abs(table[k - 1] - ref) < 1e-10, (order, k)
+            assert abs(bessel_j_zero(order, k) - ref) < 1e-10, (order, k)
+
+
+def test_phase_newton_that_does_not_settle_raises(monkeypatch):
+    # a slope ten thousand times too small makes each step overshoot; the
+    # step cap turns that into an error, not a returned guess
+    monkeypatch.setattr(zeros_module, "_hankel_terms", lambda order, z, tol: ([100.0], 0.0))
+    with pytest.raises(NonConvergenceError, match=re.escape("zero #7 of J_0.0")):
+        bessel_j_zeros(0.0, 7)
 
 
 def test_zero_table_matches_mpmath():
-    # from k = 8 on every zero is good to a few ulps; below that, 1e-13 up
-    # to order 7, while at orders 8 to 10 the first few lose digits (worst
-    # 1.5e-12 at order 10, k = 3, where the first omitted Hankel term is
-    # 5e-11; see the module docstring)
+    # from k = 8 on every zero is good to a few ulps; below that, 1e-13 (at
+    # orders 8 to 10 once 1.5e-12, from 13 Hankel terms; now at most 2e-14)
     ks = (1, 2, 3, 4, 5, 8, 13, 21, 50, 200, 1000, 2345, 5000)
     for order in (-0.5, 0.0, 1.0, 2.0, 2.5, 4.5, 7.0, 8.0, 10.0):
         table = bessel_j_zeros(order, 5000)
         for k in ks:
-            tol = 1e-15 if k >= 8 else 1e-13 if order <= 7.0 else 1e-11
+            tol = 1e-15 if k >= 8 else 1e-13
             if order == -0.5:  # J_{-1/2}(x) is proportional to cos(x)/sqrt(x)
                 ref = float((k - mp.mpf(0.5)) * mp.pi)
             else:
