@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 #: Frozen bounds, measured during development with generous margin.
 ROUTE_AGREEMENT_BOUND_BELOW = 1e-9
 ROUTE_AGREEMENT_BOUND_ABOVE = 1e-8
-RAYLEIGH_SNEDDON_BOUND = 1e-6
+RAYLEIGH_SNEDDON_BOUND = 1e-12
 LAPLACE_CONSISTENCY_BOUND = 1e-12
 CREEP_TIME_BOUND = 1e-12
 
@@ -177,8 +177,10 @@ def rayleigh_sneddon_sum(nu: float, *, s: float = 0.0) -> float:
     is the Hurwitz value ``zeta(n, x)/pi^n``, ``x = K + 1 + nu/2 - 1/4``.
     The closed form of the full sum is ``I_{nu+1}(sqrt s) / (2 sqrt(s)
     I_nu(sqrt s))``, which at ``s = 0`` is the Rayleigh-Sneddon value
-    ``1/(4(nu+1))``.
+    ``1/(4(nu+1))``.  DomainError unless ``s`` is finite and ``>= 0``.
     """
+    if s:  # 0 is the Rayleigh-Sneddon sum itself; any other s must be positive
+        s = _require_positive(s, "s")
     zeros = bessel_j_zeros(nu, _ZERO_SUM_TERMS)
     head = math.fsum(1.0 / (s + j * j) for j in zeros)
     mu = 4.0 * nu * nu

@@ -7,6 +7,7 @@ The guards are the one home of the domain and range rules:
 * ``_require_finite`` -- an argument is a finite float or complex;
 * ``_require_order``    -- an order is finite and exceeds -1;
 * ``_require_positive`` -- a frequency (or time) is finite and positive;
+* ``_require_index``    -- a count or an index is a whole number >= 1;
 * ``_representable``    -- a result is finite.
 
 The argument guards convert the value themselves, so a number beyond the
@@ -15,9 +16,19 @@ OverflowError.  Every public entry checks its arguments through them, and
 every float or complex that ``model`` and ``qfactor`` return passes
 ``_representable``, except ``frac_maxwell_q_inverse``, whose value cannot
 leave the range.
+
+The package's one accuracy ceiling, ``EST_REL_ERROR_CEILING``, lives here
+too: a ``QEvaluation`` carries no worse estimate, and the bare-valued sums
+that cancel, ``tricomi_it`` and ``fg_series``, return no worse running
+bound.
 """
 
 import math
+
+#: Largest relative error estimate a value may carry: a QEvaluation whose
+#: route estimates worse raises InconsistencyError, a cancelling series
+#: (``tricomi_it``, ``fg_series``) CancellationError.
+EST_REL_ERROR_CEILING = 1e-6
 
 
 class BesselQError(Exception):
@@ -42,7 +53,8 @@ class TruncationError(BesselQError):
 
 
 class CancellationError(BesselQError):
-    """An alternating series lost too many digits to cancellation.
+    """An alternating series lost too many digits to cancellation: its
+    running error bound exceeds ``EST_REL_ERROR_CEILING``.
 
     Carries the observed largest-term/result ratio in ``ratio``.
     """
@@ -92,6 +104,17 @@ def _require_positive(value, name: str) -> float:
     if not value > 0.0:
         raise DomainError(f"{name} must be positive, got {value}")
     return value
+
+
+def _require_index(value, name: str) -> int:
+    """``value`` as an int, or DomainError unless it is a whole number >= 1."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # infinite or NaN
+        whole = 0
+    if not (whole >= 1 and whole == value):
+        raise DomainError(f"{name} must be a whole number >= 1, got {value}")
+    return whole
 
 
 def _representable(value, what: str, *args):

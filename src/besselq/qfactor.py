@@ -23,12 +23,14 @@ never loads them:
 
 Both are one quotient of two pairs scaled to unit modulus
 (``_pair_quotient``), so neither keeps a range rule of its own: the
-series' guards and the ``QEvaluation`` ceiling decide where they stop.
+series' range test and the ``QEvaluation`` ceiling on the carried running
+bounds decide where they stop.
 Below the crossover ``omega = 324`` the two are one: both sum ``T_a(i omega)``
 (the Kelvin form at ``i x^2``), whose prefactor and phase cancel in the quotient.
 
 Every route returns a ``QEvaluation`` whose error estimate stays at or
-below ``EST_REL_ERROR_CEILING``; a route whose own estimate is worse raises.
+below ``EST_REL_ERROR_CEILING`` (1e-6, the package's one ceiling, defined in
+``errors``); a route whose own estimate is worse raises.
 Both asymptotic regimes are available in closed form:
 ``2(nu+1)(nu+3)/omega`` as ``omega -> 0`` (an ordinary Maxwell element) and
 ``sqrt(2)(nu+1)/(sqrt(omega) + sqrt(2)(nu+1))`` as ``omega -> inf`` (a
@@ -43,7 +45,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError, InconsistencyError, _representable, _require_positive
+from .errors import (EST_REL_ERROR_CEILING, DomainError, InconsistencyError, _representable,
+                     _require_positive)
 from .model import ModelOrder, _compliance_split, _pole_term
 
 TYPE_CHECKING = False
@@ -51,10 +54,6 @@ if TYPE_CHECKING:
     from typing import Literal
 
     Route = Literal["fg_series", "kelvin", "direct_ratio"]
-
-#: Largest relative error estimate a QEvaluation may carry; a route whose
-#: own estimate is worse raises InconsistencyError instead of returning.
-EST_REL_ERROR_CEILING = 1e-6
 
 
 class QEvaluation(namedtuple("QEvaluation", "omega q_inverse route est_rel_error")):
@@ -116,10 +115,10 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     ``rel_error``, their running error bounds.  The alternating series
     cancel ever more strongly as ``omega`` grows: the route returns up to
     ``omega`` of about 1.6e3 near ``nu = -1``, 2.8e3 at ``nu = 0`` and 1.3e4
-    at ``nu = 150``, then raises, by the series' cancellation guard
-    (CancellationError), its running bound through the estimate ceiling
-    (InconsistencyError) or its range test (OverflowRangeError, also from
-    ``nu`` about 168.6, where ``1/Gamma(nu+3)`` leaves the normal range).
+    at ``nu = 150``, then raises, by the series' running bound through the
+    estimate ceiling (InconsistencyError) or its range test
+    (OverflowRangeError, also from ``nu`` about 168.6, where
+    ``1/Gamma(nu+3)`` leaves the normal range).
     """
     from .specfun.series import _tricomi_series
 

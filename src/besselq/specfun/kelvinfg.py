@@ -14,8 +14,9 @@ and rotates into the Kelvin functions at argument ``x = sqrt(w)``:
 
 Both are the one uniform series ``T_a(s)`` of ``series`` on the imaginary
 axis: ``f + i g = T_a(i w)`` and ``ber + i bei = (x/2)^a e^(3 pi i a/4)
-T_a(i x^2)``.  It alternates there, so it is reliable only while the largest
-term stays within the cancellation guard.  Above ``x = sqrt(omega*) = 18``
+T_a(i x^2)``.  It alternates there and loses digits as ``w`` grows; its
+running error bound says how many, and ``fg_series`` raises where that
+passes ``EST_REL_ERROR_CEILING``.  Above ``x = sqrt(omega*) = 18``
 (``DEFAULT_CROSSOVER_OMEGA``) the Kelvin pair takes ``bessel_j``'s handover
 to the scaled large-argument expansion of ``ber_a(x) + i bei_a(x) = e^(i a
 pi / 2) I_a(x e^(i pi / 4))``; the f/g series has no such handover.
@@ -31,10 +32,10 @@ from collections import namedtuple
 from ..errors import _representable, _require_order, _require_positive
 from .modified import _hankel_sums
 from .series import (SeriesDiagnostics, _in_range, _require_argument, _rotation,
-                     _series_or_expansion, _tricomi_series)
+                     _series_or_expansion, _tricomi_series, _within_ceiling)
 
-#: Frequency up to which the alternating series serve alone, their
-#: largest-term/result ratio well below 1e12: above ``x = sqrt(324) = 18``
+#: Frequency up to which the alternating series serve alone, their running
+#: bound there at most 1.5e-13 (orders -0.999 to 299): above ``x = sqrt(324) = 18``
 #: ber/bei may take the large-argument expansion, returning with relative
 #: estimates up to ``_KELVIN_MAX_ERROR``; the checks split their route
 #: bands here.
@@ -60,16 +61,17 @@ def fg_series(order: float, omega: float) -> FGPair:
     parts of ``tricomi_it(order, i*omega)``.  The limits at
     ``omega -> 0+`` are ``(1/Gamma(order+1), 0)``.
 
-    Raises CancellationError when the largest term exceeded 1e12 times the
-    pair norm; this happens far above the recommended crossover.  The error
-    relative to the pair norm is ``tricomi_it``'s at ``s = i omega``: below
-    ``1e-13 + 2 eps (1 + R) max(1, omega^(1/4))``, ``R`` the largest term
-    over the norm (at most 1e12, the guard), and within the running bound
-    of ``_tricomi_series``, which ``q_inverse_fg`` carries.
+    The error relative to the pair norm is ``tricomi_it``'s at ``s = i
+    omega``: within the running bound of ``_tricomi_series``, which
+    ``q_inverse_fg`` carries, and below ``1e-13 + 2 eps (1 + R) max(1,
+    omega^(1/4))``, ``R`` the largest term over the norm.  Raises
+    CancellationError where that running bound exceeds
+    ``EST_REL_ERROR_CEILING``, 1e-6: far above the crossover, from
+    ``omega`` of about 4.9e3 at order 0 (1.5e4 at order 150).
     """
     order = _require_order(order)
     omega = _require_positive(omega, "omega")
-    pair, _ = _tricomi_series(order, complex(0.0, omega))
+    pair = _within_ceiling(order, complex(0.0, omega))
     return FGPair(pair.real, pair.imag, order, omega)
 
 

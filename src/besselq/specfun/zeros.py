@@ -34,9 +34,9 @@ import functools
 import math
 
 from ..errors import (DomainError, NonConvergenceError, RootIsolationError, TruncationError,
-                      _require_order)
+                      _require_index, _require_order)
 from .modified import _ROUNDOFF, _hankel_terms
-from .series import _require_argument, _require_index, _series_or_expansion, _tricomi_series
+from .series import _require_argument, _series_or_expansion, _tricomi_series
 
 #: ``bessel_j`` sums the series alone up to this argument, and above it
 #: hands over within ``_J_MAX_ERROR`` of the amplitude ``sqrt(2/(pi x))``.
@@ -62,9 +62,7 @@ def bessel_j(order: float, x: float) -> float:
     otherwise TruncationError.
     """
     order, x = _require_argument(order, x)
-    # no cancellation guard: J is evaluated at its own zeros, where the sum
-    # cancels by design
-    series = functools.partial(_tricomi_series, order, -x * x, x, guard=math.inf)
+    series = functools.partial(_tricomi_series, order, -x * x, x)
     if x <= _J_SERIES_MAX_X:
         return series()[0]
     amplitude = math.sqrt(2.0 / (math.pi * x)) or math.sqrt(2.0 / math.pi / x)  # pi x = inf

@@ -20,7 +20,7 @@ import math
 import os
 from collections import namedtuple
 
-from .errors import DomainError, _representable, _require_finite, _require_positive
+from .errors import DomainError, _representable, _require_finite, _require_index, _require_positive
 from .model import ModelOrder
 from .qfactor import q_inverse, q_inverse_asymptotic
 
@@ -45,6 +45,7 @@ class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
         min, max = _require_positive(min, "min"), _require_finite(max, "max")
         if not max > min:
             raise DomainError(f"need min < max, got min={min}, max={max}")
+        count = _require_index(count, "count")
         if count < 2:
             raise DomainError(f"count must be >= 2, got {count}")
         return super().__new__(cls, scale, min, max, count)

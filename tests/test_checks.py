@@ -61,6 +61,14 @@ def test_laplace_by_zeros_needs_finite_positive_s():
             creep_rate_laplace_by_zeros(ModelOrder(0.0), s)
 
 
+def test_rayleigh_sneddon_sum_needs_finite_nonnegative_s():
+    # -j_{0,1}^2 once raised a bare ZeroDivisionError, NaN and inf returned
+    # NaN, and -1e300 returned inf
+    for s in (-5.783185962946785, math.nan, math.inf, -1e300):
+        with pytest.raises(DomainError):
+            rayleigh_sneddon_sum(0.0, s=s)
+
+
 def test_laplace_check_fails_on_a_wrong_closed_form(monkeypatch):
     assert check_laplace_consistency().passed
     closed_form = checks.creep_rate_laplace

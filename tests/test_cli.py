@@ -34,6 +34,9 @@ def test_frequency_grid_validation():
         FrequencyGrid("linear", 2.0, 1.0, 10)
     with pytest.raises(DomainError):
         FrequencyGrid("linear", 1.0, 2.0, 1)
+    for count in (2.5, math.nan):
+        with pytest.raises(DomainError, match="count"):
+            FrequencyGrid("log", 1.0, 10.0, count)
     with pytest.raises(DomainError, match="max"):
         FrequencyGrid("log", 1.0, math.inf, 3)
     with pytest.raises(DomainError, match="min"):

@@ -142,9 +142,11 @@ def _i_series_error(point, value):
 
 
 def _series_bound(order, s, value):
-    """The error of ``T_order(s)`` relative to ``|T|`` against the bound
-    ``tricomi_it`` documents, ``1e-13 + 2 eps (1 + R) max(1, |s|^(1/4))``,
-    with ``R``, the largest term over ``|T|``, from the oracle's own sum."""
+    """The error of ``T_order(s)`` relative to ``|T|`` against the smaller
+    of the two bounds ``tricomi_it`` documents: ``1e-13 + 2 eps (1 + R)
+    max(1, |s|^(1/4))``, with ``R``, the largest term over ``|T|``, from the
+    oracle's own sum, and the series' running bound, which decides whether
+    it returns."""
     s = complex(s)
     dps = oracle._dps_for(abs(s) ** 0.5)
     with mp.workdps(dps):
@@ -157,7 +159,8 @@ def _series_bound(order, s, value):
             largest, m = max(largest, abs(term)), m + 1
         ratio = float(largest / abs(total))
         error = abs(value - total) / abs(total)
-    return error, 1e-13 + 2.0 * sys.float_info.epsilon * (1.0 + ratio) * max(1.0, abs(s) ** 0.25)
+    formula = 1e-13 + 2.0 * sys.float_info.epsilon * (1.0 + ratio) * max(1.0, abs(s) ** 0.25)
+    return error, min(formula, _tricomi_series(order, s)[1].rel_error)
 
 
 @pytest.mark.parametrize(

@@ -199,7 +199,7 @@ def test_dirichlet_domain_error():
             creep_rate_time(ModelOrder(0.0), t)
 
 
-def test_dirichlet_beyond_hankel_limit_matches_oracle():
+def test_creep_at_large_order_and_small_time_matches_talbot_oracle():
     # mpmath's own Talbot inversion of the whole transform, at 40 digits.
     # J_22 lies beyond the orders (up to 16) whose zeros are served: the
     # Dirichlet route once returned 1848.0300 at (20, 0.01057), then

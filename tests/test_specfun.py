@@ -39,6 +39,7 @@ from besselq import (
     q_inverse,
     tricomi_it,
 )
+from besselq.errors import EST_REL_ERROR_CEILING
 from besselq.specfun import modified, series
 from besselq.specfun.kelvinfg import _kelvin_expansion, _kelvin_series
 
@@ -456,19 +457,27 @@ def test_fg_matches_tricomi_on_imaginary_axis():
 
 
 def test_fg_guard_honesty():
-    # whenever the series returns unflagged, it matches the oracle to
-    # unit roundoff * cancellation guard of the pair norm
-    bound = series._UNIT * series._CANCELLATION_GUARD
+    # whenever the pair returns, it matches the oracle within its running
+    # bound, which is at most EST_REL_ERROR_CEILING of the pair norm; where
+    # that bound passes the ceiling the pair raises (the 1e12 term/result
+    # guard once let fg_series(0, 1e4) return 4.2e-5 off, its bound 8.6e-3)
     for order in (0.0, 3.5):
-        for omega in (1.0, 30.0, 324.0, 2000.0, 8000.0):
+        for omega in (1.0, 30.0, 324.0, 2000.0, 3000.0, 5000.0, 8000.0, 1e4):
+            rel_error = series._tricomi_series(order, complex(0.0, omega))[1].rel_error
             try:
                 pair = fg_series(order, omega)
-            except CancellationError:
+            except CancellationError as exc:
+                assert rel_error > EST_REL_ERROR_CEILING and exc.ratio > 1.0
                 continue
+            assert rel_error <= EST_REL_ERROR_CEILING
             f_ref, g_ref = (float(v) for v in oracle.fg_pair(order, omega))
             norm = math.hypot(f_ref, g_ref)
-            assert abs(pair.f - f_ref) < bound * norm
-            assert abs(pair.g - g_ref) < bound * norm
+            assert math.hypot(pair.f - f_ref, pair.g - g_ref) <= rel_error * norm
+    # the ceiling falls between 3e3 (bound 1.1e-8) and 5e3 (1.4e-6) at order 0
+    fg_series(0.0, 3000.0)
+    for omega in (5000.0, 1e4):
+        with pytest.raises(CancellationError):
+            fg_series(0.0, omega)
 
 
 # ------------------------------------------------------ Kelvin functions

@@ -120,7 +120,7 @@ def test_zero_search_stops_once_newton_has_converged(monkeypatch):
     assert abs(zero - float(mp.besseljzero(10, 2))) < 1e-12 * zero
 
 
-def test_vectorized_zeros_raise_beyond_hankel_limit():
+def test_vectorized_zeros_raise_outside_the_order_16_domain():
     # 13 Hankel terms once limited the refinement (their first omitted term
     # was 8e-9 at order 12); bessel_j_zeros(22, 8) was once off by 0.80
     # without a word, and order 22 lies beyond the zero finders' domain
