@@ -41,6 +41,10 @@ CREEP_TIME_BOUND = 1e-12
 #: rest.
 _ZERO_SUM_TERMS = 1_000
 
+#: The orders of the three zero suites (Rayleigh-Sneddon, Dirichlet/Laplace
+#: and creep time); ``besselq check --nu`` does not change them.
+ZERO_SUITE_NUS = (0.0, 1.0, 2.5)
+
 
 class CheckResult(
     namedtuple(
@@ -196,9 +200,9 @@ def rayleigh_sneddon_sum(nu: float, *, s: float = 0.0) -> float:
     return head + tail
 
 
-def check_rayleigh_sneddon(nus: Sequence[float] = (0.0, 1.0, 2.5)) -> CheckResult:
+def check_rayleigh_sneddon() -> CheckResult:
     cases = ((f"nu={nu}", lambda nu=nu: (rayleigh_sneddon_sum(nu), 1.0 / (4.0 * (nu + 1.0))))
-             for nu in nus)
+             for nu in ZERO_SUITE_NUS)
     return _worst_case("Rayleigh-Sneddon sum", RAYLEIGH_SNEDDON_BOUND, cases)
 
 
@@ -222,14 +226,14 @@ def creep_rate_laplace_by_zeros(model: ModelOrder, s: float) -> float:
     return 4.0 * (nu + 1.0) * (nu + 2.0) / s + 4.0 * (nu + 1.0) * total
 
 
-def check_laplace_consistency(nus: Sequence[float] = (0.0, 1.0)) -> CheckResult:
+def check_laplace_consistency() -> CheckResult:
     """Term-by-term transform of the Dirichlet series vs the closed
     Laplace form, at ``s`` = 1, 2 and 5."""
     cases = (
         (f"nu={nu}, s={s}",
          lambda nu=nu, s=s: (creep_rate_laplace_by_zeros(ModelOrder(nu), s),
                              creep_rate_laplace(ModelOrder(nu), complex(s, 0.0)).real))
-        for nu in nus
+        for nu in ZERO_SUITE_NUS
         for s in (1.0, 2.0, 5.0)
     )
     return _worst_case("Dirichlet/Laplace consistency", LAPLACE_CONSISTENCY_BOUND, cases)
@@ -242,7 +246,7 @@ def _creep_by_zeros(nu: float, t: float) -> float:
     return 4.0 * (nu + 1.0) * (nu + 2.0 + math.fsum(math.exp(-j * j * t) for j in zeros))
 
 
-def check_creep_time(nus: Sequence[float] = (0.0, 1.0)) -> CheckResult:
+def check_creep_time() -> CheckResult:
     """``creep_rate_time`` (Talbot inversion of the Laplace transform)
     against its Dirichlet series over 1,000 zeros (``_creep_by_zeros``) at
     ``t`` = 1e-3, 1e-2, 0.1 and 1, where the omitted tail, below
@@ -250,13 +254,15 @@ def check_creep_time(nus: Sequence[float] = (0.0, 1.0)) -> CheckResult:
     cases = (
         (f"nu={nu}, t={t}",
          lambda nu=nu, t=t: (creep_rate_time(ModelOrder(nu), t)[0], _creep_by_zeros(nu, t)))
-        for nu in nus
+        for nu in ZERO_SUITE_NUS
         for t in (1e-3, 1e-2, 0.1, 1.0)
     )
     return _worst_case("creep time/Dirichlet", CREEP_TIME_BOUND, cases)
 
 
 def run_all_checks(nus: Sequence[float] = DEFAULT_CHECK_NUS) -> list[CheckResult]:
+    """Every suite: route agreement and monotonicity at the orders ``nus``,
+    the three zero suites at ``ZERO_SUITE_NUS``."""
     return [
         check_route_agreement(nus),
         check_monotonicity(nus),

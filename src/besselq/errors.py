@@ -20,10 +20,15 @@ leave the range.
 The package's one accuracy ceiling, ``EST_REL_ERROR_CEILING``, lives here
 too: a ``QEvaluation`` carries no worse estimate, and the bare-valued sums
 that cancel, ``tricomi_it`` and ``fg_series``, return no worse running
-bound.
+bound.  So does the one rounding unit, ``_UNIT``: every error estimate of
+the package counts its roundings in it.
 """
 
 import math
+import sys
+
+#: Unit roundoff ``u = eps/2``: the relative rounding of one operation.
+_UNIT = 0.5 * sys.float_info.epsilon
 
 #: Largest relative error estimate a value may carry: a QEvaluation whose
 #: route estimates worse raises InconsistencyError, a cancelling series

@@ -32,16 +32,13 @@ import functools
 import math
 from collections import namedtuple
 
-from .errors import (DomainError, _representable, _require_finite, _require_order,
+from .errors import (_UNIT, DomainError, _representable, _require_finite, _require_order,
                      _require_positive)
 from .specfun.modified import _ratio_next_order
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Literal
-
-#: Relative rounding unit of one floating-point operation, with margin.
-_EPS = 2.3e-16
 
 #: Talbot inversion: the ``N``-point midpoint rule in ``theta`` on the
 #: optimised cot contour of Trefethen, Weideman & Schmelzer (BIT 46, 2006),
@@ -134,14 +131,15 @@ def _compliance_split(nu: float, s: complex) -> tuple[complex, float]:
     formed from ``s`` itself, never from ``z*z``, so on the imaginary axis it
     is exactly imaginary and ``Re(s J~) = 1 + Re T`` carries no cancellation.
 
-    Returns ``(T, u)``, ``u`` the relative error estimate of ``T``: that of
-    the ratio plus roundoff growing with the CF iterations.  The callers add
-    ``1`` and the pole term (``_pole_term``) themselves.
+    Returns ``(T, u)``, ``u`` the relative error estimate of ``T``: the
+    ratio's own estimate, which counts its roundings, plus ``16 _UNIT`` for
+    the roundings here, of the root, the prefactor and their product.  The
+    callers add ``1`` and the pole term (``_pole_term``) themselves.
     """
     z = cmath.sqrt(s)
-    r, error, iterations = _ratio_next_order(nu + 2.0, z)
+    r, error, _ = _ratio_next_order(nu + 2.0, z)
     tail = (2.0 * (nu + 1.0) / z) * r
-    return tail, error + _EPS * (8.0 + iterations)
+    return tail, error + 16.0 * _UNIT
 
 
 def creep_compliance_laplace(model: ModelOrder, s: complex) -> complex:

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import namedtuple
 
-from ..errors import _representable, _require_order, _require_positive
+from ..errors import _UNIT, _representable, _require_order, _require_positive
 from .modified import _hankel_sums
 from .series import (SeriesDiagnostics, _in_range, _require_argument, _rotation,
                      _series_or_expansion, _tricomi_series, _within_ceiling)
@@ -86,7 +85,8 @@ def _kelvin_expansion(order: float, x: float) -> tuple[complex, float, float]:
     of ``e^(i order pi/2) I_order(z)`` with both exponential branches (DLMF
     10.40.5), its relative estimate and ``Re z``: the remainder bound and
     roundoff of ``_hankel_sums`` over ``|even - odd|``, which may cancel far
-    below the first term, plus ``2 eps x`` for the rounding of ``Im z``."""
+    below the first term, plus ``4u x`` (``u`` the unit ``_UNIT``) for the
+    rounding of ``Im z``."""
     z = x * cmath.exp(0.25j * math.pi)
     even, odd, remainder, roundoff = _hankel_sums(order, z)
     size = abs(even - odd)
@@ -95,7 +95,7 @@ def _kelvin_expansion(order: float, x: float) -> tuple[complex, float, float]:
     main = cmath.exp(complex(0.0, z.imag)) * (even - odd)  # e^z scaled by e^{-Re z}
     reflected = _rotation(order, 1.0) * 1j * cmath.exp(-z - z.real) * (even + odd)
     pair = _rotation(order, 0.5) * (prefactor * (main + reflected))
-    return pair, est + 2.0 * sys.float_info.epsilon * x, z.real
+    return pair, est + 4.0 * _UNIT * x, z.real
 
 
 def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:

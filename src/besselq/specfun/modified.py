@@ -16,14 +16,11 @@ power series, ``modified_bessel_i`` and ``tricomi_it`` live in ``series``.
 from __future__ import annotations
 
 import math
-import sys
 
-from ..errors import DomainError, NonConvergenceError
+from ..errors import _UNIT, DomainError, NonConvergenceError
 
 #: Stopping tolerance of the continued fraction on ``|delta - 1|``.
 _CF_TOL = 1e-15
-#: Roundoff of a sum, taken as this many ulps of its largest term.
-_ROUNDOFF = 4.0 * sys.float_info.epsilon
 #: Most iterations the continued fraction may take: about 4 s at ~0.95 us
 #: an iteration (2-core Intel Xeon, Python 3.11).
 _CF_MAX_ITER = 2**22
@@ -40,7 +37,9 @@ def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
     term is not enough: at order 88, ``z = 236(1+i)``, the terms first grow
     to 1e4, the sums cancel to 3e-4 and their quotient is off by 1e-8.
     Elsewhere it is the CF ``1/(b1 + 1/(b2 + ...))``, ``b_k = 2(order+k)/z``
-    (modified Lentz), with its final residual ``|delta - 1|``.  The CF takes
+    (modified Lentz), with its final residual ``|delta - 1|`` plus ``2u``
+    (``u`` the unit ``_UNIT``) for the rounding of each of its ``k``
+    iterations, which scale the running product ``f``.  The CF takes
     at most about ``|z| + 7|z|^(1/3) + 30`` iterations (on the imaginary
     axis, fewer off it), so ``2|z| + 100`` of them mean a fault.  At large
     orders and ``|z|`` it may need about ``1.5 order`` iterations (1.5e6 at
@@ -83,7 +82,7 @@ def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
         f *= delta
         residual = abs(delta - 1.0)
         if residual < tol:
-            return f, residual, k
+            return f, residual + 2.0 * _UNIT * k, k
     raise NonConvergenceError(
         f"continued fraction for I-ratio failed after {max_iter} iterations "
         f"(order={order}, |z|={abs(z):.3g})"
@@ -123,7 +122,7 @@ def _hankel_terms(order: float, z: complex, rel_tol: float) -> tuple[list, float
 def _hankel_sums(order: float, z: complex) -> tuple[complex, complex, float, float]:
     """Even and odd parts of ``sum t_k`` (``I_order(z)`` takes ``even -
     odd``, its reflected branch ``even + odd``), a remainder bound and the
-    roundoff (``_ROUNDOFF`` times the largest term).
+    roundoff, ``8u`` (``u`` the unit ``_UNIT``) times the largest term.
 
     The last term from ``_hankel_terms`` is left out as the first omitted
     one, ``t_l``; the bound is ``|t_l| 2 chi(l) exp(|order^2 - 1/4|/|z|)``
@@ -135,5 +134,5 @@ def _hankel_sums(order: float, z: complex) -> tuple[complex, complex, float, flo
     kept = terms[:-1]
     chi = math.sqrt(0.5 * math.pi * len(terms))
     remainder = 2.0 * chi * growth * abs(terms[-1])
-    roundoff = _ROUNDOFF * max(map(abs, kept))
+    roundoff = 8.0 * _UNIT * max(map(abs, kept))
     return sum(kept[0::2]), sum(kept[1::2]), remainder, roundoff

@@ -32,6 +32,7 @@ from operator import truediv
 
 from ..errors import (
     EST_REL_ERROR_CEILING,
+    _UNIT,
     BesselQError,
     CancellationError,
     DomainError,
@@ -42,8 +43,6 @@ from ..errors import (
     _require_order,
 )
 
-#: Unit roundoff ``u = eps/2``: the relative rounding of one operation.
-_UNIT = 0.5 * sys.float_info.epsilon
 #: Relative error of ``gamma_real``, and of ``math.lgamma`` to its size (where
 #: that size is below 1, up to a few ``u`` more).
 _GAMMA_ERROR = 1e-15

@@ -33,9 +33,9 @@ import cmath
 import functools
 import math
 
-from ..errors import (DomainError, NonConvergenceError, RootIsolationError, TruncationError,
-                      _require_index, _require_order)
-from .modified import _ROUNDOFF, _hankel_terms
+from ..errors import (_UNIT, DomainError, NonConvergenceError, RootIsolationError,
+                      TruncationError, _require_index, _require_order)
+from .modified import _hankel_terms
 from .series import _require_argument, _series_or_expansion, _tricomi_series
 
 #: ``bessel_j`` sums the series alone up to this argument, and above it
@@ -82,8 +82,8 @@ def _j_hankel(order: float, x: float, amplitude: float) -> tuple[float, float]:
     """``J_order(x)`` from the large-argument expansion, ``amplitude
     Re[(P + iQ) e^(i chi)]`` with ``P + iQ = sum t_k`` at ``z = -ix``, ``chi =
     x - (order/2 + 1/4) pi`` and ``amplitude = sqrt(2/(pi x))``, and its error
-    estimate in units of the amplitude: the smallest term plus ``_ROUNDOFF``
-    times the largest.
+    estimate in units of the amplitude: the smallest term plus ``8u`` (``u``
+    the unit ``_UNIT``) times the largest.
 
     ``e^(i chi)`` comes from ``e^(ix)`` and the exactly reduced shift:
     ``chi`` itself, rounded to double, is off by ~eps x.
@@ -91,7 +91,7 @@ def _j_hankel(order: float, x: float, amplitude: float) -> tuple[float, float]:
     terms, smallest = _hankel_terms(order, complex(0.0, -x), _J_REL_TOL)
     shift = math.pi * math.fmod(0.5 * order + 0.25, 2.0)
     value = (sum(terms) * cmath.rect(1.0, x) * cmath.rect(1.0, -shift)).real
-    return value * amplitude, smallest + _ROUNDOFF * max(map(abs, terms))
+    return value * amplitude, smallest + 8.0 * _UNIT * max(map(abs, terms))
 
 
 def _mcmahon_zero_estimate(order: float, k: float) -> float:

@@ -32,10 +32,15 @@ if TYPE_CHECKING:
 #: The orders ``besselq check`` and the suites of ``checks`` run at by default.
 DEFAULT_CHECK_NUS = (-0.5, 0.0, 1.0, 3.5, 10.0)
 
+#: Most points a ``FrequencyGrid`` may hold: a larger count raises
+#: DomainError before any point is made.
+MAX_GRID_COUNT = 10**6
+
 
 class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
     """Linear or logarithmic frequency sweep specification: ``scale`` is
-    'linear' or 'log'."""
+    'linear' or 'log', and ``count`` a whole number from 2 to
+    ``MAX_GRID_COUNT``."""
 
     __slots__ = ()
 
@@ -46,8 +51,8 @@ class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
         if not max > min:
             raise DomainError(f"need min < max, got min={min}, max={max}")
         count = _require_index(count, "count")
-        if count < 2:
-            raise DomainError(f"count must be >= 2, got {count}")
+        if not 2 <= count <= MAX_GRID_COUNT:
+            raise DomainError(f"count must lie in [2, {MAX_GRID_COUNT}], got {count}")
         return super().__new__(cls, scale, min, max, count)
 
     # ``_replace`` builds through ``_make``: check there too

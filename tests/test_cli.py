@@ -14,6 +14,7 @@ from besselq import cli
 from besselq.checks import CheckResult
 from besselq.cli import FrequencyGrid, main
 from besselq.errors import DomainError
+from besselq.tables import MAX_GRID_COUNT
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,6 +42,15 @@ def test_frequency_grid_validation():
         FrequencyGrid("log", 1.0, math.inf, 3)
     with pytest.raises(DomainError, match="min"):
         FrequencyGrid("linear", math.inf, math.inf, 3)
+
+
+def test_frequency_grid_count_is_bounded():
+    # points() builds the whole list, so it is never called on a grid past
+    # the limit
+    assert FrequencyGrid("log", 1.0, 10.0, MAX_GRID_COUNT).count == MAX_GRID_COUNT
+    for count in (MAX_GRID_COUNT + 1, 10**400):
+        with pytest.raises(DomainError, match="count"):
+            FrequencyGrid("log", 1.0, 10.0, count)
 
 
 def test_sweep_row_count_and_header(tmp_path):
@@ -101,6 +111,15 @@ def test_sweep_reports_an_order_whose_pole_term_overflows(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds the double range" in err
+
+
+def test_sweep_refuses_a_huge_count_before_it_allocates(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--nu", "0", "--log", "1", "10", "--count", "1000000000000",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_sweep_17_significant_digits(tmp_path):

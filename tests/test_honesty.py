@@ -10,11 +10,13 @@ them to make a failure go away: a draw that fails is a defect to mend in
 the function, or a domain to narrow with ``DomainError``.
 """
 
+import ast
 import cmath
 import math
 import random
 import signal
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -30,6 +32,7 @@ from besselq import (
     q_inverse_fg,
     q_inverse_kelvin,
 )
+from besselq.specfun import series
 from besselq.specfun.series import _tricomi_series
 
 
@@ -339,3 +342,28 @@ def test_range_and_domain_leaks_are_typed(call, error):
     # InconsistencyError, or a bare OverflowError on an int past 1e308
     with pytest.raises(error):
         call()
+
+
+def test_every_estimate_counts_in_one_unit():
+    # every estimate counts its roundings in errors._UNIT: a module that
+    # keeps a unit of its own, or reads eps itself, splits the error model
+    package = Path(besselq.__file__).parent
+    foreign = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "errors.py" and path.parent == package:
+            continue
+        text = path.read_text(encoding="utf-8")
+        if "float_info.epsilon" in text:
+            foreign.append((path.name, "float_info.epsilon"))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.ImportFrom) and not (node.module or "").endswith("errors"):
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            foreign += [(path.name, name) for name in bound
+                        if name in ("_EPS", "_ROUNDOFF", "_UNIT")]
+    assert not foreign
+    assert series._UNIT is besselq.errors._UNIT == 0.5 * sys.float_info.epsilon

@@ -39,7 +39,7 @@ from besselq import (
     q_inverse,
     tricomi_it,
 )
-from besselq.errors import EST_REL_ERROR_CEILING
+from besselq.errors import EST_REL_ERROR_CEILING, _UNIT
 from besselq.specfun import modified, series
 from besselq.specfun.kelvinfg import _kelvin_expansion, _kelvin_series
 
@@ -371,7 +371,7 @@ def test_ratio_regimes_agree_in_overlap_band(monkeypatch):
     for (order, z), (value, err) in expansion.items():
         cf, residual, iterations = modified._ratio_next_order(order, z)
         assert iterations > 0
-        bound = err + residual + 2.3e-16 * (8 + iterations)
+        bound = err + residual + 16 * _UNIT
         assert abs(cf - value) <= bound * abs(value), (order, z)
 
 
