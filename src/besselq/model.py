@@ -32,8 +32,8 @@ import functools
 import math
 from collections import namedtuple
 
-from .errors import (_UNIT, DomainError, _representable, _require_finite, _require_order,
-                     _require_positive)
+from .errors import (EST_REL_ERROR_CEILING, _UNIT, DomainError, PoleError, _representable,
+                     _require_finite, _require_order, _require_positive)
 from .specfun.modified import _ratio_next_order
 
 TYPE_CHECKING = False
@@ -110,13 +110,18 @@ def creep_rate_laplace(model: ModelOrder, s: complex) -> complex:
     ``_compliance_split``, the contiguous ratio that also serves
     ``creep_compliance_laplace``, ``creep_rate_time`` and ``q_inverse``.
     Behaves like ``2(nu+1)/sqrt(s)`` as ``s -> inf`` and like
-    ``4(nu+1)(nu+2)/s`` as ``s -> 0``; raises OverflowRangeError where that
-    pole term or the value leaves the double range.
+    ``4(nu+1)(nu+2)/s`` as ``s -> 0``.  Raises PoleError (a DomainError)
+    where the estimate of ``T`` passes ``EST_REL_ERROR_CEILING``: near the
+    poles ``-j_{nu+2,k}^2`` and on the negative real axis from ``|s|`` of
+    about 5e18; OverflowRangeError where the pole term or the value leaves
+    the double range.
     """
     s = _check_s(s)
-    nu = model.nu
-    value = _pole_term(nu, s) + _compliance_split(nu, s)[0]
-    return _representable(value, "Psi~ at s = %s", s)
+    pole = _pole_term(model.nu, s)
+    tail, est = _compliance_split(model.nu, s)
+    if not est <= EST_REL_ERROR_CEILING:
+        raise PoleError(f"Psi~ at s = {s} is within the rounding of sqrt(s) of a pole ({est:.3g})")
+    return _representable(pole + tail, "Psi~ at s = %s", s)
 
 
 def _compliance_split(nu: float, s: complex) -> tuple[complex, float]:
@@ -132,14 +137,22 @@ def _compliance_split(nu: float, s: complex) -> tuple[complex, float]:
     is exactly imaginary and ``Re(s J~) = 1 + Re T`` carries no cancellation.
 
     Returns ``(T, u)``, ``u`` the relative error estimate of ``T``: the
-    ratio's own estimate, which counts its roundings, plus ``16 _UNIT`` for
-    the roundings here, of the root, the prefactor and their product.  The
+    ratio's own, plus ``16 _UNIT`` for the roundings here, plus ``_UNIT
+    kappa`` for the rounding of ``z``, ``kappa = |z r'/r - 1|`` for the
+    ratio ``r`` at ``a = nu + 2`` and ``r' = 1 - r^2 - (2a+1) r/z`` (DLMF
+    10.29.2), or at most ``3 + 2|1 - r|/(u |r|)`` where ``z/r - z r``
+    cannot resolve it (``|z|`` beyond about 1e14).  ``kappa`` is at most
+    about 2.1 at the Talbot nodes and 1 on the ``q_inverse`` path, and grows
+    near the poles of ``T`` and like ``|z|`` on the negative real axis.  The
     callers add ``1`` and the pole term (``_pole_term``) themselves.
     """
     z = cmath.sqrt(s)
     r, error, _ = _ratio_next_order(nu + 2.0, z)
     tail = (2.0 * (nu + 1.0) / z) * r
-    return tail, error + 16.0 * _UNIT
+    kappa = abs(z / r - z * r - (2.0 * nu + 6.0)) if r else math.inf
+    if 3.0 < kappa < math.inf:  # z/r - z r may not resolve it (see above)
+        kappa = min(kappa, 3.0 + abs(1.0 / r - 1.0) / (0.5 * _UNIT))
+    return tail, error + _UNIT * (16.0 + kappa)
 
 
 def creep_compliance_laplace(model: ModelOrder, s: complex) -> complex:
@@ -147,16 +160,11 @@ def creep_compliance_laplace(model: ModelOrder, s: complex) -> complex:
 
     Equals the contiguous ratio ``I_nu(sqrt(s)) / I_{nu+2}(sqrt(s))``,
     evaluated with its ``1/s`` pole split off (see ``_compliance_split``) so
-    the real part keeps full accuracy as ``s -> 0``.  Equals
-    ``1 + creep_rate_laplace(model, s)``, from the same contiguous ratio,
-    up to rounding.  For real s > 0 the value is real and exceeds 1.
-    Raises OverflowRangeError where the pole term or the value leaves the
-    double range.
+    the real part keeps full accuracy as ``s -> 0``: ``1 +
+    creep_rate_laplace(model, s)``, which it raises as.  For real s > 0
+    the value is real and exceeds 1.
     """
-    s = _check_s(s)
-    nu = model.nu
-    value = 1.0 + _pole_term(nu, s) + _compliance_split(nu, s)[0]
-    return _representable(value, "s J~ at s = %s", s)
+    return _representable(1.0 + creep_rate_laplace(model, s), "s J~ at s = %s", s)
 
 
 def creep_rate_time(model: ModelOrder, t: float) -> tuple[float, TalbotInversion]:

@@ -18,8 +18,10 @@ T_a(i x^2)``.  It alternates there and loses digits as ``w`` grows; its
 running error bound says how many, and ``fg_series`` raises where that
 passes ``EST_REL_ERROR_CEILING``.  Above ``x = sqrt(omega*) = 18``
 (``DEFAULT_CROSSOVER_OMEGA``) the Kelvin pair takes ``bessel_j``'s handover
-to the scaled large-argument expansion of ``ber_a(x) + i bei_a(x) = e^(i a
-pi / 2) I_a(x e^(i pi / 4))``; the f/g series has no such handover.
+to ``ber_a(x) + i bei_a(x) = e^(i a pi / 2) I_a(x e^(i pi / 4))``, scaled by
+``e^(-x/sqrt(2))``, from ``modified._scaled_i``: the one large-argument form
+of ``I``, both exponential branches of DLMF 10.40.5, which also serves the
+production ratio.  The f/g series has no such handover.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import math
 from collections import namedtuple
 
 from ..errors import _UNIT, _representable, _require_order, _require_positive
-from .modified import _hankel_sums
-from .series import (SeriesDiagnostics, _in_range, _require_argument, _rotation,
-                     _series_or_expansion, _tricomi_series, _within_ceiling)
+from .modified import _reflection, _rotation, _scaled_i
+from .series import (SeriesDiagnostics, _in_range, _require_argument, _series_or_expansion,
+                     _tricomi_series, _within_ceiling)
 
 #: Frequency up to which the alternating series serve alone, their running
 #: bound there at most 1.5e-13 (orders -0.999 to 299): above ``x = sqrt(324) = 18``
@@ -80,24 +82,6 @@ def _kelvin_series(order: float, x: float) -> tuple[complex, SeriesDiagnostics]:
     return _tricomi_series(order, complex(0.0, x * x), x, _rotation(order, 0.75))
 
 
-def _kelvin_expansion(order: float, x: float) -> tuple[complex, float, float]:
-    """``(ber + i bei) e^(-Re z)``, ``z = x e^(i pi/4)``, from the expansion
-    of ``e^(i order pi/2) I_order(z)`` with both exponential branches (DLMF
-    10.40.5), its relative estimate and ``Re z``: the remainder bound and
-    roundoff of ``_hankel_sums`` over ``|even - odd|``, which may cancel far
-    below the first term, plus ``4u x`` (``u`` the unit ``_UNIT``) for the
-    rounding of ``Im z``."""
-    z = x * cmath.exp(0.25j * math.pi)
-    even, odd, remainder, roundoff = _hankel_sums(order, z)
-    size = abs(even - odd)
-    est = (remainder + roundoff) / size if size else math.inf
-    prefactor = 1.0 / cmath.sqrt(2.0 * math.pi * z)
-    main = cmath.exp(complex(0.0, z.imag)) * (even - odd)  # e^z scaled by e^{-Re z}
-    reflected = _rotation(order, 1.0) * 1j * cmath.exp(-z - z.real) * (even + odd)
-    pair = _rotation(order, 0.5) * (prefactor * (main + reflected))
-    return pair, est + 4.0 * _UNIT * x, z.real
-
-
 def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     """Kelvin pair with the exponential growth factored out.
 
@@ -105,10 +89,14 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     ``ber = ber_s * exp(log_scale)`` and likewise for bei, and ``est_rel``
     estimates the relative error of the pair.  Up to ``x = 18`` the pair is
     the series (``est_rel`` its ``SeriesDiagnostics.rel_error``) and
-    ``log_scale`` is 0.  Above it ``log_scale = x/sqrt(2)``, and the pair is
-    the series or ``_kelvin_expansion``, by ``bessel_j``'s handover
+    ``log_scale`` is 0.  Above it ``log_scale = Re z = x/sqrt(2)``, ``z = x
+    e^(i pi/4)``, and the pair is the series or ``e^(i order pi/2) I_order(z)
+    e^(-Re z)``, the value of ``modified._scaled_i`` times ``e^(i Im z)``,
+    ``e^(i order pi/2)`` and ``1/sqrt(2 pi z)``, by ``bessel_j``'s handover
     (``series._series_or_expansion``); TruncationError where neither
-    reaches 3e-8.
+    reaches 3e-8.  The expansion's estimate is that of ``_scaled_i``, which
+    may cancel far below its first term, plus ``4u x`` (``u`` the unit
+    ``_UNIT``) for the rounding of ``Im z``.
 
     The scaled form exists so that ratios of Kelvin-function products (the
     quality-factor formulas) can be formed at arguments where ber/bei
@@ -118,10 +106,12 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     if x <= _SERIES_MAX_X:
         pair, diag = _kelvin_series(order, x)
         return pair.real, pair.imag, 0.0, diag.rel_error
-    pair, est, log_scale = _kelvin_expansion(order, x)
+    z = x * cmath.exp(0.25j * math.pi)
+    pair, est, _ = _scaled_i(order, z, _reflection(order, z))
+    pair *= cmath.exp(1j * z.imag) * _rotation(order, 0.5) / cmath.sqrt(2.0 * math.pi * z)
     pair, est = _series_or_expansion(order, x, lambda: _kelvin_series(order, x),
-                                     (pair, est), _KELVIN_MAX_ERROR, None, log_scale)
-    return pair.real, pair.imag, log_scale, est
+                                     (pair, est + 4.0 * _UNIT * x), _KELVIN_MAX_ERROR, None, z.real)
+    return pair.real, pair.imag, z.real, est
 
 
 def kelvin(order: float, x: float) -> KelvinPair:

@@ -24,7 +24,6 @@ Only the verification routes (``kelvinfg``, ``zeros``) and the public
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections import namedtuple
@@ -108,13 +107,6 @@ def gamma_real(x: float) -> float:
     return _in_range(math.gamma, x)
 
 
-def _rotation(order: float, c: float) -> complex:
-    """``e^(i pi c order)``, the phase of the Kelvin and f/g prefactors, for
-    ``c`` a multiple of 1/4.  ``order`` is reduced modulo 8 first, exactly,
-    so the rounding of the phase does not grow with the order."""
-    return cmath.rect(1.0, math.pi * math.fmod(c * math.fmod(order, 8.0), 2.0))
-
-
 def _require_argument(order: float, x: float) -> tuple[float, float]:
     """``order`` and ``x`` of ``I``, ``J`` or ber/bei, the one check of the
     three: DomainError unless both are finite, ``order > -1`` and ``x >= 0``;
@@ -178,7 +170,7 @@ def _tricomi_series(
     conditioning in ``s``, which carries the rounding of the ``x*x`` that
     ``I``, ``J`` and ber/bei pass in.  The prefactor adds ``_GAMMA_ERROR``
     for ``Gamma``, ``u`` for each of its seven roundings and ``10 pi u`` for
-    a phase other than 1, a ``_rotation``; in logs, ``_GAMMA_ERROR`` times
+    a phase other than 1, a ``modified._rotation``; in logs, ``_GAMMA_ERROR`` times
     the size of each logarithm, whose rounding ``exp()`` turns into relative
     error.
 
@@ -220,7 +212,7 @@ def _tricomi_series(
         # order 0 the rounding of order + 1 takes the product's place: at most
         # u, as |psi(b)| b <= 1 on [1/2, 1]), the product with the phase and
         # the complex one with the sum (3); in logs |sum|, exp(), the complex
-        # product, the quotient and the last product.  A _rotation's angle,
+        # product, the quotient and the last product.  A rotation's angle,
         # below 2 pi and formed from c (order mod 8) below 6, is off by 10 pi u
         error = _UNIT * (7.0 + (10.0 * math.pi if phase != 1.0 else 0.0))
         if factors:

@@ -23,6 +23,13 @@ b.q_inverse_kelvin(m, 10.0)
 b.q_inverse_fg(m, 10.0)
 b.q_inverse_asymptotic(m, 10.0, "high")
 b.creep_rate_laplace(m, 2.0)
+b.creep_rate_laplace(m, -1.2345e12)  # far on the negative axis, by the two-branch expansion
+try:
+    b.creep_rate_laplace(m, -1e300)
+except b.DomainError:  # the rounding of sqrt(s) leaves no digit
+    pass
+else:
+    raise AssertionError("creep_rate_laplace(m, -1e300) did not raise DomainError")
 b.creep_compliance_laplace(m, 2j)
 b.creep_compliance_asymptotic(m, 2.0, "low")
 b.creep_rate_time(m, 0.5)

@@ -5,7 +5,9 @@ summation in mpmath arbitrary-precision arithmetic (>= 40 significant
 digits, raised adaptively where alternating series cancel).  No code is
 shared with the package under test: the summation loops are independent,
 double-free, and deliberately unsophisticated.  Bessel-function zeros used
-as *inputs* to the Dirichlet series come from mpmath's root finder.
+as *inputs* to the Dirichlet series come from mpmath's root finder; past
+the reach of the naive sums, ``mpmath.besseli`` serves, at two precisions
+that must agree.
 """
 
 from __future__ import annotations
@@ -123,6 +125,38 @@ def _i_series_complex(alpha, z, dps):
         m += 1
         if abs(term) < mp.mpf(10) ** (-dps) * abs(total) and m >= 30:
             return total
+
+
+def _besseli_twice(evaluate, dps: int):
+    """``evaluate()`` with mpmath's ``besseli`` at ``dps`` and at ``dps + 20``
+    digits, which must agree to ``dps - 10``: past the reach of the naive
+    sums (``|z|`` beyond a few hundred), mpmath's own hypergeometric and
+    asymptotic paths serve, and the second run checks their precision."""
+    with mp.workdps(dps):
+        first = evaluate()
+    with mp.workdps(dps + 20):
+        second = evaluate()
+        assert abs(first - second) <= mp.mpf(10) ** (10 - dps) * abs(second), "oracle self-check"
+        return +second
+
+
+def i_ratio_next(alpha, z, dps: int = 30):
+    """I_{alpha+1}(z) / I_alpha(z) by ``mpmath.besseli``, for any ``|z|``."""
+    z = mp.mpc(z)
+    return _besseli_twice(lambda: mp.besseli(mp.mpf(alpha) + 1, z) / mp.besseli(alpha, z), dps)
+
+
+def creep_rate_laplace_besseli(nu, s, dps: int = 30):
+    """2(nu+1)/sqrt(s) * I_{nu+1}/I_{nu+2} at the exact sqrt(s), by
+    ``mpmath.besseli``, for any ``|s|``."""
+    s = mp.mpc(s)
+
+    def evaluate():
+        z = mp.sqrt(s)
+        return 2 * (mp.mpf(nu) + 1) / z * mp.besseli(mp.mpf(nu) + 1, z) / mp.besseli(
+            mp.mpf(nu) + 2, z)
+
+    return _besseli_twice(evaluate, dps)
 
 
 def creep_rate_laplace(nu, s, dps: int | None = None):

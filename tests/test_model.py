@@ -7,6 +7,7 @@ import math
 import time
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import oracle
@@ -14,6 +15,7 @@ from besselq import (
     DomainError,
     ModelOrder,
     OverflowRangeError,
+    PoleError,
     creep_compliance_asymptotic,
     creep_compliance_laplace,
     creep_rate_laplace,
@@ -21,6 +23,8 @@ from besselq import (
     frac_maxwell_q_inverse,
 )
 from besselq.checks import creep_rate_laplace_by_zeros
+from besselq.errors import _UNIT
+from besselq.model import _compliance_split
 
 # oracle: naive series quotients at >= 40 digits
 PSI_LAPLACE_0_1 = 8.326612235221068270685
@@ -62,6 +66,39 @@ def test_creep_rate_laplace_matches_oracle():
                 s = r * cmath.exp(1j * math.pi * turn)
                 ref = complex(oracle.creep_rate_laplace(nu, s))
                 assert abs(creep_rate_laplace(model, s) - ref) <= 2e-14 * abs(ref), (nu, s)
+
+
+def _within_estimate(nu, s):
+    """Whether ``creep_rate_laplace`` at ``s`` lies within the estimate of
+    ``T`` from ``_compliance_split``, plus ``u`` for each of its two sums,
+    of mpmath at the exact ``sqrt(s)``."""
+    value = creep_rate_laplace(ModelOrder(nu), s)
+    tail, est = _compliance_split(nu, s)
+    ref = complex(oracle.creep_rate_laplace_besseli(nu, s))
+    return abs(value - ref) <= est * abs(tail) + 2.0 * _UNIT * (abs(value) + abs(tail))
+
+
+@pytest.mark.parametrize("s", [-2e4, -3.3e8, -1.2345e12, -7.7e16])
+def test_creep_rate_laplace_far_on_the_negative_axis(s):
+    # the two-branch expansion serves these without the CF (which took
+    # |z| iterations); at -1.2345e12 the value was 1e-10 off, silently
+    assert _within_estimate(1.0, s)
+
+
+@pytest.mark.parametrize("s", [-2e20, -3e24, "pole"])
+def test_creep_rate_laplace_raises_where_sqrt_s_cannot_tell(s):
+    if s == "pole":  # the nearest double to -j_{3,1}^2
+        s = -float(mp.besseljzero(3, 1) ** 2)
+    for function in (creep_rate_laplace, creep_compliance_laplace):
+        with pytest.raises(PoleError):
+            function(ModelOrder(1.0), s)
+
+
+@pytest.mark.parametrize("distance", [1e-9, 1e-6, 1e-3, -1e-9, -1e-6, -1e-3])
+def test_creep_rate_laplace_near_a_pole_within_its_estimate(distance):
+    # once 5.6e-8 off at 1e-9 and 1.2e-10 at 1e-6, with no estimate
+    pole = -float(mp.besseljzero(3, 1) ** 2)
+    assert _within_estimate(1.0, pole * (1.0 + distance))
 
 
 def test_creep_rate_low_frequency_trend():

@@ -41,7 +41,7 @@ from besselq import (
 )
 from besselq.errors import EST_REL_ERROR_CEILING, _UNIT
 from besselq.specfun import modified, series
-from besselq.specfun.kelvinfg import _kelvin_expansion, _kelvin_series
+from besselq.specfun.kelvinfg import _kelvin_series
 
 # oracle: naive series at >= 40 digits
 I0_2 = 2.279585302336067267437
@@ -359,20 +359,48 @@ def test_ratio_regimes_agree_in_overlap_band(monkeypatch):
         (order, cmath.rect(r, phi))
         for order in (-0.9, 0.0, 2.0, 5.5, 20.0)
         for r in (30.0, 120.0, 400.0, 2000.0)
-        for phi in (0.0, math.pi / 4, 1.2)
+        for phi in (0.0, math.pi / 4, 1.2, math.pi / 2, -1.2)
     ]
     expansion = {}
     for order, z in points:
         value, err, iterations = modified._ratio_next_order(order, z)
         if iterations == 0:
             expansion[order, z] = value, err
-    assert len(expansion) >= 40
+    assert len(expansion) >= 90  # 94 of the 100
+    assert sum(cmath.phase(z) > 1.5 for _, z in expansion) >= 15  # the imaginary axis: 19
     monkeypatch.setattr(modified, "_hankel_sums", lambda order, z: (0j, 0j, math.inf, 0.0))
     for (order, z), (value, err) in expansion.items():
         cf, residual, iterations = modified._ratio_next_order(order, z)
         assert iterations > 0
         bound = err + residual + 16 * _UNIT
         assert abs(cf - value) <= bound * abs(value), (order, z)
+
+
+@pytest.mark.parametrize("order, z", [(1.0, 1e6j), (3.0, 1e12j)])
+def test_ratio_on_the_imaginary_axis_takes_no_cf_iteration(order, z):
+    # the CF would need about |z| iterations: 1,000,670 at z = 1e6 i
+    value, err, iterations = modified._ratio_next_order(order, z)
+    assert iterations == 0
+    ref = complex(oracle.i_ratio_next(order, z))
+    assert abs(value - ref) <= err * abs(ref)
+
+
+def test_ratio_sweep_lies_within_its_estimate():
+    # orders -0.99 to 300, |z| 1e1 to 1e8 and phases -pi/2 to pi/2, fixed
+    # seed: every returned ratio, from the expansion (270 of the 320) or the
+    # CF, lies within its estimate of mpmath (measured worst 0.30 of it)
+    rng = random.Random("ratio/sweep")
+    worst, served = 0.0, 0
+    for _ in range(160):
+        order = -0.99 + 10.0 ** rng.uniform(-2.0, math.log10(300.99))
+        z = cmath.rect(10.0 ** rng.uniform(1.0, 8.0), rng.uniform(0.0, math.pi / 2))
+        for z in (z, z.conjugate()):
+            value, err, iterations = modified._ratio_next_order(order, z)
+            served += iterations == 0
+            ref = complex(oracle.i_ratio_next(order, z))
+            worst = max(worst, abs(value - ref) / (err * abs(ref)))
+    assert worst <= 1.0, worst
+    assert served >= 250, served
 
 
 def test_ratio_takes_expansion_only_under_its_bound():
@@ -388,36 +416,47 @@ def test_ratio_takes_expansion_only_under_its_bound():
 
 
 def test_ratio_cf_cap_is_reachable(monkeypatch):
-    # the cap 2|z| + 100 follows from the argument, so a fault raises fast
+    # the cap 2|z| + 100 follows from the argument, so a fault raises fast;
+    # at order 300 the expansion does not serve |z| = 1000, the CF does
     monkeypatch.setattr(modified, "_CF_TOL", 0.0)
     start = time.perf_counter()
     with pytest.raises(NonConvergenceError, match="after 2100 iterations"):
-        modified._ratio_next_order(0.0, complex(0.0, 1000.0))
+        modified._ratio_next_order(300.0, complex(0.0, 1000.0))
     assert time.perf_counter() - start < 0.5
 
 
 def test_ratio_cf_work_is_bounded(monkeypatch):
-    # at |z| = 1e150 the argument's own cap is 2e150 iterations; the work
-    # cap _CF_MAX_ITER bounds it, and its count is in the message
+    # at |z| = 1e150 the argument's own cap is 2e150 iterations, at order
+    # 1e4, |z| = 3e4 (20,213 iterations) 60,100; the work cap _CF_MAX_ITER
+    # bounds both, and its count is in the message
     monkeypatch.setattr(modified, "_CF_MAX_ITER", 5000)
     start = time.perf_counter()
-    for order, z in ((1e100, 1e150 * cmath.exp(0.25j * math.pi)), (3.0, 1e150j)):
+    for order, z in ((1e100, 1e150 * cmath.exp(0.25j * math.pi)), (1e4, 3e4j)):
         with pytest.raises(NonConvergenceError, match="after 5000 iterations"):
             modified._ratio_next_order(order, z)
     assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("call", [
-    lambda: creep_rate_laplace(ModelOrder(1), -1e300),
     lambda: q_inverse(ModelOrder(1e100), 1e308),
     lambda: creep_rate_time(ModelOrder(1e100), 1e-300),
-], ids=["creep_rate_laplace", "q_inverse", "creep_rate_time"])
+], ids=["q_inverse", "creep_rate_time"])
 def test_calls_that_never_returned_raise_at_the_cf_cap(call, monkeypatch):
     # each once ran toward a cap of about 2e150 iterations; at 2^22 each
     # raises in about 4 s, here at a smaller cap
     monkeypatch.setattr(modified, "_CF_MAX_ITER", 5000)
     with pytest.raises(NonConvergenceError, match="after 5000 iterations"):
         call()
+
+
+def test_negative_axis_far_out_raises_without_the_cf(monkeypatch):
+    # creep_rate_laplace(1, -1e300) once ran the CF to its cap; the
+    # expansion now serves z = 1e150 i, and the rounding of z = sqrt(s)
+    # leaves no digit of T: PoleError, a DomainError, with no CF iteration
+    monkeypatch.setattr(modified, "_CF_MAX_ITER", 0)
+    assert modified._ratio_next_order(3.0, cmath.sqrt(-1e300))[2] == 0
+    with pytest.raises(DomainError, match="rounding of sqrt"):
+        creep_rate_laplace(ModelOrder(1), -1e300)
 
 
 def test_slowest_returning_call_stays_under_the_cf_cap():
@@ -518,8 +557,10 @@ def test_kelvin_series_asymptotic_handover_consistency():
     # and by the large-argument expansion
     for order in (0.0, 1.0, 3.5):
         series_pair, _ = _kelvin_series(order, 20.0)
-        scaled, _, log_scale = _kelvin_expansion(order, 20.0)
-        asym_pair = scaled * math.exp(log_scale)
+        z = 20.0 * cmath.exp(0.25j * math.pi)
+        scaled, _, _ = modified._scaled_i(order, z, modified._reflection(order, z))
+        asym_pair = modified._rotation(order, 0.5) * scaled * cmath.exp(z) / cmath.sqrt(
+            2.0 * math.pi * z)
         norm = abs(series_pair)
         assert abs(series_pair.real - asym_pair.real) < 2e-11 * norm
         assert abs(series_pair.imag - asym_pair.imag) < 2e-11 * norm
