@@ -7,15 +7,15 @@ The guards are the one home of the domain and range rules:
 * ``_require_finite`` -- an argument is a finite float or complex;
 * ``_require_order``    -- an order is finite and exceeds -1;
 * ``_require_positive`` -- a frequency (or time) is finite and positive;
-* ``_require_index``    -- a count or an index is a whole number >= 1;
+* ``_require_index``    -- a count or an index is a whole number >= 1, up
+  to a limit;
 * ``_representable``    -- a result is finite.
 
 The argument guards convert the value themselves, so a number beyond the
 double range (an int such as ``10**400``) raises DomainError, not a bare
 OverflowError.  Every public entry checks its arguments through them, and
 every float or complex that ``model`` and ``qfactor`` return passes
-``_representable``, except ``frac_maxwell_q_inverse``, whose value cannot
-leave the range.
+``_representable``.
 
 The package's one accuracy ceiling, ``EST_REL_ERROR_CEILING``, lives here
 too: a ``QEvaluation`` carries no worse estimate, and the bare-valued sums
@@ -111,14 +111,17 @@ def _require_positive(value, name: str) -> float:
     return value
 
 
-def _require_index(value, name: str) -> int:
-    """``value`` as an int, or DomainError unless it is a whole number >= 1."""
+def _require_index(value, name: str, top: float = math.inf) -> int:
+    """``value`` as an int, or DomainError unless it is a whole number from
+    1 to ``top``."""
     try:
         whole = int(value)
     except (OverflowError, ValueError):  # infinite or NaN
         whole = 0
     if not (whole >= 1 and whole == value):
         raise DomainError(f"{name} must be a whole number >= 1, got {value}")
+    if whole > top:
+        raise DomainError(f"{name} must be at most {top:.0e}, got {value}")
     return whole
 
 

@@ -236,11 +236,17 @@ def frac_maxwell_q_inverse(beta: float, omega_tau: float) -> float:
         Q^-1_beta(omega tau) = sin(pi beta/2) / ((omega tau)^beta + cos(pi beta/2))
 
     for ``0 < beta <= 1``; beta = 1 is the ordinary Maxwell element with
-    ``Q^-1 = 1/(omega tau)``.
+    ``Q^-1 = 1/(omega tau)``.  The cosine is formed as ``sin(pi (1 -
+    beta)/2)``, exactly 0 at ``beta = 1`` (``cos(pi/2)`` rounds to 6.1e-17)
+    and with ``1 - beta`` exact from ``beta = 1/2``, so the value is within
+    a few ulps at every ``beta`` and ``omega tau``.  Raises
+    OverflowRangeError where it leaves the double range (``omega tau``
+    below about 5.6e-309 at ``beta = 1``).
     """
     beta = _require_finite(beta, "beta")
     if not (0.0 < beta <= 1.0):
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
     omega_tau = _require_positive(omega_tau, "omega*tau")
-    half = 0.5 * math.pi * beta
-    return math.sin(half) / (omega_tau**beta + math.cos(half))
+    value = math.sin(0.5 * math.pi * beta) / (
+        omega_tau**beta + math.sin(0.5 * math.pi * (1.0 - beta)))
+    return _representable(value, "Q^-1_beta at omega*tau = %s", omega_tau)

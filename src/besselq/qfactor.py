@@ -21,7 +21,11 @@ never loads them:
   of about 1e9; its roundoff floor grows like ``eps/omega`` at low
   frequency).
 
-Both are one quotient of two pairs scaled to unit modulus
+Every route and both asymptotes take ``Q^-1`` from that one definition,
+in one place (``_attenuation``): each hands it a positive multiple of its
+``s J~``, which must have a positive real part (the storage response;
+InconsistencyError otherwise), and gets ``-Im/Re`` of it.  The two pair
+forms hand it ``-i p1 conj(p2)`` of two pairs scaled to unit modulus
 (``_pair_quotient``), so neither keeps a range rule of its own: the
 series' range test and the ``QEvaluation`` ceiling on the carried running
 bounds decide where they stop.
@@ -30,8 +34,10 @@ Below the crossover ``omega = 324`` the two are one: both sum ``T_a(i omega)``
 
 Every route returns a ``QEvaluation`` whose error estimate stays at or
 below ``EST_REL_ERROR_CEILING`` (1e-6, the package's one ceiling, defined in
-``errors``); a route whose own estimate is worse raises.
-Both asymptotic regimes are available in closed form:
+``errors``); a route whose own estimate is worse raises: one definition and one
+judge for all three.
+Both asymptotic regimes come from the two-term forms of ``s J~``
+(``model.creep_compliance_asymptotic``):
 ``2(nu+1)(nu+3)/omega`` as ``omega -> 0`` (an ordinary Maxwell element) and
 ``sqrt(2)(nu+1)/(sqrt(omega) + sqrt(2)(nu+1))`` as ``omega -> inf`` (a
 fractional Maxwell element of order 1/2 with time scale
@@ -45,9 +51,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import (EST_REL_ERROR_CEILING, DomainError, InconsistencyError, _representable,
-                     _require_positive)
-from .model import ModelOrder, _compliance_split, _pole_term
+from .errors import EST_REL_ERROR_CEILING, InconsistencyError, _representable, _require_positive
+from .model import ModelOrder, _compliance_split, _pole_term, creep_compliance_asymptotic
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -86,26 +91,40 @@ class QEvaluation(namedtuple("QEvaluation", "omega q_inverse route est_rel_error
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
+def _attenuation(
+    omega: float, route: str, response: complex, scale: float, weight_im: float,
+    weight_re: float,
+) -> QEvaluation:
+    """``Q^-1 = -Im r / Re r``, the one definition every route and asymptote
+    takes, from ``r = response``, a positive multiple of ``s J~`` at ``s = i
+    omega``.  The estimate is ``scale (weight_im/|Im r| + weight_re/Re r)``:
+    a relative error ``scale`` carried through each part by the weight of
+    the sizes it is relative to.  Raises InconsistencyError, naming the
+    route and ``omega``, unless ``Re r > 0``: the storage response is
+    positive, and a violation is surfaced, never clamped."""
+    if not response.real > 0.0:
+        raise InconsistencyError(
+            f"storage response lost positivity at omega = {omega} "
+            f"(route {route}: Re(s J~) = {response.real:.3g})"
+        )
+    est = scale * (weight_im / abs(response.imag) + weight_re / response.real)
+    return QEvaluation(omega, -response.imag / response.real, route, est)
+
+
 def _pair_quotient(
     omega: float, route: Route, p1: complex, p2: complex, unit: float
 ) -> QEvaluation:
-    """``Q^-1 = Re w / (-Im w)``, ``w = conj(p1) p2``, from the pairs ``p1 =
-    f1 + i g1`` and ``p2 = f2 + i g2`` at orders ``nu`` and ``nu+2``, each
-    with relative error ``unit`` (relative to its modulus):
-    ``(f1 f2 + g1 g2) / (g1 f2 - f1 g2)``.  Both pairs are first scaled to
-    unit modulus, which leaves the quotient as it is and keeps every product
-    in range.  The estimate ``unit (1/|Re w| + 1/(-Im w))`` grows without
-    bound as either part vanishes, and the ``QEvaluation`` ceiling then
-    raises InconsistencyError; so does a denominator that is not
-    positive."""
-    w = (p1 / abs(p1)).conjugate() * (p2 / abs(p2))
-    if not -w.imag > 0.0:
-        raise InconsistencyError(
-            f"storage response lost positivity at omega = {omega} "
-            f"({route} denominator = {-w.imag:.3g})"
-        )
-    est = unit * (1.0 / abs(w.real) + 1.0 / -w.imag)
-    return QEvaluation(omega, w.real / -w.imag, route, est)
+    """Q^-1 from the pairs ``p1 = f1 + i g1`` and ``p2 = f2 + i g2`` at orders
+    ``nu`` and ``nu+2``, each with relative error ``unit`` (relative to its
+    modulus): ``s J~ = -(4i/omega) p1/p2``, so ``-i p1 conj(p2)`` over their
+    moduli is a positive multiple of it, and the quotient is ``(f1 f2 + g1
+    g2) / (g1 f2 - f1 g2)``.  Scaling both pairs to unit modulus keeps every
+    product in range.  The estimate ``unit (1/|f1 f2 + g1 g2| + 1/(g1 f2 -
+    f1 g2))``, on the unit pairs, grows without bound as either part
+    vanishes, and the ``QEvaluation`` ceiling then raises
+    InconsistencyError."""
+    response = -1j * ((p1 / abs(p1)) * (p2 / abs(p2)).conjugate())
+    return _attenuation(omega, route, response, unit, 1.0, 1.0)
 
 
 def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
@@ -177,27 +196,19 @@ def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:
     about 6.7e153 at ``omega = 1``), before any work on ``T``.
     """
     omega = _require_positive(omega, "omega")
-    nu = model.nu
     s = complex(0.0, omega)
-    pole = _pole_term(nu, s)  # -i P
-    tail, u = _compliance_split(nu, s)
-    s_j = 1.0 + pole + tail
-    if s_j.real <= 0.0:
-        # Numerically asserted storage-modulus positivity; a violation is
-        # surfaced, never clamped.
-        raise InconsistencyError(
-            f"Re(s J~) = {s_j.real:.3g} <= 0 at omega = {omega}"
-        )
-    est = u * (
-        (abs(pole) + abs(tail)) / abs(s_j.imag) + (1.0 + abs(tail)) / s_j.real
-    )
-    return QEvaluation(omega, -s_j.imag / s_j.real, "direct_ratio", est)
+    pole = _pole_term(model.nu, s)  # -i P
+    tail, u = _compliance_split(model.nu, s)
+    return _attenuation(omega, "direct_ratio", 1.0 + pole + tail, u,
+                        abs(pole) + abs(tail), 1.0 + abs(tail))
 
 
 def q_inverse_asymptotic(
     model: ModelOrder, omega: float, regime: Literal["high", "low"]
 ) -> float:
-    """Closed-form asymptotic Q^-1 in the requested regime.
+    """Asymptotic Q^-1 in the requested regime: ``-Im/Re`` of
+    ``creep_compliance_asymptotic`` at ``s = i omega``, so both closed
+    forms are those of ``s J~``.
 
     ``low``:  2(nu+1)(nu+3)/omega        (omega -> 0, Maxwell-like);
     ``high``: sqrt(2)(nu+1)/(sqrt(omega) + sqrt(2)(nu+1))  (omega -> inf).
@@ -207,17 +218,14 @@ def q_inverse_asymptotic(
     (nu+1)(2nu+3) of the large-argument expansion of I_nu/I_{nu+2}
     (DLMF 10.40.1).  At omega = 1e5 that is 2.9e-2 for nu = 5.
 
-    Raises OverflowRangeError where the form leaves the double range: the
-    ``low`` one at small ``omega`` or large ``nu``, the ``high`` one where
-    ``sqrt(2)(nu+1)`` does (``nu`` above about 1.27e308).
+    Raises DomainError for another ``regime``, and OverflowRangeError where
+    the form of ``s J~`` leaves the double range: the ``low`` one where its
+    pole term ``4(nu+1)(nu+2)/omega`` does (from ``nu`` of about 6.7e153
+    whatever ``omega``, and at small ``omega``), as ``q_inverse`` does; the
+    ``high`` one where ``2(nu+1)/sqrt(i omega)`` does, from ``nu`` of about
+    ``min(9e307, 1.27e308 sqrt(omega))``.
     """
     omega = _require_positive(omega, "omega")
-    nu = model.nu
-    if regime == "low":
-        value = 2.0 * (nu + 1.0) * (nu + 3.0) / omega
-    elif regime == "high":
-        c = math.sqrt(2.0) * (nu + 1.0)
-        value = c / (math.sqrt(omega) + c)
-    else:
-        raise DomainError(f"regime must be 'high' or 'low', got {regime!r}")
-    return _representable(value, "the %s-frequency asymptote at omega = %s", regime, omega)
+    response = creep_compliance_asymptotic(model, complex(0.0, omega), regime)
+    # a closed form: no rounding estimate to carry
+    return _attenuation(omega, regime, response, 0.0, 0.0, 0.0).q_inverse

@@ -15,8 +15,9 @@ asymptotic guess for the others.  ``bessel_j_zeros`` takes it for the zeros
 whose McMahon guess lies at most 20, and Newton's method on the phase of
 that same expansion for the rest.
 
-Both zero finders serve the orders ``(-1, 16]``: see
-``_require_zero_order``.  On a grid of orders from -0.999 to 16 by 0.01
+Both zero finders serve the orders ``(-1, 16]`` (see
+``_require_zero_order``), the indices up to ``10**15`` and counts up to
+``10**6``.  On a grid of orders from -0.999 to 16 by 0.01
 both are within 4e-12 absolute of mpmath (the worst a bracket zero, limited
 by ``bessel_j``'s 5e-11 of the amplitude near the handover); the phase
 zeros, from the first past 20 to index 1e4, within a few ulps.
@@ -52,6 +53,16 @@ _SMALL_ZERO_MAX = _J_SERIES_MAX_X + 8.0
 
 #: Largest order of the zero finders: see ``_require_zero_order``.
 _ZERO_ORDER_MAX = 16.0
+
+#: Largest zero index, the largest power of ten at which both finders match
+#: McMahon's expansion (within 2 ulps on a 0.01 grid of orders): at 1e16 the
+#: spacing of doubles (4) swallows the bracket of ``bessel_j_zero`` and it
+#: raises RootIsolationError at some orders.
+_ZERO_INDEX_MAX = 10**15
+
+#: Most zeros one ``bessel_j_zeros`` call may build, as for a frequency grid
+#: (``tables.MAX_GRID_COUNT``).
+_ZERO_COUNT_MAX = 10**6
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -126,14 +137,17 @@ def bessel_j_zero(order: float, k: int) -> float:
     orders to 16).
 
     Raises DomainError, before any work, for an order outside ``(-1,
-    16]`` (``_require_zero_order``).  The bracket is the classical bound for
+    16]`` (``_require_zero_order``) or an index above ``10**15``
+    (``_ZERO_INDEX_MAX``): past it the bracket below falls within the
+    spacing of doubles, and at it the zero still matches McMahon's
+    expansion within 2 ulps.  The bracket is the classical bound for
     ``k = 1`` and the McMahon guess ``+- 0.05``, widened while it holds no
     sign change, for the others; RootIsolationError, naming the order and
     the index, if it still holds none, which signals a bug rather than an
     expected failure mode.
     """
     order = _require_zero_order(order)
-    k = _require_index(k, "zero index")
+    k = _require_index(k, "zero index", _ZERO_INDEX_MAX)
     if k == 1:
         # 4(a+1) < j_{a,1}^2 < 2(a+1)(a+3), valid for all a > -1
         lo = 2.0 * math.sqrt(order + 1.0) * (1.0 - 1e-12)
@@ -222,10 +236,11 @@ def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
     increasing.  The tables of the last 8 calls are kept.
 
     Raises ``DomainError``, before any zero is refined, for an order
-    outside ``(-1, 16]`` (``_require_zero_order``).
+    outside ``(-1, 16]`` (``_require_zero_order``) or a count above
+    ``10**6`` (``_ZERO_COUNT_MAX``).
     """
     order = _require_zero_order(order)
-    count = _require_index(count, "count")
+    count = _require_index(count, "count", _ZERO_COUNT_MAX)
     guesses = [_mcmahon_zero_estimate(order, float(k)) for k in range(1, count + 1)]
     zeros = tuple(
         bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _phase_zero(order, k, x)

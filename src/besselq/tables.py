@@ -59,11 +59,15 @@ class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def points(self) -> list[float]:
-        """The grid, by the arithmetic of ``np.linspace`` / ``np.logspace``."""
+        """The grid, by the arithmetic of ``np.linspace`` / ``np.logspace``,
+        with ``min`` and ``max`` themselves as its end points: ``10**y`` of
+        a rounded ``log10(max)`` may overshoot ``max`` or leave the range.
+        So does an inner point that rounds onto that end, on a band a few
+        ulps wide; it is ``max`` too."""
         if self.scale == "linear":
             return _linspace(self.min, self.max, self.count)
-        exponents = _linspace(math.log10(self.min), math.log10(self.max), self.count)
-        return [10.0**y for y in exponents]
+        *exponents, top = _linspace(math.log10(self.min), math.log10(self.max), self.count)
+        return [self.min] + [10.0**y if y < top else self.max for y in exponents[1:]] + [self.max]
 
 
 class SweepRecord(

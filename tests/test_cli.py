@@ -122,6 +122,32 @@ def test_sweep_refuses_a_huge_count_before_it_allocates(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("top, count", [("1.7976931348623157e308", "2"), ("1.7e308", "3")])
+def test_log_sweep_ends_on_its_bounds(top, count, tmp_path):
+    # 10**log10(max) overflowed at the largest double (a bare OverflowError)
+    # and overshot 1.7e308 to 1.7000000000000911e308
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--nu", "0", "--log", "1", top, "--count", count,
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == int(count)
+    assert (float(rows[0][0]), float(rows[-1][0])) == (1.0, float(top))
+
+
+def test_log_grid_ends_exactly_and_keeps_its_inner_points():
+    # the ends are the bounds themselves; the inner points are 10**y, and
+    # on a band a few ulps wide at the top of the range an inner point
+    # that rounds onto log10(max) is max too, not an overflow
+    for lo, hi, count in ((1e-4, 1e5, 181), (3e-7, 7.1e12, 50), (1e-300, 1.7e308, 7)):
+        points = FrequencyGrid("log", lo, hi, count).points()
+        exponents = np.linspace(math.log10(lo), math.log10(hi), count)
+        assert (points[0], points[-1]) == (lo, hi)
+        assert points[1:-1] == [10.0**y for y in exponents[1:-1]]
+    top = sys.float_info.max
+    points = FrequencyGrid("log", math.nextafter(top, 0.0), top, 3).points()
+    assert points[0] < points[1] == points[2] == top
+
+
 def test_sweep_17_significant_digits(tmp_path):
     out = tmp_path / "sweep.csv"
     main(["sweep", "--nu", "0", "--linear", "1", "2", "--count", "2", "--out", str(out)])

@@ -33,6 +33,7 @@ from besselq import (
     q_inverse_kelvin,
 )
 from besselq.specfun import series
+from besselq.specfun import zeros as zeros_module
 from besselq.specfun.series import _tricomi_series
 
 
@@ -342,6 +343,28 @@ def test_range_and_domain_leaks_are_typed(call, error):
     # InconsistencyError, or a bare OverflowError on an int past 1e308
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: besselq.bessel_j_zero(0.0, 10**400),
+    lambda: besselq.bessel_j_zero(0.0, 10**20),
+    lambda: besselq.bessel_j_zeros(0.0, 10**12),
+    lambda: besselq.bessel_j_zeros(0.0, 10**6 + 1),
+], ids=["index-int", "index-1e20", "count-1e12", "count-past-1e6"])
+def test_zero_index_and_count_are_bounded(call, call_timer, monkeypatch):
+    # these raised a bare OverflowError, the RootIsolationError kept for
+    # bugs, and began a 1e12-entry list: each is refused before any zero is
+    # sought, and the timer stops a call that would build the list
+    def no_work(*args):
+        raise AssertionError("work done for an index or count past the limit")
+
+    monkeypatch.setattr(zeros_module, "_mcmahon_zero_estimate", no_work)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(besselq.DomainError):
+            call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
 
 
 def test_every_estimate_counts_in_one_unit():

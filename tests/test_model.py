@@ -337,3 +337,20 @@ def test_frac_maxwell_domain():
         frac_maxwell_q_inverse(1.1, 1.0)
     with pytest.raises(DomainError):
         frac_maxwell_q_inverse(0.5, 0.0)
+
+
+def test_frac_maxwell_matches_mpmath_up_to_beta_one():
+    # cos(pi beta/2) is formed as sin(pi (1 - beta)/2): cos(pi/2) rounds to
+    # 6.1e-17, which made (1, 1e-16) 38% low and (1, 1e-300) return 1.6e16
+    def reference(beta, x):
+        beta = mp.mpf(beta)
+        return mp.sin(mp.pi * beta / 2) / (mp.mpf(x) ** beta + mp.sin(mp.pi * (1 - beta) / 2))
+
+    with mp.workprec(200):
+        for beta in (1.0, 1.0 - 2.0**-40, 0.75, 0.5):
+            for x in (1e-300, 1e-16, 1e-10, 1.0, 1e10):
+                value = frac_maxwell_q_inverse(beta, x)
+                assert abs(value / reference(beta, x) - 1) < 1e-14, (beta, x)
+    # 1/(omega tau) leaves the double range: typed, not inf
+    with pytest.raises(OverflowRangeError):
+        frac_maxwell_q_inverse(1.0, 1e-320)

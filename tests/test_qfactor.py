@@ -5,6 +5,7 @@ the product identity linking the two closed forms."""
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -19,6 +20,7 @@ from besselq import (
     InconsistencyError,
     ModelOrder,
     OverflowRangeError,
+    creep_compliance_asymptotic,
     fg_series,
     frac_maxwell_q_inverse,
     kelvin_scaled,
@@ -280,6 +282,52 @@ def test_verification_routes_keep_their_own_arithmetic():
             ev = q_inverse_fg(model, omega)
             expected = _unit_pair_quotient(f1, g1, f2, g2, errors[0] + errors[1])
             assert (ev.q_inverse, ev.est_rel_error) == expected, (nu, omega)
+
+
+def test_every_route_judges_positivity_in_one_place(monkeypatch):
+    # a response whose real part is not positive raises, naming its route
+    # and omega, from the one test all three routes share
+    import besselq.qfactor
+    import besselq.specfun.kelvinfg
+    import besselq.specfun.series
+
+    monkeypatch.setattr(besselq.qfactor, "_compliance_split",
+                        lambda nu, s: (complex(-2.0, -1.0), 1e-16))
+    monkeypatch.setattr(besselq.specfun.kelvinfg, "kelvin_scaled",
+                        lambda nu, x: (1.0, 0.0, 0.0, 1e-16))
+    monkeypatch.setattr(besselq.specfun.series, "_tricomi_series",
+                        lambda nu, s: (1.0 + 0.0j, SimpleNamespace(rel_error=1e-16)))
+    for route, name in ((q_inverse, "direct_ratio"), (q_inverse_kelvin, "kelvin"),
+                        (q_inverse_fg, "fg_series")):
+        with pytest.raises(InconsistencyError, match=rf"omega = 2\.5 \(route {name}: Re"):
+            route(ModelOrder(0.0), 2.5)
+
+
+def test_asymptotes_are_the_quotient_of_the_asymptotic_s_j():
+    # -Im/Re of creep_compliance_asymptotic at s = i omega, bit for bit, and
+    # within 1e-15 of the closed forms 2(nu+1)(nu+3)/omega and
+    # sqrt(2)(nu+1)/(sqrt(omega) + sqrt(2)(nu+1))
+    rng = random.Random(27)
+    for _ in range(500):
+        nu, omega = -1.0 + 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-6.0, 12.0)
+        model = ModelOrder(nu)
+        c = math.sqrt(2.0) * (nu + 1.0)
+        for regime, closed in (("low", 2.0 * (nu + 1.0) * (nu + 3.0) / omega),
+                               ("high", c / (math.sqrt(omega) + c))):
+            r = creep_compliance_asymptotic(model, complex(0.0, omega), regime)
+            q = q_inverse_asymptotic(model, omega, regime)
+            assert q == -r.imag / r.real, (nu, omega, regime)
+            assert rel(q, closed) <= 1e-15, (nu, omega, regime)
+    # the range ends: the high form from nu of about 9e307 (2(nu+1)), or
+    # 1.27e308 sqrt(omega) below; the low one where its pole term leaves the
+    # range, as q_inverse does
+    for nu, omega, regime in ((9e307, 1.0, "high"), (1e300, 1e-20, "high"),
+                              (6.8e153, 1e10, "low"), (1.0, 1e-308, "low")):
+        with pytest.raises(OverflowRangeError):
+            q_inverse_asymptotic(ModelOrder(nu), omega, regime)
+    assert rel(q_inverse_asymptotic(ModelOrder(8.9e307), 1.0, "high"), 1.0) <= 1e-15
+    with pytest.raises(OverflowRangeError):
+        q_inverse(ModelOrder(1.0), 1e-308)
 
 
 # ------------------------------------------------- invariant structure

@@ -157,22 +157,56 @@ def test_zero_domain_ends_at_order_16(monkeypatch):
                     call()
 
 
+def _bracketed_zero(order, lo, hi):
+    """The zero of ``J_order`` that mpmath finds on ``[lo, hi]``, a bracket
+    built here, with its sign change and the root's place in it checked."""
+    f = lambda t: mp.besselj(order, t)  # noqa: E731
+    assert f(lo) * f(hi) < 0, (order, lo, hi)
+    root = mp.findroot(f, (lo, hi), solver="anderson")
+    assert lo < root < hi, (order, lo, hi)
+    return float(root)
+
+
 def test_zero_finders_match_mpmath_on_a_dense_grid_of_orders():
     # every order from -0.999 to 16 by 0.01: the first zero, from the
-    # bracket, and the first one past x = 20, from Newton on the phase
+    # bracket, and the first one past x = 20, from Newton on the phase.
+    # The references are mpmath's, never seeded with the zero under test:
+    # the first zero on the classical bracket 4(a+1) < j^2 < 2(a+1)(a+3), a
+    # theorem for every a > -1; the other by besseljzero for orders >= 0,
+    # and for negative ones on a bracket 1 either side of McMahon's
+    # two-term guess, good to ~1e-4 past x = 20, where zeros lie ~pi apart
     for order in [round(-0.999 + 0.01 * i, 3) for i in range(1700)] + [16.0]:
         k_phase = 1
         while zeros_module._mcmahon_zero_estimate(order, k_phase) <= zeros_module._SMALL_ZERO_MAX:
             k_phase += 1
         table = bessel_j_zeros(order, k_phase)
         assert all(a < b for a, b in zip(table, table[1:])), order
+        a = mp.mpf(order)
         for k in {1, k_phase}:
-            if order >= 0:
+            if k == 1:
+                ref = _bracketed_zero(order, 2 * mp.sqrt(a + 1), mp.sqrt(2 * (a + 1) * (a + 3)))
+            elif order >= 0:
                 ref = float(mp.besseljzero(order, k))
             else:
-                ref = float(mp.findroot(lambda t: mp.besselj(order, t), table[k - 1]))
+                beta = (k + a / 2 - mp.mpf(1) / 4) * mp.pi
+                guess = beta - (4 * a * a - 1) / (8 * beta)
+                ref = _bracketed_zero(order, guess - 1, guess + 1)
             assert abs(table[k - 1] - ref) < 1e-10, (order, k)
             assert abs(bessel_j_zero(order, k) - ref) < 1e-10, (order, k)
+
+
+def test_largest_zero_index_matches_mcmahon():
+    # at 1e15 both finders give McMahon's value within 2 ulps (the zero,
+    # its error there far below an ulp); at 1e16 the bracket is below the
+    # spacing of doubles and raised RootIsolationError at some orders
+    top = zeros_module._ZERO_INDEX_MAX
+    assert top == 10**15
+    for order in (-0.999, -0.5, 0.0, 1.0, 7.7, 16.0):
+        guess = zeros_module._mcmahon_zero_estimate(order, top)
+        assert abs(bessel_j_zero(order, top) - guess) <= 2.0 * math.ulp(guess), order
+        assert abs(zeros_module._phase_zero(order, top, guess) - guess) <= 2.0 * math.ulp(guess)
+        with pytest.raises(DomainError, match="zero index"):
+            bessel_j_zero(order, top + 1)
 
 
 def test_phase_newton_that_does_not_settle_raises(monkeypatch):
