@@ -8,7 +8,7 @@ The guards are the one home of the domain and range rules:
 * ``_require_order``    -- an order is finite and exceeds -1;
 * ``_require_positive`` -- a frequency (or time) is finite and positive;
 * ``_require_index``    -- a count or an index is a whole number >= 1, up
-  to a limit;
+  to a limit, by default the one count ceiling ``_COUNT_MAX``;
 * ``_representable``    -- a result is finite.
 
 The argument guards convert the value themselves, so a number beyond the
@@ -34,6 +34,10 @@ _UNIT = 0.5 * sys.float_info.epsilon
 #: route estimates worse raises InconsistencyError, a cancelling series
 #: (``tricomi_it``, ``fg_series``) CancellationError.
 EST_REL_ERROR_CEILING = 1e-6
+
+#: Most entries a table may hold, the default ``top`` of ``_require_index``:
+#: a larger count raises DomainError before a grid point or a zero is made.
+_COUNT_MAX = 10**6
 
 
 class BesselQError(Exception):
@@ -111,9 +115,9 @@ def _require_positive(value, name: str) -> float:
     return value
 
 
-def _require_index(value, name: str, top: float = math.inf) -> int:
+def _require_index(value, name: str, top: int = _COUNT_MAX) -> int:
     """``value`` as an int, or DomainError unless it is a whole number from
-    1 to ``top``."""
+    1 to ``top``, by default ``_COUNT_MAX``."""
     try:
         whole = int(value)
     except (OverflowError, ValueError):  # infinite or NaN

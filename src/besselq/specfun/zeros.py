@@ -8,12 +8,15 @@ machine level.  Beyond that the handover the Kelvin pair shares
 truncated Hankel expansion, ``sum t_k = P + iQ`` at ``z = -ix``, or raises
 ``TruncationError`` when neither reaches 5e-11 of the amplitude, and where
 ``x <= order`` (below the first zero, where the value may be far below the
-amplitude) of the value.  ``bessel_j_zero`` takes Newton steps safeguarded
-with bisection inside a verified sign-change bracket: the classical bounds
-``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)`` for the first zero, a McMahon
-asymptotic guess for the others.  ``bessel_j_zeros`` takes it for the zeros
-whose McMahon guess lies at most 20, and Newton's method on the phase of
-that same expansion for the rest.
+amplitude) of the value.
+
+Each positive zero has one rule, ``_zero``, whichever finder asks.  Where
+McMahon's asymptotic guess lies at most 20, Newton steps safeguarded with
+bisection inside a verified sign-change bracket: the classical bounds
+``4(a+1) < j_{a,1}^2 < 2(a+1)(a+3)`` for the first zero, the guess ``+-
+0.05`` for the others.  Past 20, Newton's method on the phase of that same
+expansion.  ``bessel_j_zero`` returns one zero by that rule and
+``bessel_j_zeros`` a table of them, so the two agree bit for bit.
 
 Both zero finders serve the orders ``(-1, 16]`` (see
 ``_require_zero_order``), the indices up to ``10**15`` and counts up to
@@ -47,22 +50,19 @@ _J_MAX_ERROR = 5e-11
 #: Truncation of the Hankel expansion of J.
 _J_REL_TOL = 1e-17
 
-#: Zeros whose McMahon guess lies at or below this come from the scalar
-#: bracket-verified ``bessel_j_zero``; larger ones from ``_phase_zero``.
+#: Zeros whose McMahon guess lies at or below this come from Newton inside
+#: a verified bracket, larger ones from ``_phase_zero`` (see ``_zero``).
 _SMALL_ZERO_MAX = _J_SERIES_MAX_X + 8.0
 
 #: Largest order of the zero finders: see ``_require_zero_order``.
 _ZERO_ORDER_MAX = 16.0
 
-#: Largest zero index, the largest power of ten at which both finders match
-#: McMahon's expansion (within 2 ulps on a 0.01 grid of orders): at 1e16 the
-#: spacing of doubles (4) swallows the bracket of ``bessel_j_zero`` and it
-#: raises RootIsolationError at some orders.
+#: Largest zero index, the largest power of ten below ``2**53``: there
+#: consecutive zeros are distinct doubles, and the phase zeros match
+#: McMahon's expansion within 2 ulps.  At 1e16 the spacing of doubles (4)
+#: exceeds that of the zeros (pi): indices 1e16 and 1e16 + 1 gave one double
+#: at each of 200 orders from -0.999 to 16.
 _ZERO_INDEX_MAX = 10**15
-
-#: Most zeros one ``bessel_j_zeros`` call may build, as for a frequency grid
-#: (``tables.MAX_GRID_COUNT``).
-_ZERO_COUNT_MAX = 10**6
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -129,40 +129,44 @@ def _mcmahon_zero_estimate(order: float, k: float) -> float:
 
 
 def bessel_j_zero(order: float, k: int) -> float:
-    """k-th positive zero of ``J_order``, bracket-verified.
+    """k-th positive zero of ``J_order``: entry ``k`` of ``bessel_j_zeros``,
+    bit for bit, by the one rule of ``_zero``.
 
-    A sign change of ``J_order`` across the returned point is established
-    before refinement, so the result is guaranteed to be a zero (absolute
-    error below 1e-10; typically ~1e-13, at most 4e-12 on a 0.01 grid of
-    orders to 16).
+    Where McMahon's guess lies at most 20 the zero is bracket-verified: a
+    sign change of ``J_order`` across the returned point is established
+    before refinement, so the result is a zero (absolute error below
+    1e-10; typically ~1e-13, at most 4e-12 on a 0.01 grid of orders to
+    16).  The bracket is the classical bound for ``k = 1`` and the guess
+    ``+- 0.05`` for the others, twice McMahon's worst error there (0.024,
+    at order 11.305, over the 35,321 such zeros of a 0.001 grid of orders
+    from -0.999 to 16).  Past 20 the zero is identified by its phase,
+    within a few ulps.
 
     Raises DomainError, before any work, for an order outside ``(-1,
     16]`` (``_require_zero_order``) or an index above ``10**15``
-    (``_ZERO_INDEX_MAX``): past it the bracket below falls within the
-    spacing of doubles, and at it the zero still matches McMahon's
-    expansion within 2 ulps.  The bracket is the classical bound for
-    ``k = 1`` and the McMahon guess ``+- 0.05``, widened while it holds no
-    sign change, for the others; RootIsolationError, naming the order and
-    the index, if it still holds none, which signals a bug rather than an
-    expected failure mode.
+    (``_ZERO_INDEX_MAX``).  RootIsolationError, naming the order and the
+    index, where a bracket holds no sign change, which signals a bug rather
+    than an expected failure mode.
     """
-    order = _require_zero_order(order)
-    k = _require_index(k, "zero index", _ZERO_INDEX_MAX)
+    return _zero(_require_zero_order(order), _require_index(k, "zero index", _ZERO_INDEX_MAX))
+
+
+def _zero(order: float, k: int) -> float:
+    """The k-th positive zero of ``J_order`` by the one rule of both zero
+    finders: ``_phase_zero`` where McMahon's guess lies past
+    ``_SMALL_ZERO_MAX``, else Newton steps safeguarded with bisection inside
+    a verified sign-change bracket.  Private: it checks no argument."""
+    guess = _mcmahon_zero_estimate(order, k)
+    if guess > _SMALL_ZERO_MAX:
+        return _phase_zero(order, k, guess)
     if k == 1:
         # 4(a+1) < j_{a,1}^2 < 2(a+1)(a+3), valid for all a > -1
         lo = 2.0 * math.sqrt(order + 1.0) * (1.0 - 1e-12)
         hi = math.sqrt(2.0 * (order + 1.0) * (order + 3.0)) * (1.0 + 1e-12)
-        flo, fhi = bessel_j(order, lo), bessel_j(order, hi)
     else:
-        guess = _mcmahon_zero_estimate(order, k)
-        h = 0.05
-        lo, hi = guess - h, guess + h
-        flo, fhi = bessel_j(order, lo), bessel_j(order, hi)
-        while flo * fhi > 0.0 and h < 1.6:
-            h *= 1.7
-            lo, hi = guess - h, guess + h
-            flo, fhi = bessel_j(order, lo), bessel_j(order, hi)
-    if flo * fhi > 0.0:
+        lo, hi = guess - 0.05, guess + 0.05
+    flo = bessel_j(order, lo)
+    if flo * bessel_j(order, hi) > 0.0:
         raise RootIsolationError(
             f"could not isolate zero #{k} of J_{order}: no sign change "
             f"on [{lo:.17g}, {hi:.17g}]"
@@ -215,9 +219,12 @@ def _require_zero_order(order: float) -> float:
     the one domain of both zero finders, checked before any work and
     whatever the index or count.
 
-    From about order 16.002 on, the first-zero bracket ``4(a+1) < j^2 <
-    2(a+1)(a+3)`` of ``bessel_j_zero`` also holds ``j_{a,2}``, and there the
-    first zero would raise RootIsolationError.
+    Past order 14.786 every zero, the first included, has a McMahon guess
+    above 20 and comes from ``_phase_zero``.  On a 0.01 grid of orders past
+    16 that path returned 10 zeros at every order up to 20.97, the first
+    two within 6e-15 relative of mpmath; at 20.98 (and at 23.8, 25 and 30)
+    the first zero raised NonConvergenceError: from a guess 0.52 off,
+    eight phase steps did not settle.  16 keeps a margin below that.
     """
     order = _require_order(order)
     if order > _ZERO_ORDER_MAX:
@@ -230,22 +237,16 @@ def _require_zero_order(order: float) -> float:
 def bessel_j_zeros(order: float, count: int) -> tuple[float, ...]:
     """First ``count`` positive zeros of ``J_order``, as a tuple.
 
-    Small zeros (McMahon guess at most ``_SMALL_ZERO_MAX``) come from the
-    bracket-verified ``bessel_j_zero``, the rest from ``_phase_zero``,
-    within a few ulps, and the sequence is checked to be strictly
-    increasing.  The tables of the last 8 calls are kept.
+    Each zero comes from the one rule of ``_zero``, as ``bessel_j_zero``
+    gives it, and the sequence is checked to be strictly increasing.  The
+    tables of the last 8 calls are kept.
 
     Raises ``DomainError``, before any zero is refined, for an order
     outside ``(-1, 16]`` (``_require_zero_order``) or a count above
-    ``10**6`` (``_ZERO_COUNT_MAX``).
+    ``10**6`` (``errors._COUNT_MAX``).
     """
     order = _require_zero_order(order)
-    count = _require_index(count, "count", _ZERO_COUNT_MAX)
-    guesses = [_mcmahon_zero_estimate(order, float(k)) for k in range(1, count + 1)]
-    zeros = tuple(
-        bessel_j_zero(order, k) if x <= _SMALL_ZERO_MAX else _phase_zero(order, k, x)
-        for k, x in enumerate(guesses, start=1)
-    )
+    zeros = tuple(_zero(order, k) for k in range(1, _require_index(count, "count") + 1))
     if any(b <= a for a, b in zip(zeros, zeros[1:])):
         raise RootIsolationError(
             f"zero sequence of J_{order} not strictly increasing; refinement failed"

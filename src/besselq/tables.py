@@ -20,7 +20,8 @@ import math
 import os
 from collections import namedtuple
 
-from .errors import DomainError, _representable, _require_finite, _require_index, _require_positive
+from .errors import (_COUNT_MAX, DomainError, _representable, _require_finite, _require_index,
+                     _require_positive)
 from .model import ModelOrder
 from .qfactor import q_inverse, q_inverse_asymptotic
 
@@ -32,9 +33,10 @@ if TYPE_CHECKING:
 #: The orders ``besselq check`` and the suites of ``checks`` run at by default.
 DEFAULT_CHECK_NUS = (-0.5, 0.0, 1.0, 3.5, 10.0)
 
-#: Most points a ``FrequencyGrid`` may hold: a larger count raises
-#: DomainError before any point is made.
-MAX_GRID_COUNT = 10**6
+#: Most points a ``FrequencyGrid`` may hold, the package's one count
+#: ceiling (``errors._COUNT_MAX``): a larger count raises DomainError before
+#: any point is made.
+MAX_GRID_COUNT = _COUNT_MAX
 
 
 class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
@@ -51,8 +53,8 @@ class FrequencyGrid(namedtuple("FrequencyGrid", "scale min max count")):
         if not max > min:
             raise DomainError(f"need min < max, got min={min}, max={max}")
         count = _require_index(count, "count")
-        if not 2 <= count <= MAX_GRID_COUNT:
-            raise DomainError(f"count must lie in [2, {MAX_GRID_COUNT}], got {count}")
+        if count < 2:
+            raise DomainError(f"count must be at least 2, got {count}")
         return super().__new__(cls, scale, min, max, count)
 
     # ``_replace`` builds through ``_make``: check there too

@@ -68,14 +68,16 @@ def test_creep_rate_laplace_matches_oracle():
                 assert abs(creep_rate_laplace(model, s) - ref) <= 2e-14 * abs(ref), (nu, s)
 
 
-def _within_estimate(nu, s):
-    """Whether ``creep_rate_laplace`` at ``s`` lies within the estimate of
-    ``T`` from ``_compliance_split``, plus ``u`` for each of its two sums,
-    of mpmath at the exact ``sqrt(s)``."""
-    value = creep_rate_laplace(ModelOrder(nu), s)
+def _within_estimate(nu, s, function=creep_rate_laplace):
+    """Whether ``function`` at ``s``, ``creep_rate_laplace`` or
+    ``creep_compliance_laplace`` (which adds 1 to it), lies within the
+    estimate of ``T`` from ``_compliance_split``, plus ``u`` for each of its
+    sums (two, or three with the 1), of mpmath at the exact ``sqrt(s)``."""
+    shift = function is creep_compliance_laplace
+    value = function(ModelOrder(nu), s)
     tail, est = _compliance_split(nu, s)
-    ref = complex(oracle.creep_rate_laplace_besseli(nu, s))
-    return abs(value - ref) <= est * abs(tail) + 2.0 * _UNIT * (abs(value) + abs(tail))
+    ref = complex(shift + oracle.creep_rate_laplace_besseli(nu, s))
+    return abs(value - ref) <= est * abs(tail) + (2 + shift) * _UNIT * (abs(value) + abs(tail))
 
 
 @pytest.mark.parametrize("s", [-2e4, -3.3e8, -1.2345e12, -7.7e16])
@@ -94,11 +96,26 @@ def test_creep_rate_laplace_raises_where_sqrt_s_cannot_tell(s):
             function(ModelOrder(1.0), s)
 
 
-@pytest.mark.parametrize("distance", [1e-9, 1e-6, 1e-3, -1e-9, -1e-6, -1e-3])
-def test_creep_rate_laplace_near_a_pole_within_its_estimate(distance):
-    # once 5.6e-8 off at 1e-9 and 1.2e-10 at 1e-6, with no estimate
-    pole = -float(mp.besseljzero(3, 1) ** 2)
-    assert _within_estimate(1.0, pole * (1.0 + distance))
+#: Relative distances from a pole, and the (nu, k, distance) cases: the
+#: first three poles -j_{nu+2,k}^2 at three orders.  The first pole of
+#: nu = 1 keeps its bare distance as its id.
+POLE_DISTANCES = [1e-9, 1e-6, 1e-3, -1e-9, -1e-6, -1e-3, 1e-12, -1e-12]
+POLE_CASES = [(nu, k, d) for nu in (1.0, -0.5, 20.0) for k in (1, 2, 3) for d in POLE_DISTANCES]
+POLE_IDS = [str(d) if (nu, k) == (1.0, 1) else f"nu{nu:g}-k{k}-{d}" for nu, k, d in POLE_CASES]
+
+
+@pytest.mark.parametrize("nu, k, distance", POLE_CASES, ids=POLE_IDS)
+def test_creep_rate_laplace_near_a_pole_within_its_estimate(nu, k, distance):
+    # once 5.6e-8 off at 1e-9 and 1.2e-10 at 1e-6, with no estimate; both
+    # Laplace functions return within their estimate or raise PoleError,
+    # and the first pole of nu = 1 returns from a distance of 1e-9
+    s = -float(mp.besseljzero(nu + 2.0, k) ** 2) * (1.0 + distance)
+    must_return = (nu, k) == (1.0, 1) and abs(distance) >= 1e-9
+    for function in (creep_rate_laplace, creep_compliance_laplace):
+        try:
+            assert _within_estimate(nu, s, function), function.__name__
+        except PoleError:
+            assert not must_return, function.__name__
 
 
 def test_creep_rate_low_frequency_trend():

@@ -5,7 +5,6 @@ import random
 import re
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 import oracle
@@ -59,8 +58,9 @@ BRACKET_ORDERS = [-0.99] + [-0.75 + 0.25 * i for i in range(47)] + [11.5, 12.5, 
 
 
 def test_one_bracket_rule_isolates_every_zero_up_to_k_40():
-    # the k = 1 bound and the McMahon guess bracket every zero: a skipped
-    # zero would leave a gap of about 2 pi, a repeated one a gap of 0
+    # the k = 1 bound and the McMahon guess +- 0.05 bracket every zero up
+    # to a guess of 20, and the phase places the rest: a skipped zero
+    # would leave a gap of about 2 pi, a repeated one a gap of 0
     for order in BRACKET_ORDERS:
         table = [bessel_j_zero(order, k) for k in range(1, 41)]
         assert 4.0 * (order + 1.0) < table[0] ** 2 < 2.0 * (order + 1.0) * (order + 3.0)
@@ -90,12 +90,17 @@ def test_scalar_zero_accuracy_against_mpmath():
             assert abs(bessel_j_zero(order, k) - ref) < 1e-10
 
 
-def test_vectorized_zeros_match_scalar():
-    zeros = bessel_j_zeros(2.0, 2000)
-    assert isinstance(zeros, tuple) and len(zeros) == 2000
-    assert np.all(np.diff(zeros) > 0.0)
-    for k in (1, 5, 17, 200, 2000):
-        assert abs(zeros[k - 1] - bessel_j_zero(2.0, k)) < 5e-10
+def test_both_zero_finders_give_the_same_zero_bit_for_bit():
+    # one rule per zero: bessel_j_zero(15, 1) once came from the bracket,
+    # 19.99443062981638, and the table's entry from the phase,
+    # 19.994430629816385 (3,021 of 8,000 points on 40 orders to k = 200
+    # differed, by up to 6 ulps)
+    for order in (-0.999, 0.0, 2.0, 7.3, 15.0, 16.0):
+        zeros = bessel_j_zeros(order, 2000)
+        assert isinstance(zeros, tuple) and len(zeros) == 2000
+        assert all(a < b for a, b in zip(zeros, zeros[1:]))
+        for k in (1, 2, 5, 17, 200, 2000):
+            assert bessel_j_zero(order, k) == zeros[k - 1], (order, k)
 
 
 def test_zero_hit_exactly_by_newton_is_kept():
@@ -197,8 +202,9 @@ def test_zero_finders_match_mpmath_on_a_dense_grid_of_orders():
 
 def test_largest_zero_index_matches_mcmahon():
     # at 1e15 both finders give McMahon's value within 2 ulps (the zero,
-    # its error there far below an ulp); at 1e16 the bracket is below the
-    # spacing of doubles and raised RootIsolationError at some orders
+    # its error there far below an ulp); at 1e16, past 2**53, the spacing of
+    # doubles (4) exceeds that of the zeros (pi), and consecutive indices
+    # gave one double at every order tried
     top = zeros_module._ZERO_INDEX_MAX
     assert top == 10**15
     for order in (-0.999, -0.5, 0.0, 1.0, 7.7, 16.0):
