@@ -33,7 +33,7 @@ from collections import namedtuple
 from ..errors import _UNIT, _representable, _require_order, _require_positive
 from .modified import _reflection, _rotation, _scaled_i
 from .series import (SeriesDiagnostics, _in_range, _require_argument, _series_or_expansion,
-                     _tricomi_series, _within_ceiling)
+                     _tricomi_series, tricomi_it)
 
 #: Frequency up to which the alternating series serve alone, their running
 #: bound there at most 1.5e-13 (orders -0.999 to 299): above ``x = sqrt(324) = 18``
@@ -72,7 +72,7 @@ def fg_series(order: float, omega: float) -> FGPair:
     """
     order = _require_order(order)
     omega = _require_positive(omega, "omega")
-    pair = _within_ceiling(order, complex(0.0, omega))
+    pair = tricomi_it(order, complex(0.0, omega))
     return FGPair(pair.real, pair.imag, order, omega)
 
 

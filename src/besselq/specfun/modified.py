@@ -118,20 +118,20 @@ def _scaled_i(order: float, z: complex, rho: complex) -> tuple[complex, float, b
     return value, (remainder + roundoff) / size if size else math.inf, trusted
 
 
-def _hankel_terms(order: float, z: complex, rel_tol: float) -> tuple[list, float]:
+def _hankel_terms(order: float, z: complex, rel_tol: float) -> list:
     """Optimally truncated terms ``t_k = a_k(order) / z^k`` of the
     large-argument expansion, ``a_k = prod_{j<=k} (4 order^2 - (2j-1)^2) /
-    (k! 8^k)``, and an estimate of the relative truncation error.
+    (k! 8^k)``.
 
     The series is asymptotic, not convergent: it stops at the first term
-    below ``rel_tol`` or, failing that, at the globally smallest term, whose
-    magnitude is the returned estimate.  Once ``(2k-1)^2 > 4 order^2`` the
-    term ratio ``((2k-1)^2 - 4 order^2) / (8k|z|)`` grows with ``k``, so the
-    first term larger than its predecessor there ends the search; so does
-    a term above 1e9, past which roundoff in the sum would exceed the
-    truncation estimate.  ``I_order(z)`` uses ``sum (-1)^k
-    t_k`` and ``sum t_k``; ``J_order(x)`` uses ``sum t_k = P + iQ`` at
-    ``z = -ix``.
+    below ``rel_tol`` or, failing that, at the globally smallest term.
+    That last term's magnitude estimates the relative truncation error.
+    Once ``(2k-1)^2 > 4 order^2`` the term ratio ``((2k-1)^2 - 4 order^2) /
+    (8k|z|)`` grows with ``k``, so the first term larger than its
+    predecessor there ends the search; so does a term above 1e9, past which
+    roundoff in the sum would exceed the truncation estimate.  ``I_order(z)``
+    uses ``sum (-1)^k t_k`` and ``sum t_k``; ``J_order(x)`` uses ``sum t_k =
+    P + iQ`` at ``z = -ix``.
     """
     mu = 4.0 * order * order
     terms = [1.0]
@@ -142,11 +142,11 @@ def _hankel_terms(order: float, z: complex, rel_tol: float) -> tuple[list, float
         terms.append(t)
         mag = abs(t)
         if mag < rel_tol:
-            return terms, mag
+            return terms
         if mag > 1e9 or (c > mu and mag > abs(terms[-2])):
             break
     m_star = min(range(1, len(terms)), key=lambda i: abs(terms[i]))
-    return terms[: m_star + 1], abs(terms[m_star])
+    return terms[: m_star + 1]
 
 def _hankel_sums(order: float, z: complex) -> tuple[complex, complex, float, float]:
     """Even and odd parts of ``sum t_k``, a remainder bound of both branches
@@ -162,7 +162,7 @@ def _hankel_sums(order: float, z: complex) -> tuple[complex, complex, float, flo
     1/2) <= sqrt(pi (l + 1)/2)``.
     """
     growth = math.exp(min(0.5 * math.pi * abs(order * order - 0.25) / abs(z), 700.0))
-    terms, _ = _hankel_terms(order, z, 1e-18 / growth)
+    terms = _hankel_terms(order, z, 1e-18 / growth)
     kept = terms[:-1]
     remainder = 2.0 * math.sqrt(0.5 * math.pi * len(terms)) * growth * abs(terms[-1])  # chi(l)
     roundoff = 8.0 * _UNIT * max(map(abs, kept))

@@ -10,8 +10,8 @@ T_a(-x^2)``, ``ber_a + i bei_a`` is ``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``
 test and one running bound on its own rounding, its error estimate and its
 only accuracy rule; it stops at the unit roundoff, and its term cap follows
 from ``|s|``.  ``_series_or_expansion`` hands it over to a
-large-argument expansion for ``J`` and ber/bei, and ``_within_ceiling``
-makes the bare sums ``tricomi_it`` and ``fg_series`` raise where that bound
+large-argument expansion for ``J`` and ber/bei, and the bare sum
+``tricomi_it`` (which ``fg_series`` splits in two) raises where that bound
 passes ``EST_REL_ERROR_CEILING``.  Its first term
 ``1/Gamma(a+1)`` comes from ``gamma_real``, a checked ``math.gamma``, which
 lives here with ``_require_argument``, the argument check of ``I``, ``J``
@@ -242,17 +242,6 @@ def _tricomi_series(
     return value, SeriesDiagnostics(m + 1, error, max_term / size if size else math.inf)
 
 
-def _within_ceiling(order: float, s: complex) -> complex:
-    """``T_order(s)``, or CancellationError, with the largest-term/result
-    ratio, where its running bound exceeds ``EST_REL_ERROR_CEILING``: the
-    one loudness rule of the bare sums that cancel."""
-    value, diag = _tricomi_series(order, s)
-    if not diag.rel_error <= EST_REL_ERROR_CEILING:
-        raise CancellationError(f"series of order {order} at s = {s:.3g} lost too many digits "
-                                f"(estimate {diag.rel_error:.3g})", ratio=diag.cancel_ratio)
-    return value
-
-
 def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: float,
                          unit: float | None = None, log_scale: float = 0.0) -> tuple:
     """``e^(-log_scale)`` times ``series()`` (a ``_tricomi_series`` call
@@ -348,4 +337,8 @@ def tricomi_it(order: float, s: complex) -> complex:
     """
     order = _require_order(order)
     s = _require_finite(s, "s", complex)
-    return _within_ceiling(order, s)
+    value, diag = _tricomi_series(order, s)
+    if not diag.rel_error <= EST_REL_ERROR_CEILING:
+        raise CancellationError(f"series of order {order} at s = {s:.3g} lost too many digits "
+                                f"(estimate {diag.rel_error:.3g})", ratio=diag.cancel_ratio)
+    return value

@@ -99,10 +99,10 @@ def _j_hankel(order: float, x: float, amplitude: float) -> tuple[float, float]:
     ``e^(i chi)`` comes from ``e^(ix)`` and the exactly reduced shift:
     ``chi`` itself, rounded to double, is off by ~eps x.
     """
-    terms, smallest = _hankel_terms(order, complex(0.0, -x), _J_REL_TOL)
+    terms = _hankel_terms(order, complex(0.0, -x), _J_REL_TOL)
     shift = math.pi * math.fmod(0.5 * order + 0.25, 2.0)
     value = (sum(terms) * cmath.rect(1.0, x) * cmath.rect(1.0, -shift)).real
-    return value * amplitude, smallest + 8.0 * _UNIT * max(map(abs, terms))
+    return value * amplitude, abs(terms[-1]) + 8.0 * _UNIT * max(map(abs, terms))
 
 
 def _mcmahon_zero_estimate(order: float, k: float) -> float:
@@ -205,7 +205,7 @@ def _phase_zero(order: float, k: int, x: float) -> float:
     """
     beta = (k + 0.5 * order - 0.25) * math.pi
     for _ in range(8):
-        s = sum(_hankel_terms(order, complex(0.0, -x), 1e-16 * x)[0])
+        s = sum(_hankel_terms(order, complex(0.0, -x), 1e-16 * x))
         step = math.remainder(x - beta + cmath.phase(s), 2.0 * math.pi) * abs(s) ** 2
         x -= step
         if abs(step) < 4e-15 * x:

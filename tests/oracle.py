@@ -7,7 +7,8 @@ shared with the package under test: the summation loops are independent,
 double-free, and deliberately unsophisticated.  Bessel-function zeros used
 as *inputs* to the Dirichlet series come from mpmath's root finder; past
 the reach of the naive sums, ``mpmath.besseli`` serves, at two precisions
-that must agree.
+that must agree.  ``laplace_allowance`` counts the roundings that the
+package's Laplace functions add to the estimate of their ratio.
 """
 
 from __future__ import annotations
@@ -250,3 +251,34 @@ def creep_rate_time_talbot(nu, t, dps: int = 40):
             return 2 * (nu + 1) / z * mp.besseli(nu + 1, z) / mp.besseli(nu + 2, z)
 
         return mp.invertlaplace(transform, t, method="talbot")
+
+
+#: The unit roundoff of binary64, ``2^-53``.
+UNIT = 2.0**-53
+
+
+def laplace_allowance(nu, s, tail, est, compliance=False):
+    """The error allowed ``creep_rate_laplace`` at ``s`` (with
+    ``compliance``, ``creep_compliance_laplace``), given ``T`` and its
+    relative estimate ``est`` from ``model._compliance_split``: ``est |T|``
+    plus every rounding of the pole term and of the sums, to first order in
+    the unit ``u = 2^-53``.
+
+    The pole term ``4(nu+1)(nu+2)/s`` rounds ``nu + 1``, ``nu + 2`` and
+    their product once each (``4x`` is exact), ``3u``, and then divides a
+    real ``p`` by ``s = c + id``.  CPython divides by Smith's algorithm
+    (Smith, CACM 5 (1962) 435): for ``|c| >= |d|`` (else ``c`` and ``d``
+    swap roles) ``r = d/c``, ``den = c + d r``, ``Re = p/den`` and ``Im =
+    -(p r)/den``.  The roundings of ``r`` and of ``d r`` move ``den`` by at
+    most ``r^2/(1 + r^2) <= 1/2`` of ``2u``, and its sum by ``u``; so ``Re`` lies
+    within ``3u`` and ``Im`` within ``5u``, and the quotient within ``5u``
+    of its modulus: ``8u |pole|`` in all.  (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed. (2002), Lemma 3.5, bounds the textbook
+    formula by ``sqrt(2) gamma_4``, about ``5.7u``.)  Each complex sum,
+    ``pole + T`` and then ``1 + ...``, rounds each part once: ``u`` of its
+    modulus.
+    """
+    pole = 4.0 * abs(nu + 1.0) * abs(nu + 2.0) / abs(s)
+    value = complex(4.0 * (nu + 1.0) * (nu + 2.0) / s + tail)
+    allowance = est * abs(tail) + 8.0 * UNIT * pole + UNIT * abs(value)
+    return allowance + UNIT * abs(1.0 + value) if compliance else allowance

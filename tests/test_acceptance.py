@@ -37,6 +37,7 @@ from besselq.checks import (
     RAYLEIGH_SNEDDON_BOUND,
     ROUTE_AGREEMENT_BOUND_ABOVE,
     ROUTE_AGREEMENT_BOUND_BELOW,
+    check_kelvin_agreement,
     check_laplace_consistency,
     check_rayleigh_sneddon,
     check_route_agreement,
@@ -56,15 +57,16 @@ def log_grid(lo, hi, count):
 
 
 def test_criterion_1_three_route_agreement():
-    result = check_route_agreement(NUS_ROUTE)
+    below = check_route_agreement(NUS_ROUTE)
+    above = check_kelvin_agreement(NUS_ROUTE)
     report(
         "1 (three-route agreement)",
-        result.passed,
-        f"max pairwise below crossover {result.max_discrepancy:.3e} "
-        f"(bounds {ROUTE_AGREEMENT_BOUND_BELOW:.0e} below / "
-        f"{ROUTE_AGREEMENT_BOUND_ABOVE:.0e} above); {result.detail}",
+        below.passed and above.passed,
+        f"max pairwise below crossover {below.max_discrepancy:.3e} "
+        f"(bound {ROUTE_AGREEMENT_BOUND_BELOW:.0e}), {below.detail}; above crossover "
+        f"{above.max_discrepancy:.3e} (bound {ROUTE_AGREEMENT_BOUND_ABOVE:.0e}), {above.detail}",
     )
-    assert result.passed
+    assert below.passed and above.passed
 
 
 def test_criterion_2_low_frequency_asymptote():

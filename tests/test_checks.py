@@ -10,6 +10,7 @@ import oracle
 from besselq import DomainError, ModelOrder, TruncationError, checks
 from besselq.checks import (
     check_creep_time,
+    check_kelvin_agreement,
     check_laplace_consistency,
     check_monotonicity,
     check_route_agreement,
@@ -112,21 +113,50 @@ def test_check_names_the_route_and_point_that_raised(capsys):
     # the series of order 100 leaves the double range at omega = 1e-3; the
     # route line once read only the exception's message
     assert main(["check", "--nu", "100"]) == 1
-    route_line = capsys.readouterr().out.splitlines()[0]
-    assert route_line.startswith("FAIL route agreement: max discrepancy inf")
+    below, above = capsys.readouterr().out.splitlines()[:2]
     where = "q_inverse_fg/q_inverse_kelvin/q_inverse, nu=100.0, omega=0.001"
-    assert f"below crossover inf, {where}: OverflowRangeError: " in route_line
-    # at order 50 the band below the crossover passes, and its figure shows
-    # although the band above raised: neither the Kelvin series nor its
-    # expansion reaches 3e-8 there
+    assert below.startswith("FAIL route agreement: max discrepancy inf (bound 1.0e-09) -- "
+                            f"{where}: OverflowRangeError: ")
+    assert above.startswith("FAIL Kelvin agreement above crossover: max discrepancy inf "
+                            "(bound 1.0e-08) -- q_inverse_kelvin/q_inverse, nu=100.0, omega=")
+    # at order 50 the band below the crossover passes on a line of its own,
+    # with its own figure; above it neither the Kelvin series nor its
+    # expansion reaches 3e-8
     assert main(["check", "--nu", "50"]) == 1
-    route_line = capsys.readouterr().out.splitlines()[0]
-    assert route_line.startswith("FAIL route agreement: max discrepancy inf")
-    below = float(route_line.split("below crossover ")[1].split(",")[0])
-    assert below <= checks.ROUTE_AGREEMENT_BOUND_BELOW
-    assert "above crossover inf" in route_line
-    assert "q_inverse_kelvin/q_inverse, nu=50.0, omega=" in route_line
-    assert ": TruncationError: " in route_line
+    below, above = capsys.readouterr().out.splitlines()[:2]
+    assert below.startswith("PASS route agreement: max discrepancy ")
+    assert float(below.split()[5]) <= checks.ROUTE_AGREEMENT_BOUND_BELOW
+    assert below.endswith("(bound 1.0e-09) -- worst at q_inverse_fg/q_inverse_kelvin/q_inverse, "
+                          "nu=50.0, omega=0.001")
+    assert above.startswith("FAIL Kelvin agreement above crossover: max discrepancy inf "
+                            "(bound 1.0e-08) -- q_inverse_kelvin/q_inverse, nu=50.0, omega=")
+    assert ": TruncationError: " in above
+
+
+def test_each_result_holds_one_bound(monkeypatch, capsys):
+    # a Kelvin route 5e-8 off above the crossover, within an estimate of
+    # 1e-7 that _judged accepts, fails the suite whose bound is 1e-8: the
+    # two bands once shared one result, which read FAIL with the lower
+    # band's 1.751e-11 under its bound 1e-9
+    kelvin = checks.q_inverse_kelvin
+
+    def q_inverse_kelvin(model, w):
+        ev = kelvin(model, w)
+        if w <= checks.DEFAULT_CROSSOVER_OMEGA:
+            return ev
+        return ev._replace(q_inverse=ev.q_inverse * (1.0 + 5e-8), est_rel_error=1e-7)
+
+    monkeypatch.setattr(checks, "q_inverse_kelvin", q_inverse_kelvin)
+    results = checks.run_all_checks()
+    for result in results:
+        if result.name != "monotonicity":  # a strict step, not a spread
+            assert result.passed == (result.max_discrepancy <= result.bound), result
+    assert len(results) == 6
+    assert main(["check"]) == 1
+    failing = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failing) == 1
+    assert failing[0].startswith("FAIL Kelvin agreement above crossover: max discrepancy 5.000e-08 "
+                                 "(bound 1.0e-08) -- worst at q_inverse_kelvin/q_inverse, nu=")
 
 
 def test_route_agreement_judges_the_estimates(monkeypatch):
@@ -166,10 +196,10 @@ def test_route_agreement_reports_the_point_where_a_route_raised(monkeypatch):
     result = check_route_agreement((0.0, 1.0))
     assert not result.passed and result.max_discrepancy == math.inf
     where = f"q_inverse_fg/q_inverse_kelvin/q_inverse, nu=1.0, omega={omega:.4g}"
-    assert f"{where}: TruncationError: injected;" in result.detail
+    assert result.detail == f"{where}: TruncationError: injected"
     # the band above the crossover, which the f/g route does not enter, is
-    # reported too
-    assert ", worst at q_inverse_kelvin/q_inverse, nu=" in result.detail
+    # a suite of its own, and passes
+    assert check_kelvin_agreement((0.0, 1.0)).passed
 
 
 def test_monotonicity_reports_the_point_where_q_inverse_raised(monkeypatch):

@@ -280,6 +280,7 @@ def test_help_exits_zero(argv, capsys):
         ["sweep", "--nu", "0", "--log", "1", "10", "--count", "2.5"],
         ["sweep", "--nu", "0", "--log", "1", "10", "extra"],
         ["check", "--nu"],
+        ["sweep", "0.5", "--nu", "0", "--log", "1", "10"],  # a value before any option
     ],
 )
 def test_bad_invocation_exits_2_with_usage(argv, tmp_path, capsys):

@@ -32,6 +32,7 @@ from besselq import (
     q_inverse_fg,
     q_inverse_kelvin,
 )
+from besselq.model import _compliance_split
 from besselq.specfun import series
 from besselq.specfun import zeros as zeros_module
 from besselq.specfun.series import _tricomi_series
@@ -65,6 +66,11 @@ T_DRAWS = [(order, cmath.rect(size, phase)) for (order, size), phase in zip(
     _draws(29, 150, (-3.0, math.log10(171.0)), (-3.0, 5.3)),
     (random.Random(31).uniform(-math.pi, math.pi) for _ in range(150)))]
 FG_PAIR_DRAWS = _draws(37, 150, (-3.0, math.log10(171.0)), (-3.0, 4.0))
+#: The Laplace functions: orders -0.999 to 198.5, |s| from 1e-6 to 1e12,
+#: every phase, each draw taken as order, modulus, phase.
+LAPLACE_DRAWS = [(-1.0 + 10.0 ** rng.uniform(-3.0, 2.3),
+                  cmath.rect(10.0 ** rng.uniform(-6.0, 12.0), rng.uniform(-math.pi, math.pi)))
+                 for rng in [random.Random(43)] for _ in range(300)]
 
 
 def _sweep(draws, evaluate, error_of):
@@ -145,6 +151,19 @@ def _i_series_error(point, value):
         return abs(value - reference) / reference, diagnostics.rel_error
 
 
+def _laplace_error(compliance):
+    """``error_of`` for ``creep_rate_laplace`` (with ``compliance``,
+    ``creep_compliance_laplace``): mpmath at the exact ``sqrt(s)``, against
+    the estimate of ``T`` and the roundings around it
+    (``oracle.laplace_allowance``)."""
+    def error_of(point, value):
+        nu, s = point
+        tail, est = _compliance_split(nu, s)
+        reference = complex(compliance + oracle.creep_rate_laplace_besseli(nu, s))
+        return abs(value - reference), oracle.laplace_allowance(nu, s, tail, est, compliance)
+    return error_of
+
+
 def _series_bound(order, s, value):
     """The error of ``T_order(s)`` relative to ``|T|`` against the smaller
     of the two bounds ``tricomi_it`` documents: ``1e-13 + 2 eps (1 + R)
@@ -183,9 +202,14 @@ def _series_bound(order, s, value):
         (T_DRAWS, besselq.tricomi_it, lambda p, v: _series_bound(*p, v)),
         (FG_PAIR_DRAWS, besselq.fg_series,
          lambda p, v: _series_bound(p[0], complex(0.0, p[1]), complex(v.f, v.g))),
+        (LAPLACE_DRAWS, lambda nu, s: besselq.creep_rate_laplace(ModelOrder(nu), s),
+         _laplace_error(False)),
+        (LAPLACE_DRAWS, lambda nu, s: besselq.creep_compliance_laplace(ModelOrder(nu), s),
+         _laplace_error(True)),
     ],
     ids=["kelvin_scaled", "q_inverse_kelvin", "q_inverse", "q_inverse_fg", "bessel_j",
-         "creep_rate_time", "modified_bessel_i", "series_estimate", "tricomi_it", "fg_series"],
+         "creep_rate_time", "modified_bessel_i", "series_estimate", "tricomi_it", "fg_series",
+         "creep_rate_laplace", "creep_compliance_laplace"],
 )
 def test_returned_values_lie_within_their_estimate(draws, evaluate, error_of):
     over, returned = _sweep(draws, evaluate, error_of)

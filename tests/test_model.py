@@ -23,7 +23,6 @@ from besselq import (
     frac_maxwell_q_inverse,
 )
 from besselq.checks import creep_rate_laplace_by_zeros
-from besselq.errors import _UNIT
 from besselq.model import _compliance_split
 
 # oracle: naive series quotients at >= 40 digits
@@ -71,13 +70,14 @@ def test_creep_rate_laplace_matches_oracle():
 def _within_estimate(nu, s, function=creep_rate_laplace):
     """Whether ``function`` at ``s``, ``creep_rate_laplace`` or
     ``creep_compliance_laplace`` (which adds 1 to it), lies within the
-    estimate of ``T`` from ``_compliance_split``, plus ``u`` for each of its
-    sums (two, or three with the 1), of mpmath at the exact ``sqrt(s)``."""
-    shift = function is creep_compliance_laplace
+    estimate of ``T`` from ``_compliance_split`` and the roundings of the
+    pole term and the sums (``oracle.laplace_allowance``) of mpmath at the
+    exact ``sqrt(s)``."""
+    compliance = function is creep_compliance_laplace
     value = function(ModelOrder(nu), s)
     tail, est = _compliance_split(nu, s)
-    ref = complex(shift + oracle.creep_rate_laplace_besseli(nu, s))
-    return abs(value - ref) <= est * abs(tail) + (2 + shift) * _UNIT * (abs(value) + abs(tail))
+    ref = complex(compliance + oracle.creep_rate_laplace_besseli(nu, s))
+    return abs(value - ref) <= oracle.laplace_allowance(nu, s, tail, est, compliance)
 
 
 @pytest.mark.parametrize("s", [-2e4, -3.3e8, -1.2345e12, -7.7e16])
@@ -199,6 +199,8 @@ def test_dirichlet_inverts_only_the_bounded_part():
 
 
 # -------------------------------------------------------- time domain
+# The test_dirichlet_* tests exercise creep_rate_time's Talbot inversion;
+# they keep the names of the Dirichlet route it replaced.
 
 
 def test_dirichlet_long_time_constant():

@@ -218,7 +218,7 @@ def test_largest_zero_index_matches_mcmahon():
 def test_phase_newton_that_does_not_settle_raises(monkeypatch):
     # a slope ten thousand times too small makes each step overshoot; the
     # step cap turns that into an error, not a returned guess
-    monkeypatch.setattr(zeros_module, "_hankel_terms", lambda order, z, tol: ([100.0], 0.0))
+    monkeypatch.setattr(zeros_module, "_hankel_terms", lambda order, z, tol: [100.0, 0.0])
     with pytest.raises(NonConvergenceError, match=re.escape("zero #7 of J_0.0")):
         bessel_j_zeros(0.0, 7)
 
