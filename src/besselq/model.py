@@ -28,7 +28,6 @@ and like an ordinary Maxwell element at low frequency.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections import namedtuple
 
@@ -48,25 +47,29 @@ if TYPE_CHECKING:
 #: falls like ``e^(-1.358 N)``; at ``N`` = 28 and 32 roundoff already wins.
 _TALBOT_N = 24
 
-
-@functools.cache
-def _talbot_rule() -> tuple[tuple[tuple[complex, complex], ...], float]:
-    """The nodes ``(t s, w)`` of the rule, built on first use, and the
-    largest ``|t s|``: below ``t`` = that over 1.8e308 (about 2e-307) the
-    contour leaves the double range.
-
-    Conjugate symmetry turns the rule into ``L^-1[F](t) = (1/t) sum Im(w
-    F(s))`` over the ``N/2`` nodes ``theta`` in ``(0, pi)``, with ``w =
-    (2/N) e^(t s) d(t s)/d theta``.
-    """
-    nodes = []
-    for k in range(_TALBOT_N // 2):
-        theta = (k + 0.5) * 2.0 * math.pi / _TALBOT_N
-        cot = 1.0 / math.tan(0.6407 * theta)
-        ts = _TALBOT_N * complex(-0.6122 + 0.5017 * theta * cot, 0.2645 * theta)
-        dts = _TALBOT_N * complex(0.5017 * (cot - 0.6407 * theta * (1.0 + cot * cot)), 0.2645)
-        nodes.append((ts, (2.0 / _TALBOT_N) * cmath.exp(ts) * dts))
-    return tuple(nodes), max(abs(ts) for ts, _ in nodes)
+#: The nodes ``(t s, w)`` of that rule at ``theta_k = (k + 1/2) 2 pi/N``,
+#: ``k = 0 .. N/2 - 1``, with ``w = (2/N) e^(t s) d(t s)/d theta``: the
+#: doubles the formula gives with ``cot = 1/math.tan(0.6407 theta)`` and
+#: ``cmath.exp``, written out so no sine or cosine is taken to build them
+#: (``test_model.py`` recomputes them).  Conjugate symmetry turns the rule
+#: into ``L^-1[F](t) = (1/t) sum Im(w F(s))`` over these ``N/2`` nodes.
+_TALBOT_RULE = (
+    (4.056312078191684+0.8309512568745002j, -24.754180406684533+18.2041367426833j),
+    (3.7021515030617627+2.492853770623501j, -7.472787665644549-21.243473522172522j),
+    (2.985706644555175+4.154756284372502j, 11.897539218702086-0.7167238813789698j),
+    (1.8900529388482434+5.816658798121502j, -0.8589609041289281+4.35340260852106j),
+    (0.3879973995919297+7.478561311870502j, -1.0209002302182866-0.46374512980105226j),
+    (-1.5604376258702102+9.140463825619504j, 0.10930469343268025-0.14770286289183893j),
+    (-4.012059602761193+10.802366339368504j, 0.012411359777434126+0.01358065475289322j),
+    (-7.046939798899983+12.464268853117504j, -0.0008790459424604411+0.0005527405648393199j),
+    (-10.778795683776695+14.126171366866505j, -1.132310875964076e-05-2.726795478497802e-05j),
+    (-15.372252770892977+15.788073880615503j, 3.498835492673441e-07-8.37940390588885e-08j),
+    (-21.07278026476959+17.44997639436451j, 1.241032509663895e-10+1.4712421557396076e-09j),
+    (-28.261516099238296+19.111878908113507j, -1.4006016662126779e-12-8.449978356324418e-14j),
+)
+#: The largest ``|t s|`` of the rule: below ``t`` = this over 1.8e308
+#: (about 2e-307) the contour leaves the double range.
+_TALBOT_REACH = 34.117110188670715
 
 
 class ModelOrder(namedtuple("ModelOrder", "nu")):
@@ -173,9 +176,11 @@ def creep_rate_time(model: ModelOrder, t: float) -> tuple[float, TalbotInversion
     The pole split of ``_compliance_split`` gives ``Psi~(s) = 4(nu+1)(nu+2)/s
     + T(s)``, so ``Psi(t) = 4(nu+1)(nu+2) + L^-1[T](t)``: the constant is
     exact, and only ``T``, whose poles ``-j_{nu+2,k}^2`` lie on the negative
-    real axis, is inverted, on the 24-node contour of ``_talbot_rule`` (12
-    evaluations of ``T``).  The cost does not depend on ``t``: on a 2-core
-    AMD EPYC host with Python 3.11, about 0.1 ms a call.
+    real axis, is inverted, on the 24-node contour of ``_TALBOT_RULE`` (12
+    evaluations of ``T``).  No sine or cosine is taken on the way: the
+    nodes are literals, and none needs the reflected branch of ``I`` (see
+    ``modified._REFLECTION_FROM``).  The cost does not depend on ``t``: on
+    a 2-core AMD EPYC host with Python 3.11, about 0.1 ms a call.
 
     Returns the value with its ``TalbotInversion``, whose estimate is the
     quadrature error ``e^(-1.358 N)`` plus the errors of the nodes, each
@@ -193,11 +198,10 @@ def creep_rate_time(model: ModelOrder, t: float) -> tuple[float, TalbotInversion
     const = _representable(4.0 * (nu + 1.0) * (nu + 2.0), "the creep constant 4(nu+1)(nu+2)")
     if t == math.inf:
         return const, TalbotInversion(0, 0.0)
-    rule, reach = _talbot_rule()
-    if not reach / t < math.inf:
+    if not _TALBOT_REACH / t < math.inf:
         raise DomainError(f"time {t} is below the reach of the Talbot contour")
     inverse = spread = 0.0
-    for ts, weight in rule:
+    for ts, weight in _TALBOT_RULE:
         tail, u = _compliance_split(nu, ts / t)
         term = weight * tail
         inverse += term.imag

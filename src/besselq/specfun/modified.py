@@ -24,6 +24,14 @@ _CF_TOL = 1e-15
 #: Most iterations the continued fraction may take: about 4 s at ~0.95 us
 #: an iteration (2-core Intel Xeon, Python 3.11).
 _CF_MAX_ITER = 2**22
+#: Smallest ``|z|`` at which the ratio takes the reflected branch of
+#: ``_scaled_i`` (so a sine and cosine): below it the continued fraction
+#: serves wherever ``|e^(-2z)| >= 1e-17``.  The Talbot nodes of
+#: ``model.creep_rate_time`` lie at ``arg s <= 145.93`` degrees, so ``Re z >=
+#: 0.29294 |z|`` there, and ``|e^(-2z)| < 1e-17`` from ``|z| = 66.81`` on, at
+#: every order and time: no node needs the branch.  ``q_inverse``'s ray
+#: ``arg z = 45`` degrees leaves it out from ``|z| = 28``.
+_REFLECTION_FROM = 68.0
 
 
 def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
@@ -32,12 +40,16 @@ def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
 
     Where ``_scaled_i`` trusts both values (the reflected factor formed
     once), it is their quotient, with the sum of their estimates and 0
-    iterations: from ``|z| = 28``, on the imaginary axis too, and below it
-    where the reflected branch ``|e^(-2z)|`` is below 1e-17 and is left
-    out, so no sine or cosine is taken.  Otherwise, below ``|z| = 28``, the
-    CF costs less (at ``|z| = 16`` 22 us against 55 us, 2-core host, Python
-    3.11), and below ``|z|`` of about 16.7 the expansion reaches its bound
-    only at orders near a half-integer.  Elsewhere it is the CF ``1/(b1 +
+    iterations: from ``|z| = _REFLECTION_FROM`` (68), on the imaginary axis
+    too, and below it where the reflected branch ``|e^(-2z)|`` is below
+    1e-17 and is left out, so no sine or cosine is taken.  Below ``|z| =
+    68`` otherwise the CF serves: below 28 it costs less (at ``|z| = 16`` 22
+    us against 55 us, 2-core host, Python 3.11), and below ``|z|`` of about
+    16.7 the expansion reaches its bound only at orders near a
+    half-integer; from 28 to 68 it costs more (at order 2, ``arg z`` 73
+    and 90 degrees, 35 to 67 us against 30 to 42 us), the price of keeping
+    the trigonometry (about 0.17 MB of libm pages on first use) off the
+    ``creep_rate_time`` path.  Elsewhere it is the CF ``1/(b1 +
     1/(b2 + ...))``, ``b_k = 2(order+k)/z`` (modified Lentz), with its residual
     ``|delta - 1|`` plus ``2u`` (``u`` the unit ``_UNIT``) for each of its
     ``k`` iterations, and ``3 (|f| + 1/|f|) e^(-2 Re z)`` more for each of
@@ -51,7 +63,7 @@ def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
     if z == 0:
         raise DomainError("ratio undefined at z = 0")
     weight = math.exp(-2.0 * abs(z.real))  # |e^(-2z)|, the size of the reflected branch
-    if abs(z) >= 28.0 or weight < 1e-17:
+    if abs(z) >= _REFLECTION_FROM or weight < 1e-17:
         reflected = _reflection(order, z) if weight >= 1e-17 else 0.0
         numer, e_numer, trusted = _scaled_i(order + 1.0, z, -reflected)
         denom, e_denom, trusted = _scaled_i(order, z, reflected) if trusted else (1.0, 0.0, False)

@@ -5,8 +5,12 @@ load neither ``dataclasses``, ``typing``, the special functions of the
 verification routes, the checks nor the CLI, and ``besselq sweep`` loads
 neither ``argparse`` nor the figure writer, the checks or their special
 functions.  Neither the figure writer nor the checks import the CLI, so
-``python -m besselq.cli figures`` and ``check`` compile it once."""
+``python -m besselq.cli figures`` and ``check`` compile it once.  Neither
+production path takes a sine, cosine or tangent, whose first use faults in
+libm's trigonometry pages."""
 
+import cmath
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +18,38 @@ from pathlib import Path
 
 import pytest
 
+from besselq import ModelOrder, creep_rate_time, q_inverse
+
 ROOT = Path(__file__).resolve().parents[1]
+TRIGONOMETRY = {math: ("sin", "cos", "tan"), cmath: ("exp", "rect", "sin", "cos", "tan")}
+
+
+class TrigonometryTaken(Exception):
+    pass
+
+
+@pytest.fixture
+def no_trigonometry(monkeypatch):
+    for module, names in TRIGONOMETRY.items():
+        for name in names:
+            def raiser(*args, name=f"{module.__name__}.{name}"):
+                raise TrigonometryTaken(name)
+            monkeypatch.setattr(module, name, raiser)
+
+
+@pytest.mark.parametrize("nu", [-0.99, 0.0, 1.0, 2.5, 5.0, 20.0, 200.0])
+def test_creep_rate_time_takes_no_trigonometric_call(no_trigonometry, nu):
+    # from t = 0.0077 to 0.0432 some Talbot nodes lie at |z| from 28 to 67,
+    # where the ratio once took the reflected branch
+    times = [10.0 ** (-4.0 + 5.0 * k / 59) for k in range(60)] + [0.01, 0.02, 0.04]
+    for t in times:
+        creep_rate_time(ModelOrder(nu), t)
+
+
+@pytest.mark.parametrize("nu", [-0.99, 0.0, 5.0, 300.0])
+def test_q_inverse_takes_no_trigonometric_call(no_trigonometry, nu):
+    for k in range(-12, 601, 3):  # omega from 1e-6 to 1e300
+        q_inverse(ModelOrder(nu), 10.0 ** (k / 2))
 
 
 def test_scalar_routes_do_not_load_numpy(tmp_path):

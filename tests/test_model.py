@@ -23,7 +23,8 @@ from besselq import (
     frac_maxwell_q_inverse,
 )
 from besselq.checks import creep_rate_laplace_by_zeros
-from besselq.model import _compliance_split
+from besselq.errors import _UNIT
+from besselq.model import _TALBOT_N, _TALBOT_REACH, _TALBOT_RULE, _compliance_split
 
 # oracle: naive series quotients at >= 40 digits
 PSI_LAPLACE_0_1 = 8.326612235221068270685
@@ -267,8 +268,25 @@ def test_creep_at_large_order_and_small_time_matches_talbot_oracle():
         assert rel(value, reference) <= inversion.est_rel_error < 2e-12, (nu, t)
 
 
+def test_talbot_table_is_the_contour():
+    # the literal nodes against the formula of Trefethen, Weideman &
+    # Schmelzer (BIT 46, 2006): t s(theta) = N (-0.6122 + 0.5017 theta
+    # cot(0.6407 theta) + 0.2645 i theta), w = (2/N) e^(t s) d(t s)/d theta
+    n = _TALBOT_N
+    assert len(_TALBOT_RULE) == n // 2
+    for k, (ts, weight) in enumerate(_TALBOT_RULE):
+        theta = (k + 0.5) * 2.0 * math.pi / n
+        cot = 1.0 / math.tan(0.6407 * theta)
+        ts_formula = n * complex(-0.6122 + 0.5017 * theta * cot, 0.2645 * theta)
+        dts = n * complex(0.5017 * (cot - 0.6407 * theta * (1.0 + cot * cot)), 0.2645)
+        weight_formula = (2.0 / n) * cmath.exp(ts_formula) * dts
+        assert abs(ts - ts_formula) <= 4 * _UNIT * abs(ts_formula), k
+        assert abs(weight - weight_formula) <= 4 * _UNIT * abs(weight_formula), k
+    assert _TALBOT_REACH == max(abs(ts) for ts, _ in _TALBOT_RULE)
+
+
 def test_dirichlet_result_does_not_depend_on_call_history():
-    # the Talbot rule is built on first use; nothing else is kept
+    # the Talbot rule is a table of literals; nothing is kept between calls
     model = ModelOrder(1.0)
     times = (1e-4, 3e-3, 0.1, 2.0)
     cold = [creep_rate_time(model, t) for t in times]
