@@ -49,17 +49,15 @@ from .qfactor import (
     q_inverse_fg,
     q_inverse_kelvin,
 )
+from . import specfun  # loaded already, by model's import of specfun.modified
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BesselQError",
     "CancellationError",
-    "DEFAULT_CROSSOVER_OMEGA",
     "DomainError",
-    "FGPair",
     "InconsistencyError",
-    "KelvinPair",
     "ModelOrder",
     "NonConvergenceError",
     "OverflowRangeError",
@@ -68,33 +66,23 @@ __all__ = [
     "RootIsolationError",
     "TalbotInversion",
     "TruncationError",
-    "bessel_j",
-    "bessel_j_zero",
-    "bessel_j_zeros",
     "creep_compliance_asymptotic",
     "creep_compliance_laplace",
     "creep_rate_laplace",
     "creep_rate_time",
-    "fg_from_kelvin",
-    "fg_series",
     "frac_maxwell_q_inverse",
-    "gamma_real",
-    "kelvin",
-    "kelvin_scaled",
-    "modified_bessel_i",
     "q_inverse",
     "q_inverse_asymptotic",
     "q_inverse_fg",
     "q_inverse_kelvin",
-    "tricomi_it",
 ]
+__all__ += specfun.__all__
+__all__.sort()
 
 
 def __getattr__(name: str):
     # called only for names not bound above: the public ones come from specfun
-    if name in __all__:
-        from . import specfun
-
+    if name in specfun.__all__:
         value = globals()[name] = getattr(specfun, name)
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

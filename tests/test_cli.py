@@ -1,5 +1,6 @@
 """CLI contract tests: CSV schema, determinism, exit codes, plot scripts."""
 
+import csv
 import math
 import os
 import stat
@@ -179,6 +180,23 @@ def test_figures_outputs_and_determinism(tmp_path):
     for tag in ("fig1_linear", "fig2_loglog", "fig3_high_asymptote", "fig4_low_asymptote"):
         script = (out_a / f"{tag}.gp").read_text()
         assert f"'{tag}.csv'" in script
+
+
+def test_loglog_figure_is_a_sweep_on_its_grid(tmp_path):
+    # one Q^-1 evaluator: at the default orders the log-log figure's omega
+    # and q_nu_0 columns are, digit for digit, the omega and q_inverse
+    # columns of a sweep on its grid
+    figures, sweep = tmp_path / "figs", tmp_path / "sweep.csv"
+    assert main(["figures", "--out", str(figures)]) == 0
+    assert main(["sweep", "--nu", "0", "--log", "1e-4", "1e5", "--count", "181",
+                 "--out", str(sweep)]) == 0
+    tables = []
+    for path in (figures / "fig2_loglog.csv", sweep):
+        with open(path, newline="") as stream:
+            tables.append([(row[0], row[2]) for row in csv.reader(stream)])
+    figure, swept = tables
+    assert figure[0] == ("omega", "q_nu_0") and swept[0] == ("omega", "q_inverse")
+    assert len(figure) == 182 and figure[1:] == swept[1:]
 
 
 def test_figures_monotone_and_asymptote_direction(tmp_path):

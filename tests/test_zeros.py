@@ -110,19 +110,31 @@ def test_zero_hit_exactly_by_newton_is_kept():
     assert abs(bessel_j_zeros(8.0, 8)[0] - ref) < 1e-10
 
 
-def test_zero_search_stops_once_newton_has_converged(monkeypatch):
-    # a converged Newton step that rounded onto the bracket's end once sent
-    # the search back to bisection: 86 calls of bessel_j for this zero
-    calls = []
+@pytest.fixture
+def j_points(monkeypatch):
+    """The points at which the zero finders call ``bessel_j``, in order."""
+    points = []
 
-    def counted(order, x):
-        calls.append(x)
+    def recorded(order, x):
+        points.append(x)
         return bessel_j(order, x)
 
-    monkeypatch.setattr(zeros_module, "bessel_j", counted)
-    zero = bessel_j_zero(10.0, 2)
-    assert len(calls) <= 20
-    assert abs(zero - float(mp.besseljzero(10, 2))) < 1e-12 * zero
+    monkeypatch.setattr(zeros_module, "bessel_j", recorded)
+    return points
+
+
+def test_zero_search_stops_once_newton_has_converged(j_points):
+    # a converged Newton step that rounded onto the bracket's end once sent
+    # the search for j_{10,2} back to bisection: 86 calls of bessel_j.  Near
+    # x = 12 the rounding of J's series moves the other zeros, which the
+    # check suites sum, by about 1e-12, so their steps never fell below
+    # 4e-15 x: each once ran all 100 steps, 202 calls, and returned its
+    # last iterate without a word
+    for order, k in ((10.0, 2), (0.0, 4), (1.0, 3), (2.0, 3), (4.5, 2)):
+        j_points.clear()
+        zero = bessel_j_zero(order, k)
+        assert len(j_points) <= 12, (order, k)
+        assert abs(zero - _zero_on_its_bracket(order, k)) < 4e-12, (order, k)
 
 
 def test_vectorized_zeros_raise_outside_the_order_16_domain():
@@ -172,6 +184,21 @@ def _bracketed_zero(order, lo, hi):
     return float(root)
 
 
+def _zero_on_its_bracket(order, k):
+    """The k-th zero of ``J_order`` that mpmath finds on the bracket of
+    ``zeros._zero``: the classical bound for ``k = 1``, else McMahon's
+    guess ``+- 0.05``."""
+    if k == 1:
+        a = mp.mpf(order)
+        return _bracketed_zero(order, 2 * mp.sqrt(a + 1), mp.sqrt(2 * (a + 1) * (a + 3)))
+    guess = mp.mpf(zeros_module._mcmahon_zero_estimate(order, k))
+    return _bracketed_zero(order, guess - 0.05, guess + 0.05)
+
+
+#: Every order from -0.999 to 16 by 0.01.
+DENSE_ORDERS = [round(-0.999 + 0.01 * i, 3) for i in range(1700)] + [16.0]
+
+
 def test_zero_finders_match_mpmath_on_a_dense_grid_of_orders():
     # every order from -0.999 to 16 by 0.01: the first zero, from the
     # bracket, and the first one past x = 20, from Newton on the phase.
@@ -180,7 +207,7 @@ def test_zero_finders_match_mpmath_on_a_dense_grid_of_orders():
     # theorem for every a > -1; the other by besseljzero for orders >= 0,
     # and for negative ones on a bracket 1 either side of McMahon's
     # two-term guess, good to ~1e-4 past x = 20, where zeros lie ~pi apart
-    for order in [round(-0.999 + 0.01 * i, 3) for i in range(1700)] + [16.0]:
+    for order in DENSE_ORDERS:
         k_phase = 1
         while zeros_module._mcmahon_zero_estimate(order, k_phase) <= zeros_module._SMALL_ZERO_MAX:
             k_phase += 1
@@ -189,7 +216,7 @@ def test_zero_finders_match_mpmath_on_a_dense_grid_of_orders():
         a = mp.mpf(order)
         for k in {1, k_phase}:
             if k == 1:
-                ref = _bracketed_zero(order, 2 * mp.sqrt(a + 1), mp.sqrt(2 * (a + 1) * (a + 3)))
+                ref = _zero_on_its_bracket(order, 1)
             elif order >= 0:
                 ref = float(mp.besseljzero(order, k))
             else:
@@ -198,6 +225,38 @@ def test_zero_finders_match_mpmath_on_a_dense_grid_of_orders():
                 ref = _bracketed_zero(order, guess - 1, guess + 1)
             assert abs(table[k - 1] - ref) < 1e-10, (order, k)
             assert abs(bessel_j_zero(order, k) - ref) < 1e-10, (order, k)
+
+
+def test_zeros_set_by_the_rounding_of_j_match_mpmath(j_points):
+    # on the dense grid no bracketed zero takes more than 20 calls of
+    # bessel_j (221 of the 5,114 once ran to the 100-step cap, 202 calls
+    # each).  A zero that stops on a step below 4e-15 x lies that step from
+    # the last point J was called at, one that stops where the steps stop
+    # shrinking half a step of at least 4e-15 x: the zeros 2e-15 x or more
+    # from that point hold all of the latter, and are judged
+    judged = 0
+    for order in DENSE_ORDERS:
+        k = 1
+        while zeros_module._mcmahon_zero_estimate(order, k) <= zeros_module._SMALL_ZERO_MAX:
+            j_points.clear()
+            zero = bessel_j_zero(order, k)
+            assert len(j_points) <= 20, (order, k)
+            if abs(zero - j_points[-1]) >= 2e-15 * max(1.0, zero):
+                judged += 1
+                assert abs(zero - _zero_on_its_bracket(order, k)) < 4e-12, (order, k)
+            k += 1
+    assert judged >= 500
+
+
+def test_bracket_newton_that_does_not_settle_raises(monkeypatch):
+    # a slope ten times too steep makes each step a tenth of Newton's: the
+    # steps keep shrinking, by a factor 0.9 each, but 100 of them never
+    # reach 4e-15 x, and the cap turns that into an error, not a returned
+    # iterate
+    monkeypatch.setattr(zeros_module, "bessel_j",
+                        lambda order, x: bessel_j(order, x) * (10.0 if order == 1.0 else 1.0))
+    with pytest.raises(NonConvergenceError, match=re.escape("zero #1 of J_0.0")):
+        bessel_j_zero(0.0, 1)
 
 
 def test_largest_zero_index_matches_mcmahon():
