@@ -114,10 +114,12 @@ def creep_rate_laplace(model: ModelOrder, s: complex) -> complex:
     ``creep_compliance_laplace``, ``creep_rate_time`` and ``q_inverse``.
     Behaves like ``2(nu+1)/sqrt(s)`` as ``s -> inf`` and like
     ``4(nu+1)(nu+2)/s`` as ``s -> 0``.  Raises PoleError (a DomainError)
-    where the estimate of ``T`` passes ``EST_REL_ERROR_CEILING``: near the
-    poles ``-j_{nu+2,k}^2`` and on the negative real axis from ``|s|`` of
-    about 5e18; OverflowRangeError where the pole term or the value leaves
-    the double range.
+    where the estimate of ``T`` passes ``EST_REL_ERROR_CEILING``, which
+    grows with ``kappa`` (see ``_compliance_split``): near the poles
+    ``-j_{nu+2,k}^2`` and on the negative real axis from ``|s|`` of about
+    5e18, where the rounding of ``sqrt(s)`` cannot tell them apart;
+    OverflowRangeError where the pole term (from ``nu`` of about ``6.7e153
+    min(1, sqrt|s|)``) or the value leaves the double range.
     """
     s = _check_s(s)
     pole = _pole_term(model.nu, s)
@@ -141,20 +143,24 @@ def _compliance_split(nu: float, s: complex) -> tuple[complex, float]:
 
     Returns ``(T, u)``, ``u`` the relative error estimate of ``T``: the
     ratio's own, plus ``16 _UNIT`` for the roundings here, plus ``_UNIT
-    kappa`` for the rounding of ``z``, ``kappa = |z r'/r - 1|`` for the
-    ratio ``r`` at ``a = nu + 2`` and ``r' = 1 - r^2 - (2a+1) r/z`` (DLMF
-    10.29.2), or at most ``3 + 2|1 - r|/(u |r|)`` where ``z/r - z r``
-    cannot resolve it (``|z|`` beyond about 1e14).  ``kappa`` is at most
-    about 2.1 at the Talbot nodes and 1 on the ``q_inverse`` path, and grows
-    near the poles of ``T`` and like ``|z|`` on the negative real axis.  The
-    callers add ``1`` and the pole term (``_pole_term``) themselves.
+    kappa`` for the rounding of ``z``, ``kappa = |z T'/T| = |z (r_{nu+3} -
+    r_{nu+2})|`` with ``r_a = I_{a+1}/I_a``.  DLMF 10.29.1 gives ``z/r_{nu+2}
+    = 2(nu+3) + z r_{nu+3}``, so ``kappa`` is formed from the one ratio ``r =
+    r_{nu+2}`` as ``|z/r - z r - (2nu+6)|`` where that reads at most 3, and
+    otherwise, where the subtraction may have cancelled to rounding noise
+    (``z/r`` near ``2nu`` at huge orders, ``z/r`` and ``z r`` near ``z`` at
+    huge ``|z|``), from a second ratio ``r_{nu+3}`` as the difference.
+    ``kappa`` is at most about 2.1 at the Talbot nodes and 1 on the
+    ``q_inverse`` path, so those take one ratio; it grows near the poles of
+    ``T`` and like ``|z|`` on the negative real axis.  The callers add ``1``
+    and the pole term (``_pole_term``) themselves.
     """
     z = cmath.sqrt(s)
     r, error, _ = _ratio_next_order(nu + 2.0, z)
     tail = (2.0 * (nu + 1.0) / z) * r
     kappa = abs(z / r - z * r - (2.0 * nu + 6.0)) if r else math.inf
-    if 3.0 < kappa < math.inf:  # z/r - z r may not resolve it (see above)
-        kappa = min(kappa, 3.0 + abs(1.0 / r - 1.0) / (0.5 * _UNIT))
+    if 3.0 < kappa < math.inf:  # the subtraction may cancel: take the difference
+        kappa = abs(z * (_ratio_next_order(nu + 3.0, z)[0] - r))
     return tail, error + _UNIT * (16.0 + kappa)
 
 

@@ -148,7 +148,9 @@ def bessel_j_zero(order: float, k: int) -> float:
     (``_ZERO_INDEX_MAX``).  RootIsolationError, naming the order and the
     index, where a bracket holds no sign change, which signals a bug rather
     than an expected failure mode; NonConvergenceError, naming them too,
-    where 100 Newton steps in the bracket do not settle.
+    where 100 Newton steps in the bracket do not settle; TruncationError,
+    naming them too, where the phase expansion does not reach its
+    truncation.
     """
     return _zero(_require_zero_order(order), _require_index(k, "zero index", _ZERO_INDEX_MAX))
 
@@ -215,13 +217,19 @@ def _phase_zero(order: float, k: int, x: float) -> float:
     modulus-phase identity ``M^2 theta' = 2/(pi x)`` (DLMF 10.18) gives
     ``theta' = 1/|S|^2``, so the step is the residual, reduced modulo
     ``2 pi`` as ``arg S`` wraps, times ``|S|^2``.  The phase needs only
-    ``eps x`` absolute accuracy: the expansion is truncated at ``1e-16 x``.
-    Stops once a step falls below ``4e-15 x``; NonConvergenceError if eight
-    steps do not get there.
+    ``eps x`` absolute accuracy: the expansion is truncated at ``1e-16 x``,
+    and TruncationError, naming the order and the index, where its last
+    term is not below that (on the orders from -0.99 to 16 by 0.01 every
+    phase zero up to index 30 reaches it, so none of them raises).  Stops
+    once a step falls below ``4e-15 x``; NonConvergenceError if eight steps
+    do not get there.
     """
     beta = (k + 0.5 * order - 0.25) * math.pi
     for _ in range(8):
-        s = sum(_hankel_terms(order, complex(0.0, -x), 1e-16 * x))
+        terms = _hankel_terms(order, complex(0.0, -x), 1e-16 * abs(x))
+        if not abs(terms[-1]) < 1e-16 * abs(x):  # |x|: below 0 the step cap reports
+            raise TruncationError(f"zero #{k} of J_{order}: phase expansion short at x = {x:.17g}")
+        s = sum(terms)
         step = math.remainder(x - beta + cmath.phase(s), 2.0 * math.pi) * abs(s) ** 2
         x -= step
         if abs(step) < 4e-15 * x:

@@ -9,6 +9,7 @@ loaded.  ``tests/test_imports.py`` runs it in a subprocess; CI runs it with
 the Python of a virtual environment that has besselq and nothing else.
 """
 
+import cmath
 import sys
 from pathlib import Path
 
@@ -31,6 +32,10 @@ except b.DomainError:  # the rounding of sqrt(s) leaves no digit
 else:
     raise AssertionError("creep_rate_laplace(m, -1e300) did not raise DomainError")
 b.creep_compliance_laplace(m, 2j)
+huge = b.ModelOrder(1e30)  # where kappa's recurrence form cancels: a second ratio serves
+for value in (b.q_inverse(huge, 1.0).q_inverse, b.creep_rate_laplace(huge, 1.0),
+              b.creep_compliance_laplace(huge, 1.0)):
+    assert cmath.isfinite(value), value
 b.creep_compliance_asymptotic(m, 2.0, "low")
 b.creep_rate_time(m, 0.5)
 b.creep_rate_time(m, 1e-4)

@@ -6,9 +6,11 @@ digits, raised adaptively where alternating series cancel).  No code is
 shared with the package under test: the summation loops are independent,
 double-free, and deliberately unsophisticated.  Bessel-function zeros used
 as *inputs* to the Dirichlet series come from mpmath's root finder; past
-the reach of the naive sums, ``mpmath.besseli`` serves, at two precisions
-that must agree.  ``laplace_allowance`` counts the roundings that the
-package's Laplace functions add to the estimate of their ratio.
+the reach of the naive sums, ``mpmath.besseli`` serves, and at huge
+orders, where it fails, the quotient of two naive sums in ``s``, each at
+two precisions that must agree.  ``laplace_allowance`` counts the
+roundings that the package's Laplace functions add to the estimate of
+their ratio.
 """
 
 from __future__ import annotations
@@ -128,23 +130,25 @@ def _i_series_complex(alpha, z, dps):
             return total
 
 
-def _besseli_twice(evaluate, dps: int):
-    """``evaluate()`` with mpmath's ``besseli`` at ``dps`` and at ``dps + 20``
-    digits, which must agree to ``dps - 10``: past the reach of the naive
+def _twice(evaluate, dps: int, digits: int | None = None):
+    """``evaluate()`` at ``dps`` and at ``dps + 20`` digits, which must agree
+    to ``digits`` (``dps - 10`` by default).  Past the reach of the naive
     sums (``|z|`` beyond a few hundred), mpmath's own hypergeometric and
-    asymptotic paths serve, and the second run checks their precision."""
+    asymptotic paths serve ``besseli``, and the second run checks their
+    precision; the Tricomi quotients check their cancellation so."""
+    digits = dps - 10 if digits is None else digits
     with mp.workdps(dps):
         first = evaluate()
     with mp.workdps(dps + 20):
         second = evaluate()
-        assert abs(first - second) <= mp.mpf(10) ** (10 - dps) * abs(second), "oracle self-check"
+        assert abs(first - second) <= mp.mpf(10) ** -digits * abs(second), "oracle self-check"
         return +second
 
 
 def i_ratio_next(alpha, z, dps: int = 30):
     """I_{alpha+1}(z) / I_alpha(z) by ``mpmath.besseli``, for any ``|z|``."""
     z = mp.mpc(z)
-    return _besseli_twice(lambda: mp.besseli(mp.mpf(alpha) + 1, z) / mp.besseli(alpha, z), dps)
+    return _twice(lambda: mp.besseli(mp.mpf(alpha) + 1, z) / mp.besseli(alpha, z), dps)
 
 
 def creep_rate_laplace_besseli(nu, s, dps: int = 30):
@@ -157,7 +161,55 @@ def creep_rate_laplace_besseli(nu, s, dps: int = 30):
         return 2 * (mp.mpf(nu) + 1) / z * mp.besseli(mp.mpf(nu) + 1, z) / mp.besseli(
             mp.mpf(nu) + 2, z)
 
-    return _besseli_twice(evaluate, dps)
+    return _twice(evaluate, dps)
+
+
+def _tricomi_dps(nu) -> int:
+    # 2 log10(nu) + 40 digits: nu + 1 and nu + 2 exact, and the 4 nu^2/|s|
+    # of the pole term resolved down to the O(1) remainder beside it
+    return 40 + 2 * int(mp.log10(abs(mp.mpf(nu)) + 2))
+
+
+def _psi_tricomi(nu, s):
+    """4(nu+1)/s * T_{nu+1}(s)/T_{nu+2}(s) at the working precision."""
+    nu = mp.mpf(nu)
+    dps = mp.mp.dps
+    return 4 * (nu + 1) / s * tricomi(nu + 1, s, dps) / tricomi(nu + 2, s, dps)
+
+
+def creep_rate_laplace_tricomi(nu, s):
+    """Psi~(s; nu) as the quotient ``4(nu+1)/s * T_{nu+1}(s)/T_{nu+2}(s)`` of
+    two naive sums in ``s`` (``tricomi``, ``T_a(s) = (z/2)^(-a) I_a(z)``),
+    at ``2 log10(nu) + 40`` digits and 20 more, which must agree.
+
+    Reach: the huge orders, where ``creep_rate_laplace_besseli`` fails its
+    self-check (off the real axis from ``nu`` of about 1e20, everywhere at
+    1e50): there the terms fall like ``|s|/(4 m nu)`` and nothing cancels.  Where ``|s|`` is large beside
+    ``nu`` the terms grow to ``e^|z|`` before they fall, and the sums cancel
+    (the ``q_inverse_tricomi`` self-check fails at ``nu = 5``, ``omega =
+    1e6``): use it only where it self-checks."""
+    s = mp.mpc(s)
+    return _twice(lambda: _psi_tricomi(nu, s), _tricomi_dps(nu))
+
+
+def q_inverse_tricomi(nu, omega):
+    """Q^-1(omega; nu) as ``-Im/Re`` of ``1 + Psi~`` at ``s = i omega``, with
+    ``Psi~`` the Tricomi quotient of ``creep_rate_laplace_tricomi``, at
+    ``2 log10(nu) + 40`` digits and 20 more, which must agree to 25.
+
+    Reach: it self-checks at ``nu`` 1e20, 3.2e25, 1e30, 1e50, 1e100 and
+    1e150 and ``omega`` 1e-3, 1 and 1e6, where ``q_inverse`` (even at 3
+    log10(nu) + 40 digits, and at 1e19 already) fails its own.  The real part
+    is ``O(1)`` beside an imaginary part of about ``4 nu^2/omega``: the
+    digits beyond ``2 log10(nu)`` resolve it.  It fails its self-check
+    where ``|s|`` is large beside ``nu`` (at ``nu = 5``, ``omega = 1e6``):
+    use it only where it self-checks."""
+
+    def evaluate():
+        response = 1 + _psi_tricomi(nu, mp.mpc(0, omega))
+        return -response.imag / response.real
+
+    return _twice(evaluate, _tricomi_dps(nu), 25)
 
 
 def creep_rate_laplace(nu, s, dps: int | None = None):

@@ -26,13 +26,16 @@ import oracle
 from besselq import (
     BesselQError,
     ModelOrder,
+    OverflowRangeError,
     bessel_j,
+    creep_compliance_laplace,
+    creep_rate_laplace,
     kelvin_scaled,
     q_inverse,
     q_inverse_fg,
     q_inverse_kelvin,
 )
-from besselq.model import _compliance_split
+from besselq.model import _compliance_split, _pole_term
 from besselq.specfun import series
 from besselq.specfun import zeros as zeros_module
 from besselq.specfun.series import _tricomi_series
@@ -345,6 +348,31 @@ def test_edge_of_domain_returns_finite_or_raises_typed(name, call_timer):
             bad.append((nu, x, phase, value))
     assert not bad, (len(bad), bad[:5])
     assert returned, "every draw raised: the sweep shows nothing"
+
+
+#: Orders by quarter decades from 1e15 to 5.6e153, past where the pole term
+#: leaves the range at ``omega`` = 1 (about 6.7e153).
+HUGE_ORDERS = [10.0 ** (15 + k / 4) for k in range(556)]
+
+
+def test_huge_orders_return_unless_the_pole_term_overflows():
+    # kappa, formed as |z/r - z r - (2nu+6)| with z/r near 2nu, was rounding
+    # noise here: 830 of these 1,668 q_inverse calls raised
+    # InconsistencyError (from nu = 3.16e25) and 2,222 of the 5,004 calls of
+    # each Laplace function raised PoleError.  Now each returns, or raises
+    # OverflowRangeError where 4(nu+1)(nu+2)/s leaves the range
+    for nu in HUGE_ORDERS:
+        model = ModelOrder(nu)
+        for omega in (1e-3, 1.0, 1e6):
+            calls = [(q_inverse, omega, 1j * omega)]
+            calls += [(laplace, s, s) for s in (omega, -0.5 * omega, 1j * omega)
+                      for laplace in (creep_rate_laplace, creep_compliance_laplace)]
+            for call, argument, s in calls:
+                try:
+                    call(model, argument)
+                except OverflowRangeError:
+                    with pytest.raises(OverflowRangeError):
+                        _pole_term(nu, complex(s))
 
 
 @pytest.mark.parametrize("call, error", [

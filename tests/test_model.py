@@ -21,7 +21,10 @@ from besselq import (
     creep_rate_laplace,
     creep_rate_time,
     frac_maxwell_q_inverse,
+    q_inverse,
 )
+from besselq import model as model_module
+from besselq import qfactor
 from besselq.checks import creep_rate_laplace_by_zeros
 from besselq.errors import _UNIT
 from besselq.model import _TALBOT_N, _TALBOT_REACH, _TALBOT_RULE, _compliance_split
@@ -57,28 +60,43 @@ def test_creep_rate_high_frequency_trend():
         assert abs(value.real / leading - 1.0) < 1e-3
 
 
+#: The oracle points of ``creep_rate_laplace``: seven orders, ``|s|`` from
+#: 1e-8 to 1e4 at five phases.
+LAPLACE_ORACLE_POINTS = [(nu, r * cmath.exp(1j * math.pi * turn))
+                         for nu in (-0.99, -0.5, 0.0, 1.0, 5.0, 20.0, 50.0)
+                         for r in (1e-8, 1e-5, 1e-2, 1.0, 30.0, 1e3, 1e4)
+                         for turn in (0.0, 0.25, 0.5, 0.75, 0.9)]
+
+
 def test_creep_rate_laplace_matches_oracle():
     # one continued fraction, at order nu+2, serves creep_rate_laplace too
-    for nu in (-0.99, -0.5, 0.0, 1.0, 5.0, 20.0, 50.0):
-        model = ModelOrder(nu)
-        for r in (1e-8, 1e-5, 1e-2, 1.0, 30.0, 1e3, 1e4):
-            for turn in (0.0, 0.25, 0.5, 0.75, 0.9):
-                s = r * cmath.exp(1j * math.pi * turn)
-                ref = complex(oracle.creep_rate_laplace(nu, s))
-                assert abs(creep_rate_laplace(model, s) - ref) <= 2e-14 * abs(ref), (nu, s)
+    for nu, s in LAPLACE_ORACLE_POINTS:
+        ref = complex(oracle.creep_rate_laplace(nu, s))
+        assert abs(creep_rate_laplace(ModelOrder(nu), s) - ref) <= 2e-14 * abs(ref), (nu, s)
 
 
-def _within_estimate(nu, s, function=creep_rate_laplace):
+def _within_estimate(nu, s, function=creep_rate_laplace,
+                     reference=oracle.creep_rate_laplace_besseli):
     """Whether ``function`` at ``s``, ``creep_rate_laplace`` or
     ``creep_compliance_laplace`` (which adds 1 to it), lies within the
     estimate of ``T`` from ``_compliance_split`` and the roundings of the
-    pole term and the sums (``oracle.laplace_allowance``) of mpmath at the
-    exact ``sqrt(s)``."""
+    pole term and the sums (``oracle.laplace_allowance``) of ``reference``,
+    an oracle of ``Psi~`` at the exact ``sqrt(s)``: mpmath's ``besseli``,
+    or, at huge orders, the Tricomi quotient."""
     compliance = function is creep_compliance_laplace
     value = function(ModelOrder(nu), s)
     tail, est = _compliance_split(nu, s)
-    ref = complex(compliance + oracle.creep_rate_laplace_besseli(nu, s))
+    ref = complex(compliance + reference(nu, s))
     return abs(value - ref) <= oracle.laplace_allowance(nu, s, tail, est, compliance)
+
+
+@pytest.mark.parametrize("s", [1.0, -0.5])
+def test_laplace_functions_at_a_huge_order_within_their_estimate(s):
+    # kappa, formed as |z/r - z r - (2nu+6)| with z/r near 2nu, was rounding
+    # noise here and raised PoleError, though the nearest pole lies below
+    # -1e60
+    for function in (creep_rate_laplace, creep_compliance_laplace):
+        assert _within_estimate(1e30, s, function, oracle.creep_rate_laplace_tricomi)
 
 
 @pytest.mark.parametrize("s", [-2e4, -3.3e8, -1.2345e12, -7.7e16])
@@ -310,6 +328,54 @@ def test_dirichlet_small_times_return_quickly():
             creep_rate_time(ModelOrder(1.0), t)
         assert time.perf_counter() - start < 0.05
     assert creep_rate_time(ModelOrder(1.0), 3e-307)[0] < math.inf
+
+
+@pytest.fixture
+def ratios_per_split(monkeypatch):
+    """The ``_ratio_next_order`` calls of each ``_compliance_split`` call, a
+    list that grows by one entry a split, through counting wrappers on the
+    bindings the production callers use."""
+    counts = []
+    ratio, split = model_module._ratio_next_order, model_module._compliance_split
+
+    def counted_ratio(order, z):
+        counts[-1] += 1
+        return ratio(order, z)
+
+    def counted_split(nu, s):
+        counts.append(0)
+        return split(nu, s)
+
+    monkeypatch.setattr(model_module, "_ratio_next_order", counted_ratio)
+    for module in (model_module, qfactor):
+        monkeypatch.setattr(module, "_compliance_split", counted_split)
+    return counts
+
+
+def test_common_paths_take_one_ratio(ratios_per_split):
+    # kappa's recurrence form reads at most 3 on these paths, so the second
+    # ratio, which kappa takes above that, costs them nothing
+    for nu in (-0.99, 0.0, 5.0, 300.0):
+        for k in range(-6, 31):
+            q_inverse(ModelOrder(nu), 10.0**k)
+    for nu in (0.0, 1.0, 2.5, 5.0):  # the creep benchmark's orders, t from 1e-4 to 10
+        for k in range(20):
+            creep_rate_time(ModelOrder(nu), 10.0 ** (-4.0 + 5.0 * k / 19))
+    assert len(ratios_per_split) == 4 * 37 + 4 * 20 * len(_TALBOT_RULE)
+    assert set(ratios_per_split) == {1}
+    ratios_per_split.clear()
+    for nu, s in LAPLACE_ORACLE_POINTS:
+        creep_rate_laplace(ModelOrder(nu), s)
+    # but at |s| = 30, 0.9 pi, by the first pole of nu <= 0, where kappa is
+    # 3.3 to 5.5 in truth (both forms agree to 14 digits)
+    twice = [(nu, round(abs(s))) for (nu, s), n in zip(LAPLACE_ORACLE_POINTS, ratios_per_split)
+             if n != 1]
+    assert len(ratios_per_split) == len(LAPLACE_ORACLE_POINTS)
+    assert twice == [(-0.99, 30), (-0.5, 30), (0.0, 30)]
+    assert set(ratios_per_split) == {1, 2}
+    ratios_per_split.clear()
+    q_inverse(ModelOrder(1e30), 1.0)  # where the recurrence form cancels
+    assert ratios_per_split == [2]
 
 
 def test_laplace_consistency_single_point():

@@ -167,6 +167,19 @@ def test_production_route_matches_mpmath_at_high_frequency(omega):
             assert err <= ev.est_rel_error < 1e-13, (nu, err, ev.est_rel_error)
 
 
+@pytest.mark.parametrize("nu", [3.2e25, 1e30, 1e50, 1e100, 1e150])
+def test_production_route_matches_tricomi_oracle_at_huge_orders(nu):
+    # kappa, formed as |z/r - z r - (2nu+6)| with z/r near 2nu, was rounding
+    # noise from nu = 3.16e25 on, and the estimate passed the ceiling
+    # (InconsistencyError; 1.05e19 at nu = 1e50, omega = 1).  The besseli
+    # and f/g oracles fail their own self-checks there; the Tricomi
+    # quotient serves (measured worst error/estimate 0.036)
+    for omega in (1e-3, 1.0, 1e6):
+        ev = q_inverse(ModelOrder(nu), omega)
+        err = rel(ev.q_inverse, float(oracle.q_inverse_tricomi(nu, omega)))
+        assert err <= ev.est_rel_error, (omega, err, ev.est_rel_error)
+
+
 def test_production_route_cost_is_flat_in_frequency():
     start = time.perf_counter()
     q_inverse(ModelOrder(0.0), 1e30)

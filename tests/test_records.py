@@ -100,6 +100,7 @@ def test_records_are_immutable(record, fields, text):
         (lambda: QEvaluation(1.0, 0.25, "kelvin", -1e-15), InconsistencyError),
         (lambda: QEvaluation(omega=1.0, q_inverse=0.25, route="kelvin", est_rel_error=1e-3),
          InconsistencyError),
+        (lambda: QEvaluation(1.0, 0.25, "kelvin", math.inf), InconsistencyError),
         (lambda: FrequencyGrid("cubic", 1.0, 10.0, 5), DomainError),
         (lambda: FrequencyGrid("log", 10.0, 1.0, 5), DomainError),
         (lambda: FrequencyGrid(scale="log", min=0.0, max=1.0, count=5), DomainError),

@@ -282,6 +282,16 @@ def test_phase_newton_that_does_not_settle_raises(monkeypatch):
         bessel_j_zeros(0.0, 7)
 
 
+def test_phase_expansion_that_stops_short_raises(monkeypatch):
+    # the expansion cut after its first correction, far above 1e-16 x: Newton
+    # settled on the zero of the cut sum, which came back without an error
+    terms = zeros_module._hankel_terms
+    monkeypatch.setattr(zeros_module, "_hankel_terms",
+                        lambda order, z, tol: terms(order, z, tol)[:2])
+    with pytest.raises(TruncationError, match=re.escape("zero #7 of J_0.0")):
+        bessel_j_zero(0.0, 7)
+
+
 def test_zero_table_matches_mpmath():
     # from k = 8 on every zero is good to a few ulps; below that, 1e-13 (at
     # orders 8 to 10 once 1.5e-12, from 13 Hankel terms; now at most 2e-14)
