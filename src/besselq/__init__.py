@@ -20,64 +20,20 @@ functions of the verification routes (Kelvin and f/g pairs, gamma, the
 power series, ``J`` and its zeros) are served from ``specfun`` on first
 use (PEP 562), ``q_inverse_fg`` and ``q_inverse_kelvin`` import them when
 called, and ``besselq.checks`` and ``besselq.cli`` load when imported.
+
+Each module declares its public names once, in its ``__all__``; this
+package re-exports them and keeps no list of its own.
 """
 
-from .errors import (
-    BesselQError,
-    CancellationError,
-    DomainError,
-    InconsistencyError,
-    NonConvergenceError,
-    OverflowRangeError,
-    PoleError,
-    RootIsolationError,
-    TruncationError,
-)
-from .model import (
-    ModelOrder,
-    TalbotInversion,
-    creep_compliance_asymptotic,
-    creep_compliance_laplace,
-    creep_rate_laplace,
-    creep_rate_time,
-    frac_maxwell_q_inverse,
-)
-from .qfactor import (
-    QEvaluation,
-    q_inverse,
-    q_inverse_asymptotic,
-    q_inverse_fg,
-    q_inverse_kelvin,
-)
-from . import specfun  # loaded already, by model's import of specfun.modified
+from .errors import *
+from .model import *
+from .qfactor import *
+# all four loaded already: specfun by model's import of specfun.modified
+from . import errors, model, qfactor, specfun
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BesselQError",
-    "CancellationError",
-    "DomainError",
-    "InconsistencyError",
-    "ModelOrder",
-    "NonConvergenceError",
-    "OverflowRangeError",
-    "PoleError",
-    "QEvaluation",
-    "RootIsolationError",
-    "TalbotInversion",
-    "TruncationError",
-    "creep_compliance_asymptotic",
-    "creep_compliance_laplace",
-    "creep_rate_laplace",
-    "creep_rate_time",
-    "frac_maxwell_q_inverse",
-    "q_inverse",
-    "q_inverse_asymptotic",
-    "q_inverse_fg",
-    "q_inverse_kelvin",
-]
-__all__ += specfun.__all__
-__all__.sort()
+__all__ = sorted(errors.__all__ + model.__all__ + qfactor.__all__ + specfun.__all__)
 
 
 def __getattr__(name: str):

@@ -27,6 +27,18 @@ the package counts its roundings in it.
 import math
 import sys
 
+__all__ = [
+    "BesselQError",
+    "CancellationError",
+    "DomainError",
+    "InconsistencyError",
+    "NonConvergenceError",
+    "OverflowRangeError",
+    "PoleError",
+    "RootIsolationError",
+    "TruncationError",
+]
+
 #: Unit roundoff ``u = eps/2``: the relative rounding of one operation.
 _UNIT = 0.5 * sys.float_info.epsilon
 
@@ -49,7 +61,10 @@ class DomainError(BesselQError, ValueError):
 
 
 class PoleError(DomainError):
-    """Evaluation requested at a pole (gamma at a nonpositive integer)."""
+    """Evaluation requested at a pole: gamma at a nonpositive integer, or
+    ``creep_rate_laplace`` where ``s`` lies within the rounding of
+    ``sqrt(s)`` of a pole of ``T`` (its estimate passes
+    ``EST_REL_ERROR_CEILING``)."""
 
 
 class OverflowRangeError(BesselQError, OverflowError):
@@ -57,8 +72,11 @@ class OverflowRangeError(BesselQError, OverflowError):
 
 
 class TruncationError(BesselQError):
-    """A series hit its term cap (or its optimal truncation floor) before
-    reaching the requested tolerance."""
+    """A sum stopped short of its accuracy target: a series hit its term
+    cap; neither the series nor the large-argument expansion reached the
+    cap of the handover between them; ``J`` below its first zero carries an
+    estimate too large beside its value; or the phase expansion of a
+    Bessel-J zero stopped before its last term fell below ``1e-16 x``."""
 
 
 class CancellationError(BesselQError):
@@ -74,7 +92,9 @@ class CancellationError(BesselQError):
 
 
 class NonConvergenceError(BesselQError):
-    """An iterative scheme (continued fraction) failed its residual test."""
+    """An iteration did not settle within its cap: the continued fraction of
+    the modified-Bessel ratio failed its residual test, or Newton's method
+    for a Bessel-J zero (in its bracket or on the phase) did not settle."""
 
 
 class RootIsolationError(BesselQError):
@@ -83,8 +103,11 @@ class RootIsolationError(BesselQError):
 
 
 class InconsistencyError(BesselQError):
-    """Independent evaluation routes disagree beyond tolerance, or a
-    structural sign condition (dissipativity) failed numerically."""
+    """A structural condition failed numerically: independent routes
+    disagree beyond their estimates; a ``Q^-1`` is not positive
+    (dissipativity); a ``QEvaluation`` estimate lies outside ``[0,
+    EST_REL_ERROR_CEILING]``; or ``Re(s J~) <= 0``, the storage response,
+    on the way to ``Q^-1``."""
 
 
 def _require_finite(value, name: str = "argument", kind: type = float):

@@ -35,6 +35,16 @@ from .errors import (EST_REL_ERROR_CEILING, _UNIT, DomainError, PoleError, _repr
                      _require_finite, _require_order, _require_positive)
 from .specfun.modified import _ratio_next_order
 
+__all__ = [
+    "ModelOrder",
+    "TalbotInversion",
+    "creep_compliance_asymptotic",
+    "creep_compliance_laplace",
+    "creep_rate_laplace",
+    "creep_rate_time",
+    "frac_maxwell_q_inverse",
+]
+
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Literal
@@ -101,8 +111,10 @@ def _check_s(s: complex) -> complex:
 
 def _pole_term(nu: float, s: complex) -> complex:
     """``4(nu+1)(nu+2)/s``, the pole of ``Psi~`` and ``s J~`` at ``s = 0``,
-    or OverflowRangeError where it leaves the double range."""
-    return _representable(4.0 * (nu + 1.0) * (nu + 2.0) / s, "the pole term at s = %s", s)
+    or OverflowRangeError where it leaves the double range.  Formed as ``4
+    ((nu+1)/s (nu+2))``, so no intermediate overflows before the value does:
+    ``nu + 2 > 1``, and the factor 4 scales exactly."""
+    return _representable(4.0 * ((nu + 1.0) / s * (nu + 2.0)), "the pole term at s = %s", s)
 
 
 def creep_rate_laplace(model: ModelOrder, s: complex) -> complex:
@@ -119,7 +131,7 @@ def creep_rate_laplace(model: ModelOrder, s: complex) -> complex:
     ``-j_{nu+2,k}^2`` and on the negative real axis from ``|s|`` of about
     5e18, where the rounding of ``sqrt(s)`` cannot tell them apart;
     OverflowRangeError where the pole term (from ``nu`` of about ``6.7e153
-    min(1, sqrt|s|)``) or the value leaves the double range.
+    sqrt|s|``) or the value leaves the double range.
     """
     s = _check_s(s)
     pole = _pole_term(model.nu, s)

@@ -55,6 +55,14 @@ from collections import namedtuple
 from .errors import EST_REL_ERROR_CEILING, InconsistencyError, _representable, _require_positive
 from .model import ModelOrder, _compliance_split, _pole_term, creep_compliance_asymptotic
 
+__all__ = [
+    "QEvaluation",
+    "q_inverse",
+    "q_inverse_asymptotic",
+    "q_inverse_fg",
+    "q_inverse_kelvin",
+]
+
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Literal
@@ -192,12 +200,11 @@ def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:
     Measured reach: for ``omega`` from 1e-3 to 1e6 it returns at every order
     up to where ``P`` leaves the double range, and there raises
     OverflowRangeError, before any work on ``T``: from ``nu`` of about
-    2.1e152 at ``omega = 1e-3``, and 6.7e153 from ``omega = 1`` on, where
-    ``4(nu+1)(nu+2)`` does (by quarter decades of ``nu``, the last to return
-    is 1.8e152 at 1e-3 and 5.6e153 at 1 and 1e6).  Where ``omega`` is large
-    beside a large order the continued fraction of the ratio reaches its
-    cap and raises NonConvergenceError, after a few seconds (at ``(nu,
-    omega)`` = (1e8, 1e30) and (1e100, 1e300)).
+    ``6.7e153 sqrt(omega)`` (by quarter decades of ``nu``, the last to
+    return is 1.8e152 at 1e-3, 5.6e153 at 1 and 5.6e156 at 1e6).  Where
+    ``omega`` is large beside a large order the continued fraction of the
+    ratio reaches its cap and raises NonConvergenceError, after a few
+    seconds (at ``(nu, omega)`` = (1e8, 1e30) and (1e100, 1e300)).
     """
     omega = _require_positive(omega, "omega")
     s = complex(0.0, omega)
@@ -224,10 +231,10 @@ def q_inverse_asymptotic(
 
     Raises DomainError for another ``regime``, and OverflowRangeError where
     the form of ``s J~`` leaves the double range: the ``low`` one where its
-    pole term ``4(nu+1)(nu+2)/omega`` does (from ``nu`` of about 6.7e153
-    whatever ``omega``, and at small ``omega``), as ``q_inverse`` does; the
-    ``high`` one where ``2(nu+1)/sqrt(i omega)`` does, from ``nu`` of about
-    ``min(9e307, 1.27e308 sqrt(omega))``.
+    pole term ``4(nu+1)(nu+2)/omega`` does (from ``nu`` of about ``6.7e153
+    sqrt(omega)``), as ``q_inverse`` does; the ``high`` one where
+    ``2(nu+1)/sqrt(i omega)`` does, from ``nu`` of about ``min(9e307,
+    1.27e308 sqrt(omega))``.
     """
     omega = _require_positive(omega, "omega")
     response = creep_compliance_asymptotic(model, complex(0.0, omega), regime)

@@ -36,6 +36,8 @@ huge = b.ModelOrder(1e30)  # where kappa's recurrence form cancels: a second rat
 for value in (b.q_inverse(huge, 1.0).q_inverse, b.creep_rate_laplace(huge, 1.0),
               b.creep_compliance_laplace(huge, 1.0)):
     assert cmath.isfinite(value), value
+# 4(nu+1)(nu+2) overflows, P = 4(nu+1)(nu+2)/omega = 4e304 does not
+assert b.q_inverse(b.ModelOrder(1e155), 1e6).q_inverse > 1e304
 b.creep_compliance_asymptotic(m, 2.0, "low")
 b.creep_rate_time(m, 0.5)
 b.creep_rate_time(m, 1e-4)

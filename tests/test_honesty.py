@@ -350,14 +350,14 @@ def test_edge_of_domain_returns_finite_or_raises_typed(name, call_timer):
     assert returned, "every draw raised: the sweep shows nothing"
 
 
-#: Orders by quarter decades from 1e15 to 5.6e153, past where the pole term
-#: leaves the range at ``omega`` = 1 (about 6.7e153).
-HUGE_ORDERS = [10.0 ** (15 + k / 4) for k in range(556)]
+#: Orders by quarter decades from 1e15 to 1e157, past where the pole term
+#: leaves the range at ``omega`` = 1e6 (about 6.7e156).
+HUGE_ORDERS = [10.0 ** (15 + k / 4) for k in range(569)]
 
 
 def test_huge_orders_return_unless_the_pole_term_overflows():
     # kappa, formed as |z/r - z r - (2nu+6)| with z/r near 2nu, was rounding
-    # noise here: 830 of these 1,668 q_inverse calls raised
+    # noise here: up to nu = 5.6e153, 830 of the 1,668 q_inverse calls raised
     # InconsistencyError (from nu = 3.16e25) and 2,222 of the 5,004 calls of
     # each Laplace function raised PoleError.  Now each returns, or raises
     # OverflowRangeError where 4(nu+1)(nu+2)/s leaves the range

@@ -68,6 +68,68 @@ def test_scalar_routes_do_not_load_numpy(tmp_path):
     assert "all checks passed" in result.stdout
 
 
+#: The public names of ``besselq``, as ``besselq.__all__`` lists them.
+PUBLIC_NAMES = [
+    "BesselQError",
+    "CancellationError",
+    "DEFAULT_CROSSOVER_OMEGA",
+    "DomainError",
+    "FGPair",
+    "InconsistencyError",
+    "KelvinPair",
+    "ModelOrder",
+    "NonConvergenceError",
+    "OverflowRangeError",
+    "PoleError",
+    "QEvaluation",
+    "RootIsolationError",
+    "TalbotInversion",
+    "TruncationError",
+    "bessel_j",
+    "bessel_j_zero",
+    "bessel_j_zeros",
+    "creep_compliance_asymptotic",
+    "creep_compliance_laplace",
+    "creep_rate_laplace",
+    "creep_rate_time",
+    "fg_from_kelvin",
+    "fg_series",
+    "frac_maxwell_q_inverse",
+    "gamma_real",
+    "kelvin",
+    "kelvin_scaled",
+    "modified_bessel_i",
+    "q_inverse",
+    "q_inverse_asymptotic",
+    "q_inverse_fg",
+    "q_inverse_kelvin",
+    "tricomi_it",
+]
+
+
+def test_public_names_are_declared_once_in_their_modules():
+    import besselq
+    from besselq import errors, model, qfactor, specfun
+
+    assert besselq.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from besselq import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    modules = (errors, model, qfactor, specfun)
+    listed = [name for module in modules for name in module.__all__]
+    assert len(listed) == len(set(listed)), "a name is listed by two modules"
+    assert sorted(listed) == besselq.__all__
+    for module in (errors, model, qfactor):
+        for name in module.__all__:
+            # defined there, not imported: a wildcard import would leak it
+            assert getattr(module, name).__module__ == module.__name__, (module, name)
+    for name in specfun.__all__:
+        value = getattr(specfun, name)
+        assert getattr(besselq, name) is value
+        home = f"besselq.specfun.{specfun._MODULE_OF[name]}"
+        assert getattr(value, "__module__", home) == home, name
+
+
 CLOSURE_SCRIPT = """
 import sys
 import besselq

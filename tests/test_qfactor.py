@@ -180,6 +180,23 @@ def test_production_route_matches_tricomi_oracle_at_huge_orders(nu):
         assert err <= ev.est_rel_error, (omega, err, ev.est_rel_error)
 
 
+@pytest.mark.parametrize("nu, omega", [(1e155, 1e6), (5e156, 1e6), (1e157, 1e10),
+                                       (5e307, 1e308)])
+def test_production_route_returns_where_the_pole_term_fits(nu, omega):
+    # 4(nu+1)(nu+2), formed before the division by omega, overflowed from
+    # nu = 6.7e153 (4(nu+1) alone from 4.5e307) though P = 4(nu+1)(nu+2)/omega
+    # is 2e304 to 1e308 here
+    ev = q_inverse(ModelOrder(nu), omega)
+    err = rel(ev.q_inverse, float(oracle.q_inverse_tricomi(nu, omega)))
+    assert err <= ev.est_rel_error, (err, ev.est_rel_error)
+
+
+def test_production_route_raises_where_the_pole_term_overflows():
+    # P = 4e308
+    with pytest.raises(OverflowRangeError, match="the pole term"):
+        q_inverse(ModelOrder(1e157), 1e6)
+
+
 def test_production_route_cost_is_flat_in_frequency():
     start = time.perf_counter()
     q_inverse(ModelOrder(0.0), 1e30)
@@ -335,10 +352,12 @@ def test_asymptotes_are_the_quotient_of_the_asymptotic_s_j():
     # 1.27e308 sqrt(omega) below; the low one where its pole term leaves the
     # range, as q_inverse does
     for nu, omega, regime in ((9e307, 1.0, "high"), (1e300, 1e-20, "high"),
-                              (6.8e153, 1e10, "low"), (1.0, 1e-308, "low")):
+                              (6.8e158, 1e10, "low"), (1.0, 1e-308, "low")):
         with pytest.raises(OverflowRangeError):
             q_inverse_asymptotic(ModelOrder(nu), omega, regime)
     assert rel(q_inverse_asymptotic(ModelOrder(8.9e307), 1.0, "high"), 1.0) <= 1e-15
+    # where 4(nu+1)(nu+2) overflows but the pole term, 1.8e298 here, does not
+    assert rel(q_inverse_asymptotic(ModelOrder(6.8e153), 1e10, "low"), 9.248e297) <= 1e-15
     with pytest.raises(OverflowRangeError):
         q_inverse(ModelOrder(1.0), 1e-308)
 
