@@ -163,9 +163,13 @@ def _compliance_split(nu: float, s: complex) -> tuple[complex, float]:
     (``z/r`` near ``2nu`` at huge orders, ``z/r`` and ``z r`` near ``z`` at
     huge ``|z|``), from a second ratio ``r_{nu+3}`` as the difference.
     ``kappa`` is at most about 2.1 at the Talbot nodes and 1 on the
-    ``q_inverse`` path, so those take one ratio; it grows near the poles of
-    ``T`` and like ``|z|`` on the negative real axis.  The callers add ``1``
-    and the pole term (``_pole_term``) themselves.
+    ``q_inverse`` path, so the Talbot nodes take one ratio, and so does
+    ``q_inverse`` up to ``omega`` of about 3.2e32: from there on (1e33 at
+    order 0) ``z/r`` and ``z r`` agree to rounding, the one-ratio form reads
+    above 3 though ``kappa`` is about 1, and the second ratio is taken.  It
+    grows near the poles of ``T`` and like ``|z|`` on the negative real
+    axis.  The callers add ``1`` and the pole term (``_pole_term``)
+    themselves.
     """
     z = cmath.sqrt(s)
     r, error, _ = _ratio_next_order(nu + 2.0, z)

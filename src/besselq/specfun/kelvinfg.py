@@ -78,8 +78,14 @@ def fg_series(order: float, omega: float) -> FGPair:
 
 def _kelvin_series(order: float, x: float) -> tuple[complex, SeriesDiagnostics]:
     """``ber + i bei = (x/2)^order e^{3 pi i order/4} T_order(i x^2)`` by
-    the shared power series, with its diagnostics."""
-    return _tricomi_series(order, complex(0.0, x * x), x, _rotation(order, 0.75))
+    the shared power series, with its diagnostics.  The rotation adds ``10
+    pi u`` to the estimate for its angle (below 2 pi, formed from ``c (order
+    mod 8)`` below 6) and ``u`` for the product: a complex product may be off
+    by ``sqrt(5) u``, and the rest lies within the ``3 u`` that the series'
+    ``7 u`` holds beyond its own roundings."""
+    pair, diag = _tricomi_series(order, complex(0.0, x * x), x)
+    rel_error = diag.rel_error + _UNIT * (1.0 + 10.0 * math.pi)
+    return _rotation(order, 0.75) * pair, diag._replace(rel_error=rel_error)
 
 
 def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:

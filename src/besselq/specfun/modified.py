@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ..errors import _UNIT, DomainError, NonConvergenceError
+from ..errors import _UNIT, NonConvergenceError
 
 #: Stopping tolerance of the continued fraction on ``|delta - 1|``.
 _CF_TOL = 1e-15
@@ -35,8 +35,10 @@ _REFLECTION_FROM = 68.0
 
 
 def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
-    """``I_{order+1}(z) / I_order(z)`` for ``Re z >= 0``, its relative error
-    estimate and the continued-fraction (CF) iterations spent.
+    """``I_{order+1}(z) / I_order(z)`` for ``Re z >= 0`` and ``z != 0``
+    (the caller, ``model._compliance_split``, is passed only ``s != 0``),
+    its relative error estimate and the continued-fraction (CF) iterations
+    spent.
 
     Where ``_scaled_i`` trusts both values (the reflected factor formed
     once), it is their quotient, with the sum of their estimates and 0
@@ -60,8 +62,6 @@ def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
     about ``1.5 order`` at large ones: the work is capped at
     ``_CF_MAX_ITER``, past which NonConvergenceError names the count.
     """
-    if z == 0:
-        raise DomainError("ratio undefined at z = 0")
     weight = math.exp(-2.0 * abs(z.real))  # |e^(-2z)|, the size of the reflected branch
     if abs(z) >= _REFLECTION_FROM or weight < 1e-17:
         reflected = _reflection(order, z) if weight >= 1e-17 else 0.0

@@ -2,13 +2,13 @@
 
     T_a(s) = sum_m (s/4)^m / (m! Gamma(m+a+1)) = (z/2)^(-a) I_a(z),  z = sqrt(s),
 
-summed by ``_tricomi_series`` at a point ``s`` times ``(x/2)^a`` and a
-phase: ``I_a(x)`` is ``(x/2)^a T_a(x^2)``, ``J_a(x)`` is ``(x/2)^a
-T_a(-x^2)``, ``ber_a + i bei_a`` is ``(x/2)^a e^(3 pi i a/4) T_a(i x^2)``
-(DLMF 10.2.2, 10.25.2, 10.61), the f/g pair is ``T_a(i omega)`` and
-``tricomi_it`` is ``T_a`` itself.  The loop owns the prefactor, the overflow
-test and one running bound on its own rounding, its error estimate and its
-only accuracy rule; it stops at the unit roundoff, and its term cap follows
+summed by ``_tricomi_series`` at a point ``s`` times ``(x/2)^a``:
+``I_a(x)`` is ``(x/2)^a T_a(x^2)``, ``J_a(x)`` is ``(x/2)^a T_a(-x^2)``
+(DLMF 10.2.2, 10.25.2), ``(x/2)^a T_a(i x^2)`` gives ber/bei
+(``kelvinfg``), the f/g pair is ``T_a(i omega)`` and ``tricomi_it`` is
+``T_a`` itself.  The loop owns the prefactor, the overflow test and one
+running bound on its own rounding, its error estimate and its only
+accuracy rule; it stops at the unit roundoff, and its term cap follows
 from ``|s|``.  ``_series_or_expansion`` hands it over to a
 large-argument expansion for ``J`` and ber/bei, and the bare sum
 ``tricomi_it`` (which ``fg_series`` splits in two) raises where that bound
@@ -138,17 +138,13 @@ def _leading_factors(order: float, x: float) -> tuple[float, float] | None:
         return None
 
 
-def _tricomi_series(
-    order: float,
-    s: float | complex,
-    x: float = 2.0,
-    phase: float | complex = 1.0,
-) -> tuple[float | complex, SeriesDiagnostics]:
-    """``(x/2)^order phase T_order(s)`` with diagnostics: the package's one
+def _tricomi_series(order: float, s: float | complex,
+                    x: float = 2.0) -> tuple[float | complex, SeriesDiagnostics]:
+    """``(x/2)^order T_order(s)`` with diagnostics: the package's one
     power series, and the one place that decides how it starts.
 
-    ``x = 2`` (the default) gives ``T_order(s)``; a real ``s`` and ``phase``
-    keep the arithmetic real.  The value is the product of the sum and the
+    ``x = 2`` (the default) gives ``T_order(s)``; a real ``s`` keeps the
+    arithmetic real.  The value is the product of the sum and the
     ``_leading_factors``, or where there are none, of the sum started from 1
     and ``exp(order (log x - log 2) - lgamma(order+1) + log|sum|)``, with
     ``lgamma(order+1)`` as ``lgamma(order) + log(order)`` above order 0.
@@ -169,10 +165,9 @@ def _tricomi_series(
     (Higham & Mary, SIAM J. Sci. Comput. 41, 2019); ``|sum m t_m|`` the
     conditioning in ``s``, which carries the rounding of the ``x*x`` that
     ``I``, ``J`` and ber/bei pass in.  The prefactor adds ``_GAMMA_ERROR``
-    for ``Gamma``, ``u`` for each of its seven roundings and ``10 pi u`` for
-    a phase other than 1, a ``modified._rotation``; in logs, ``_GAMMA_ERROR`` times
-    the size of each logarithm, whose rounding ``exp()`` turns into relative
-    error.
+    for ``Gamma`` and ``7 u`` for its roundings; in logs, ``_GAMMA_ERROR``
+    times the size of each logarithm, whose rounding ``exp()`` turns into
+    relative error.
 
     Raises
     ------
@@ -208,22 +203,21 @@ def _tricomi_series(
                 f"uniform-I series did not converge within {max_terms} "
                 f"terms (|s| = {modulus:.3g})"
             )
-        # 7 u: pow, the product and quotient of 1/(order Gamma(order)) (below
-        # order 0 the rounding of order + 1 takes the product's place: at most
-        # u, as |psi(b)| b <= 1 on [1/2, 1]), the product with the phase and
-        # the complex one with the sum (3); in logs |sum|, exp(), the complex
-        # product, the quotient and the last product.  A rotation's angle,
-        # below 2 pi and formed from c (order mod 8) below 6, is off by 10 pi u
-        error = _UNIT * (7.0 + (10.0 * math.pi if phase != 1.0 else 0.0))
+        # 7 u, of which the roundings here take 4: pow, the product and
+        # quotient of 1/(order Gamma(order)) (below order 0 the rounding of
+        # order + 1 takes the product's place: at most u, as |psi(b)| b <= 1
+        # on [1/2, 1]) and the product with the sum; in logs |sum|, exp(),
+        # the quotient and the last product
+        error = 7.0 * _UNIT
         if factors:
-            value = factors[0] * phase * total
+            value = factors[0] * total
             error += _GAMMA_ERROR
         elif size:
             logs = [order * (math.log(x) - math.log(2.0)), math.log(size)]
             logs += [-math.lgamma(order), -math.log(order)] if order > 0.0 else \
                 [-math.lgamma(order + 1.0)]
             exponent = math.fsum(logs)
-            value = math.exp(exponent) * (phase * total / size)
+            value = math.exp(exponent) * (total / size)
             # exp() turns the exponent's absolute rounding into relative
             # error: each log within _GAMMA_ERROR of its size, the order times
             # that of log x and log 2, and fsum's one rounding
