@@ -15,10 +15,11 @@ Subcommands
 route; ``check`` compares it with the f/g and Kelvin verification routes.
 Each command imports only what it runs: ``figures`` its writer
 (``besselq.figures``) and ``check`` the suites (``besselq.checks``), on
-first use, and the command line is read from the ``COMMANDS`` table, not
-by ``argparse``.  A command line the table does not allow exits 2 with the
-usage on stderr; a value outside the domain, or an output that cannot be
-written, exits 1 with ``error: ...``.  A reader that closes stdout early
+first use.  The ``COMMANDS`` table, not ``argparse``, is the whole command
+line: each command's help, usage, options and handler.  A command line
+the table does not allow exits 2 with the usage on stderr; a value
+outside the domain, or an output that cannot be written, exits 1 with
+``error: ...``.  A reader that closes stdout early
 changes neither the status nor stderr.
 
 The grids, the sweep table (``evaluate_sweep``) and the CSV writer live
@@ -53,36 +54,6 @@ def write_sweep_csv(records: Iterable[SweepRecord], path: Path) -> None:
     write_csv(path, SweepRecord._fields, records)
 
 
-#: An option with no default: the command line must give it.
-_REQUIRED = ...
-
-#: The command line, one entry a command: its help line, its usage and its
-#: options, each as (values it takes, "+" for one or more; type; default).
-COMMANDS = {
-    "sweep": (
-        "evaluate Q^-1 over a frequency grid",
-        "--nu NU [NU ...] (--linear A B | --log A B) [--count COUNT] [--out OUT]",
-        {
-            "--nu": ("+", float, _REQUIRED),
-            "--linear": (2, float, None),
-            "--log": (2, float, None),
-            "--count": (1, int, 181),
-            "--out": (1, Path, Path("sweep.csv")),
-        },
-    ),
-    "figures": (
-        "emit figure datasets and plot scripts",
-        "[--nu NU [NU ...]] [--out OUT]",
-        {"--nu": ("+", float, list(FIGURE_NUS)), "--out": (1, Path, Path("figures"))},
-    ),
-    "check": (
-        "run cross-method verification suites",
-        "[--nu NU [NU ...]]",
-        {"--nu": ("+", float, list(DEFAULT_CHECK_NUS))},
-    ),
-}
-
-
 def _usage(command: str | None) -> str:
     if command is None:
         return "usage: besselq [-h] {" + ",".join(COMMANDS) + "} ..."
@@ -109,9 +80,11 @@ def parse_args(argv: Sequence[str]) -> tuple[str, SimpleNamespace]:
     """The command and its options, defaults filled in, from ``argv``.
 
     ``-h``/``--help`` prints the help and exits 0; anything the table does
-    not allow prints the usage and exits 2.  A token that starts with ``-``
-    and a digit or ``.`` is a (negative) value, ``--name=value`` gives a
-    first value, and an option may be shortened to a unique prefix.
+    not allow prints the usage and exits 2.  An option is spelled exactly as
+    the table names it, and its values follow it as separate tokens: no
+    prefix of a name and no ``--name=value``.  A token that starts with
+    ``-`` and a digit or ``.`` is a (negative) value.  Rules that tie one
+    option to another are the command's own (``cmd_sweep``).
     """
     if argv[:1] in (["-h"], ["--help"]):
         print(_help(None))
@@ -126,24 +99,17 @@ def parse_args(argv: Sequence[str]) -> tuple[str, SimpleNamespace]:
             print(_help(command))
             raise SystemExit(0)
         if token.startswith("-") and not (token[1:2].isdigit() or token[1:2] == "."):
-            prefix, equals, value = token.partition("=")
-            matches = [option for option in options if option.startswith(prefix)]
-            if len(matches) != 1:
+            if token not in options:
                 _usage_error(command, f"unrecognized option: {token}")
-            name = matches[0]
-            given[name] = [value] if equals else []
+            name = token
+            given[name] = []
         elif name is None:
             _usage_error(command, f"unrecognized argument: {token}")
         else:
             given[name].append(token)
-    args = SimpleNamespace()
-    for name, (n, kind, default) in options.items():
-        values = given.get(name)
-        if values is None:
-            if default is _REQUIRED:
-                _usage_error(command, f"the following arguments are required: {name}")
-            setattr(args, name[2:], default)
-            continue
+    args = SimpleNamespace(**{name[2:]: option[2] for name, option in options.items()})
+    for name, values in given.items():
+        n, kind, _ = options[name]
         if not values or (n != "+" and len(values) != n):
             _usage_error(command, f"argument {name}: expected {n} value(s), got {len(values)}")
         try:
@@ -168,6 +134,8 @@ def _print_out(lines: Sequence[str]) -> bool:
 
 
 def cmd_sweep(args: SimpleNamespace) -> int:
+    if args.nu is None:
+        _usage_error("sweep", "the following arguments are required: --nu")
     scales = [scale for scale in ("linear", "log") if getattr(args, scale) is not None]
     if len(scales) != 1:
         _usage_error("sweep", "give exactly one of --linear A B and --log A B")
@@ -209,14 +177,41 @@ def cmd_check(args: SimpleNamespace) -> int:
     return 1 if failed else 0
 
 
+#: The command line, one entry a command: its help line, its usage, its
+#: options, each as (values it takes, "+" for one or more; type; default),
+#: and its handler.
+COMMANDS = {
+    "sweep": (
+        "evaluate Q^-1 over a frequency grid",
+        "--nu NU [NU ...] (--linear A B | --log A B) [--count COUNT] [--out OUT]",
+        {
+            "--nu": ("+", float, None),
+            "--linear": (2, float, None),
+            "--log": (2, float, None),
+            "--count": (1, int, 181),
+            "--out": (1, Path, Path("sweep.csv")),
+        },
+        cmd_sweep,
+    ),
+    "figures": (
+        "emit figure datasets and plot scripts",
+        "[--nu NU [NU ...]] [--out OUT]",
+        {"--nu": ("+", float, list(FIGURE_NUS)), "--out": (1, Path, Path("figures"))},
+        cmd_figures,
+    ),
+    "check": (
+        "run cross-method verification suites",
+        "[--nu NU [NU ...]]",
+        {"--nu": ("+", float, list(DEFAULT_CHECK_NUS))},
+        cmd_check,
+    ),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     command, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if command == "sweep":
-            return cmd_sweep(args)
-        if command == "figures":
-            return cmd_figures(args)
-        return cmd_check(args)
+        return COMMANDS[command][3](args)
     except (BesselQError, OSError) as exc:  # a bad value, or an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -162,12 +162,17 @@ def _compliance_split(nu: float, s: complex) -> tuple[complex, float]:
     otherwise, where the subtraction may have cancelled to rounding noise
     (``z/r`` near ``2nu`` at huge orders, ``z/r`` and ``z r`` near ``z`` at
     huge ``|z|``), from a second ratio ``r_{nu+3}`` as the difference.
+    Where ``r`` lies within a few ulps of 1 (``|z|`` beyond about 1e16 at
+    moderate orders), both forms read rounding noise of order ``u |z|``, so
+    both are bounded by ``r``'s resolution near 1, ``3 + |1/r - 1|/(u/2)``,
+    and where that bound is 3 (``r`` rounds to 1) no second ratio is taken.
+    At huge orders ``r`` is far from 1, and the second ratio serves.
     ``kappa`` is at most about 2.1 at the Talbot nodes and 1 on the
     ``q_inverse`` path, so the Talbot nodes take one ratio, and so does
-    ``q_inverse`` up to ``omega`` of about 3.2e32: from there on (1e33 at
-    order 0) ``z/r`` and ``z r`` agree to rounding, the one-ratio form reads
-    above 3 though ``kappa`` is about 1, and the second ratio is taken.  It
-    grows near the poles of ``T`` and like ``|z|`` on the negative real
+    ``q_inverse`` up to ``omega`` of about 3.2e32 and above about 1e45; in
+    between, where ``r`` is not yet 1, it takes two (56 of 2,516 half
+    decades of ``omega`` from 1e-6 to 1e308 at orders -0.99, 0, 5 and 300).
+    It grows near the poles of ``T`` and like ``|z|`` on the negative real
     axis.  The callers add ``1`` and the pole term (``_pole_term``)
     themselves.
     """
@@ -175,8 +180,11 @@ def _compliance_split(nu: float, s: complex) -> tuple[complex, float]:
     r, error, _ = _ratio_next_order(nu + 2.0, z)
     tail = (2.0 * (nu + 1.0) / z) * r
     kappa = abs(z / r - z * r - (2.0 * nu + 6.0)) if r else math.inf
-    if 3.0 < kappa < math.inf:  # the subtraction may cancel: take the difference
-        kappa = abs(z * (_ratio_next_order(nu + 3.0, z)[0] - r))
+    if 3.0 < kappa < math.inf:  # the subtraction may have cancelled (see above)
+        near_one = 3.0 + abs(1.0 / r - 1.0) / (0.5 * _UNIT)
+        if near_one > 3.0:  # r is not 1: take the difference
+            kappa = abs(z * (_ratio_next_order(nu + 3.0, z)[0] - r))
+        kappa = min(kappa, near_one)
     return tail, error + _UNIT * (16.0 + kappa)
 
 

@@ -204,7 +204,10 @@ def q_inverse(model: ModelOrder, omega: float) -> QEvaluation:
     return is 1.8e152 at 1e-3, 5.6e153 at 1 and 5.6e156 at 1e6).  Where
     ``omega`` is large beside a large order the continued fraction of the
     ratio reaches its cap and raises NonConvergenceError, after a few
-    seconds (at ``(nu, omega)`` = (1e8, 1e30) and (1e100, 1e300)).
+    seconds (at ``(nu, omega)`` = (1e8, 1e30) and (1e100, 1e300)).  Farther
+    out, from ``omega`` of about ``100 nu^4``, the Hankel sums serve and it
+    returns again (measured on quarter decades of ``nu`` from 1e8 to 5.6e16
+    at half decades of ``omega`` from 1e50 to 3.2e81, and at (1e20, 1e100)).
     """
     omega = _require_positive(omega, "omega")
     s = complex(0.0, omega)

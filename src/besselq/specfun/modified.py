@@ -52,7 +52,11 @@ def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
     and 90 degrees, 35 to 67 us against 30 to 42 us), the price of keeping
     the trigonometry (about 0.17 MB of libm pages on first use) off the
     ``creep_rate_time`` path.  Elsewhere it is the CF ``1/(b1 +
-    1/(b2 + ...))``, ``b_k = 2(order+k)/z`` (modified Lentz), with its residual
+    1/(b2 + ...))``, ``b_k = 2(order+k)/z``: modified Lentz on its reciprocal
+    ``b1 + 1/(b2 + ...)``, which starts from ``b1`` and needs no seed, so
+    neither a tiny ``|b1|`` (a seeded first step overflowed below about
+    5.6e-19) nor a huge one (a seed of 1e-290 was not negligible beside
+    ``1/b1`` above about 1e274) moves it.  Its estimate is the residual
     ``|delta - 1|`` plus ``2u`` (``u`` the unit ``_UNIT``) for each of its
     ``k`` iterations, and ``3 (|f| + 1/|f|) e^(-2 Re z)`` more for each of
     the ``|z| - order`` with ``|b_k| < 2``: there the recurrence oscillates,
@@ -71,11 +75,10 @@ def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
             return numer / denom, e_numer + e_denom, 0
     tol = _CF_TOL  # a local: read on every iteration
     tiny = 1e-290
-    f = complex(tiny)
-    c = f
+    g = c = 2.0 * (order + 1.0) / z  # 1/f = b1 + 1/(b2 + ...): no seed
     d = complex(0.0)
     max_iter = min(int(2.0 * abs(z)) + 100, _CF_MAX_ITER)
-    for k in range(1, max_iter + 1):
+    for k in range(2, max_iter + 1):
         b = 2.0 * (order + k) / z
         d = b + d
         if d == 0:
@@ -85,9 +88,10 @@ def _ratio_next_order(order: float, z: complex) -> tuple[complex, float, int]:
             c = complex(tiny)
         d = 1.0 / d
         delta = c * d
-        f *= delta
+        g *= delta
         residual = abs(delta - 1.0)
         if residual < tol:
+            f = 1.0 / g
             # the iterations with |b_k| < 2, weighted by the reflected branch
             swing = 3.0 * max(0.0, abs(z) - order) * weight
             swing *= (abs(f) + 1.0 / (abs(f) or tiny)) if swing else 0.0

@@ -299,6 +299,8 @@ def test_help_exits_zero(argv, capsys):
         ["sweep", "--nu", "0", "--log", "1", "10", "extra"],
         ["check", "--nu"],
         ["sweep", "0.5", "--nu", "0", "--log", "1", "10"],  # a value before any option
+        ["sweep", "--nu", "0", "--log", "1", "10", "--co", "5"],  # options are spelled in full
+        ["sweep", "--nu=0", "--log", "1", "10"],  # and their values are tokens of their own
     ],
 )
 def test_bad_invocation_exits_2_with_usage(argv, tmp_path, capsys):

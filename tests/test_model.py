@@ -355,14 +355,24 @@ def ratios_per_split(monkeypatch):
 def test_common_paths_take_one_ratio(ratios_per_split):
     # kappa's recurrence form reads at most 3 on these paths, so the second
     # ratio, which kappa takes above that, costs them nothing
-    for nu in (-0.99, 0.0, 5.0, 300.0):
-        for k in range(-6, 31):
-            q_inverse(ModelOrder(nu), 10.0**k)
     for nu in (0.0, 1.0, 2.5, 5.0):  # the creep benchmark's orders, t from 1e-4 to 10
         for k in range(20):
             creep_rate_time(ModelOrder(nu), 10.0 ** (-4.0 + 5.0 * k / 19))
-    assert len(ratios_per_split) == 4 * 37 + 4 * 20 * len(_TALBOT_RULE)
+    assert len(ratios_per_split) == 4 * 20 * len(_TALBOT_RULE)
     assert set(ratios_per_split) == {1}
+    ratios_per_split.clear()
+    # q_inverse on half decades of omega to 1e308: up to about 3.2e32 the
+    # same; beyond, z/r and z r agree to rounding, r lies within a few ulps
+    # of 1, and kappa is bounded by r's resolution there.  The second ratio
+    # is taken only until r rounds to 1, by 1e45 (it was taken at 2,205 of
+    # these 2,516 calls, to 1e308)
+    points = [(nu, 10.0 ** (k / 2)) for nu in (-0.99, 0.0, 5.0, 300.0) for k in range(-12, 617)]
+    for nu, omega in points:
+        q_inverse(ModelOrder(nu), omega)
+    assert len(ratios_per_split) == len(points) == 2516
+    twice = [omega for (_, omega), n in zip(points, ratios_per_split) if n != 1]
+    assert set(ratios_per_split) == {1, 2}
+    assert len(twice) == 56 and max(twice) <= 1e45, twice
     ratios_per_split.clear()
     for nu, s in LAPLACE_ORACLE_POINTS:
         creep_rate_laplace(ModelOrder(nu), s)

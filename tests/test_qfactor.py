@@ -180,6 +180,23 @@ def test_production_route_matches_tricomi_oracle_at_huge_orders(nu):
         assert err <= ev.est_rel_error, (omega, err, ev.est_rel_error)
 
 
+def test_production_route_returns_at_huge_orders_and_frequencies():
+    # where r = I_{nu+3}/I_{nu+2} lies within a few ulps of 1, both forms of
+    # kappa read rounding noise of order u |z| (up to 1e13; mpmath gives
+    # kappa = 1.0), and 508 of these points raised InconsistencyError
+    # (estimate 2.98e-6 at (1e10, 1e52)).  Each now lies within the leading
+    # high-frequency law and its estimate (measured worst 0.22 of that)
+    points = [(10.0 ** (8 + i / 4), 10.0 ** (50 + j / 2)) for i in range(36) for j in range(64)]
+    points = [(nu, omega) for nu, omega in points if omega >= 100.0 * nu**4]
+    assert len(points) == 1916
+    for nu, omega in points + [(1e20, 1e100)]:
+        model = ModelOrder(nu)
+        ev = q_inverse(model, omega)
+        gap = rel(ev.q_inverse, q_inverse_asymptotic(model, omega, "high"))
+        assert gap <= 1.01 * (2.0 * nu + 3.0) / math.sqrt(2.0 * omega) + ev.est_rel_error, (
+            nu, omega, gap, ev.est_rel_error)
+
+
 @pytest.mark.parametrize("nu, omega", [(1e155, 1e6), (5e156, 1e6), (1e157, 1e10),
                                        (5e307, 1e308)])
 def test_production_route_returns_where_the_pole_term_fits(nu, omega):

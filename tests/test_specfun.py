@@ -462,6 +462,29 @@ def test_calls_that_never_returned_raise_at_the_cf_cap(call, monkeypatch):
         call()
 
 
+def test_ratio_cf_needs_no_seed():
+    # the CF once ran from a seed 1e-290, which is not negligible beside
+    # 1/b_1 = z/(2(order+1)) above |b_1| of about 1e274: here it returned
+    # 1.5e-290.  It now runs on 1/f from b_1 itself
+    order, z = 1e150, 1e-140
+    value, err, iterations = modified._ratio_next_order(order, complex(z))
+    ref = mp.mpf(z) / (2 * (mp.mpf(order) + 1))
+    assert iterations > 0 and abs(value - ref) <= err * ref, value
+
+
+@pytest.mark.parametrize("call", [
+    lambda: q_inverse(ModelOrder(5.593906960748503e37), 4.832945036144135e112),
+    lambda: creep_rate_laplace(ModelOrder(5.593906960748503e37), 4.832945036144135e112j),
+], ids=["q_inverse", "creep_rate_laplace"])
+def test_cf_with_a_tiny_first_coefficient_raises_typed(call, monkeypatch):
+    # |b_1| = 5.1e-19: the seeded first step 1e290/b_1 overflowed, and the
+    # call raised a bare OverflowError.  At 2^22 it raises at the cap in
+    # about 2 s, here at a smaller cap
+    monkeypatch.setattr(modified, "_CF_MAX_ITER", 5000)
+    with pytest.raises(BesselQError):
+        call()
+
+
 def test_negative_axis_far_out_raises_without_the_cf(monkeypatch):
     # creep_rate_laplace(1, -1e300) once ran the CF to its cap; the
     # expansion now serves z = 1e150 i, and the rounding of z = sqrt(s)
