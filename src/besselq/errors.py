@@ -9,13 +9,18 @@ The guards are the one home of the domain and range rules:
 * ``_require_positive`` -- a frequency (or time) is finite and positive;
 * ``_require_index``    -- a count or an index is a whole number >= 1, up
   to a limit, by default the one count ceiling ``_COUNT_MAX``;
-* ``_representable``    -- a result is finite.
+* ``_representable``    -- an intermediate value is finite;
+* ``_in_range``         -- a returned value is a normal double.
 
 The argument guards convert the value themselves, so a number beyond the
 double range (an int such as ``10**400``) raises DomainError, not a bare
-OverflowError.  Every public entry checks its arguments through them, and
-every float or complex that ``model`` and ``qfactor`` return passes
-``_representable``.
+OverflowError.  Every public entry checks its arguments through them.
+Every ``Q^-1`` (``QEvaluation``, ``frac_maxwell_q_inverse``) passes
+``_in_range``, as the series of ``specfun`` do by the same rule: a
+subnormal has lost digits, so it is refused like an overflow.  The other
+floats and complexes that ``model`` and ``qfactor`` form pass
+``_representable``, among them the pole term, a part of ``Q^-1`` that may
+be subnormal where ``Q^-1`` is not.
 
 The package's one accuracy ceiling, ``EST_REL_ERROR_CEILING``, lives here
 too: a ``QEvaluation`` carries no worse estimate, and the bare-valued sums
@@ -159,4 +164,14 @@ def _representable(value, what: str, *args):
     formatting."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowRangeError(f"{what % args} exceeds the double range")
+    return value
+
+
+def _in_range(value, what: str, *args) -> float:
+    """``value`` (a float), or OverflowRangeError where it leaves the normal
+    double range: above it, or below it, where digits or the whole value
+    are lost; an infinite or NaN value fails too.  ``what % args`` names the
+    value, formatted only then, as in ``_representable``."""
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise OverflowRangeError(f"{what % args} is outside the double-precision range")
     return value

@@ -31,8 +31,8 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import (EST_REL_ERROR_CEILING, _UNIT, DomainError, PoleError, _representable,
-                     _require_finite, _require_order, _require_positive)
+from .errors import (EST_REL_ERROR_CEILING, _UNIT, DomainError, PoleError, _in_range,
+                     _representable, _require_finite, _require_order, _require_positive)
 from .specfun.modified import _ratio_next_order
 
 __all__ = [
@@ -274,8 +274,10 @@ def frac_maxwell_q_inverse(beta: float, omega_tau: float) -> float:
     beta)/2)``, exactly 0 at ``beta = 1`` (``cos(pi/2)`` rounds to 6.1e-17)
     and with ``1 - beta`` exact from ``beta = 1/2``, so the value is within
     a few ulps at every ``beta`` and ``omega tau``.  Raises
-    OverflowRangeError where it leaves the double range (``omega tau``
-    below about 5.6e-309 at ``beta = 1``).
+    OverflowRangeError where it leaves the normal double range: above it
+    (``omega tau`` below about 5.6e-309 at ``beta = 1``), or below it, where
+    it would lose digits (``beta`` below about 2.8e-308, ``omega tau``
+    above about 4.5e307 at ``beta = 1``).
     """
     beta = _require_finite(beta, "beta")
     if not (0.0 < beta <= 1.0):
@@ -283,4 +285,4 @@ def frac_maxwell_q_inverse(beta: float, omega_tau: float) -> float:
     omega_tau = _require_positive(omega_tau, "omega*tau")
     value = math.sin(0.5 * math.pi * beta) / (
         omega_tau**beta + math.sin(0.5 * math.pi * (1.0 - beta)))
-    return _representable(value, "Q^-1_beta at omega*tau = %s", omega_tau)
+    return _in_range(value, "Q^-1_beta at omega*tau = %s", omega_tau)

@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import EST_REL_ERROR_CEILING, InconsistencyError, _representable, _require_positive
+from .errors import EST_REL_ERROR_CEILING, InconsistencyError, _in_range, _require_positive
 from .model import ModelOrder, _compliance_split, _pole_term, creep_compliance_asymptotic
 
 __all__ = [
@@ -84,7 +84,7 @@ class QEvaluation(namedtuple("QEvaluation", "omega q_inverse route est_rel_error
                 f"dissipativity violated: Q^-1 = {q_inverse} at "
                 f"omega = {omega} (route {route})"
             )
-        _representable(q_inverse, "Q^-1 at omega = %s (route %s)", omega, route)
+        _in_range(q_inverse, "Q^-1 at omega = %s (route %s)", omega, route)
         if not 0.0 <= est_rel_error <= EST_REL_ERROR_CEILING:  # NaN fails it too
             raise InconsistencyError(
                 f"error estimate {est_rel_error:.3g} lies outside [0, "
@@ -237,7 +237,9 @@ def q_inverse_asymptotic(
     pole term ``4(nu+1)(nu+2)/omega`` does (from ``nu`` of about ``6.7e153
     sqrt(omega)``), as ``q_inverse`` does; the ``high`` one where
     ``2(nu+1)/sqrt(i omega)`` does, from ``nu`` of about ``min(9e307,
-    1.27e308 sqrt(omega))``.
+    1.27e308 sqrt(omega))``; and, as every ``QEvaluation``, where ``Q^-1``
+    falls below the normal range (``low`` near ``nu = -1`` at huge
+    ``omega``: ``(-1 + 1e-15, 1e307)``).
     """
     omega = _require_positive(omega, "omega")
     response = creep_compliance_asymptotic(model, complex(0.0, omega), regime)

@@ -32,7 +32,7 @@ from collections import namedtuple
 
 from ..errors import _UNIT, _representable, _require_order, _require_positive
 from .modified import _reflection, _rotation, _scaled_i
-from .series import (SeriesDiagnostics, _in_range, _require_argument, _series_or_expansion,
+from .series import (SeriesDiagnostics, _checked, _require_argument, _series_or_expansion,
                      _tricomi_series, tricomi_it)
 
 #: Frequency up to which the alternating series serve alone, their running
@@ -130,7 +130,7 @@ def kelvin(order: float, x: float) -> KelvinPair:
     is representable though the scale alone is not (x > 709 sqrt(2)).
     """
     ber_s, bei_s, log_scale, _ = kelvin_scaled(order, x)
-    half = _in_range(math.exp, 0.5 * log_scale)
+    half = _checked(math.exp, 0.5 * log_scale)
     pair = _representable(complex(ber_s, bei_s) * half * half, "ber/bei_%r(%r)", order, x)
     return KelvinPair(pair.real, pair.imag, order, x)
 
@@ -153,5 +153,5 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
     omega = _require_positive(omega, "omega")
     x = math.sqrt(omega)
     ber, bei = kelvin(order, x)[:2]
-    fg = complex(ber, bei) * _rotation(order, 0.75).conjugate() * _in_range(pow, 2.0 / x, order)
+    fg = complex(ber, bei) * _rotation(order, 0.75).conjugate() * _checked(pow, 2.0 / x, order)
     return FGPair(fg.real, fg.imag, order, omega)

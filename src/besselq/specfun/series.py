@@ -13,9 +13,11 @@ from ``|s|``.  ``_series_or_expansion`` hands it over to a
 large-argument expansion for ``J`` and ber/bei, and the bare sum
 ``tricomi_it`` (which ``fg_series`` splits in two) raises where that bound
 passes ``EST_REL_ERROR_CEILING``.  Its first term
-``1/Gamma(a+1)`` comes from ``gamma_real``, a checked ``math.gamma``, which
-lives here with ``_require_argument``, the argument check of ``I``, ``J``
-and ber/bei (built on the guards of ``errors``).
+``(x/2)^a/Gamma(a+1)`` comes from ``_leading_factors``: from ``gamma_real``,
+a checked ``math.gamma``, and beyond the double range of its factors by
+Legendre's duplication formula.  ``gamma_real`` lives here with
+``_require_argument``, the argument check of ``I``, ``J`` and ber/bei
+(built on the guards of ``errors``).
 
 Only the verification routes (``kelvinfg``, ``zeros``) and the public
 ``modified_bessel_i`` and ``tricomi_it`` sum it: ``q_inverse`` and
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from operator import truediv
 
 from ..errors import (
     EST_REL_ERROR_CEILING,
@@ -38,13 +39,26 @@ from ..errors import (
     OverflowRangeError,
     PoleError,
     TruncationError,
+    _in_range,
     _require_finite,
     _require_order,
 )
 
-#: Relative error of ``gamma_real``, and of ``math.lgamma`` to its size (where
-#: that size is below 1, up to a few ``u`` more).
+#: Relative error of ``gamma_real``: each ``Gamma`` that the first term of
+#: the series takes (``_leading_factors``) adds it to the series' estimate.
 _GAMMA_ERROR = 1e-15
+#: Relative error of a first term formed from one ``Gamma``
+#: (``_leading_factors`` derives it).
+_TERM_ERROR = 7.0 * _UNIT + _GAMMA_ERROR
+#: Largest order whose first term ``_leading_factors`` forms, by duplication.
+#: ``I`` is the last of the series' values to return at large orders, and
+#: from order 7,849 none can: where ``I_a(x)`` reaches the normal range, the
+#: sum ``I_a(x)/((x/2)^a/Gamma(a+1))`` has already overflowed.  By mpmath
+#: bisection, ``I`` is normal from ``x`` = 4,262 and the sum overflows from
+#: 4,567 at order 7,000; 4,791 and 4,809 at 7,800; 4,823.7 and 4,823.6 at
+#: 7,849.  ``J``, ber/bei and ``T_a`` stop earlier.  Past this reach the
+#: first term raises before any work.
+_DUPLICATION_REACH = 8000.0
 #: Terms the series may take beyond ``sqrt|s|``.  It never needs more than
 #: about ``|z| + 35`` (orders -0.999 to 999, ``|z|`` from 1e-3 to 1e3, on
 #: the real and imaginary axes and off them), so reaching
@@ -60,18 +74,14 @@ class SeriesDiagnostics(namedtuple("SeriesDiagnostics", "terms_used rel_error ca
     __slots__ = ()
 
 
-def _in_range(function, *args) -> float:
-    """``function(*args)``, or OverflowRangeError where the value leaves the
-    normal double range: above it, or below it, where digits or the whole
-    value are lost."""
+def _checked(function, *args) -> float:
+    """``function(*args)`` by the range rule of ``errors._in_range``: an
+    OverflowError of the call counts as a value beyond the range."""
     try:
         value = function(*args)
     except OverflowError:
         value = math.inf
-    if not sys.float_info.min <= abs(value) < math.inf:
-        call = f"{function.__name__}({', '.join(map(repr, args))})"
-        raise OverflowRangeError(f"{call} is outside the double-precision range")
-    return value
+    return _in_range(value, "%s%r", function.__name__, args)
 
 
 def gamma_real(x: float) -> float:
@@ -104,7 +114,7 @@ def gamma_real(x: float) -> float:
     x = _require_finite(x)
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at nonpositive integer x = {x}")
-    return _in_range(math.gamma, x)
+    return _checked(math.gamma, x)
 
 
 def _require_argument(order: float, x: float) -> tuple[float, float]:
@@ -120,22 +130,80 @@ def _require_argument(order: float, x: float) -> tuple[float, float]:
     return order, x
 
 
-def _leading_factors(order: float, x: float) -> tuple[float, float] | None:
-    """``(x/2)^order`` and the first term ``1/Gamma(order+1)``, or None where
-    either is not a normal double or ``x/2`` is rounded (a subnormal ``x``).
-    Above order 0 the first term is ``1/(order Gamma(order))``, so no rounded
-    ``order + 1`` enters.  At ``x = 0`` it is left at 1: the value is
-    ``0.0**order``."""
+def _leading_factors(order: float, x: float) -> tuple[float, float, int, float]:
+    """The first term ``P_order(x) = (x/2)^order / Gamma(order+1)`` as
+    ``(power, first, scale, error)``: ``P = power first 2^scale``, the
+    series starts from ``first``, and ``error`` bounds the relative error.
+
+    Where ``(x/2)^order`` and ``1/Gamma(order+1)`` are both normal doubles,
+    and ``x/2`` is exact, they are ``power`` and ``first`` (``scale`` 0);
+    above order 0 the latter is ``1/(order Gamma(order))``, so no rounded
+    ``order + 1`` enters (up to order ``2^-1024``, where ``Gamma(order) ~
+    1/order`` overflows, ``order + 1`` rounds to 1 and ``first`` is 1).  At
+    ``x = 0`` ``power`` is ``0.0**order``.
+    Elsewhere, at order 1 or below, ``x*x`` is 0 (or infinite, and the term
+    raises): the sum is its first term, so the two fold into one, ``P =
+    (2^54 x)^order ((2^-55)^order / Gamma(order+1))`` with ``first = 1``,
+    which leaves the range only where ``P`` does (``x/2`` rounds at a
+    subnormal ``x``, and ``(x/2)^order`` may overflow where ``P`` does not).
+    Above order 1 Legendre's duplication formula (DLMF 5.5.5, at ``2z =
+    order + 1``) takes the term from two at half the order,
+
+        P_a(x) = sqrt(pi x)/2 P_{(a-1)/2}(x/2) P_{a/2}(x/2),
+
+    each formed the same way, and returns their product as a mantissa
+    ``power`` in [1/2, 1), ``first = 1`` and its power of two ``scale``, so
+    nothing overflows on the way.  ``(a-1)/2`` is exact for ``a`` up to
+    ``2^53``, and ``x/2`` is exact wherever the recursion runs: it runs only
+    where ``x/2`` does not round, at large ``x`` or large ``a``.
+
+    ``error`` sums ``_TERM_ERROR``, ``7 u + _GAMMA_ERROR`` (``u`` the unit
+    ``_UNIT``), for each ``Gamma`` taken and ``4 u`` for each duplication.
+    A direct term's own roundings take 3 of its ``7 u``: ``pow``, the
+    product ``order Gamma(order)`` (below order 0 the rounding of ``order +
+    1``: at most ``u``, as ``|psi(b)| b <= 1`` on ``(0, 2]``) and the
+    quotient.  The 4 left over cover its use: the product with the sum in
+    ``_tricomi_series`` and the ``3 u`` beyond it that
+    ``kelvinfg._kelvin_series`` counts on, or its share of a duplication.
+    A folded term takes 5 (two ``pow``, ``order + 1``, the quotient and the
+    product) and its product with the sum none, as its sum is exact.  A
+    duplication's own roundings are those of ``pi x`` (with ``pi`` itself,
+    halved by the square root), the square root and the four products of
+    five mantissas, at most ``(1.35/2 + 1 + 4) u``, within the ``2 x 4 u``
+    its two halves leave over; its ``4 u`` cover its own use.  So a term
+    formed directly carries ``_TERM_ERROR``, and one formed by ``n``
+    duplications from ``n + 1`` Gammas ``(11 n + 7) u + (n + 1)
+    _GAMMA_ERROR``.
+
+    Raises OverflowRangeError before any work above ``_DUPLICATION_REACH``
+    (at ``x > 0``), and where a term out of range is neither folded nor
+    duplicated: where ``x*x`` is infinite, or ``x/2`` rounds above order 1;
+    there the value leaves the range too.
+    """
     if not x:
-        return 0.0**order, 1.0
+        return 0.0**order, 1.0, 0, _TERM_ERROR
+    if order > _DUPLICATION_REACH:
+        raise OverflowRangeError(f"order {order} lies beyond the reach of the series")
     half = 0.5 * x
-    if half + half != x:
-        return None
     try:
-        gamma = order * gamma_real(order) if order > 0.0 else gamma_real(order + 1.0)
-        return _in_range(pow, half, order), _in_range(truediv, 1.0, gamma)
-    except OverflowRangeError:
-        return None
+        power = pow(half, order) if half + half == x else math.inf
+        first = 1.0 / (order * gamma_real(order) if order > 2.0**-1024 else gamma_real(order + 1.0))
+    except OverflowError:  # pow or Gamma (an OverflowRangeError) beyond the range
+        power = first = math.inf
+    if sys.float_info.min <= min(power, first) and max(power, first) < math.inf:
+        return power, first, 0, _TERM_ERROR
+    if order <= 1.0 and x * x == 0.0:
+        fold = pow(math.ldexp(x, 54), order) * (pow(2.0**-55, order) / gamma_real(order + 1.0))
+        return fold, 1.0, 0, _TERM_ERROR
+    if order <= 1.0 or half + half != x:
+        raise OverflowRangeError(f"the first term at order {order}, x = {x} leaves the range")
+    (mantissa, scale), error = math.frexp(math.sqrt(0.25 * math.pi * x)), 4.0 * _UNIT
+    for part in (0.5 * (order - 1.0), 0.5 * order):
+        power, first, k, part_error = _leading_factors(part, half)
+        (m1, k1), (m2, k2) = math.frexp(power), math.frexp(first)
+        mantissa, scale, error = mantissa * m1 * m2, scale + k + k1 + k2, error + part_error
+    mantissa, k = math.frexp(mantissa)
+    return mantissa, 1.0, scale + k, error
 
 
 def _tricomi_series(order: float, s: float | complex,
@@ -144,14 +212,14 @@ def _tricomi_series(order: float, s: float | complex,
     power series, and the one place that decides how it starts.
 
     ``x = 2`` (the default) gives ``T_order(s)``; a real ``s`` keeps the
-    arithmetic real.  The value is the product of the sum and the
-    ``_leading_factors``, or where there are none, of the sum started from 1
-    and ``exp(order (log x - log 2) - lgamma(order+1) + log|sum|)``, with
-    ``lgamma(order+1)`` as ``lgamma(order) + log(order)`` above order 0.
-    The sum stops once two successive terms fall below ``u`` (``_UNIT``)
-    times the partial sum.  It returns however much it cancels: its callers
-    judge the estimate (``bessel_j`` is evaluated at its own zeros, where the
-    sum cancels by design).
+    arithmetic real.  The sum starts from the ``first`` of
+    ``_leading_factors`` and the value is ``power * sum * 2^scale``, with
+    one range test; ``scale`` is 0 wherever ``(x/2)^order`` and
+    ``1/Gamma(order+1)`` are normal doubles.  The sum stops once two
+    successive terms fall below ``u`` (``_UNIT``) times the partial sum.
+    It returns however much it cancels: its callers judge the estimate
+    (``bessel_j`` is evaluated at its own zeros, where the sum cancels by
+    design).
 
     The estimate ``rel_error`` is a running error bound (Higham, *Accuracy
     and Stability of Numerical Algorithms*, 2nd ed., 3.3), accumulated in
@@ -164,21 +232,20 @@ def _tricomi_series(order: float, s: float | complex,
     of the ``m`` steps of the term recurrence, accumulated probabilistically
     (Higham & Mary, SIAM J. Sci. Comput. 41, 2019); ``|sum m t_m|`` the
     conditioning in ``s``, which carries the rounding of the ``x*x`` that
-    ``I``, ``J`` and ber/bei pass in.  The prefactor adds ``_GAMMA_ERROR``
-    for ``Gamma`` and ``7 u`` for its roundings; in logs, ``_GAMMA_ERROR``
-    times the size of each logarithm, whose rounding ``exp()`` turns into
-    relative error.
+    ``I``, ``J`` and ber/bei pass in.  The first term adds its own
+    ``error``, which holds the rounding of the product with the sum:
+    ``_TERM_ERROR`` where it is formed directly.
 
     Raises
     ------
     OverflowRangeError
-        If a term or the result leaves the double range, above it or below
-        its normal range; an exact zero, of the sum or at x = 0, is returned.
+        If the first term cannot be formed (``_leading_factors``), or a
+        term or the result leaves the double range, above it or below its
+        normal range; an exact zero, of the sum or at x = 0, is returned.
     TruncationError
         If ``int(sqrt|s|) + _SERIES_SLACK`` terms did not converge.
     """
-    factors = _leading_factors(order, x)
-    term = factors[1] if factors else 1.0
+    power, term, scale, error = _leading_factors(order, x)
     total = term
     max_term = bound = abs(term)
     moment = 0.0  # sum m t_m
@@ -203,29 +270,11 @@ def _tricomi_series(order: float, s: float | complex,
                 f"uniform-I series did not converge within {max_terms} "
                 f"terms (|s| = {modulus:.3g})"
             )
-        # 7 u, of which the roundings here take 4: pow, the product and
-        # quotient of 1/(order Gamma(order)) (below order 0 the rounding of
-        # order + 1 takes the product's place: at most u, as |psi(b)| b <= 1
-        # on [1/2, 1]) and the product with the sum; in logs |sum|, exp(),
-        # the quotient and the last product
-        error = 7.0 * _UNIT
-        if factors:
-            value = factors[0] * total
-            error += _GAMMA_ERROR
-        elif size:
-            logs = [order * (math.log(x) - math.log(2.0)), math.log(size)]
-            logs += [-math.lgamma(order), -math.log(order)] if order > 0.0 else \
-                [-math.lgamma(order + 1.0)]
-            exponent = math.fsum(logs)
-            value = math.exp(exponent) * (total / size)
-            # exp() turns the exponent's absolute rounding into relative
-            # error: each log within _GAMMA_ERROR of its size, the order times
-            # that of log x and log 2, and fsum's one rounding
-            error += _GAMMA_ERROR * sum(map(abs, logs)) + _UNIT * (2.0 * abs(order) + abs(exponent))
-        else:
-            value = total
+        # 2^scale in two halves (a complex has no ldexp), exact wherever
+        # the value is a normal double
+        value = power * total * 2.0 ** (scale // 2) * 2.0 ** (scale - scale // 2)
         in_range = sys.float_info.min <= abs(value) < math.inf or not (total and x)
-    except OverflowError:  # |s| = inf, or abs() of a complex or exp() beyond the double range
+    except OverflowError:  # |s| = inf, or abs() of a complex or 2^scale beyond the double range
         in_range = False
     if not in_range:
         raise OverflowRangeError(
@@ -282,14 +331,21 @@ def modified_bessel_i(order: float, x: float) -> float:
     """Modified Bessel function ``I_order(x) = (x/2)^order T_order(x^2)``.
 
     All terms are positive, so the series is cancellation-free: within
-    2.7e-14 relative of mpmath (1,000 random points, orders -0.9 to 170,
-    ``x`` from 1e-3 to 700), but where ``(x/2)^order`` or ``Gamma`` leaves
-    the range and the prefactor is formed in logs: there the rounding of
-    the exponent puts ``I_147.93(552.17)`` 5.0e-14 off.  The series' running
-    bound (``_tricomi_series``) holds on both paths: on 300 random points
-    over that sample the error is at most 0.62 of it.  OverflowRangeError
-    where the value leaves the normal double range at ``x > 0``: from ``x =
-    714`` at order 0, and at ``I_150(1e-3)``.
+    3.3e-14 relative of mpmath on 2,000 random points (orders -0.9 to 170,
+    ``x`` from 1e-3 to 700, 1,000 each at seeds 5 and 23; 2.7e-14 at seed
+    5), and within 8e-14 above order 170 (the 681 of 1,000 random points that
+    return, orders 171 to 7,000, ``x`` from 0.35 to 1.2 times the order,
+    seed 5).  The series' running bound (``_tricomi_series``) holds: the
+    error is at most 0.77 of it on the first sample and 0.55 on the second.
+    That bound overflows to infinity near the sum's own overflow (``x`` =
+    4,560 at order 7,000), where the value still returns.
+
+    OverflowRangeError where the value leaves the normal double range at ``x
+    > 0``: from ``x = 714`` at order 0, and at ``I_150(1e-3)``.  At large
+    orders the sum ``I/((x/2)^order/Gamma(order+1))`` overflows first:
+    ``I_10000(6600) = 9.19e-25`` raises, and from order 7,849 no ``x``
+    returns; above order 8,000 (``_DUPLICATION_REACH``) it raises before
+    any work.
 
     Parameters
     ----------

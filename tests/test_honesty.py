@@ -63,6 +63,12 @@ CREEP_DRAWS = _draws(19, 16, (-3.0, 2.7), (-12.0, 2.0))
 #: modified_bessel_i over its documented sample: orders -0.9 to 170, x from
 #: 1e-3 to 700.
 I_DRAWS = _draws(23, 300, (-1.0, math.log10(171.0)), (-3.0, math.log10(700.0)))
+#: modified_bessel_i above order 170, where its first term is duplicated:
+#: orders 171 to 7,000, x from 0.35 to 1.2 times the order, around where
+#: I enters the double range.
+I_LARGE_DRAWS = [(order, order * rng.uniform(0.35, 1.2)) for rng in [random.Random(3)]
+                 for order in (10.0 ** rng.uniform(math.log10(171.0), math.log10(7000.0))
+                               for _ in range(200))]
 #: The uniform series: orders -0.999 to 170, |s| from 1e-3 to 2e5 at a phase
 #: drawn after each point; the f/g pair: omega from 1e-3 to 1e4.
 T_DRAWS = [(order, cmath.rect(size, phase)) for (order, size), phase in zip(
@@ -140,7 +146,8 @@ def _creep_error(point, value):
 
 
 def _i_error(point, value):
-    # the bound modified_bessel_i documents
+    # modified_bessel_i documents 3.3e-14 over 2,000 points (2.7e-14 on
+    # 1,000): these draws hold to the smaller
     with mp.workdps(40):
         reference = mp.besseli(*point)
         return abs(value - reference) / reference, 2.7e-14
@@ -198,10 +205,9 @@ def _series_bound(order, s, value):
         (FG_DRAWS, lambda nu, w: q_inverse_fg(ModelOrder(nu), w), _q_error),
         (J_DRAWS, bessel_j, _j_error),
         (CREEP_DRAWS, lambda nu, t: besselq.creep_rate_time(ModelOrder(nu), t), _creep_error),
-        pytest.param(I_DRAWS, besselq.modified_bessel_i, _i_error, marks=pytest.mark.xfail(
-            strict=True, reason="on the lgamma path the rounding of the exponent puts "
-            "I_147.93(552.17) 5.0e-14 off, over its documented 2.7e-14")),
+        (I_DRAWS, besselq.modified_bessel_i, _i_error),
         (I_DRAWS, lambda a, x: _tricomi_series(a, x * x, x), _i_series_error),
+        (I_LARGE_DRAWS, lambda a, x: _tricomi_series(a, x * x, x), _i_series_error),
         (T_DRAWS, besselq.tricomi_it, lambda p, v: _series_bound(*p, v)),
         (FG_PAIR_DRAWS, besselq.fg_series,
          lambda p, v: _series_bound(p[0], complex(0.0, p[1]), complex(v.f, v.g))),
@@ -211,8 +217,8 @@ def _series_bound(order, s, value):
          _laplace_error(True)),
     ],
     ids=["kelvin_scaled", "q_inverse_kelvin", "q_inverse", "q_inverse_fg", "bessel_j",
-         "creep_rate_time", "modified_bessel_i", "series_estimate", "tricomi_it", "fg_series",
-         "creep_rate_laplace", "creep_compliance_laplace"],
+         "creep_rate_time", "modified_bessel_i", "series_estimate", "series_estimate_large_orders",
+         "tricomi_it", "fg_series", "creep_rate_laplace", "creep_compliance_laplace"],
 )
 def test_returned_values_lie_within_their_estimate(draws, evaluate, error_of):
     over, returned = _sweep(draws, evaluate, error_of)

@@ -467,3 +467,18 @@ def test_frac_maxwell_matches_mpmath_up_to_beta_one():
     # 1/(omega tau) leaves the double range: typed, not inf
     with pytest.raises(OverflowRangeError):
         frac_maxwell_q_inverse(1.0, 1e-320)
+
+
+def test_frac_maxwell_refuses_a_subnormal_value():
+    # a value below the normal range has lost digits: (5e-324, 1) returned
+    # 5e-324 for 3.88e-324, and beta = 1e-310 was 4.0e-14 off
+    for beta, x in ((5e-324, 1.0), (1e-310, 1.0), (1.0, 1e308)):
+        with pytest.raises(OverflowRangeError):
+            frac_maxwell_q_inverse(beta, x)
+    # the smallest normal values return, within a few ulps
+    with mp.workprec(200):
+        for beta, x in ((3e-308, 1.0), (1.0, 4.4e307)):
+            beta_mp = mp.mpf(beta)
+            ref = mp.sin(mp.pi * beta_mp / 2) / (mp.mpf(x) ** beta_mp
+                                                 + mp.sin(mp.pi * (1 - beta_mp) / 2))
+            assert abs(frac_maxwell_q_inverse(beta, x) / ref - 1) < 1e-15, (beta, x)

@@ -20,6 +20,7 @@ from besselq import (
     InconsistencyError,
     ModelOrder,
     OverflowRangeError,
+    QEvaluation,
     creep_compliance_asymptotic,
     fg_series,
     frac_maxwell_q_inverse,
@@ -241,6 +242,20 @@ def test_estimate_ceiling_rejects_kelvin_noise_floor():
 def test_result_beyond_double_range_is_overflow():
     with pytest.raises(OverflowRangeError):
         q_inverse(ModelOrder(1e4), 1e-300)
+
+
+def test_subnormal_q_inverse_is_refused():
+    # the low form 2(nu+1)(nu+3)/omega is 4e-322 here, a subnormal that once
+    # returned 1.1% off; q_inverse returns, as its Q^-1 = 4.5e-169 is normal
+    # though its pole term is subnormal
+    model = ModelOrder(-1.0 + 1e-15)
+    with pytest.raises(OverflowRangeError):
+        q_inverse_asymptotic(model, 1e307, "low")
+    with pytest.raises(OverflowRangeError):
+        QEvaluation(1.0, 1e-310, "direct_ratio", 0.0)
+    ev = q_inverse(model, 1e307)
+    # (2nu+3)/sqrt(2 omega) = 2e-154: the high form is exact here
+    assert rel(ev.q_inverse, q_inverse_asymptotic(model, 1e307, "high")) <= ev.est_rel_error
 
 
 @pytest.mark.parametrize(

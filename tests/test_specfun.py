@@ -159,13 +159,15 @@ def test_bessel_i_up_to_double_range():
 
 def test_bessel_i_where_one_factor_leaves_double_range():
     # (x/2)^order or Gamma(order+1) alone overflows here, the value does
-    # not; both once raised OverflowRangeError.  The leading term comes
-    # from lgamma, so the error grows with |log| of the factors (measured
-    # worst 2.2e-13, at order 1000)
+    # not; both once raised OverflowRangeError.  The first term comes from
+    # Legendre's duplication, within the bounds modified_bessel_i documents
+    # (3.3e-14 up to order 170, 8e-14 above): its logarithmic form was
+    # 5.8e-14 to 2.3e-13 off at these points
     for order, x in ((200.0, 147.0), (171.0, 200.0), (150.0, 400.0), (300.0, 700.0),
                      (1000.0, 500.0)):
         ref = mp.besseli(order, x)
-        assert float(abs(modified_bessel_i(order, x) - ref) / ref) < 1e-12, (order, x)
+        bound = 3.3e-14 if order <= 170.0 else 8e-14
+        assert float(abs(modified_bessel_i(order, x) - ref) / ref) < bound, (order, x)
     assert modified_bessel_i(200.0, 0.0) == 0.0
     with pytest.raises(OverflowRangeError):
         modified_bessel_i(200.0, 1000.0)
@@ -206,8 +208,9 @@ def test_exact_zeros_at_zero_argument_stay():
         lambda: kelvin_scaled(1000.0, 5.0),
         lambda: modified_bessel_i(1000.0, 500.0),
         lambda: tricomi_it(19.056616588080566, complex(937227.8620308988, 176193.06832100725)),
+        lambda: modified_bessel_i(10000.0, 6600.0),
     ],
-    ids=["j-400-12", "j-500-13", "kelvin-1000-5", "i-1000-500", "t-complex"],
+    ids=["j-400-12", "j-500-13", "kelvin-1000-5", "i-1000-500", "t-complex", "i-10000-6600"],
 )
 def test_overflow_is_typed(call):
     # (x/2)^order, or |term| of a complex series, leaves the double range
@@ -240,6 +243,40 @@ def test_j_and_kelvin_beyond_order_170_against_mpmath():
                 assert float(abs(value - ref) / abs(ref)) < 5e-13, (order, x)
 
 
+def test_first_term_carries_one_error_model():
+    # a first term formed directly carries exactly 7u + _GAMMA_ERROR; a
+    # duplicated one lies within the sum of its Gammas' and duplications'
+    # errors
+    direct = 7.0 * _UNIT + series._GAMMA_ERROR
+    for order, x in ((0.0, 1.0), (-0.5, 3.0), (5.0, 30.0), (170.0, 2.0), (150.0, 1.0)):
+        power, _, scale, error = series._leading_factors(order, x)
+        assert (power, scale, error) == (pow(0.5 * x, order), 0, direct)
+    # Gamma(order) ~ 1/order overflows below 2^-1024, and 1/Gamma(order+1) is 1;
+    # above it 1/(order Gamma(order)) stays, bit for bit
+    assert series._leading_factors(2.2250738585e-313, 2.0) == (1.0, 1.0, 0, direct)
+    assert series._leading_factors(1e-308, 2.0)[1] == 1.0 / (1e-308 * math.gamma(1e-308))
+    with mp.workdps(40):
+        for order, x in ((171.0, 2.0), (200.0, 147.0), (1000.0, 500.0), (7000.0, 4400.0),
+                         (300.0, 1e-100)):
+            power, first, scale, error = series._leading_factors(order, x)
+            assert first == 1.0 and 0.5 <= power < 1.0 and error > direct
+            ref = (mp.mpf(x) / 2) ** order / mp.gamma(order + 1)
+            assert float(abs(mp.ldexp(power, scale) / ref - 1)) <= error, (order, x)
+
+
+def test_orders_past_the_reach_raise_before_any_gamma(monkeypatch):
+    # I_10000(6600) = 9.19e-25 is in range, but its sum overflows first; from
+    # order 7,849 no x returns, and past the reach no Gamma is taken
+    calls = []
+    monkeypatch.setattr(series, "gamma_real", lambda x: calls.append(x))
+    for call in (lambda: modified_bessel_i(10000.0, 6600.0), lambda: bessel_j(8000.5, 12.0),
+                 lambda: kelvin(1e6, 18.0), lambda: tricomi_it(1e300, 1.0)):
+        with pytest.raises(OverflowRangeError):
+            call()
+    assert not calls
+    assert modified_bessel_i(1e300, 0.0) == 0.0
+
+
 def test_exact_zero_at_zero_argument_beyond_order_170():
     # the value is exactly 0; Gamma(201) once made J and ber/bei raise
     assert bessel_j(200.0, 0.0) == 0.0
@@ -259,6 +296,20 @@ def test_subnormal_argument(order):
                            (pair.ber, mp.ber(order, x)),
                            (pair.bei, mp.bei(order, x))):
             assert float(abs(value - ref) / abs(ref)) < 2e-13
+
+
+@pytest.mark.parametrize("order, x", [(-0.999, 1e-310), (-0.96, 7.4e-322),
+                                      (-1.0 + 1e-9, 5.5e-311), (0.9999, 4.1456907631656324e-308)])
+def test_subnormal_argument_where_one_factor_alone_leaves_the_range(order, x):
+    # (x/2)^order overflows (or, at 0.9999, falls below the normal range)
+    # where (x/2)^order/Gamma(order+1) does not: the sum is its first term
+    # there, so the two fold into one
+    with mp.workdps(40):
+        for value, ref in ((modified_bessel_i(order, x), mp.besseli(order, x)),
+                           (bessel_j(order, x), mp.besselj(order, x))):
+            assert float(abs(value - ref) / abs(ref)) < 1e-15, (value, ref)
+        estimate = series._tricomi_series(order, x * x, x)[1].rel_error
+        assert float(abs(modified_bessel_i(order, x) / mp.besseli(order, x) - 1)) <= estimate
 
 
 def test_one_error_at_zero_argument_below_order_zero():
