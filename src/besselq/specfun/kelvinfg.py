@@ -21,7 +21,9 @@ passes ``EST_REL_ERROR_CEILING``.  Above ``x = sqrt(omega*) = 18``
 to ``ber_a(x) + i bei_a(x) = e^(i a pi / 2) I_a(x e^(i pi / 4))``, scaled by
 ``e^(-x/sqrt(2))``, from ``modified._scaled_i``: the one large-argument form
 of ``I``, both exponential branches of DLMF 10.40.5, which also serves the
-production ratio.  The f/g series has no such handover.
+production ratio.  Each pair keeps the scale of the branch that served it
+(``kelvin_scaled``); ``kelvin`` and ``fg_from_kelvin`` unscale it once, at
+their one exit.  The f/g series has no such handover.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from ..errors import _UNIT, _representable, _require_order, _require_positive
+from ..errors import _UNIT, _in_range, _require_order, _require_positive
 from .modified import _reflection, _rotation, _scaled_i
 from .series import (SeriesDiagnostics, _checked, _require_argument, _series_or_expansion,
                      _tricomi_series, tricomi_it)
@@ -93,12 +95,14 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
 
     Returns ``(ber_s, bei_s, log_scale, est_rel)`` such that
     ``ber = ber_s * exp(log_scale)`` and likewise for bei, and ``est_rel``
-    estimates the relative error of the pair.  Up to ``x = 18`` the pair is
-    the series (``est_rel`` its ``SeriesDiagnostics.rel_error``) and
-    ``log_scale`` is 0.  Above it ``log_scale = Re z = x/sqrt(2)``, ``z = x
-    e^(i pi/4)``, and the pair is the series or ``e^(i order pi/2) I_order(z)
-    e^(-Re z)``, the value of ``modified._scaled_i`` times ``e^(i Im z)``,
-    ``e^(i order pi/2)`` and ``1/sqrt(2 pi z)``, by ``bessel_j``'s handover
+    estimates the relative error of the pair.  ``log_scale`` is the scale of
+    the branch that served, and the pair stays in it: 0 wherever the series
+    serves (always up to ``x = 18``, ``est_rel`` its
+    ``SeriesDiagnostics.rel_error``), ``Re z = x/sqrt(2)``, ``z = x e^(i
+    pi/4)``, where the expansion does.  Above ``x = 18`` the pair is the
+    series or ``e^(i order pi/2) I_order(z) e^(-Re z)``, the value of
+    ``modified._scaled_i`` times ``e^(i Im z)``, ``e^(i order pi/2)`` and
+    ``1/sqrt(2 pi z)``, by ``bessel_j``'s handover
     (``series._series_or_expansion``); TruncationError where neither
     reaches 3e-8.  The expansion's estimate is that of ``_scaled_i``, which
     may cancel far below its first term, plus ``4u x`` (``u`` the unit
@@ -106,7 +110,9 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
 
     The scaled form exists so that ratios of Kelvin-function products (the
     quality-factor formulas) can be formed at arguments where ber/bei
-    themselves overflow.
+    themselves overflow.  Two calls may return different scales: a
+    product across orders adds each pair's own ``log_scale``, and a quotient
+    of pairs each normalised on its own (``q_inverse_kelvin``) needs none.
     """
     order, x = _require_argument(order, x)
     if x <= _SERIES_MAX_X:
@@ -115,24 +121,40 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     z = x * cmath.exp(0.25j * math.pi)
     pair, est, _ = _scaled_i(order, z, _reflection(order, z))
     pair *= cmath.exp(1j * z.imag) * _rotation(order, 0.5) / cmath.sqrt(2.0 * math.pi * z)
-    pair, est = _series_or_expansion(order, x, lambda: _kelvin_series(order, x),
-                                     (pair, est + 4.0 * _UNIT * x), _KELVIN_MAX_ERROR, None, z.real)
-    return pair.real, pair.imag, z.real, est
+    pair, est, log_scale = _series_or_expansion(order, x, lambda: _kelvin_series(order, x),
+                                                (pair, est + 4.0 * _UNIT * x), _KELVIN_MAX_ERROR,
+                                                None, z.real)
+    return pair.real, pair.imag, log_scale, est
+
+
+def _unscaled(order: float, x: float, fg: bool) -> tuple[float, float]:
+    """The pair of ``kelvin_scaled`` at ``(order, x)`` unscaled, as real and
+    imaginary parts: ber/bei, or with ``fg`` the f/g pair, the one exit of
+    ``kelvin`` and ``fg_from_kelvin``.  The prefactor, 1 or ``(2/x)^order``
+    with the inverse rotation ``e^(-3 pi i order/4)``, applies first and
+    ``e^(log_scale)`` last, in two halves, so the pair returns wherever it
+    is a normal double though the scale alone (``x > 709 sqrt(2)``) or
+    ber/bei are not.  OverflowRangeError where the prefactor or the pair's
+    modulus leaves the normal range, the rule of the series; the exact
+    zero at ``x = 0`` returns."""
+    ber_s, bei_s, log_scale, _ = kelvin_scaled(order, x)
+    prefactor = _rotation(order, 0.75).conjugate() * _checked(pow, 2.0 / x, order) if fg else 1.0
+    half = _checked(math.exp, 0.5 * log_scale)
+    pair = complex(ber_s, bei_s) * prefactor * half * half
+    if x:  # hypot, unlike abs() of a complex, overflows to inf
+        _in_range(math.hypot(pair.real, pair.imag), "the pair of order %r at x = %r", order, x)
+    return pair.real, pair.imag
 
 
 def kelvin(order: float, x: float) -> KelvinPair:
     """Kelvin functions ``(ber_order(x), bei_order(x))`` for ``x >= 0``.
 
     The pair is the real/imaginary split of ``J_order(x e^{3 pi i/4})``;
-    it grows like ``e^{x/sqrt(2)}`` and raises OverflowRangeError once a
-    value leaves the double range (x > ~1010 at order 0).  The scale
-    ``e^{log_scale}`` is applied in two halves, so the pair returns where it
-    is representable though the scale alone is not (x > 709 sqrt(2)).
+    it grows like ``e^{x/sqrt(2)}`` and raises OverflowRangeError once its
+    modulus leaves the normal double range (x > ~1010 at order 0, or where
+    it underflows at large orders); the exact zero at ``x = 0`` returns.
     """
-    ber_s, bei_s, log_scale, _ = kelvin_scaled(order, x)
-    half = _checked(math.exp, 0.5 * log_scale)
-    pair = _representable(complex(ber_s, bei_s) * half * half, "ber/bei_%r(%r)", order, x)
-    return KelvinPair(pair.real, pair.imag, order, x)
+    return KelvinPair(*_unscaled(order, x, False), order, x)
 
 
 def fg_from_kelvin(order: float, omega: float) -> FGPair:
@@ -146,12 +168,10 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
     Agrees with ``fg_series`` wherever both are reliable, and checks it
     independently only where the Kelvin pair is the large-argument
     expansion (above ``omega = 324``); elsewhere both sum the same series.
-    Raises OverflowRangeError where the prefactor ``(2/sqrt(omega))^order``
-    leaves the normal double range.
+    The prefactor applies to the scaled pair, so f/g returns where ber/bei
+    overflow.  Raises OverflowRangeError where the prefactor
+    ``(2/sqrt(omega))^order`` or the pair leaves the normal double range.
     """
     order = _require_order(order)
     omega = _require_positive(omega, "omega")
-    x = math.sqrt(omega)
-    ber, bei = kelvin(order, x)[:2]
-    fg = complex(ber, bei) * _rotation(order, 0.75).conjugate() * _checked(pow, 2.0 / x, order)
-    return FGPair(fg.real, fg.imag, order, omega)
+    return FGPair(*_unscaled(order, math.sqrt(omega), True), order, omega)

@@ -234,7 +234,10 @@ def _tricomi_series(order: float, s: float | complex,
     conditioning in ``s``, which carries the rounding of the ``x*x`` that
     ``I``, ``J`` and ber/bei pass in.  The first term adds its own
     ``error``, which holds the rounding of the product with the sum:
-    ``_TERM_ERROR`` where it is formed directly.
+    ``_TERM_ERROR`` where it is formed directly.  Once the bound passes
+    ``2^960`` it and ``sum m t_m`` are carried ``2^64`` lower, and again at
+    each pass, so neither overflows before the sum does; below that they
+    are bitwise those carried unscaled.
 
     Raises
     ------
@@ -249,6 +252,7 @@ def _tricomi_series(order: float, s: float | complex,
     total = term
     max_term = bound = abs(term)
     moment = 0.0  # sum m t_m
+    carry = 1.0  # bound and moment are carried times this power of two
     quarter = s / 4.0
     modulus = 4.0 * abs(quarter)  # |s|; abs(s) of a complex may overflow
     small_streak = 0
@@ -258,8 +262,10 @@ def _tricomi_series(order: float, s: float | complex,
             term *= quarter / (m * (m + order))
             total += term
             mag, size = abs(term), abs(total)
-            moment += m * term
-            bound += size + 2.0 * math.sqrt(m) * mag
+            moment += m * (term * carry)
+            bound += size * carry + 2.0 * math.sqrt(m) * (mag * carry)
+            if bound > 2.0**960:  # near the top of the range: carry both 2^64 lower
+                bound, moment, carry = (v * 2.0**-64 for v in (bound, moment, carry))
             if mag > max_term:
                 max_term = mag
             small_streak = small_streak + 1 if mag <= _UNIT * size else 0
@@ -281,16 +287,20 @@ def _tricomi_series(order: float, s: float | complex,
             f"series of order {order} at |s| = {modulus:.3g} leaves the "
             "double-precision range"
         )
-    error += _UNIT * (bound + abs(moment)) / size if size else math.inf
+    error += _UNIT * (bound + abs(moment)) / size / carry if size else math.inf
     return value, SeriesDiagnostics(m + 1, error, max_term / size if size else math.inf)
 
 
 def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: float,
                          unit: float | None = None, log_scale: float = 0.0) -> tuple:
-    """``e^(-log_scale)`` times ``series()`` (a ``_tricomi_series`` call
-    with ``x``) or the large-argument ``expansion`` ``(value, error)``,
-    whichever has the smaller estimate, with that estimate: in units of
-    ``unit``, else relative.  The one handover of ``bessel_j`` and ber/bei.
+    """``series()`` (a ``_tricomi_series`` call with ``x``) or the
+    large-argument ``expansion`` ``(value, error)``, a value scaled by
+    ``e^(-log_scale)``, whichever has the smaller estimate, as ``(value,
+    error, log_scale)``: the value stays in the scale of the branch that
+    served, ``log_scale`` 0 for the series and the given one for the
+    expansion, so no value is rescaled after its range test.  The estimate
+    is in units of ``unit`` (``bessel_j``, unscaled), else relative.  The one
+    handover of ``bessel_j`` and ber/bei.
     The series' estimate is at least ``u`` times its first term and ``2
     sqrt(m) u`` times its ``m``-th, so it is summed only where those at
     ``m = 0`` and ``floor(x/2)`` let it beat ``min(error, cap)`` (for
@@ -298,7 +308,7 @@ def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: 
     series that raises gives way to an expansion within ``cap`` and is let
     through otherwise; TruncationError where neither estimate is within
     ``cap``."""
-    value, error = expansion
+    (value, error), scale = expansion, log_scale
     log_half = math.log(0.5 * x)
     try:
         size = unit or abs(value)
@@ -315,16 +325,15 @@ def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: 
             if not error <= cap:
                 raise
         else:
-            total *= math.exp(-log_scale)
             rel = diagnostics.rel_error
             series_error = rel * abs(total) / unit if unit else rel
             if series_error < error:
-                value, error = total, series_error
+                value, error, scale = total, series_error, 0.0
     if not error <= cap:
-        scale = "relative" if unit is None else f"of {unit:.3g}"
+        units = "relative" if unit is None else f"of {unit:.3g}"
         raise TruncationError(f"order {order} at x = {x}: neither the series nor the "
-                              f"expansion reaches {cap:.0e} {scale} (estimate {error:.2e})")
-    return value, error
+                              f"expansion reaches {cap:.0e} {units} (estimate {error:.2e})")
+    return value, error, scale
 
 
 def modified_bessel_i(order: float, x: float) -> float:
@@ -337,8 +346,9 @@ def modified_bessel_i(order: float, x: float) -> float:
     return, orders 171 to 7,000, ``x`` from 0.35 to 1.2 times the order,
     seed 5).  The series' running bound (``_tricomi_series``) holds: the
     error is at most 0.77 of it on the first sample and 0.55 on the second.
-    That bound overflows to infinity near the sum's own overflow (``x`` =
-    4,560 at order 7,000), where the value still returns.
+    That bound is carried at a power of two near the top of the range, so
+    it does not overflow before the sum does (it did at ``x`` = 4,560,
+    order 7,000, where the value returned with an infinite estimate).
 
     OverflowRangeError where the value leaves the normal double range at ``x
     > 0``: from ``x = 714`` at order 0, and at ``I_150(1e-3)``.  At large

@@ -100,7 +100,9 @@ def kelvin_pair(alpha, x, dps: int | None = None):
             bei += mp.sin(phase) * mag
             mag *= q / ((k + 1) * (k + alpha + 1))
             k += 1
-            if mag < mp.mpf(10) ** (-dps) * (abs(ber) + abs(bei) + 1) and k >= 20:
+            # relative to the running sums: an absolute floor ends the sum
+            # early where 1/Gamma(alpha + 1) is tiny
+            if mag <= mp.mpf(10) ** (-dps) * (abs(ber) + abs(bei)) and k >= 20:
                 break
         prefactor = (x / 2) ** alpha
         return +(prefactor * ber), +(prefactor * bei)

@@ -108,6 +108,39 @@ def test_kelvin_route_returns_at_2_5e6_and_raises_at_1e12():
         q_inverse_kelvin(ModelOrder(0.0), 1e12)
 
 
+def _within_production(nu, omega):
+    """Whether ``q_inverse_kelvin`` lies within its estimate plus that of
+    ``q_inverse`` of the production value."""
+    kelvin_ev, direct = q_inverse_kelvin(ModelOrder(nu), omega), q_inverse(ModelOrder(nu), omega)
+    allowed = (kelvin_ev.est_rel_error * kelvin_ev.q_inverse
+               + direct.est_rel_error * direct.q_inverse)
+    return abs(kelvin_ev.q_inverse - direct.q_inverse) <= allowed
+
+
+def test_kelvin_route_at_large_orders_is_right_or_loud():
+    # above the crossover each pair keeps the scale it was computed in; the
+    # series' pair, rescaled to the expansion's, once underflowed with a
+    # small estimate: 4 of these 810 points lay outside the production
+    # value (27.007 for 120.913 at nu = 400, omega = 2673.13) and 5 raised
+    # a bare ZeroDivisionError
+    returned = 0
+    for nu in (30, 50, 100, 150, 200, 300, 400, 500, 700, 1000):
+        for omega in log_grid(324.5, 1e6, 81):
+            try:
+                assert _within_production(nu, omega), (nu, omega)
+            except BesselQError:
+                continue
+            returned += 1
+    assert returned >= 810 // 3
+
+
+@pytest.mark.parametrize("nu, omega", [(679.9566016547091, 42065.78303447008),
+                                       (381.3444810703265, 2069.48457863803)])
+def test_kelvin_route_where_the_scaled_series_pair_underflowed(nu, omega):
+    # these raised ZeroDivisionError and returned 140.76 for 142.02
+    assert _within_production(nu, omega)
+
+
 def test_direct_route_high_frequency_asymptote_gap():
     # the gap |Q/asym - 1| follows (2nu+3)/sqrt(2 omega) to relative order
     # omega^-1/2 (DLMF 10.40.1, second coefficient (nu+1)(2nu+3)); measured

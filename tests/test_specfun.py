@@ -173,6 +173,16 @@ def test_bessel_i_where_one_factor_leaves_double_range():
         modified_bessel_i(200.0, 1000.0)
 
 
+def test_series_bound_stays_finite_near_the_sums_overflow():
+    # the running bound is carried at a power of two near the top of the
+    # range: here it overflowed to inf before the sum did, and the value
+    # returned with an infinite estimate
+    value, diagnostics = series._tricomi_series(7000.0, 4560.0**2, 4560.0)
+    with mp.workdps(40):
+        error = float(abs(value / mp.besseli(7000, 4560) - 1))
+    assert error <= diagnostics.rel_error < 1e-12
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -743,6 +753,20 @@ def test_kelvin_returns_while_the_pair_is_representable():
         kelvin(0.0, 1011.0)
 
 
+def test_kelvin_at_large_orders_keeps_the_series_scale():
+    # the series serves these pairs above x = 18; rescaled by e^(-x/sqrt 2)
+    # to the expansion's scale, they once underflowed with the series'
+    # small estimate: kelvin returned (0.0, 0.0) for ber/bei = (8.8e-293,
+    # -3.3e-292), and kelvin_scaled(402, 51.70) a subnormal pair
+    for order, x in ((681.9155359007333, 188.63854096474807), (402.0, 51.70)):
+        pair = kelvin(order, x)
+        ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
+        assert (ber_s, bei_s, log_scale) == (pair.ber, pair.bei, 0.0)
+        ber_ref, bei_ref = (float(v) for v in oracle.kelvin_pair(order, x))
+        error = math.hypot(pair.ber - ber_ref, pair.bei - bei_ref)
+        assert error <= est * math.hypot(ber_ref, bei_ref), (order, x)
+
+
 def test_kelvin_scaled_matches_unscaled():
     ber_s, bei_s, log_scale, _ = kelvin_scaled(1.0, 40.0)
     pair = kelvin(1.0, 40.0)
@@ -784,6 +808,31 @@ def test_fg_from_kelvin_prefactor_overflow_is_typed():
     # (2/sqrt(omega))^order once raised a bare OverflowError
     with pytest.raises(OverflowRangeError):
         fg_from_kelvin(50.0, 1e-300)
+
+
+def test_fg_from_kelvin_returns_where_ber_bei_overflow():
+    # the prefactor applies to the scaled pair: f/g is 1.7e59 here, where
+    # ber/bei (about e^775) leave the range and f/g once raised with them
+    omega = 1.2e6
+    pair = fg_from_kelvin(100.0, omega)
+    est = kelvin_scaled(100.0, math.sqrt(omega))[3]
+    with mp.workdps(40):
+        z = mp.sqrt(mp.mpc(0.0, omega))
+        ref = mp.besseli(100, z) / (z / 2) ** 100  # f + i g = T_a(i omega)
+        assert abs(complex(pair.f, pair.g) - ref) <= est * abs(ref)
+    with pytest.raises(OverflowRangeError):
+        kelvin(100.0, math.sqrt(omega))
+
+
+@pytest.mark.parametrize("order, omega", [(175.9674388015034, 1002.2981291563985),
+                                          (-0.9892085664144407, 1016072.5195722193)])
+def test_fg_from_kelvin_outside_the_normal_range_raises(order, omega):
+    # f/g below the normal range and beyond the double range: these returned
+    # (9.3e-322, 5.9e-321) and (-inf, -inf), where fg_series raises
+    with pytest.raises(OverflowRangeError):
+        fg_from_kelvin(order, omega)
+    with pytest.raises(OverflowRangeError):
+        fg_series(order, omega)
 
 
 # ------------------------------------------------- non-finite arguments
