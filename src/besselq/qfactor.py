@@ -27,9 +27,8 @@ in one place (``_attenuation``): each hands it a positive multiple of its
 ``s J~``, which must have a positive real part (the storage response;
 InconsistencyError otherwise), and gets ``-Im/Re`` of it.  The two pair
 forms hand it ``-i p1 conj(p2)`` of two pairs scaled to unit modulus
-(``_pair_quotient``), so neither keeps a range rule of its own: the
-series' range test and the ``QEvaluation`` ceiling on the carried running
-bounds decide where they stop.
+(``_pair_quotient``), where any power of two cancels: the ``QEvaluation``
+ceiling on their carried running bounds decides where they stop.
 Below the crossover ``omega = 324`` the two are one: both sum ``T_a(i omega)``
 (the Kelvin form at ``i x^2``), whose prefactor and phase cancel in the quotient.
 
@@ -139,10 +138,9 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
     ``rel_error``, their running error bounds.  The alternating series
     cancel ever more strongly as ``omega`` grows: the route returns up to
     ``omega`` of about 1.6e3 near ``nu = -1``, 2.8e3 at ``nu = 0`` and 1.3e4
-    at ``nu = 150``, then raises, by the series' running bound through the
-    estimate ceiling (InconsistencyError) or its range test
-    (OverflowRangeError, also from ``nu`` about 168.6, where
-    ``1/Gamma(nu+3)`` leaves the normal range).
+    at ``nu = 150``, then raises InconsistencyError (the estimate ceiling on
+    the series' running bounds), at every ``nu`` up to 7,998 (the series'
+    reach; OverflowRangeError past it).
     """
     from .specfun.series import _tricomi_series
 
@@ -162,8 +160,8 @@ def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
     -1``, 2e11 at ``nu = 150``); above, the Kelvin expansion's estimate
     passes the ceiling (InconsistencyError, at 1e12 for ``nu = 0``) and then
     its own cap (TruncationError from 1e20).  At low frequency its roundoff
-    floor grows like ``eps/omega``, and the series' range test raises
-    OverflowRangeError where ``(x/2)^nu`` leaves the double range.
+    floor grows like ``eps/omega``, the more where ber/bei leave the range
+    and the estimate counts the rounding of ``log_scale``.
     """
     from .specfun.kelvinfg import kelvin_scaled
 

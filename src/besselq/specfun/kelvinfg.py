@@ -22,8 +22,10 @@ to ``ber_a(x) + i bei_a(x) = e^(i a pi / 2) I_a(x e^(i pi / 4))``, scaled by
 ``e^(-x/sqrt(2))``, from ``modified._scaled_i``: the one large-argument form
 of ``I``, both exponential branches of DLMF 10.40.5, which also serves the
 production ratio.  Each pair keeps the scale of the branch that served it
-(``kelvin_scaled``); ``kelvin`` and ``fg_from_kelvin`` unscale it once, at
-their one exit.  The f/g series has no such handover.
+(``kelvin_scaled``): the series' power of two where ber/bei leave the
+normal range, the expansion's ``e^(x/sqrt 2)``; ``kelvin`` and
+``fg_from_kelvin`` unscale it once, at their one exit.  The f/g series has
+no such handover.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ import cmath
 import math
 from collections import namedtuple
 
-from ..errors import _UNIT, _in_range, _require_order, _require_positive
+from ..errors import _UNIT, OverflowRangeError, _require_order, _require_positive
 from .modified import _reflection, _rotation, _scaled_i
 from .series import (SeriesDiagnostics, _checked, _require_argument, _series_or_expansion,
-                     _tricomi_series, tricomi_it)
+                     _tricomi_series, _unscale, tricomi_it)
 
 #: Frequency up to which the alternating series serve alone, their running
 #: bound there at most 1.5e-13 (orders -0.999 to 299): above ``x = sqrt(324) = 18``
@@ -84,10 +86,19 @@ def _kelvin_series(order: float, x: float) -> tuple[complex, SeriesDiagnostics]:
     pi u`` to the estimate for its angle (below 2 pi, formed from ``c (order
     mod 8)`` below 6) and ``u`` for the product: a complex product may be off
     by ``sqrt(5) u``, and the rest lies within the ``3 u`` that the series'
-    ``7 u`` holds beyond its own roundings."""
+    ``7 u`` holds beyond its own roundings.  The pair returns unscaled
+    (``series._unscale``, ``scale`` 0) wherever ber/bei are normal doubles,
+    else as the series' mantissa with its power of two ``2^scale``, and the
+    estimate counts the rounding of ``scale ln 2``, ``2u |scale ln 2|``,
+    for ``kelvin_scaled``'s ``log_scale``."""
     pair, diag = _tricomi_series(order, complex(0.0, x * x), x)
+    pair, scale = _rotation(order, 0.75) * pair, diag.scale
     rel_error = diag.rel_error + _UNIT * (1.0 + 10.0 * math.pi)
-    return _rotation(order, 0.75) * pair, diag._replace(rel_error=rel_error)
+    try:
+        pair, scale = _unscale(pair, scale, "the pair of order %r at x = %r", order, x), 0
+    except OverflowRangeError:  # the mantissa stays: its scale ln 2 rounds
+        rel_error += 2.0 * _UNIT * abs(scale * math.log(2.0))
+    return pair, diag._replace(rel_error=rel_error, scale=scale)
 
 
 def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
@@ -98,33 +109,37 @@ def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
     estimates the relative error of the pair.  ``log_scale`` is the scale of
     the branch that served, and the pair stays in it: 0 wherever the series
     serves (always up to ``x = 18``, ``est_rel`` its
-    ``SeriesDiagnostics.rel_error``), ``Re z = x/sqrt(2)``, ``z = x e^(i
-    pi/4)``, where the expansion does.  Above ``x = 18`` the pair is the
-    series or ``e^(i order pi/2) I_order(z) e^(-Re z)``, the value of
-    ``modified._scaled_i`` times ``e^(i Im z)``, ``e^(i order pi/2)`` and
-    ``1/sqrt(2 pi z)``, by ``bessel_j``'s handover
+    ``SeriesDiagnostics.rel_error``) and ber/bei are normal doubles, ``Re z
+    = x/sqrt(2)``, ``z = x e^(i pi/4)``, where the expansion does.  Where
+    ber/bei leave the normal range, the series' pair stays its mantissa and
+    ``log_scale`` is its power of two ``2^k`` as ``k ln 2``, rounded:
+    ``est_rel`` counts that rounding, with that of ``ln 2``, as ``2u
+    |log_scale|`` (``u`` the unit ``_UNIT``; ``_kelvin_series``).  Above ``x
+    = 18`` the pair is the series or ``e^(i order pi/2) I_order(z)
+    e^(-Re z)``, the value of ``modified._scaled_i`` times ``e^(i Im z)``,
+    ``e^(i order pi/2)`` and ``1/sqrt(2 pi z)``, by ``bessel_j``'s handover
     (``series._series_or_expansion``); TruncationError where neither
     reaches 3e-8.  The expansion's estimate is that of ``_scaled_i``, which
-    may cancel far below its first term, plus ``4u x`` (``u`` the unit
-    ``_UNIT``) for the rounding of ``Im z``.
+    may cancel far below its first term, plus ``4u x`` for the rounding of
+    ``Im z``.
 
     The scaled form exists so that ratios of Kelvin-function products (the
     quality-factor formulas) can be formed at arguments where ber/bei
-    themselves overflow.  Two calls may return different scales: a
+    themselves leave the range.  Two calls may return different scales: a
     product across orders adds each pair's own ``log_scale``, and a quotient
     of pairs each normalised on its own (``q_inverse_kelvin``) needs none.
     """
     order, x = _require_argument(order, x)
     if x <= _SERIES_MAX_X:
         pair, diag = _kelvin_series(order, x)
-        return pair.real, pair.imag, 0.0, diag.rel_error
+        return pair.real, pair.imag, diag.scale * math.log(2.0), diag.rel_error
     z = x * cmath.exp(0.25j * math.pi)
     pair, est, _ = _scaled_i(order, z, _reflection(order, z))
     pair *= cmath.exp(1j * z.imag) * _rotation(order, 0.5) / cmath.sqrt(2.0 * math.pi * z)
-    pair, est, log_scale = _series_or_expansion(order, x, lambda: _kelvin_series(order, x),
-                                                (pair, est + 4.0 * _UNIT * x), _KELVIN_MAX_ERROR,
-                                                None, z.real)
-    return pair.real, pair.imag, log_scale, est
+    pair, est, scale, log_scale = _series_or_expansion(
+        order, x, lambda: _kelvin_series(order, x), (pair, est + 4.0 * _UNIT * x),
+        _KELVIN_MAX_ERROR, None, z.real)
+    return pair.real, pair.imag, log_scale + scale * math.log(2.0), est
 
 
 def _unscaled(order: float, x: float, fg: bool) -> tuple[float, float]:
@@ -132,17 +147,28 @@ def _unscaled(order: float, x: float, fg: bool) -> tuple[float, float]:
     imaginary parts: ber/bei, or with ``fg`` the f/g pair, the one exit of
     ``kelvin`` and ``fg_from_kelvin``.  The prefactor, 1 or ``(2/x)^order``
     with the inverse rotation ``e^(-3 pi i order/4)``, applies first and
-    ``e^(log_scale)`` last, in two halves, so the pair returns wherever it
-    is a normal double though the scale alone (``x > 709 sqrt(2)``) or
-    ber/bei are not.  OverflowRangeError where the prefactor or the pair's
-    modulus leaves the normal range, the rule of the series; the exact
-    zero at ``x = 0`` returns."""
+    ``e^(log_scale)`` last, in two halves, each factor as a mantissa in [1,
+    2) (so no product falls below the pair) and a power of two.  The powers
+    of two join one, applied once by the series' rule (``series._unscale``):
+    the pair returns wherever it is a normal double though the scale alone
+    (``x > 709 sqrt(2)``), the prefactor or ber/bei are not, and bit for bit
+    as the factors would give it unsplit.  ``(2/x)^order`` is ``pow``'s,
+    or where that leaves the normal range the square of
+    ``(2/x)^(order/2)``.  OverflowRangeError where a factor so formed or the
+    pair's modulus leaves the normal range; the exact zero at ``x = 0``
+    returns."""
     ber_s, bei_s, log_scale, _ = kelvin_scaled(order, x)
-    prefactor = _rotation(order, 0.75).conjugate() * _checked(pow, 2.0 / x, order) if fg else 1.0
-    half = _checked(math.exp, 0.5 * log_scale)
-    pair = complex(ber_s, bei_s) * prefactor * half * half
-    if x:  # hypot, unlike abs() of a complex, overflows to inf
-        _in_range(math.hypot(pair.real, pair.imag), "the pair of order %r at x = %r", order, x)
+    pair, scale = complex(ber_s, bei_s), 0
+    if fg:
+        try:
+            power, scale = math.frexp(_checked(pow, 2.0 / x, order))
+        except OverflowRangeError:
+            power, scale = math.frexp(_checked(pow, 2.0 / x, 0.5 * order))
+            power, scale = power * power, 2 * scale
+        pair, scale = pair * (_rotation(order, 0.75).conjugate() * (power + power)), scale - 1
+    half, k = math.frexp(_checked(math.exp, 0.5 * log_scale))
+    pair = _unscale(pair * (half + half) * (half + half), scale + 2 * k - 2,
+                    "the pair of order %r at x = %r", order, x)
     return pair.real, pair.imag
 
 
@@ -152,7 +178,8 @@ def kelvin(order: float, x: float) -> KelvinPair:
     The pair is the real/imaginary split of ``J_order(x e^{3 pi i/4})``;
     it grows like ``e^{x/sqrt(2)}`` and raises OverflowRangeError once its
     modulus leaves the normal double range (x > ~1010 at order 0, or where
-    it underflows at large orders); the exact zero at ``x = 0`` returns.
+    it underflows at large orders, where ``kelvin_scaled`` still returns
+    it scaled); the exact zero at ``x = 0`` returns.
     """
     return KelvinPair(*_unscaled(order, x, False), order, x)
 
@@ -168,9 +195,12 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
     Agrees with ``fg_series`` wherever both are reliable, and checks it
     independently only where the Kelvin pair is the large-argument
     expansion (above ``omega = 324``); elsewhere both sum the same series.
-    The prefactor applies to the scaled pair, so f/g returns where ber/bei
-    overflow.  Raises OverflowRangeError where the prefactor
-    ``(2/sqrt(omega))^order`` or the pair leaves the normal double range.
+    The prefactor applies to the scaled pair, and its power of two joins
+    the pair's, so f/g returns where ber/bei or the prefactor alone leave
+    the range: ``fg_from_kelvin(110, 1400^2) = 4.7e113``, where ``(2/1400)^110
+    = 1.1e-313``.  Raises OverflowRangeError where the pair leaves the normal
+    double range, or ``(2/sqrt(omega))^(order/2)`` does (``order = 50`` at
+    ``omega = 1e-300``).
     """
     order = _require_order(order)
     omega = _require_positive(omega, "omega")

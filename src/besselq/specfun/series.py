@@ -6,10 +6,14 @@ summed by ``_tricomi_series`` at a point ``s`` times ``(x/2)^a``:
 ``I_a(x)`` is ``(x/2)^a T_a(x^2)``, ``J_a(x)`` is ``(x/2)^a T_a(-x^2)``
 (DLMF 10.2.2, 10.25.2), ``(x/2)^a T_a(i x^2)`` gives ber/bei
 (``kelvinfg``), the f/g pair is ``T_a(i omega)`` and ``tricomi_it`` is
-``T_a`` itself.  The loop owns the prefactor, the overflow test and one
-running bound on its own rounding, its error estimate and its only
-accuracy rule; it stops at the unit roundoff, and its term cap follows
-from ``|s|``.  ``_series_or_expansion`` hands it over to a
+``T_a`` itself.  The loop owns the prefactor, one power of two carried
+for the whole sum and one running bound on its own rounding, its error
+estimate and its only accuracy rule; it stops at the unit roundoff, and
+its term cap follows from ``|s|``.  It returns a mantissa and that power
+of two, and keeps no range rule: the public exits apply the power of two
+by the normal-range rule (``_unscale``), and the verification routes'
+quotients, where any power of two cancels, take the mantissas as they
+are.  ``_series_or_expansion`` hands it over to a
 large-argument expansion for ``J`` and ber/bei, and the bare sum
 ``tricomi_it`` (which ``fg_series`` splits in two) raises where that bound
 passes ``EST_REL_ERROR_CEILING``.  Its first term
@@ -51,13 +55,13 @@ _GAMMA_ERROR = 1e-15
 #: (``_leading_factors`` derives it).
 _TERM_ERROR = 7.0 * _UNIT + _GAMMA_ERROR
 #: Largest order whose first term ``_leading_factors`` forms, by duplication.
-#: ``I`` is the last of the series' values to return at large orders, and
-#: from order 7,849 none can: where ``I_a(x)`` reaches the normal range, the
-#: sum ``I_a(x)/((x/2)^a/Gamma(a+1))`` has already overflowed.  By mpmath
-#: bisection, ``I`` is normal from ``x`` = 4,262 and the sum overflows from
-#: 4,567 at order 7,000; 4,791 and 4,809 at 7,800; 4,823.7 and 4,823.6 at
-#: 7,849.  ``J``, ber/bei and ``T_a`` stop earlier.  Past this reach the
-#: first term raises before any work.
+#: It is no range limit (the sum carries its power of two with it) but the
+#: measured extent: ``I``, the series' value that returns at the largest
+#: orders, lies within its estimate up to it (at most 0.16 of it on the 10
+#: of 60 random points of orders 7,000 to 8,000, ``x`` 0.55 to 1.3 times the
+#: order, that return, seed 5; ``I_8000(5500) = 2.2e151`` in 1.5 ms).  It
+#: also bounds the recursion of ``_leading_factors`` and keeps ``(a-1)/2``
+#: exact.  Past it the first term raises before any work.
 _DUPLICATION_REACH = 8000.0
 #: Terms the series may take beyond ``sqrt|s|``.  It never needs more than
 #: about ``|z| + 35`` (orders -0.999 to 999, ``|z|`` from 1e-3 to 1e3, on
@@ -66,10 +70,11 @@ _DUPLICATION_REACH = 8000.0
 _SERIES_SLACK = 64
 
 
-class SeriesDiagnostics(namedtuple("SeriesDiagnostics", "terms_used rel_error cancel_ratio")):
+class SeriesDiagnostics(namedtuple("SeriesDiagnostics", "terms_used rel_error cancel_ratio scale")):
     """Bookkeeping returned by the shared series loop: the terms used, the
-    estimated relative error of the value, and ``cancel_ratio``, the largest
-    term over ``|T(s)|``."""
+    estimated relative error of the value, ``cancel_ratio``, the largest
+    term over ``|T(s)|``, and ``scale``, the power of two of the value: the
+    loop returns ``value 2^-scale``."""
 
     __slots__ = ()
 
@@ -213,10 +218,19 @@ def _tricomi_series(order: float, s: float | complex,
 
     ``x = 2`` (the default) gives ``T_order(s)``; a real ``s`` keeps the
     arithmetic real.  The sum starts from the ``first`` of
-    ``_leading_factors`` and the value is ``power * sum * 2^scale``, with
-    one range test; ``scale`` is 0 wherever ``(x/2)^order`` and
-    ``1/Gamma(order+1)`` are normal doubles.  The sum stops once two
-    successive terms fall below ``u`` (``_UNIT``) times the partial sum.
+    ``_leading_factors``, and the value is ``power sum 2^scale``: the
+    mantissa ``power sum``, both factors normalised by their powers of two
+    (the larger part of the sum in [1/2, 1)), returns with ``scale`` in its
+    ``SeriesDiagnostics``, so no product is formed outside the normal
+    range and the value is in no range test here.  The exits apply
+    ``2^scale`` (``_unscale``); the verification routes' quotients need
+    none.  Once the running bound passes ``2^960`` the term, the partial
+    sum, the bound, ``sum m t_m`` and the largest term are carried ``2^64``
+    lower together into ``scale``, and again at each pass: each is then the
+    unscaled one times an exact power of two, so value and estimate are
+    bitwise those of the unscaled sum wherever that stays in range.  The
+    sum stops once two successive terms fall below ``u`` (``_UNIT``) times
+    the partial sum.
     It returns however much it cancels: its callers judge the estimate
     (``bessel_j`` is evaluated at its own zeros, where the sum cancels by
     design).
@@ -234,25 +248,26 @@ def _tricomi_series(order: float, s: float | complex,
     conditioning in ``s``, which carries the rounding of the ``x*x`` that
     ``I``, ``J`` and ber/bei pass in.  The first term adds its own
     ``error``, which holds the rounding of the product with the sum:
-    ``_TERM_ERROR`` where it is formed directly.  Once the bound passes
-    ``2^960`` it and ``sum m t_m`` are carried ``2^64`` lower, and again at
-    each pass, so neither overflows before the sum does; below that they
-    are bitwise those carried unscaled.
+    ``_TERM_ERROR`` where it is formed directly.
 
     Raises
     ------
     OverflowRangeError
-        If the first term cannot be formed (``_leading_factors``), or a
-        term or the result leaves the double range, above it or below its
-        normal range; an exact zero, of the sum or at x = 0, is returned.
+        If the first term cannot be formed (``_leading_factors``); where
+        the running bound at the value's power of two, ``u bound
+        2^scale``, leaves the double range (tested at each carry, so a
+        large ``|s|`` stops within a few carries): there the value is out
+        of range or its estimate passes 1; where a term overflows in one
+        step (only at ``|s|`` beyond about 7e19) or ``|s|`` is infinite;
+        and where the sum falls below the normal range.
     TruncationError
         If ``int(sqrt|s|) + _SERIES_SLACK`` terms did not converge.
     """
     power, term, scale, error = _leading_factors(order, x)
+    power, k = math.frexp(power)  # power 2^k, power in [1/2, 1)
     total = term
     max_term = bound = abs(term)
     moment = 0.0  # sum m t_m
-    carry = 1.0  # bound and moment are carried times this power of two
     quarter = s / 4.0
     modulus = 4.0 * abs(quarter)  # |s|; abs(s) of a complex may overflow
     small_streak = 0
@@ -262,45 +277,72 @@ def _tricomi_series(order: float, s: float | complex,
             term *= quarter / (m * (m + order))
             total += term
             mag, size = abs(term), abs(total)
-            moment += m * (term * carry)
-            bound += size * carry + 2.0 * math.sqrt(m) * (mag * carry)
-            if bound > 2.0**960:  # near the top of the range: carry both 2^64 lower
-                bound, moment, carry = (v * 2.0**-64 for v in (bound, moment, carry))
-            if mag > max_term:
-                max_term = mag
+            moment += m * term
+            bound += size + 2.0 * math.sqrt(m) * mag
+            max_term = max(max_term, mag)
             small_streak = small_streak + 1 if mag <= _UNIT * size else 0
-            if small_streak == 2 or not mag < math.inf:
-                break  # converged, or a term overflowed: the range test below raises
+            if not bound <= 2.0**960:  # near the top of the range: carry the sum 2^64 lower
+                term, total, size, bound, moment, max_term = (
+                    v * 2.0**-64 for v in (term, total, size, bound, moment, max_term))
+                scale += 64
+                # u bound at the value's power of two past the range (ldexp raises), or
+                # a term that overflowed in one step (inf or nan)
+                if not math.ldexp(_UNIT * bound, scale + k) < math.inf:
+                    raise OverflowError
+            if small_streak == 2:
+                break
         else:
             raise TruncationError(
                 f"uniform-I series did not converge within {max_terms} "
                 f"terms (|s| = {modulus:.3g})"
             )
-        # 2^scale in two halves (a complex has no ldexp), exact wherever
-        # the value is a normal double
-        value = power * total * 2.0 ** (scale // 2) * 2.0 ** (scale - scale // 2)
-        in_range = sys.float_info.min <= abs(value) < math.inf or not (total and x)
-    except OverflowError:  # |s| = inf, or abs() of a complex or 2^scale beyond the double range
-        in_range = False
-    if not in_range:
+        j = math.frexp(max(abs(total.real), abs(total.imag)))[1]
+        total *= 2.0**-j  # overflows where the sum is subnormal
+    except OverflowError:  # |s| = inf, abs() of a complex or the bound beyond the double range
         raise OverflowRangeError(
             f"series of order {order} at |s| = {modulus:.3g} leaves the "
             "double-precision range"
-        )
-    error += _UNIT * (bound + abs(moment)) / size / carry if size else math.inf
-    return value, SeriesDiagnostics(m + 1, error, max_term / size if size else math.inf)
+        ) from None
+    error += _UNIT * (bound + abs(moment)) / size if size else math.inf
+    return power * total, SeriesDiagnostics(m + 1, error, max_term / size if size else math.inf,
+                                            scale + k + j)
+
+
+def _unscale(value: float | complex, scale: int, what: str, *args) -> float | complex:
+    """``value 2^scale`` by the normal-range rule of ``errors._in_range``, the
+    one exit of the series' power of two: ``2^scale`` applies in two halves
+    (a complex has no ldexp), exact wherever the result is a normal double,
+    and the modulus is taken by ``math.hypot``, which overflows to inf where
+    ``abs()`` of a complex raises.  An exact zero returns; ``what % args``
+    names the value."""
+    scale = max(-2046, min(scale, 2046))  # past these no normal double returns to the range
+    result = value * 2.0 ** (scale // 2) * 2.0 ** (scale - scale // 2)
+    if value:
+        _in_range(math.hypot(result.real, result.imag), what, *args)
+    return result
+
+
+def _series_value(order: float, s: float | complex, x: float, what: str,
+                  *args) -> tuple[float | complex, SeriesDiagnostics]:
+    """``_tricomi_series(order, s, x)`` with its power of two applied by
+    ``_unscale`` (``what % args`` names the value), and ``scale`` 0 in its
+    diagnostics: the exit of ``I``, ``J`` and ``T_a``."""
+    value, diagnostics = _tricomi_series(order, s, x)
+    return _unscale(value, diagnostics.scale, what, *args), diagnostics._replace(scale=0)
 
 
 def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: float,
                          unit: float | None = None, log_scale: float = 0.0) -> tuple:
-    """``series()`` (a ``_tricomi_series`` call with ``x``) or the
-    large-argument ``expansion`` ``(value, error)``, a value scaled by
-    ``e^(-log_scale)``, whichever has the smaller estimate, as ``(value,
-    error, log_scale)``: the value stays in the scale of the branch that
-    served, ``log_scale`` 0 for the series and the given one for the
-    expansion, so no value is rescaled after its range test.  The estimate
-    is in units of ``unit`` (``bessel_j``, unscaled), else relative.  The one
-    handover of ``bessel_j`` and ber/bei.
+    """``series()`` (a ``_tricomi_series`` call with ``x``, or one in its
+    form) or the large-argument ``expansion`` ``(value, error)``, a value
+    scaled by ``e^(-log_scale)``, whichever has the smaller estimate, as
+    ``(value, error, scale, log_scale)``: the value stays in the scales of
+    the branch that served, ``value 2^scale e^log_scale``, the series'
+    power of two ``scale`` and ``log_scale`` 0, or the expansion's
+    ``log_scale`` and ``scale`` 0, so no value is rescaled here.  The
+    estimate is in units of ``unit`` (``bessel_j``, whose series returns
+    its value unscaled, ``scale`` 0), else relative.  The one handover of
+    ``bessel_j`` and ber/bei.
     The series' estimate is at least ``u`` times its first term and ``2
     sqrt(m) u`` times its ``m``-th, so it is summed only where those at
     ``m = 0`` and ``floor(x/2)`` let it beat ``min(error, cap)`` (for
@@ -308,7 +350,7 @@ def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: 
     series that raises gives way to an expansion within ``cap`` and is let
     through otherwise; TruncationError where neither estimate is within
     ``cap``."""
-    (value, error), scale = expansion, log_scale
+    (value, error), scale = expansion, 0
     log_half = math.log(0.5 * x)
     try:
         size = unit or abs(value)
@@ -328,12 +370,12 @@ def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: 
             rel = diagnostics.rel_error
             series_error = rel * abs(total) / unit if unit else rel
             if series_error < error:
-                value, error, scale = total, series_error, 0.0
+                value, error, scale, log_scale = total, series_error, diagnostics.scale, 0.0
     if not error <= cap:
         units = "relative" if unit is None else f"of {unit:.3g}"
         raise TruncationError(f"order {order} at x = {x}: neither the series nor the "
                               f"expansion reaches {cap:.0e} {units} (estimate {error:.2e})")
-    return value, error, scale
+    return value, error, scale, log_scale
 
 
 def modified_bessel_i(order: float, x: float) -> float:
@@ -346,16 +388,15 @@ def modified_bessel_i(order: float, x: float) -> float:
     return, orders 171 to 7,000, ``x`` from 0.35 to 1.2 times the order,
     seed 5).  The series' running bound (``_tricomi_series``) holds: the
     error is at most 0.77 of it on the first sample and 0.55 on the second.
-    That bound is carried at a power of two near the top of the range, so
-    it does not overflow before the sum does (it did at ``x`` = 4,560,
-    order 7,000, where the value returned with an infinite estimate).
+    The sum carries one power of two, so neither it nor its bound
+    overflows before ``I`` does: ``I_7000(4600) = 5.35e-34`` is 4.3e-15
+    off against an estimate of 2.5e-13, where the sum alone left the range
+    and this raised.
 
     OverflowRangeError where the value leaves the normal double range at ``x
-    > 0``: from ``x = 714`` at order 0, and at ``I_150(1e-3)``.  At large
-    orders the sum ``I/((x/2)^order/Gamma(order+1))`` overflows first:
-    ``I_10000(6600) = 9.19e-25`` raises, and from order 7,849 no ``x``
-    returns; above order 8,000 (``_DUPLICATION_REACH``) it raises before
-    any work.
+    > 0`` (``_unscale``): from ``x = 714`` at order 0, and at
+    ``I_150(1e-3)``.  Above order 8,000 (``_DUPLICATION_REACH``) it raises
+    before any work, so ``I_10000(6600) = 9.19e-25`` raises.
 
     Parameters
     ----------
@@ -365,7 +406,7 @@ def modified_bessel_i(order: float, x: float) -> float:
         Argument ``x >= 0``.
     """
     order, x = _require_argument(order, x)
-    return _tricomi_series(order, x * x, x)[0]
+    return _series_value(order, x * x, x, "I_%r(%r)", order, x)[0]
 
 
 def tricomi_it(order: float, s: complex) -> complex:
@@ -389,7 +430,9 @@ def tricomi_it(order: float, s: complex) -> complex:
     Raises
     ------
     OverflowRangeError
-        If the result leaves the double range (real ``s`` beyond ~5e5).
+        If the result leaves the normal double range (real ``s`` beyond
+        ~5e5), by the rule of ``_unscale``; the range is tested before the
+        estimate.
     CancellationError
         If the running bound exceeds ``EST_REL_ERROR_CEILING`` (oscillatory
         ``s`` of large modulus: from ``|s|`` of about 4.9e3 at order 0 on the
@@ -397,7 +440,7 @@ def tricomi_it(order: float, s: complex) -> complex:
     """
     order = _require_order(order)
     s = _require_finite(s, "s", complex)
-    value, diag = _tricomi_series(order, s)
+    value, diag = _series_value(order, s, 2.0, "T_%r(%r)", order, s)
     if not diag.rel_error <= EST_REL_ERROR_CEILING:
         raise CancellationError(f"series of order {order} at s = {s:.3g} lost too many digits "
                                 f"(estimate {diag.rel_error:.3g})", ratio=diag.cancel_ratio)

@@ -41,7 +41,7 @@ import math
 from ..errors import (_UNIT, DomainError, NonConvergenceError, RootIsolationError,
                       TruncationError, _require_index, _require_order)
 from .modified import _hankel_terms
-from .series import _require_argument, _series_or_expansion, _tricomi_series
+from .series import _require_argument, _series_or_expansion, _series_value
 
 #: ``bessel_j`` sums the series alone up to this argument, and above it
 #: hands over within ``_J_MAX_ERROR`` of the amplitude ``sqrt(2/(pi x))``.
@@ -74,12 +74,12 @@ def bessel_j(order: float, x: float) -> float:
     otherwise TruncationError.
     """
     order, x = _require_argument(order, x)
-    series = functools.partial(_tricomi_series, order, -x * x, x)
+    series = functools.partial(_series_value, order, -x * x, x, "J_%r(%r)", order, x)
     if x <= _J_SERIES_MAX_X:
         return series()[0]
     amplitude = math.sqrt(2.0 / (math.pi * x)) or math.sqrt(2.0 / math.pi / x)  # pi x = inf
-    value, error, _ = _series_or_expansion(order, x, series, _j_hankel(order, x, amplitude),
-                                           _J_MAX_ERROR, amplitude)
+    value, error, _, _ = _series_or_expansion(order, x, series, _j_hankel(order, x, amplitude),
+                                              _J_MAX_ERROR, amplitude)
     # up to its order J has no zero: there the error must be small beside
     # the value itself, not beside the amplitude
     if x <= order and error * amplitude > _J_MAX_ERROR * abs(value):

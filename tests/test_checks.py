@@ -110,15 +110,15 @@ def test_creep_time_check_fails_on_shifted_zeros(monkeypatch):
 
 
 def test_check_names_the_route_and_point_that_raised(capsys):
-    # the series of order 100 leaves the double range at omega = 1e-3; the
-    # route line once read only the exception's message
-    assert main(["check", "--nu", "100"]) == 1
+    # order 9000 lies past the series' reach, so both pair routes raise
+    # before any work; the route line once read only the exception's message
+    assert main(["check", "--nu", "9000"]) == 1
     below, above = capsys.readouterr().out.splitlines()[:2]
-    where = "q_inverse_fg/q_inverse_kelvin/q_inverse, nu=100.0, omega=0.001"
+    where = "q_inverse_fg/q_inverse_kelvin/q_inverse, nu=9000.0, omega=0.001"
     assert below.startswith("FAIL route agreement: max discrepancy inf (bound 1.0e-09) -- "
                             f"{where}: OverflowRangeError: ")
     assert above.startswith("FAIL Kelvin agreement above crossover: max discrepancy inf "
-                            "(bound 1.0e-08) -- q_inverse_kelvin/q_inverse, nu=100.0, omega=")
+                            "(bound 1.0e-08) -- q_inverse_kelvin/q_inverse, nu=9000.0, omega=")
     # at order 50 the band below the crossover passes on a line of its own,
     # with its own figure; above it neither the Kelvin series nor its
     # expansion reaches 3e-8

@@ -158,6 +158,7 @@ def _i_series_error(point, value):
     value, diagnostics = value
     with mp.workdps(40):
         reference = mp.besseli(*point)
+        value = mp.ldexp(value, diagnostics.scale)
         return abs(value - reference) / reference, diagnostics.rel_error
 
 

@@ -298,9 +298,11 @@ def test_subnormal_q_inverse_is_refused():
 )
 def test_verification_routes_raise_where_pair_products_underflow(route, nu, omega):
     # these once raised ZeroDivisionError, or an InconsistencyError about a
-    # nan estimate or a zero denominator; now (x/2)^nu leaves the double
-    # range in the series
-    with pytest.raises(OverflowRangeError):
+    # nan estimate or a zero denominator, and then OverflowRangeError where
+    # (x/2)^nu left the double range in the series; the pairs now keep the
+    # series' power of two, and the quotient meets its eps/omega rounding
+    # floor: Re(s J~), about 1/Q^-1 of the unit pairs, is below their rounding
+    with pytest.raises(InconsistencyError):
         route(ModelOrder(nu), omega)
 
 
@@ -320,6 +322,43 @@ def test_unit_pairs_return_where_products_underflowed(route, nu, omega):
     # OverflowRangeError; the pairs scaled to unit modulus do not
     ev = route(ModelOrder(nu), omega)
     assert rel(ev.q_inverse, float(oracle.q_inverse(nu, omega))) <= ev.est_rel_error
+
+
+#: The scan of the two pair routes at large orders and low frequency: the
+#: grid, and the points that raised OverflowRangeError once (170, 1e-3 is
+#: on the grid too).
+ROUTE_SCAN_POINTS = ([(float(nu), omega) for nu in (30, 50, 90, 100, 130, 150, 170, 200, 250, 300)
+                      for omega in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 300.0)]
+                     + [(50.0, 1e-100), (10.0, 1e-300), (170.0, 1e-3)])
+
+
+def test_pair_routes_keep_no_range_limit_of_their_own():
+    # the series range-tested a value that _pair_quotient scales to unit
+    # modulus anyway: 63 of these 146 raised OverflowRangeError, the Kelvin
+    # route from order 90 at omega = 1e-3 and the f/g route from order 170;
+    # now each returns within its estimate, or raises at its rounding floor
+    returned = 0
+    for nu, omega in ROUTE_SCAN_POINTS:
+        reference = None
+        for route in (q_inverse_kelvin, q_inverse_fg):
+            try:
+                ev = route(ModelOrder(nu), omega)
+            except BesselQError as exc:
+                assert not isinstance(exc, OverflowRangeError), (route.__name__, nu, omega)
+                continue
+            reference = reference or float(oracle.q_inverse(nu, omega))
+            assert rel(ev.q_inverse, reference) <= ev.est_rel_error, (route.__name__, nu, omega)
+            returned += 1
+    # 124 of the 146 return, 22 raise InconsistencyError (the eps/omega floor)
+    assert returned >= 120
+
+
+def test_kelvin_route_where_the_series_pair_is_subnormal():
+    # (x/2)^150 / Gamma(151) = 7.0e-46 x 1.75e-263 is below the normal range:
+    # formed as that product, the pair lost digits and the route returned
+    # 8.2e-7 off under an estimate of 5.7e-10
+    ev = q_inverse_kelvin(ModelOrder(150.0), 1.0)
+    assert rel(ev.q_inverse, float(oracle.q_inverse(150.0, 1.0))) <= ev.est_rel_error
 
 
 #: Kelvin-route draws of the probe below that lay over their estimate, by

@@ -9,6 +9,7 @@ import cmath
 import math
 import random
 import struct
+import sys
 import time
 
 import mpmath as mp
@@ -179,8 +180,18 @@ def test_series_bound_stays_finite_near_the_sums_overflow():
     # returned with an infinite estimate
     value, diagnostics = series._tricomi_series(7000.0, 4560.0**2, 4560.0)
     with mp.workdps(40):
-        error = float(abs(value / mp.besseli(7000, 4560) - 1))
+        error = float(abs(mp.ldexp(value, diagnostics.scale) / mp.besseli(7000, 4560) - 1))
     assert error <= diagnostics.rel_error < 1e-12
+
+
+def test_bessel_i_where_the_sum_overflowed_before_i():
+    # I_7000(4600) = 5.3e-34 is a double, but the sum I/((x/2)^a/Gamma(a+1))
+    # left the range first, and this raised; the sum now carries its power
+    # of two with it
+    value = modified_bessel_i(7000.0, 4600.0)
+    estimate = series._tricomi_series(7000.0, 4600.0**2, 4600.0)[1].rel_error
+    with mp.workdps(40):
+        assert float(abs(value / mp.besseli(7000, 4600) - 1)) <= estimate < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -275,8 +286,8 @@ def test_first_term_carries_one_error_model():
 
 
 def test_orders_past_the_reach_raise_before_any_gamma(monkeypatch):
-    # I_10000(6600) = 9.19e-25 is in range, but its sum overflows first; from
-    # order 7,849 no x returns, and past the reach no Gamma is taken
+    # I_10000(6600) = 9.19e-25 is in range, but past the reach no Gamma is
+    # taken: the order raises before any work
     calls = []
     monkeypatch.setattr(series, "gamma_real", lambda x: calls.append(x))
     for call in (lambda: modified_bessel_i(10000.0, 6600.0), lambda: bessel_j(8000.5, 12.0),
@@ -728,10 +739,12 @@ def test_kelvin_series_within_its_estimate():
             ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
         except BesselQError:
             continue
-        assert log_scale == 0.0
         with mp.workdps(40):
             ber, bei = mp.ber(order, x), mp.bei(order, x)
-            error = mp.hypot(ber_s - ber, bei_s - bei) / mp.hypot(ber, bei)
+            # the series' pair is scaled only where ber/bei leave the range
+            assert log_scale == 0.0 or mp.hypot(ber, bei) < sys.float_info.min
+            scale = mp.exp(log_scale)
+            error = mp.hypot(ber_s * scale - ber, bei_s * scale - bei) / mp.hypot(ber, bei)
         assert error <= est, (order, x, float(error), est)
 
 
@@ -822,6 +835,20 @@ def test_fg_from_kelvin_returns_where_ber_bei_overflow():
         assert abs(complex(pair.f, pair.g) - ref) <= est * abs(ref)
     with pytest.raises(OverflowRangeError):
         kelvin(100.0, math.sqrt(omega))
+
+
+@pytest.mark.parametrize("order, omega", [(110.0, 1400.0**2), (120.0, 1400.0**2),
+                                          (150.0, 1600.0**2)])
+def test_fg_from_kelvin_where_only_the_prefactor_leaves_the_range(order, omega):
+    # pow(2/1400, 110) = 1.1e-313 is subnormal and raised, where |f + i g| is
+    # 4.7e113 (9.2e84, 5.3e51 at the others): the prefactor's power of two
+    # now joins the pair's
+    pair = fg_from_kelvin(order, omega)
+    est = kelvin_scaled(order, math.sqrt(omega))[3]
+    with mp.workdps(40):
+        z = mp.sqrt(mp.mpc(0.0, omega))
+        ref = mp.besseli(order, z) / (z / 2) ** order  # f + i g = T_a(i omega)
+        assert abs(complex(pair.f, pair.g) - ref) <= est * abs(ref)
 
 
 @pytest.mark.parametrize("order, omega", [(175.9674388015034, 1002.2981291563985),
