@@ -153,15 +153,14 @@ def q_inverse_fg(model: ModelOrder, omega: float) -> QEvaluation:
 def q_inverse_kelvin(model: ModelOrder, omega: float) -> QEvaluation:
     """Q^-1 from Kelvin functions of orders nu and nu+2 at ``sqrt(omega)``.
 
-    Works with exponentially scaled ber/bei: the order-dependent power
-    prefactors and the common ``e^{x/sqrt(2)}`` growth both cancel between
-    numerator and denominator, so the route needs no range of its own.  It
-    returns up to ``omega`` of about 1.6e9 at ``nu = 0`` (1.6e7 near ``nu =
-    -1``, 2e11 at ``nu = 150``); above, the Kelvin expansion's estimate
-    passes the ceiling (InconsistencyError, at 1e12 for ``nu = 0``) and then
-    its own cap (TruncationError from 1e20).  At low frequency its roundoff
-    floor grows like ``eps/omega``, the more where ber/bei leave the range
-    and the estimate counts the rounding of ``log_scale``.
+    Works with the mantissas of ``kelvin_scaled``: their powers of two,
+    the order-dependent power prefactors and the common ``e^{x/sqrt(2)}``
+    growth all cancel between numerator and denominator, so the route needs
+    no range of its own.  It returns up to ``omega`` of about 1.6e9 at ``nu
+    = 0`` (1.6e7 near ``nu = -1``, 2e11 at ``nu = 150``); above, the Kelvin
+    expansion's estimate passes the ceiling (InconsistencyError, at 1e12
+    for ``nu = 0``) and then its own cap (TruncationError from 4.1e15).  At
+    low frequency its roundoff floor grows like ``eps/omega``.
     """
     from .specfun.kelvinfg import kelvin_scaled
 

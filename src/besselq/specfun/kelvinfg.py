@@ -21,11 +21,11 @@ passes ``EST_REL_ERROR_CEILING``.  Above ``x = sqrt(omega*) = 18``
 to ``ber_a(x) + i bei_a(x) = e^(i a pi / 2) I_a(x e^(i pi / 4))``, scaled by
 ``e^(-x/sqrt(2))``, from ``modified._scaled_i``: the one large-argument form
 of ``I``, both exponential branches of DLMF 10.40.5, which also serves the
-production ratio.  Each pair keeps the scale of the branch that served it
-(``kelvin_scaled``): the series' power of two where ber/bei leave the
-normal range, the expansion's ``e^(x/sqrt 2)``; ``kelvin`` and
-``fg_from_kelvin`` unscale it once, at their one exit.  The f/g series has
-no such handover.
+production ratio.  Each pair is a mantissa and one integer power of two
+(``kelvin_scaled``), 0 wherever ber/bei are normal doubles: the series'
+own, or the expansion's ``e^(x/sqrt 2)`` folded into it exactly;
+``kelvin`` and ``fg_from_kelvin`` apply it once, at their one exit.  The
+f/g series has no such handover.
 """
 
 from __future__ import annotations
@@ -82,106 +82,78 @@ def fg_series(order: float, omega: float) -> FGPair:
 
 def _kelvin_series(order: float, x: float) -> tuple[complex, SeriesDiagnostics]:
     """``ber + i bei = (x/2)^order e^{3 pi i order/4} T_order(i x^2)`` by
-    the shared power series, with its diagnostics.  The rotation adds ``10
-    pi u`` to the estimate for its angle (below 2 pi, formed from ``c (order
-    mod 8)`` below 6) and ``u`` for the product: a complex product may be off
-    by ``sqrt(5) u``, and the rest lies within the ``3 u`` that the series'
-    ``7 u`` holds beyond its own roundings.  The pair returns unscaled
-    (``series._unscale``, ``scale`` 0) wherever ber/bei are normal doubles,
-    else as the series' mantissa with its power of two ``2^scale``, and the
-    estimate counts the rounding of ``scale ln 2``, ``2u |scale ln 2|``,
-    for ``kelvin_scaled``'s ``log_scale``."""
+    the shared power series, with its diagnostics: the series' mantissa,
+    rotated, with its power of two ``2^scale``.  The rotation adds ``10 pi
+    u`` to the estimate for its angle (below 2 pi, formed from ``c (order
+    mod 8)`` below 6) and ``u`` for the product: a complex product may be
+    off by ``sqrt(5) u``, and the rest lies within the ``3 u`` that the
+    series' ``7 u`` holds beyond its own roundings."""
     pair, diag = _tricomi_series(order, complex(0.0, x * x), x)
-    pair, scale = _rotation(order, 0.75) * pair, diag.scale
-    rel_error = diag.rel_error + _UNIT * (1.0 + 10.0 * math.pi)
-    try:
-        pair, scale = _unscale(pair, scale, "the pair of order %r at x = %r", order, x), 0
-    except OverflowRangeError:  # the mantissa stays: its scale ln 2 rounds
-        rel_error += 2.0 * _UNIT * abs(scale * math.log(2.0))
-    return pair, diag._replace(rel_error=rel_error, scale=scale)
+    return _rotation(order, 0.75) * pair, diag._replace(
+        rel_error=diag.rel_error + _UNIT * (1.0 + 10.0 * math.pi))
 
 
-def kelvin_scaled(order: float, x: float) -> tuple[float, float, float, float]:
-    """Kelvin pair with the exponential growth factored out.
+def kelvin_scaled(order: float, x: float) -> tuple[float, float, int, float]:
+    """Kelvin pair with its power of two factored out.
 
-    Returns ``(ber_s, bei_s, log_scale, est_rel)`` such that
-    ``ber = ber_s * exp(log_scale)`` and likewise for bei, and ``est_rel``
-    estimates the relative error of the pair.  ``log_scale`` is the scale of
-    the branch that served, and the pair stays in it: 0 wherever the series
-    serves (always up to ``x = 18``, ``est_rel`` its
-    ``SeriesDiagnostics.rel_error``) and ber/bei are normal doubles, ``Re z
-    = x/sqrt(2)``, ``z = x e^(i pi/4)``, where the expansion does.  Where
-    ber/bei leave the normal range, the series' pair stays its mantissa and
-    ``log_scale`` is its power of two ``2^k`` as ``k ln 2``, rounded:
-    ``est_rel`` counts that rounding, with that of ``ln 2``, as ``2u
-    |log_scale|`` (``u`` the unit ``_UNIT``; ``_kelvin_series``).  Above ``x
-    = 18`` the pair is the series or ``e^(i order pi/2) I_order(z)
-    e^(-Re z)``, the value of ``modified._scaled_i`` times ``e^(i Im z)``,
-    ``e^(i order pi/2)`` and ``1/sqrt(2 pi z)``, by ``bessel_j``'s handover
-    (``series._series_or_expansion``); TruncationError where neither
-    reaches 3e-8.  The expansion's estimate is that of ``_scaled_i``, which
-    may cancel far below its first term, plus ``4u x`` for the rounding of
-    ``Im z``.
+    Returns ``(ber_s, bei_s, scale, est_rel)`` such that ``ber + i bei =
+    (ber_s + i bei_s) 2^scale``, ``scale`` an integer, and ``est_rel``
+    estimates the relative error of the pair.  Both branches leave by one
+    rule (``series._unscale``): wherever ber/bei are normal doubles they
+    return with ``scale`` 0, elsewhere as the mantissa of the branch that
+    served with its power of two.  Up to ``x = 18`` the series serves
+    (``_kelvin_series``, ``est_rel`` its ``SeriesDiagnostics.rel_error``).
+    Above, the pair is the series or ``e^(i order pi/2) I_order(z)``, ``z =
+    x e^(i pi/4)``, by ``bessel_j``'s handover
+    (``series._series_or_expansion``): the value of ``modified._scaled_i``,
+    scaled by ``e^(-z)``, times ``e^(r + i Im z)``, ``e^(i order pi/2)`` and
+    ``1/sqrt(2 pi z)``, where ``Re z = k fl(ln 2) + r`` exactly
+    (``math.remainder``) and ``2^k`` is the power of two; TruncationError
+    where neither reaches 3e-8.  The expansion's estimate is that of
+    ``_scaled_i``, which may cancel far below its first term, plus ``4u x``
+    for the rounding of ``Im z`` (``u`` the unit ``_UNIT``) and ``0.21u
+    |k|`` for that of ``ln 2``.
 
     The scaled form exists so that ratios of Kelvin-function products (the
     quality-factor formulas) can be formed at arguments where ber/bei
     themselves leave the range.  Two calls may return different scales: a
-    product across orders adds each pair's own ``log_scale``, and a quotient
-    of pairs each normalised on its own (``q_inverse_kelvin``) needs none.
+    product across orders adds each pair's own ``scale``, and a quotient of
+    pairs each normalised on its own (``q_inverse_kelvin``) needs none.
     """
     order, x = _require_argument(order, x)
     if x <= _SERIES_MAX_X:
         pair, diag = _kelvin_series(order, x)
-        return pair.real, pair.imag, diag.scale * math.log(2.0), diag.rel_error
-    z = x * cmath.exp(0.25j * math.pi)
-    pair, est, _ = _scaled_i(order, z, _reflection(order, z))
-    pair *= cmath.exp(1j * z.imag) * _rotation(order, 0.5) / cmath.sqrt(2.0 * math.pi * z)
-    pair, est, scale, log_scale = _series_or_expansion(
-        order, x, lambda: _kelvin_series(order, x), (pair, est + 4.0 * _UNIT * x),
-        _KELVIN_MAX_ERROR, None, z.real)
-    return pair.real, pair.imag, log_scale + scale * math.log(2.0), est
-
-
-def _unscaled(order: float, x: float, fg: bool) -> tuple[float, float]:
-    """The pair of ``kelvin_scaled`` at ``(order, x)`` unscaled, as real and
-    imaginary parts: ber/bei, or with ``fg`` the f/g pair, the one exit of
-    ``kelvin`` and ``fg_from_kelvin``.  The prefactor, 1 or ``(2/x)^order``
-    with the inverse rotation ``e^(-3 pi i order/4)``, applies first and
-    ``e^(log_scale)`` last, in two halves, each factor as a mantissa in [1,
-    2) (so no product falls below the pair) and a power of two.  The powers
-    of two join one, applied once by the series' rule (``series._unscale``):
-    the pair returns wherever it is a normal double though the scale alone
-    (``x > 709 sqrt(2)``), the prefactor or ber/bei are not, and bit for bit
-    as the factors would give it unsplit.  ``(2/x)^order`` is ``pow``'s,
-    or where that leaves the normal range the square of
-    ``(2/x)^(order/2)``.  OverflowRangeError where a factor so formed or the
-    pair's modulus leaves the normal range; the exact zero at ``x = 0``
-    returns."""
-    ber_s, bei_s, log_scale, _ = kelvin_scaled(order, x)
-    pair, scale = complex(ber_s, bei_s), 0
-    if fg:
-        try:
-            power, scale = math.frexp(_checked(pow, 2.0 / x, order))
-        except OverflowRangeError:
-            power, scale = math.frexp(_checked(pow, 2.0 / x, 0.5 * order))
-            power, scale = power * power, 2 * scale
-        pair, scale = pair * (_rotation(order, 0.75).conjugate() * (power + power)), scale - 1
-    half, k = math.frexp(_checked(math.exp, 0.5 * log_scale))
-    pair = _unscale(pair * (half + half) * (half + half), scale + 2 * k - 2,
-                    "the pair of order %r at x = %r", order, x)
-    return pair.real, pair.imag
+        est, scale = diag.rel_error, diag.scale
+    else:
+        z = x * cmath.exp(0.25j * math.pi)
+        pair, est, _ = _scaled_i(order, z, _reflection(order, z))
+        r = math.remainder(z.real, math.log(2.0))  # exact, where Re z - k fl(ln 2) rounds
+        k = round((z.real - r) / math.log(2.0))
+        pair *= cmath.exp(complex(r, z.imag)) * _rotation(order, 0.5) / cmath.sqrt(2 * math.pi * z)
+        pair, est, scale = _series_or_expansion(
+            order, x, lambda: _kelvin_series(order, x),
+            (pair, est + _UNIT * (4.0 * x + 0.21 * abs(k))), _KELVIN_MAX_ERROR, None, k)
+    try:
+        pair, scale = _unscale(pair, scale, "the pair of order %r at x = %r", order, x), 0
+    except OverflowRangeError:  # ber/bei leave the normal range: the mantissa stays
+        pass
+    return pair.real, pair.imag, scale, est
 
 
 def kelvin(order: float, x: float) -> KelvinPair:
     """Kelvin functions ``(ber_order(x), bei_order(x))`` for ``x >= 0``.
 
-    The pair is the real/imaginary split of ``J_order(x e^{3 pi i/4})``;
-    it grows like ``e^{x/sqrt(2)}`` and raises OverflowRangeError once its
-    modulus leaves the normal double range (x > ~1010 at order 0, or where
-    it underflows at large orders, where ``kelvin_scaled`` still returns
-    it scaled); the exact zero at ``x = 0`` returns.
+    The pair is the real/imaginary split of ``J_order(x e^{3 pi i/4})``:
+    ``kelvin_scaled``'s pair with its power of two applied
+    (``series._unscale``).  It grows like ``e^{x/sqrt(2)}`` and raises
+    OverflowRangeError once its modulus leaves the normal double range (x >
+    ~1010 at order 0, or where it underflows at large orders, where
+    ``kelvin_scaled`` still returns it scaled); the exact zero at ``x = 0``
+    returns.
     """
-    return KelvinPair(*_unscaled(order, x, False), order, x)
+    ber_s, bei_s, scale, _ = kelvin_scaled(order, x)
+    pair = _unscale(complex(ber_s, bei_s), scale, "the pair of order %r at x = %r", order, x)
+    return KelvinPair(pair.real, pair.imag, order, x)
 
 
 def fg_from_kelvin(order: float, omega: float) -> FGPair:
@@ -195,13 +167,28 @@ def fg_from_kelvin(order: float, omega: float) -> FGPair:
     Agrees with ``fg_series`` wherever both are reliable, and checks it
     independently only where the Kelvin pair is the large-argument
     expansion (above ``omega = 324``); elsewhere both sum the same series.
-    The prefactor applies to the scaled pair, and its power of two joins
-    the pair's, so f/g returns where ber/bei or the prefactor alone leave
-    the range: ``fg_from_kelvin(110, 1400^2) = 4.7e113``, where ``(2/1400)^110
-    = 1.1e-313``.  Raises OverflowRangeError where the pair leaves the normal
-    double range, or ``(2/sqrt(omega))^(order/2)`` does (``order = 50`` at
+    The pair of ``kelvin_scaled``, normalised to modulus in [1/2, 1), takes
+    the prefactor ``2^(a - trunc a) / x^a`` (only exact inputs raised to a
+    power; ``x^a`` is ``pow``'s, or where that leaves the normal range the
+    square of ``x^(a/2)``), each factor a mantissa and a power of two; the
+    powers of two, with ``2^trunc(a)``, join the pair's and apply once
+    (``series._unscale``).  So f/g returns where ber/bei or the prefactor
+    alone leave the range: ``fg_from_kelvin(110, 1400^2) = 4.7e113``, where
+    ``(2/1400)^110 = 1.1e-313``.  Raises OverflowRangeError where f/g leaves
+    the normal double range, or ``x^(order/2)`` does (``order = 50`` at
     ``omega = 1e-300``).
     """
     order = _require_order(order)
     omega = _require_positive(omega, "omega")
-    return FGPair(*_unscaled(order, math.sqrt(omega), True), order, omega)
+    x = math.sqrt(omega)
+    ber_s, bei_s, scale, _ = kelvin_scaled(order, x)
+    j = math.frexp(math.hypot(ber_s, bei_s))[1]
+    try:
+        power, k = math.frexp(_checked(pow, x, order))
+    except OverflowRangeError:
+        power, k = math.frexp(_checked(pow, x, 0.5 * order))
+        power, k = power * power, 2 * k
+    prefactor = _rotation(order, 0.75).conjugate() * (pow(2.0, math.fmod(order, 1.0)) / power)
+    pair = _unscale(complex(ber_s, bei_s) * 2.0**-j * prefactor, scale + j + math.trunc(order) - k,
+                    "f/g of order %r at omega = %r", order, omega)
+    return FGPair(pair.real, pair.imag, order, omega)

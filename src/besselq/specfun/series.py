@@ -332,17 +332,15 @@ def _series_value(order: float, s: float | complex, x: float, what: str,
 
 
 def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: float,
-                         unit: float | None = None, log_scale: float = 0.0) -> tuple:
+                         unit: float | None = None, scale: int = 0) -> tuple:
     """``series()`` (a ``_tricomi_series`` call with ``x``, or one in its
     form) or the large-argument ``expansion`` ``(value, error)``, a value
-    scaled by ``e^(-log_scale)``, whichever has the smaller estimate, as
-    ``(value, error, scale, log_scale)``: the value stays in the scales of
-    the branch that served, ``value 2^scale e^log_scale``, the series'
-    power of two ``scale`` and ``log_scale`` 0, or the expansion's
-    ``log_scale`` and ``scale`` 0, so no value is rescaled here.  The
-    estimate is in units of ``unit`` (``bessel_j``, whose series returns
-    its value unscaled, ``scale`` 0), else relative.  The one handover of
-    ``bessel_j`` and ber/bei.
+    scaled by ``2^-scale``, whichever has the smaller estimate, as
+    ``(value, error, scale)``: the value stays a mantissa with the power of
+    two of the branch that served, ``value 2^scale``, so no value is
+    rescaled here.  The estimate is in units of ``unit`` (``bessel_j``,
+    whose series returns its value unscaled, ``scale`` 0), else relative.
+    The one handover of ``bessel_j`` and ber/bei.
     The series' estimate is at least ``u`` times its first term and ``2
     sqrt(m) u`` times its ``m``-th, so it is summed only where those at
     ``m = 0`` and ``floor(x/2)`` let it beat ``min(error, cap)`` (for
@@ -350,8 +348,7 @@ def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: 
     series that raises gives way to an expansion within ``cap`` and is let
     through otherwise; TruncationError where neither estimate is within
     ``cap``."""
-    (value, error), scale = expansion, 0
-    log_half = math.log(0.5 * x)
+    (value, error), log_half = expansion, math.log(0.5 * x)
     try:
         size = unit or abs(value)
         floor = max(
@@ -360,7 +357,7 @@ def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: 
         )
     except OverflowError:  # |value| or lgamma beyond the double range: no series
         size = 0.0
-    if size and floor - log_scale + math.log(_UNIT / size) < math.log(min(error, cap)):
+    if size and floor - scale * math.log(2.0) + math.log(_UNIT / size) < math.log(min(error, cap)):
         try:
             total, diagnostics = series()
         except BesselQError:
@@ -370,12 +367,12 @@ def _series_or_expansion(order: float, x: float, series, expansion: tuple, cap: 
             rel = diagnostics.rel_error
             series_error = rel * abs(total) / unit if unit else rel
             if series_error < error:
-                value, error, scale, log_scale = total, series_error, diagnostics.scale, 0.0
+                value, error, scale = total, series_error, diagnostics.scale
     if not error <= cap:
         units = "relative" if unit is None else f"of {unit:.3g}"
         raise TruncationError(f"order {order} at x = {x}: neither the series nor the "
                               f"expansion reaches {cap:.0e} {units} (estimate {error:.2e})")
-    return value, error, scale, log_scale
+    return value, error, scale
 
 
 def modified_bessel_i(order: float, x: float) -> float:

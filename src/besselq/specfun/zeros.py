@@ -78,8 +78,8 @@ def bessel_j(order: float, x: float) -> float:
     if x <= _J_SERIES_MAX_X:
         return series()[0]
     amplitude = math.sqrt(2.0 / (math.pi * x)) or math.sqrt(2.0 / math.pi / x)  # pi x = inf
-    value, error, _, _ = _series_or_expansion(order, x, series, _j_hankel(order, x, amplitude),
-                                              _J_MAX_ERROR, amplitude)
+    value, error, _ = _series_or_expansion(order, x, series, _j_hankel(order, x, amplitude),
+                                           _J_MAX_ERROR, amplitude)
     # up to its order J has no zero: there the error must be small beside
     # the value itself, not beside the amplitude
     if x <= order and error * amplitude > _J_MAX_ERROR * abs(value):

@@ -101,11 +101,11 @@ def _sweep(draws, evaluate, error_of):
 
 def _kelvin_error(point, value):
     order, x = point
-    ber_s, bei_s, log_scale, est = value
+    ber_s, bei_s, scale, est = value
     with mp.workdps(40):
         ber, bei = mp.ber(order, x), mp.bei(order, x)
-        scale = mp.exp(log_scale)
-        error = mp.hypot(ber_s * scale - ber, bei_s * scale - bei) / mp.hypot(ber, bei)
+        ber_s, bei_s = mp.ldexp(ber_s, scale), mp.ldexp(bei_s, scale)
+        error = mp.hypot(ber_s - ber, bei_s - bei) / mp.hypot(ber, bei)
     return error, est
 
 

@@ -664,7 +664,8 @@ def test_kelvin_series_asymptotic_handover_consistency():
     # same point past the handover evaluated by the power series directly
     # and by the large-argument expansion
     for order in (0.0, 1.0, 3.5):
-        series_pair, _ = _kelvin_series(order, 20.0)
+        series_pair, diag = _kelvin_series(order, 20.0)
+        series_pair *= 2.0**diag.scale  # the series' mantissa, with its power of two
         z = 20.0 * cmath.exp(0.25j * math.pi)
         scaled, _, _ = modified._scaled_i(order, z, modified._reflection(order, z))
         asym_pair = modified._rotation(order, 0.5) * scaled * cmath.exp(z) / cmath.sqrt(
@@ -680,10 +681,9 @@ def test_kelvin_large_argument_raises_beyond_its_bound():
     # is 23, 3e5 and 3e14 there, and the series, whose estimate is the
     # smaller, now serves them
     for order, x in ((30.0, 25.0), (25.0, 18.5), (30.0, 18.5)):
-        ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
+        ber_s, bei_s, scale, est = kelvin_scaled(order, x)
         ber_ref, bei_ref = (float(v) for v in oracle.kelvin_pair(order, x))
-        scale = math.exp(log_scale)
-        error = math.hypot(ber_s * scale - ber_ref, bei_s * scale - bei_ref)
+        error = math.hypot(math.ldexp(ber_s, scale) - ber_ref, math.ldexp(bei_s, scale) - bei_ref)
         assert error <= est * math.hypot(ber_ref, bei_ref), (order, x)
     # where both fail, loudly: the series cancels past its guard, and the
     # expansion's sums cancel to 5e-7 of its first term, a relative
@@ -711,11 +711,11 @@ def test_kelvin_large_argument_within_its_estimate():
     for _ in range(200):
         order = -1.0 + 10.0 ** rng.uniform(-3.0, math.log10(12.0))
         x = 10.0 ** rng.uniform(math.log10(18.01), math.log10(990.0))
-        ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
+        ber_s, bei_s, scale, est = kelvin_scaled(order, x)
         with mp.workdps(40):
             ber, bei = mp.ber(order, x), mp.bei(order, x)
-            scale = mp.exp(log_scale)
-            error = mp.hypot(ber_s * scale - ber, bei_s * scale - bei) / mp.hypot(ber, bei)
+            ber_s, bei_s = mp.ldexp(ber_s, scale), mp.ldexp(bei_s, scale)
+            error = mp.hypot(ber_s - ber, bei_s - bei) / mp.hypot(ber, bei)
         assert error <= est, (order, x, float(error), est)
 
 
@@ -736,15 +736,15 @@ def test_kelvin_series_within_its_estimate():
                10.0 ** rng.uniform(-2.0, math.log10(18.0))) for _ in range(300)]
     for order, x in points + list(KELVIN_LOG_PATH_POINTS):
         try:
-            ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
+            ber_s, bei_s, scale, est = kelvin_scaled(order, x)
         except BesselQError:
             continue
         with mp.workdps(40):
             ber, bei = mp.ber(order, x), mp.bei(order, x)
             # the series' pair is scaled only where ber/bei leave the range
-            assert log_scale == 0.0 or mp.hypot(ber, bei) < sys.float_info.min
-            scale = mp.exp(log_scale)
-            error = mp.hypot(ber_s * scale - ber, bei_s * scale - bei) / mp.hypot(ber, bei)
+            assert scale == 0 or mp.hypot(ber, bei) < sys.float_info.min
+            ber_s, bei_s = mp.ldexp(ber_s, scale), mp.ldexp(bei_s, scale)
+            error = mp.hypot(ber_s - ber, bei_s - bei) / mp.hypot(ber, bei)
         assert error <= est, (order, x, float(error), est)
 
 
@@ -773,19 +773,18 @@ def test_kelvin_at_large_orders_keeps_the_series_scale():
     # -3.3e-292), and kelvin_scaled(402, 51.70) a subnormal pair
     for order, x in ((681.9155359007333, 188.63854096474807), (402.0, 51.70)):
         pair = kelvin(order, x)
-        ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
-        assert (ber_s, bei_s, log_scale) == (pair.ber, pair.bei, 0.0)
+        ber_s, bei_s, scale, est = kelvin_scaled(order, x)
+        assert (ber_s, bei_s, scale) == (pair.ber, pair.bei, 0)
         ber_ref, bei_ref = (float(v) for v in oracle.kelvin_pair(order, x))
         error = math.hypot(pair.ber - ber_ref, pair.bei - bei_ref)
         assert error <= est * math.hypot(ber_ref, bei_ref), (order, x)
 
 
 def test_kelvin_scaled_matches_unscaled():
-    ber_s, bei_s, log_scale, _ = kelvin_scaled(1.0, 40.0)
+    ber_s, bei_s, scale, _ = kelvin_scaled(1.0, 40.0)
     pair = kelvin(1.0, 40.0)
-    scale = math.exp(log_scale)
-    assert rel(ber_s * scale, pair.ber) < 1e-14
-    assert rel(bei_s * scale, pair.bei) < 1e-14
+    assert rel(math.ldexp(ber_s, scale), pair.ber) < 1e-14
+    assert rel(math.ldexp(bei_s, scale), pair.bei) < 1e-14
 
 
 @pytest.mark.parametrize("x", [1.0, 5.0])
@@ -794,9 +793,9 @@ def test_kelvin_scaled_within_its_estimate_at_large_orders(order, x):
     # the phase e^(3 pi i order/4) was once rounded at its argument, near
     # 2.4 order: at x = 1 the pair was off by 6.4e-15 (order 50) to 2.8e-14
     # (order 130) of its norm, against an estimate of 1e-15
-    ber_s, bei_s, log_scale, est = kelvin_scaled(order, x)
+    ber_s, bei_s, scale, est = kelvin_scaled(order, x)
     ber_ref, bei_ref = (float(v) for v in oracle.kelvin_pair(order, x))
-    assert log_scale == 0.0
+    assert scale == 0
     error = math.hypot(ber_s - ber_ref, bei_s - bei_ref)
     assert error <= est * math.hypot(ber_ref, bei_ref)
 
@@ -838,11 +837,18 @@ def test_fg_from_kelvin_returns_where_ber_bei_overflow():
 
 
 @pytest.mark.parametrize("order, omega", [(110.0, 1400.0**2), (120.0, 1400.0**2),
-                                          (150.0, 1600.0**2)])
+                                          (150.0, 1600.0**2),
+                                          (129.93167872255063, 1.5097518535269774**2),
+                                          (164.75533471992674, 14.60288244417869**2),
+                                          (74.49863512111226, 7.689428760038072**2),
+                                          (127.66393323208283, 1.3515180374650668**2)])
 def test_fg_from_kelvin_where_only_the_prefactor_leaves_the_range(order, omega):
     # pow(2/1400, 110) = 1.1e-313 is subnormal and raised, where |f + i g| is
-    # 4.7e113 (9.2e84, 5.3e51 at the others): the prefactor's power of two
-    # now joins the pair's
+    # 4.7e113 (9.2e84, 5.3e51 at the next two): the prefactor's power of two
+    # now joins the pair's.  At the last four the prefactor stays in range,
+    # but pow(fl(2/x), order) was off by about order u, which no estimate
+    # counts: 1.01e-14 off at the first against an estimate of 6.27e-15;
+    # 2^(order - trunc order) / x^order raises only exact inputs to a power
     pair = fg_from_kelvin(order, omega)
     est = kelvin_scaled(order, math.sqrt(omega))[3]
     with mp.workdps(40):
